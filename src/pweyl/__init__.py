@@ -16,7 +16,6 @@ from .cgb import (
     module_colon,
     normal_form,
     radical_member,
-    syzygies,
 )
 from .center import (
     AnnihilatorResult,

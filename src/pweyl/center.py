@@ -248,14 +248,28 @@ def central_annihilator_truncated(ideal, twist=None, max_degree=None, window=2):
         J.groebner_basis()
         candidates[d] = J
         back = d - window
-        if back >= 1 and _ideal_equal(candidates[back], J):
+        # a nonzero left ideal always meets the centre (the reduced norm of
+        # any nonzero element lies in it), so a zero plateau is premature
+        if back < 1 or (candidates[back].is_zero_ideal() and ideal.groebner_basis()):
+            continue
+        if _ideal_equal(candidates[back], J):
             return AnnihilatorResult(candidates[back], f"stabilized({back})")
     return AnnihilatorResult(candidates[max_degree], f"truncated({max_degree})")
 
 
-def central_annihilator(ideal, twist=None, guard=EXACT_GUARD, max_degree=None, window=2):
-    """Route to the exact method within the size guard, else the truncated one."""
+def central_annihilator(
+    ideal, twist=None, guard=EXACT_GUARD, max_degree=None, window=2, method="auto"
+):
+    """The central annihilator by the route ``method`` names.
+
+    This is the one place that chooses the route: "exact" takes the colon
+    whatever the module rank, "truncated" the degree-truncated kernel, and
+    "auto" the exact route while the module rank p^(2n) is within ``guard``,
+    else the truncated one.
+    """
+    if method not in ("auto", "exact", "truncated"):
+        raise ValueError(f"unknown method {method!r}")
     twist = twist or FrobeniusTwist(ideal.ring.modulus, ideal.n)
-    if twist.module_rank <= guard:
-        return central_annihilator_exact(ideal, twist, guard)
+    if method == "exact" or (method == "auto" and twist.module_rank <= guard):
+        return central_annihilator_exact(ideal, twist, guard=None)
     return central_annihilator_truncated(ideal, twist, max_degree, window)

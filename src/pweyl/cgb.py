@@ -24,6 +24,7 @@ from .orders import (
 )
 
 _GREVLEX = GrevLex()
+_POSITION_OVER_TERM = PositionOverTerm()
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +147,14 @@ def _buchberger_core(vectors, R, termkey, ring_case):
         ):
             continue
         keep.append(i)
-    minimal = [G[i] for i in keep]
 
-    # tail-reduce each against the others; leads are untouched by construction
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = _prepared([h for j, h in enumerate(minimal) if j != i], termkey, R)
-        reduced.append(_normal_form(g, others, R, termkey))
-    reduced.sort(key=lambda g: termkey(max(g, key=termkey)))
-    return reduced
+    # tail-reduce each against the others; leads are untouched by construction,
+    # so the result stays sorted by lead like ``keep``
+    minimal = [prep[i] for i in keep]
+    return [
+        _normal_form(g, minimal[:k] + minimal[k + 1 :], R, termkey)
+        for k, (_, _, g) in enumerate(minimal)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +306,7 @@ def krull_dim(ideal):
 
 
 # ---------------------------------------------------------------------------
-# free modules, syzygies, colon
+# free modules and the colon
 # ---------------------------------------------------------------------------
 
 
@@ -370,59 +370,30 @@ class FreeSubmodule:
         return all(p.is_zero() for p in self.normal_form(col))
 
 
-def syzygies(columns, ring=None):
-    """Generators of the syzygy module of the given columns.
-
-    Computed by a Groebner basis of the graph vectors (col_j, e_j) in
-    R^rank (+) R^m under an order where the main block dominates: basis
-    elements with vanishing main block are exactly a generating set of the
-    relations among the columns.
-    """
-    columns = [tuple(col) for col in columns]
-    if not columns:
-        return []
-    rank = len(columns[0])
-    if ring is None:
-        ring = columns[0][0].ring
-    _require_field(ring)
-    m = len(columns)
-    one = ring.coeffs.one()
-    zero_e = (0,) * ring.nvars
-    vecs = []
-    for j, col in enumerate(columns):
-        if len(col) != rank:
-            raise DimensionMismatch("ragged column list")
-        v = {}
-        for pos, poly in enumerate(col):
-            for e, c in poly.terms.items():
-                v[(pos, e)] = c
-        v[(rank + j, zero_e)] = one
-        vecs.append(v)
-    mod_order = PositionOverTerm()
-    termkey = lambda t: mod_order.key(t[0], t[1])
-    basis = _buchberger_core(vecs, ring.coeffs, termkey, False)
-    out = []
-    for v in basis:
-        if any(pos < rank for pos, _ in v):
-            continue
-        cols = [{} for _ in range(m)]
-        for (pos, e), c in v.items():
-            cols[pos - rank][e] = c
-        out.append(tuple(MPoly(ring, t) for t in cols))
-    return out
-
-
 def module_colon(submodule, v):
-    """The ideal (N : v) = {z : z*v in N}, via syzygies of [v | columns of N]."""
+    """The ideal (N : v) = {z : z*v in N}, by elimination of one tagged coordinate.
+
+    One module Groebner basis of the columns (col_j, 0) and of (v, 1) in
+    R^(rank+1), under a position-over-term order where the tag coordinate
+    comes last: the basis elements supported on the tag alone are (0, z) with
+    z*v in N, and their z form the reduced grevlex basis of the colon.
+    """
     v = tuple(v)
-    if len(v) != submodule.rank:
+    rank = submodule.rank
+    if len(v) != rank:
         raise DimensionMismatch("vector length differs from module rank")
-    cols = [v] + list(submodule.columns)
-    gens = []
-    for syz in syzygies(cols, ring=submodule.ring):
-        z = syz[0]
-        if not z.is_zero():
-            gens.append(z)
-    ideal = CIdeal.of(gens, ring=submodule.ring)
+    ring = submodule.ring
+    _require_field(ring)
+    tag = submodule._vec(v)
+    tag[(rank, (0,) * ring.nvars)] = ring.coeffs.one()
+    vecs = [submodule._vec(col) for col in submodule.columns] + [tag]
+    termkey = lambda t: _POSITION_OVER_TERM.key(t[0], t[1])
+    basis = _buchberger_core(vecs, ring.coeffs, termkey, False)
+    gens = [
+        MPoly(ring, {e: c for (_, e), c in g.items()})
+        for g in basis
+        if all(pos == rank for pos, _ in g)
+    ]
+    ideal = CIdeal.of(gens, ring=ring)
     ideal.groebner_basis()
     return ideal

@@ -19,8 +19,7 @@ from .cgb import CIdeal, krull_dim, radical_member
 from .center import (
     EXACT_GUARD,
     FrobeniusTwist,
-    central_annihilator_exact,
-    central_annihilator_truncated,
+    central_annihilator,
     z_module_presentation,
 )
 from .errors import (
@@ -365,15 +364,10 @@ def p_support(
     twist = FrobeniusTwist(p, spec.n)
     notes = ["dimension is the top dimension only; equidimensionality not checked"]
 
-    if method == "exact" or (method == "auto" and twist.module_rank <= guard):
-        result = central_annihilator_exact(ideal, twist, guard=None)
-        exact_route = True
-    elif method in ("auto", "truncated"):
-        result = central_annihilator_truncated(ideal, twist, max_degree, window)
-        exact_route = False
+    result = central_annihilator(ideal, twist, guard, max_degree, window, method)
+    exact_route = result.status == "exact"
+    if not exact_route:
         notes.append("central annihilator from the degree-truncated method")
-    else:
-        raise ValueError(f"unknown method {method!r}")
     ann = result.ideal
 
     ann_strings = tuple(str(g) for g in ann.groebner_basis())
@@ -408,20 +402,22 @@ def p_support(
 
     rank_value = None
     rank_samples = ()
-    if compute_rank:
-        if not exact_route or twist.module_rank > guard:
-            notes.append("generic rank unavailable: exact presentation exceeds guard")
-        else:
-            try:
-                rr = generic_rank(ideal, twist, ann, attempts=attempts, seed=seed)
-                rank_value = rr.value
-                rank_samples = rr.sample_dicts
-                if not rr.agreement:
-                    notes.append("sampled fiber dimensions disagree; modal value reported")
-            except NoPointsFound:
-                notes.append("generic rank unavailable: no points found over F_(p^k), k <= 3")
-    else:
+    guard_note = "generic rank unavailable: exact presentation exceeds guard"
+    if not compute_rank:
         notes.append("generic rank not requested")
+    elif not exact_route:
+        notes.append(guard_note)
+    else:
+        try:
+            rr = generic_rank(ideal, twist, ann, attempts=attempts, seed=seed, guard=guard)
+            rank_value = rr.value
+            rank_samples = rr.sample_dicts
+            if not rr.agreement:
+                notes.append("sampled fiber dimensions disagree; modal value reported")
+        except ExactGuardExceeded:
+            notes.append(guard_note)
+        except NoPointsFound:
+            notes.append("generic rank unavailable: no points found over F_(p^k), k <= 3")
 
     return SupportReport(
         name=spec.name,

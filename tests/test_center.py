@@ -168,6 +168,26 @@ def test_exact_and_truncated_agree(p):
         assert ideal_equal(exact.ideal, trunc.ideal)
 
 
+def test_exact_and_truncated_agree_on_random_operators():
+    rng = random.Random(0)
+    for _ in range(10):
+        tw = FrobeniusTwist(rng.choice((3, 5)), 1)
+        L = random_weylop(tw.weyl_ring, 1, rng, max_exp=2, max_terms=3, nonzero=True)
+        I = LeftIdeal.of([L])
+        exact = central_annihilator_exact(I, tw)
+        trunc = central_annihilator_truncated(I, tw)
+        assert exact.ideal.groebner_basis() == trunc.ideal.groebner_basis(), (str(L), tw.p)
+
+
+def test_truncated_route_passes_a_zero_plateau():
+    # the kernels at degrees 1 and 3 are both zero; the annihilator has degree 4
+    tw = FrobeniusTwist(3, 1)
+    x, d, one = gens_1var(tw.weyl_ring)
+    res = central_annihilator_truncated(LeftIdeal.of([x**2 * d**2 + d]), tw)
+    assert [str(g) for g in res.ideal.groebner_basis()] == ["X1^2*Xi1^2 + Xi1"]
+    assert res.status == "stabilized(4)"
+
+
 def test_guard_routes_to_truncated():
     # p = 3, n = 2 gives module rank 81 > 64
     tw = FrobeniusTwist(3, 2)
@@ -182,6 +202,19 @@ def test_guard_routes_to_truncated():
     R = tw.twisted_ring
     Xi1, Xi2 = R.gen(2), R.gen(3)
     assert ideal_equal(res.ideal, CIdeal.of([Xi1, Xi2]))
+
+
+def test_route_selection():
+    tw = FrobeniusTwist(3, 2)
+    F = tw.weyl_ring
+    I = LeftIdeal.of([WeylOp.d(F, 2, 0), WeylOp.d(F, 2, 1)])
+    assert central_annihilator(I, tw, method="exact").status == "exact"
+    assert central_annihilator(I, tw, guard=81).status == "exact"
+    assert central_annihilator(I, tw, guard=81, method="truncated").status.startswith(
+        "stabilized"
+    )
+    with pytest.raises(ValueError):
+        central_annihilator(I, tw, method="fast")
 
 
 def test_zero_ideal_annihilates_nothing():

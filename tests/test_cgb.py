@@ -6,7 +6,6 @@ import random
 import pytest
 
 from pweyl import CIdeal, FreeSubmodule, buchberger, krull_dim, module_colon, radical_member
-from pweyl.cgb import syzygies
 from pweyl.errors import NotAField
 from pweyl.mpoly import MPoly, PolyRing
 from pweyl.orders import Lex
@@ -188,21 +187,26 @@ def test_module_colon_vs_exhaustive_search():
             assert in_colon == in_module, (str(z), [str(c) for c in v])
 
 
-def test_syzygies_are_relations():
+def test_module_colon_into_first_coordinate():
+    # the pipeline's own case (N : e0) at the ranks of small presentations
     R = ring2()
-    rng = random.Random(61)
-    for _ in range(10):
-        rank = 2
+    rng = random.Random(71)
+    monos = [
+        MPoly(R, {(e1, e2): 1}) for e1 in range(5) for e2 in range(5) if e1 + e2 <= 4
+    ]
+    for _ in range(6):
+        rank = rng.randrange(3, 5)
         cols = [
-            tuple(random_mpoly(R, rng, max_degree=2) for _ in range(rank))
-            for _ in range(3)
+            tuple(random_mpoly(R, rng, max_degree=1, max_terms=3) for _ in range(rank))
+            for _ in range(rng.randrange(rank, rank + 3))
         ]
-        for syz in syzygies(cols, ring=R):
-            total = [R.zero()] * rank
-            for coeff, col in zip(syz, cols):
-                for i in range(rank):
-                    total[i] = total[i] + coeff * col[i]
-            assert all(t.is_zero() for t in total)
+        N = FreeSubmodule.of(cols, rank=rank, ring=R)
+        tail = (R.zero(),) * (rank - 1)
+        colon = module_colon(N, (R.one(),) + tail)
+        for g in colon.gens:
+            assert N.contains((g,) + tail)
+        for z in monos:
+            assert colon.contains(z) == N.contains((z,) + tail), str(z)
 
 
 def test_module_membership_via_normal_form():

@@ -245,6 +245,23 @@ def test_three_variable_tensor_at_guard_boundary():
     assert r.generic_rank == 8
 
 
+def test_raised_guard_reaches_generic_rank():
+    (x,), (d,), one = qq_gens()
+    r = p_support(DModuleSpec(1, (d - x,)), 11, guard=200)
+    assert r.annihilator == ("X1 - Xi1",)
+    assert r.generic_rank == 11
+
+
+def test_exact_method_with_raised_guard():
+    # gaussian-exponential at p = 3: module rank 81, within the raised guard
+    xs, ds, one = qq_gens(2)
+    spec = DModuleSpec(2, (ds[0] - xs[0], ds[1] - one))
+    r = p_support(spec, 3, method="exact", guard=100)
+    assert r.annihilator_status == "exact"
+    assert sorted(r.annihilator) == ["X1 - Xi1", "Xi2 - 1"]
+    assert r.generic_rank == 9
+
+
 def test_characteristic_variety_examples():
     (x,), (d,), one = qq_gens()
     cv = characteristic_variety(DModuleSpec(1, (d - one,)))
