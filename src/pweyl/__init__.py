@@ -52,7 +52,6 @@ from .orders import (
     GrevLex,
     Lex,
     PositionOverTerm,
-    TermOverPosition,
     Weighted,
 )
 from .parser import parse_operator, parse_twisted, parse_weyl
@@ -75,7 +74,7 @@ from .psupport import (
     specialize_mod_p,
 )
 from .rings import QQ, GaloisField, Rationals, Zmod, coeff_inv, extension_field, is_prime
-from .weyl import WeylOp, is_central, weyl_commutator, weyl_mul, weyl_pow
+from .weyl import WeylOp, is_central, weyl_commutator, weyl_pow
 from .wgb import LeftIdeal, initial_weighted, left_groebner, left_nf
 
 __version__ = "0.1.0"

@@ -16,6 +16,20 @@ Two routes are provided:
 * truncated: for rising degree d, compute by linear algebra the space of
   central polynomials of degree <= d that the ideal's normal form kills,
   and stop once the resulting ideal stabilises over a degree window.
+
+The truncated ladder normalises each central monomial X^e only once and
+keeps the result on the ideal for every later degree.  The normal form of
+X^e comes from that of a predecessor X^(e - u_k) by a Frobenius shift:
+
+    nf(X^e) = nf(shift_k(nf(X^(e - u_k)))),
+
+where shift_k adds p to Weyl exponent slot k.  This is exact because
+z = x_k^p or d_k^p is central, so left multiplication by z only shifts the
+exponents of a normal-ordered operator, and z * (m - nf(m)) lies in the
+left ideal with m - nf(m).  Only nf(1) is normalised directly.  The ladder
+then hands the ideal only the kernel vectors whose lead no earlier kernel
+vector's lead divides; the others are monomial multiples of those modulo
+smaller leads, so the ideal and its reduced basis are unchanged.
 """
 
 from dataclasses import dataclass
@@ -25,7 +39,7 @@ from .cgb import CIdeal, FreeSubmodule, module_colon
 from .errors import ExactGuardExceeded, RingMismatch
 from .linalg import nullspace
 from .mpoly import MPoly, PolyRing
-from .orders import GrevLex
+from .orders import GrevLex, monomial_divides
 from .rings import Zmod, is_prime
 from .weyl import WeylOp, is_central
 
@@ -171,11 +185,6 @@ def central_annihilator_exact(ideal, twist=None, guard=EXACT_GUARD):
     return AnnihilatorResult(J, "exact")
 
 
-def _ideal_equal(I, J):
-    """Mutual normal-form membership of the generators."""
-    return all(J.contains(g) for g in I.gens) and all(I.contains(g) for g in J.gens)
-
-
 def _monomials_up_to(nvars, degree):
     """Exponent tuples of total degree <= degree, in (degree, grevlex) order."""
 
@@ -199,20 +208,48 @@ def _monomials_up_to(nvars, degree):
     return monos
 
 
+def _central_normal_forms(ideal, twist, monos):
+    """nf(embed(X^e)) for every e of monos, cached on the ideal.
+
+    ``monos`` must list each exponent after all exponents of lower degree.
+    An uncached X^e is normalised from its predecessor X^(e - u_k), k the
+    last nonzero slot of e, by the Frobenius shift (module docstring).
+    """
+    cache = ideal._cache.setdefault(("central_nf", twist), {})
+    p = twist.p
+    out = []
+    for e in monos:
+        nf = cache.get(e)
+        if nf is None:
+            if not any(e):
+                nf = ideal.normal_form(WeylOp.one(twist.weyl_ring, twist.n))
+            else:
+                k = max(i for i, ei in enumerate(e) if ei)
+                prev = cache[e[:k] + (e[k] - 1,) + e[k + 1 :]]
+                shifted = {
+                    key[:k] + (key[k] + p,) + key[k + 1 :]: c
+                    for key, c in prev.terms.items()
+                }
+                nf = ideal.normal_form(WeylOp(prev.ring, prev.n, shifted))
+            cache[e] = nf
+        out.append(nf)
+    return out
+
+
 def truncated_kernel(ideal, twist, degree):
     """Basis of {z central, deg <= degree : z acts as 0 on D/I}.
 
     left_nf is linear over F_p, so the kernel drops out of one nullspace
-    computation over the normal forms of the embedded monomial basis.
+    computation over the normal forms of the embedded monomial basis.  The
+    basis is the canonical nullspace basis, one vector per free column; the
+    columns are the monomials in (degree, grevlex) order, so each vector's
+    grevlex lead is its free column's monomial.
     """
     ring = twist.twisted_ring
     monos = _monomials_up_to(2 * twist.n, degree)
-    nfs = []
+    nfs = _central_normal_forms(ideal, twist, monos)
     support = {}
-    for e in monos:
-        z = MPoly(ring, {e: ring.coeffs.one()})
-        nf = ideal.normal_form(twist.embed(z))
-        nfs.append(nf)
+    for nf in nfs:
         for key in nf.terms:
             support.setdefault(key, len(support))
     rows = [[ring.coeffs.zero()] * len(monos) for _ in range(len(support))]
@@ -230,6 +267,25 @@ def truncated_kernel(ideal, twist, degree):
     return polys
 
 
+def _minimal_leads(kernel):
+    """The kernel vectors whose lead no earlier vector's lead divides.
+
+    A vector whose lead is t * lead(u) for an earlier u differs from a
+    multiple of t * u by a kernel element with a smaller lead, so dropping
+    it leaves the generated ideal unchanged.  By the same expansion and the
+    Leibniz rule, the first generator pair whose bracket leaves the radical
+    (the coisotropy witness) is a pair of kept vectors, so reports are
+    unchanged too.
+    """
+    kept, leads = [], []
+    for z in kernel:
+        lead = z.leading(_GREVLEX)[0]
+        if not any(monomial_divides(m, lead) for m in leads):
+            kept.append(z)
+            leads.append(lead)
+    return kept
+
+
 def central_annihilator_truncated(ideal, twist=None, max_degree=None, window=2):
     """Degree-truncated central annihilator with a stabilisation certificate.
 
@@ -237,6 +293,11 @@ def central_annihilator_truncated(ideal, twist=None, max_degree=None, window=2):
     at d + window (status "stabilized(d)"), else the ideal at max_degree
     (status "truncated(max_degree)").  Kernels grow monotonically with the
     degree, so a window of equality certifies the plateau seen so far.
+
+    The ladder is incremental: each central monomial is normalised once,
+    from its predecessor by a Frobenius shift, and reused at every later
+    degree; the ideal at degree d is generated by the kernel vectors with
+    minimal leads only (see the module docstring).
     """
     twist = twist or FrobeniusTwist(ideal.ring.modulus, ideal.n)
     if max_degree is None:
@@ -244,15 +305,15 @@ def central_annihilator_truncated(ideal, twist=None, max_degree=None, window=2):
     ring = twist.twisted_ring
     candidates = {}
     for d in range(1, max_degree + 1):
-        J = CIdeal.of(truncated_kernel(ideal, twist, d), ring=ring)
-        J.groebner_basis()
+        J = CIdeal.of(_minimal_leads(truncated_kernel(ideal, twist, d)), ring=ring)
         candidates[d] = J
         back = d - window
         # a nonzero left ideal always meets the centre (the reduced norm of
         # any nonzero element lies in it), so a zero plateau is premature
         if back < 1 or (candidates[back].is_zero_ideal() and ideal.groebner_basis()):
             continue
-        if _ideal_equal(candidates[back], J):
+        # reduced bases are unique, so equal bases mean equal ideals
+        if candidates[back].groebner_basis() == J.groebner_basis():
             return AnnihilatorResult(candidates[back], f"stabilized({back})")
     return AnnihilatorResult(candidates[max_degree], f"truncated({max_degree})")
 

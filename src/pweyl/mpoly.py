@@ -178,16 +178,6 @@ class MPoly:
     def sorted_terms(self, order=_GREVLEX, reverse=True):
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
 
-    def map_coeffs(self, fn, new_coeffs):
-        """Apply fn to every coefficient, landing in the ring new_coeffs."""
-        ring = PolyRing(new_coeffs, self.ring.names)
-        out = {}
-        for e, c in self.terms.items():
-            nc = fn(c)
-            if not new_coeffs.is_zero(nc):
-                out[e] = nc
-        return MPoly(ring, out)
-
     def evaluate(self, point, target):
         """Evaluate at a point with coordinates in the ring ``target``.
 

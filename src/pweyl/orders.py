@@ -78,20 +78,6 @@ class PositionOverTerm:
         return (-pos, self.base.key(e))
 
 
-@dataclass(frozen=True)
-class TermOverPosition:
-    """Module order: base order on monomials first, lower positions break ties."""
-
-    base: object = field(default_factory=GrevLex)
-
-    def key(self, pos, e):
-        return (self.base.key(e), -pos)
-
-
-def greater(order, u, v):
-    return order.key(u) > order.key(v)
-
-
 def monomial_divides(u, v):
     """Componentwise u <= v."""
     return all(a <= b for a, b in zip(u, v))

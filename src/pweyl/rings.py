@@ -12,9 +12,11 @@ GF(p^k) values are coefficient tuples of length k with entries in [0, p).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import gcd
 
-from .errors import DivisionByZero, NotUnit, RingMismatch
+from .errors import DivisionByZero, NotUnit
 
 
 def is_prime(n):
@@ -102,20 +104,6 @@ class Zmod:
         if symmetric and a > self.modulus // 2:
             return str(a - self.modulus)
         return str(a)
-
-
-# Irreducible monic polynomials over F_p, coefficient tuples in ascending
-# degree.  Degree <= 3 entries verified root-free, which suffices there.
-_IRREDUCIBLE = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (3, 2): (2, 2, 1),
-    (3, 3): (1, 2, 0, 1),
-    (5, 2): (2, 4, 1),
-    (5, 3): (3, 3, 0, 1),
-    (7, 2): (3, 6, 1),
-    (7, 3): (4, 0, 6, 1),
-}
 
 
 @dataclass(frozen=True)
@@ -316,22 +304,70 @@ class Rationals:
 QQ = Rationals()
 
 
+def _prime_factors(m):
+    out, q = [], 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return out + [m] if m > 1 else out
+
+
+def _is_primitive(K):
+    """Whether t generates the multiplicative group of K = F_p[t]/(modulus).
+
+    An element of order p^k - 1 exists only when the quotient is a field, so
+    this also certifies that the modulus is irreducible."""
+
+    def power(a, e):
+        acc = K.one()
+        while e:
+            if e & 1:
+                acc = K.mul(acc, a)
+            a = K.mul(a, a)
+            e >>= 1
+        return acc
+
+    order = K.size - 1
+    t = (0, 1) + (0,) * (K.k - 2)
+    return power(t, order) == K.one() and all(
+        power(t, order // q) != K.one() for q in _prime_factors(order)
+    )
+
+
+@lru_cache(maxsize=None)
+def _conway_polynomial(p, k):
+    """The Conway polynomial of GF(p^k) for k in {2, 3}, ascending coefficients.
+
+    Its constant term is (-1)^k * g, g the least primitive root mod p (the
+    only compatibility condition, as F_p is the only proper subfield); among
+    the primitive monic polynomials with that constant term it is the least
+    under the key ((-1)^i * a_(k-i) mod p, i = 1..k).
+    """
+    factors = _prime_factors(p - 1)
+    g = next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+    for key in product(range(p), repeat=k - 1):
+        high = [(-1) ** i * c % p for i, c in enumerate(key, start=1)]
+        modulus = ((-1) ** k * g % p,) + tuple(reversed(high)) + (1,)
+        if _is_primitive(GaloisField(p, k, modulus)):
+            return modulus
+    raise AssertionError(f"no primitive polynomial of degree {k} over F_{p}")
+
+
 def extension_field(p, k):
-    """GF(p^k) for k in 1..3; the degree-1 extension is Z/p itself."""
+    """GF(p^k) for k in 1..3, modulo the Conway polynomial; the degree-1
+    extension is Z/p itself."""
     if k == 1:
         return Zmod(p)
-    try:
-        modulus = _IRREDUCIBLE[(p, k)]
-    except KeyError:
-        raise ValueError(f"no irreducible polynomial on file for GF({p}^{k})") from None
-    return GaloisField(p, k, modulus)
+    if k not in (2, 3):
+        raise ValueError(f"extension degree {k} outside 1..3")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return GaloisField(p, k, _conway_polynomial(p, k))
 
 
 def coeff_inv(ring, a):
     """Multiplicative inverse of a in its ring; NotUnit / DivisionByZero on failure."""
     return ring.inv(a)
-
-
-def require_same_ring(r1, r2):
-    if r1 != r2:
-        raise RingMismatch(f"coefficient rings differ: {r1} vs {r2}")

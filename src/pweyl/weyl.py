@@ -228,10 +228,6 @@ class WeylOp:
         return f"WeylOp({self})"
 
 
-def weyl_mul(f, g):
-    return f * g
-
-
 def weyl_commutator(f, g):
     return f.commutator(g)
 

@@ -20,14 +20,6 @@ from .weyl import WeylOp
 _GREVLEX = GrevLex()
 
 
-def _left_reduce_step(f, g, lt, lead, lc_inv):
-    """f - (c/lc(g)) * x^u d^v * g where u, v shift lead(g) onto lt."""
-    shift = monomial_sub(lt, lead)
-    factor = f.ring.mul(f.terms[lt], lc_inv)
-    mono = WeylOp.monomial(f.ring, f.n, shift, factor)
-    return f - mono * g
-
-
 def left_nf(f, ideal_or_basis, order=None):
     """Left normal form: no remaining term is divisible by a basis lead."""
     if isinstance(ideal_or_basis, LeftIdeal):
@@ -42,21 +34,28 @@ def left_nf(f, ideal_or_basis, order=None):
         prepared.append((lead, f.ring.inv(lc), g))
     prepared.sort(key=lambda t: order.key(t[0]))
 
-    work = f
+    # the remainder grows and the work shrinks in place, on a private copy
+    R = f.ring
+    work = dict(f.terms)
     rem = {}
-    while work.terms:
-        lt = max(work.terms, key=order.key)
-        hit = False
+    while work:
+        lt = max(work, key=order.key)
         for lead, lc_inv, g in prepared:
             if monomial_divides(lead, lt):
-                work = _left_reduce_step(work, g, lt, lead, lc_inv)
-                hit = True
+                # work -= (c/lc(g)) * x^u d^v * g, where x^u d^v shifts lead(g) onto lt
+                factor = R.mul(work[lt], lc_inv)
+                mono = WeylOp.monomial(R, f.n, monomial_sub(lt, lead), factor)
+                for key, c in (mono * g).terms.items():
+                    acc = work.get(key)
+                    c = R.sub(acc, c) if acc is not None else R.neg(c)
+                    if R.is_zero(c):
+                        work.pop(key, None)
+                    else:
+                        work[key] = c
                 break
-        if not hit:
-            terms = dict(work.terms)
-            rem[lt] = terms.pop(lt)
-            work = WeylOp(f.ring, f.n, terms)
-    return WeylOp(f.ring, f.n, rem)
+        else:
+            rem[lt] = work.pop(lt)
+    return WeylOp(R, f.n, rem)
 
 
 def left_groebner(gens, order=_GREVLEX):

@@ -252,6 +252,15 @@ def test_raised_guard_reaches_generic_rank():
     assert r.generic_rank == 11
 
 
+def test_rank_samples_over_gf_p2_for_p_above_7():
+    # Xi^2 + 1 has no F_11 points, so the rank is sampled over GF(11^2)
+    (x,), (d,), one = qq_gens()
+    r = p_support(DModuleSpec(1, (d**2 + one,)), 11, guard=200)
+    assert r.annihilator == ("Xi1^2 + 1",)
+    assert r.generic_rank == 11
+    assert {s["field"] for s in r.to_dict()["rank_samples"]} == {"GF(11^2)"}
+
+
 def test_exact_method_with_raised_guard():
     # gaussian-exponential at p = 3: module rank 81, within the raised guard
     xs, ds, one = qq_gens(2)

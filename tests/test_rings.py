@@ -79,7 +79,9 @@ def test_zmod_prime_square_inverses():
             assert Z25.mul(a, Z25.inv(a)) == 1
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)])
+@pytest.mark.parametrize(
+    "p,k", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (13, 3)]
+)
 def test_extension_moduli_irreducible(p, k):
     # degree <= 3, so irreducible iff root-free over F_p
     K = extension_field(p, k)
@@ -89,7 +91,28 @@ def test_extension_moduli_irreducible(p, k):
         assert val != 0
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (3, 3), (5, 2)])
+def test_extension_moduli_are_conway_polynomials():
+    # ascending coefficients; the eight p <= 7 entries are the moduli the
+    # rank samples of the corpus goldens were drawn in
+    expected = {
+        (2, 2): (1, 1, 1),
+        (2, 3): (1, 1, 0, 1),
+        (3, 2): (2, 2, 1),
+        (3, 3): (1, 2, 0, 1),
+        (5, 2): (2, 4, 1),
+        (5, 3): (3, 3, 0, 1),
+        (7, 2): (3, 6, 1),
+        (7, 3): (4, 0, 6, 1),
+        (11, 2): (2, 7, 1),
+        (13, 3): (11, 2, 0, 1),
+    }
+    for (p, k), modulus in expected.items():
+        assert extension_field(p, k).modulus == modulus, (p, k)
+    with pytest.raises(ValueError):
+        extension_field(3, 4)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (3, 3), (5, 2), (11, 2)])
 def test_extension_field_enumeration(p, k):
     K = extension_field(p, k)
     elements = {K.element_from_index(i) for i in range(K.size)}

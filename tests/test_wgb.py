@@ -51,6 +51,10 @@ def test_left_ideal_membership_property():
         g = gens[0]
         # adding a left multiple of an ideal element never changes the NF
         assert left_nf(f * g + h, I) == left_nf(h, I)
+        # and the operator being reduced is left as it was
+        before = dict(h.terms)
+        left_nf(h, I)
+        assert h.terms == before
 
 
 def test_basis_independent_of_permutation():
