@@ -64,7 +64,6 @@ from .poisson import (
 from .psupport import (
     CharVariety,
     DModuleSpec,
-    SpecializationContext,
     SupportReport,
     characteristic_variety,
     dilate_fiber,

@@ -17,9 +17,13 @@ Two routes are provided:
   central polynomials of degree <= d that the ideal's normal form kills,
   and stop once the resulting ideal stabilises over a degree window.
 
-The truncated ladder normalises each central monomial X^e only once and
-keeps the result on the ideal for every later degree.  The normal form of
-X^e comes from that of a predecessor X^(e - u_k) by a Frobenius shift:
+The truncated ladder does each reduction once, and keeps its results on
+the ideal for every later degree.  It normalises each central monomial X^e
+once, and reduces each normal form once against one column echelon of the
+normal forms before it: the monomials of degree <= d come first in
+(degree, grevlex) order, so the kernel at degree d + 1 extends the one at
+d and no degree is eliminated from scratch.  The normal form of X^e comes
+from that of a predecessor X^(e - u_k) by a Frobenius shift:
 
     nf(X^e) = nf(shift_k(nf(X^(e - u_k)))),
 
@@ -32,12 +36,13 @@ vector's lead divides; the others are monomial multiples of those modulo
 smaller leads, so the ideal and its reduced basis are unchanged.
 """
 
+import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .cgb import CIdeal, FreeSubmodule, module_colon
 from .errors import ExactGuardExceeded, RingMismatch
-from .linalg import nullspace
 from .mpoly import MPoly, PolyRing
 from .orders import GrevLex, monomial_divides
 from .rings import Zmod, is_prime
@@ -185,6 +190,7 @@ def central_annihilator_exact(ideal, twist=None, guard=EXACT_GUARD):
     return AnnihilatorResult(J, "exact")
 
 
+@lru_cache(maxsize=None)
 def _monomials_up_to(nvars, degree):
     """Exponent tuples of total degree <= degree, in (degree, grevlex) order."""
 
@@ -205,7 +211,7 @@ def _monomials_up_to(nvars, degree):
     monos = []
     for d in range(degree + 1):
         monos.extend(level(d))
-    return monos
+    return tuple(monos)
 
 
 def _central_normal_forms(ideal, twist, monos):
@@ -236,35 +242,92 @@ def _central_normal_forms(ideal, twist, monos):
     return out
 
 
+class _KernelEchelon:
+    """Column echelon of the central normal forms, grown one column at a time.
+
+    Column j is nf(X^e) for the j-th monomial e in (degree, grevlex) order.
+    Each new column is reduced once against the pivot columns so far, which
+    carry the combination of original columns they stand for.  A column
+    that reduces to zero gives the kernel vector with 1 at its own column
+    and entries on earlier pivot columns only, which is the canonical
+    nullspace vector of that free column; any other column becomes a pivot
+    column, scaled to 1 at one of its remaining keys.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.ncols = 0
+        self.pivots = []  # (pivot key, reduced column, combination)
+        self.index = {}  # pivot key -> its place in self.pivots
+        self.kernel = []  # (column index, kernel polynomial), by column
+
+    def extend(self, monos, nfs):
+        """Append the columns nfs of the monomials monos[ncols:]."""
+        F = self.ring.coeffs
+        index = self.index
+        for j, nf in enumerate(nfs, start=self.ncols):
+            col = dict(nf.terms)
+            comb = {j: F.one()}
+            # pivot i is zero at the keys of pivots < i, so reducing by the
+            # pivots met, in increasing order, clears every pivot key
+            todo = [index[k] for k in col if k in index]
+            heapq.heapify(todo)
+            while todo:
+                i = heapq.heappop(todo)
+                key, pcol, pcomb = self.pivots[i]
+                c = col.get(key)
+                if c is None:
+                    continue
+                _sub_scaled(col, c, pcol, F)
+                _sub_scaled(comb, c, pcomb, F)
+                for k in pcol:
+                    later = index.get(k)
+                    if later is not None and later > i:
+                        heapq.heappush(todo, later)
+            if col:
+                key, c = next(iter(col.items()))
+                inv = F.inv(c)
+                col = {k: F.mul(inv, v) for k, v in col.items()}
+                comb = {k: F.mul(inv, v) for k, v in comb.items()}
+                index[key] = len(self.pivots)
+                self.pivots.append((key, col, comb))
+            else:
+                terms = {monos[i]: comb[i] for i in sorted(comb)}
+                self.kernel.append((j, MPoly(self.ring, terms)))
+        self.ncols += len(nfs)
+
+
+def _sub_scaled(out, c, vec, F):
+    """out -= c * vec, in place, dropping zeros."""
+    for k, v in vec.items():
+        acc = out.get(k)
+        acc = F.sub(acc, F.mul(c, v)) if acc is not None else F.neg(F.mul(c, v))
+        if F.is_zero(acc):
+            out.pop(k, None)
+        else:
+            out[k] = acc
+
+
 def truncated_kernel(ideal, twist, degree):
     """Basis of {z central, deg <= degree : z acts as 0 on D/I}.
 
-    left_nf is linear over F_p, so the kernel drops out of one nullspace
-    computation over the normal forms of the embedded monomial basis.  The
-    basis is the canonical nullspace basis, one vector per free column; the
-    columns are the monomials in (degree, grevlex) order, so each vector's
-    grevlex lead is its free column's monomial.
+    left_nf is linear over F_p, so the kernel is the space of relations
+    among the normal forms of the embedded monomials.  The columns are the
+    monomials in (degree, grevlex) order, and the ones of degree <= d are a
+    prefix of the ones of degree <= d + 1; one column echelon per ideal,
+    cached like the normal forms, reduces each column once, whatever
+    sequence of degrees is asked for.  The basis is the canonical nullspace
+    basis, one vector per free column, so each vector's grevlex lead is its
+    free column's monomial.
     """
-    ring = twist.twisted_ring
     monos = _monomials_up_to(2 * twist.n, degree)
-    nfs = _central_normal_forms(ideal, twist, monos)
-    support = {}
-    for nf in nfs:
-        for key in nf.terms:
-            support.setdefault(key, len(support))
-    rows = [[ring.coeffs.zero()] * len(monos) for _ in range(len(support))]
-    for j, nf in enumerate(nfs):
-        for key, c in nf.terms.items():
-            rows[support[key]][j] = c
-    if not support:
-        # every monomial normal-forms to zero: the whole degree block is killed
-        return [MPoly(ring, {e: ring.coeffs.one()}) for e in monos]
-    kernel = nullspace(rows, ring.coeffs)
-    polys = []
-    for v in kernel:
-        terms = {e: c for e, c in zip(monos, v) if not ring.coeffs.is_zero(c)}
-        polys.append(MPoly(ring, terms))
-    return polys
+    echelon = ideal._cache.get(("kernel_echelon", twist))
+    if echelon is None:
+        echelon = ideal._cache[("kernel_echelon", twist)] = _KernelEchelon(twist.twisted_ring)
+    if len(monos) > echelon.ncols:
+        new = monos[echelon.ncols :]
+        echelon.extend(monos, _central_normal_forms(ideal, twist, new))
+    return [z for j, z in echelon.kernel if j < len(monos)]
 
 
 def _minimal_leads(kernel):
@@ -295,7 +358,8 @@ def central_annihilator_truncated(ideal, twist=None, max_degree=None, window=2):
     degree, so a window of equality certifies the plateau seen so far.
 
     The ladder is incremental: each central monomial is normalised once,
-    from its predecessor by a Frobenius shift, and reused at every later
+    from its predecessor by a Frobenius shift, and its normal form is
+    reduced once into the ideal's kernel echelon, both reused at every later
     degree; the ideal at degree d is generated by the kernel vectors with
     minimal leads only (see the module docstring).
     """

@@ -11,6 +11,7 @@ sorted), hence unique for a given ideal and order.
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import DimensionMismatch, NotAField, RingMismatch
 from .mpoly import MPoly, PolyRing
@@ -45,17 +46,41 @@ def _vec_sub_scaled(out, vec, factor, shift, R):
             out[key] = val
 
 
-def _normal_form(vec, basis, R, termkey):
-    """Fully reduce vec against basis; no remainder term is divisible by a lead."""
+def _normal_form(vec, basis, R, desckey):
+    """Fully reduce vec against basis; no remainder term is divisible by a lead.
+
+    The leading term comes off a heap of ``desckey`` values (ascending desc
+    keys run from the biggest term down), each computed once when its term
+    appears; an entry whose term has left ``work`` since it was pushed is
+    stale, because a reduction only brings in smaller terms.
+    """
     work = dict(vec)
+    heap = [(desckey(t), t) for t in work]
+    heapq.heapify(heap)
     rem = {}
-    while work:
-        lt = max(work, key=termkey)
-        c = work[lt]
+    while heap:
+        lt = heapq.heappop(heap)[1]
+        c = work.get(lt)
+        if c is None:
+            continue
         for lead, lc_inv, g in basis:
             if lead[0] == lt[0] and monomial_divides(lead[1], lt[1]):
+                # work -= (c/lc(g)) * x^shift * g
                 factor = R.mul(c, lc_inv)
-                _vec_sub_scaled(work, g, factor, monomial_sub(lt[1], lead[1]), R)
+                shift = monomial_sub(lt[1], lead[1])
+                for (pos, e), gc in g.items():
+                    key = (pos, tuple(map(add, e, shift)))
+                    delta = R.mul(factor, gc)
+                    acc = work.get(key)
+                    if acc is None:
+                        work[key] = R.neg(delta)
+                        heapq.heappush(heap, (desckey(key), key))
+                    else:
+                        acc = R.sub(acc, delta)
+                        if R.is_zero(acc):
+                            del work[key]
+                        else:
+                            work[key] = acc
                 break
         else:
             rem[lt] = work.pop(lt)
@@ -72,8 +97,12 @@ def _prepared(basis_vecs, termkey, R):
     return out
 
 
-def _buchberger_core(vectors, R, termkey, ring_case):
-    """Reduced Groebner basis of the span of ``vectors`` (term dicts)."""
+def _buchberger_core(vectors, R, termkey, desckey, ring_case):
+    """Reduced Groebner basis of the span of ``vectors`` (term dicts).
+
+    ``termkey`` realises the term order, ``desckey`` its reverse (see
+    ``orders``); both take a (position, exponents) term.
+    """
     G = []
     leads = []
     prep = []
@@ -131,7 +160,7 @@ def _buchberger_core(vectors, R, termkey, ring_case):
         s = {}
         _vec_sub_scaled(s, G[j], R.neg(R.one()), monomial_sub(lcm, lj[1]), R)
         _vec_sub_scaled(s, G[i], R.one(), monomial_sub(lcm, li[1]), R)
-        h = _normal_form(s, prep, R, termkey)
+        h = _normal_form(s, prep, R, desckey)
         if h:
             admit(h)
             push_pairs(len(G) - 1)
@@ -152,7 +181,7 @@ def _buchberger_core(vectors, R, termkey, ring_case):
     # so the result stays sorted by lead like ``keep``
     minimal = [prep[i] for i in keep]
     return [
-        _normal_form(g, minimal[:k] + minimal[k + 1 :], R, termkey)
+        _normal_form(g, minimal[:k] + minimal[k + 1 :], R, desckey)
         for k, (_, _, g) in enumerate(minimal)
     ]
 
@@ -185,7 +214,10 @@ def buchberger(gens, order=_GREVLEX):
         g._check(gens[0])
     _require_field(ring)
     termkey = lambda t: order.key(t[1])
-    basis = _buchberger_core([_to_vec(g) for g in gens], ring.coeffs, termkey, True)
+    desckey = lambda t: order.desc_key(t[1])
+    basis = _buchberger_core(
+        [_to_vec(g) for g in gens], ring.coeffs, termkey, desckey, True
+    )
     return [_from_vec(ring, g) for g in basis]
 
 
@@ -228,7 +260,7 @@ class CIdeal:
             _to_vec(f),
             self._prepared_basis(),
             self.ring.coeffs,
-            lambda t: self.order.key(t[1]),
+            lambda t: self.order.desc_key(t[1]),
         )
         return _from_vec(self.ring, vec)
 
@@ -351,8 +383,9 @@ class FreeSubmodule:
         if "basis" not in self._cache:
             _require_field(self.ring)
             termkey = lambda t: self.order.key(t[0], t[1])
+            desckey = lambda t: self.order.desc_key(t[0], t[1])
             vecs = [self._vec(col) for col in self.columns]
-            basis = _buchberger_core(vecs, self.ring.coeffs, termkey, False)
+            basis = _buchberger_core(vecs, self.ring.coeffs, termkey, desckey, False)
             self._cache["basis"] = tuple(self._unvec(v) for v in basis)
             self._cache["vecs"] = tuple(basis)
         return self._cache["basis"]
@@ -362,8 +395,9 @@ class FreeSubmodule:
             raise DimensionMismatch("vector length differs from module rank")
         self.groebner_basis()
         termkey = lambda t: self.order.key(t[0], t[1])
+        desckey = lambda t: self.order.desc_key(t[0], t[1])
         prep = _prepared(list(self._cache["vecs"]), termkey, self.ring.coeffs)
-        vec = _normal_form(self._vec(tuple(col)), prep, self.ring.coeffs, termkey)
+        vec = _normal_form(self._vec(tuple(col)), prep, self.ring.coeffs, desckey)
         return self._unvec(vec)
 
     def contains(self, col):
@@ -388,7 +422,8 @@ def module_colon(submodule, v):
     tag[(rank, (0,) * ring.nvars)] = ring.coeffs.one()
     vecs = [submodule._vec(col) for col in submodule.columns] + [tag]
     termkey = lambda t: _POSITION_OVER_TERM.key(t[0], t[1])
-    basis = _buchberger_core(vecs, ring.coeffs, termkey, False)
+    desckey = lambda t: _POSITION_OVER_TERM.desc_key(t[0], t[1])
+    basis = _buchberger_core(vecs, ring.coeffs, termkey, desckey, False)
     gens = [
         MPoly(ring, {e: c for (_, e), c in g.items()})
         for g in basis

@@ -1,8 +1,8 @@
-"""Dense exact linear algebra over a field ring (row-echelon, rank, kernel).
+"""Dense exact linear algebra over a field ring (row-echelon form and rank).
 
 Matrices are lists of rows; rows are lists of coefficient payloads of the
 given ring.  Everything is deterministic: pivots are chosen left to right,
-top to bottom, so echelon forms and kernel bases are canonical.
+top to bottom, so echelon forms are canonical.
 """
 
 
@@ -38,22 +38,3 @@ def rref(rows, ring):
 
 def rank(rows, ring):
     return len(rref(rows, ring)[1])
-
-
-def nullspace(rows, ring):
-    """Canonical basis of {v : rows @ v = 0}, one vector per free column."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m, pivots = rref(rows, ring)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [ring.zero()] * ncols
-        v[free] = ring.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = ring.neg(m[r][free])
-        basis.append(v)
-    return basis

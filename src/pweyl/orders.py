@@ -1,22 +1,33 @@
 """Monomial orders on exponent tuples, plus module orders on (position, monomial).
 
 Every order exposes ``key(exponents) -> sortable`` such that the usual tuple
-comparison of keys realises the order (bigger key = bigger monomial).  All
-orders here are total and multiplicative; ``is_global`` reports whether the
-constant monomial is minimal, which Buchberger-type algorithms require.
+comparison of keys realises the order (bigger key = bigger monomial), and
+``desc_key(exponents)``, whose ascending order is the order's descending one
+(smaller key = bigger monomial): a min-heap of desc keys pops the leading
+term first.  All orders here are total and multiplicative; ``is_global``
+reports whether the constant monomial is minimal, which Buchberger-type
+algorithms require.
 """
 
 from dataclasses import dataclass, field
+from operator import add, le, neg, sub
 
 
 def _grevlex_key(e):
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), tuple(map(neg, reversed(e))))
+
+
+def _grevlex_desc_key(e):
+    return (-sum(e), e[::-1])
 
 
 @dataclass(frozen=True)
 class Lex:
     def key(self, e):
         return tuple(e)
+
+    def desc_key(self, e):
+        return tuple(map(neg, e))
 
     @property
     def is_global(self):
@@ -27,6 +38,9 @@ class Lex:
 class GrevLex:
     def key(self, e):
         return _grevlex_key(e)
+
+    def desc_key(self, e):
+        return _grevlex_desc_key(e)
 
     @property
     def is_global(self):
@@ -47,6 +61,9 @@ class BlockElimination:
     def key(self, e):
         return (_grevlex_key(e[self.split :]), _grevlex_key(e[: self.split]))
 
+    def desc_key(self, e):
+        return (_grevlex_desc_key(e[self.split :]), _grevlex_desc_key(e[: self.split]))
+
     @property
     def is_global(self):
         return True
@@ -63,6 +80,10 @@ class Weighted:
         w = sum(wi * ei for wi, ei in zip(self.weights, e))
         return (w, self.tie.key(e))
 
+    def desc_key(self, e):
+        w = sum(wi * ei for wi, ei in zip(self.weights, e))
+        return (-w, self.tie.desc_key(e))
+
     @property
     def is_global(self):
         return all(w >= 0 for w in self.weights) and self.tie.is_global
@@ -77,19 +98,22 @@ class PositionOverTerm:
     def key(self, pos, e):
         return (-pos, self.base.key(e))
 
+    def desc_key(self, pos, e):
+        return (pos, self.base.desc_key(e))
+
 
 def monomial_divides(u, v):
     """Componentwise u <= v."""
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def monomial_lcm(u, v):
-    return tuple(max(a, b) for a, b in zip(u, v))
+    return tuple(map(max, u, v))
 
 
 def monomial_mul(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def monomial_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))

@@ -68,28 +68,12 @@ class DModuleSpec:
         return self.generators[0].ring
 
 
-@dataclass(frozen=True)
-class SpecializationContext:
-    """Which prime is being used and whether the presentation survives it."""
-
-    prime: int
-    denominators: frozenset
-    good: bool
-
-    @classmethod
-    def analyze(cls, spec, p):
-        dens = set()
-        if spec.ring == QQ:
-            for g in spec.generators:
-                for c in g.terms.values():
-                    dens.add(Fraction(c).denominator)
-        dens.discard(1)
-        good = all(d % p != 0 for d in dens)
-        return cls(p, frozenset(dens), good)
-
-
 def specialize_mod_p(spec, p):
-    """Coefficientwise reduction of the presentation into A_n(F_p)."""
+    """Coefficientwise reduction of the presentation into A_n(F_p).
+
+    A prime that divides a denominator of a rational coefficient does not
+    survive the reduction: BadPrime names it and the denominator.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     F = Zmod(p)

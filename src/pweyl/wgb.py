@@ -9,53 +9,102 @@ not valid here (the pair {d, x} with coprime leads reduces to 1), so no
 pair is ever skipped.
 """
 
+import bisect
 import heapq
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from .errors import DimensionMismatch, NonGlobalOrder, NotAField, ZeroInput
 from .mpoly import MPoly, PolyRing
 from .orders import GrevLex, monomial_divides, monomial_lcm, monomial_sub
-from .weyl import WeylOp
+from .weyl import WeylOp, _reorder_weights
 
 _GREVLEX = GrevLex()
 
 
+class _Prepared(list):
+    """Basis triples (lead, 1/lc, split terms) sorted by lead, ready for left_nf.
+
+    The split terms are (x exponents, d exponents, coefficient) of each
+    basis operator, the form in which a reduction step multiplies it.
+    """
+
+
+def _triple(g, order):
+    lead, lc = g.leading(order)
+    n = g.n
+    split = tuple((k[:n], k[n:], c) for k, c in g.terms.items())
+    return (lead, g.ring.inv(lc), split)
+
+
+def _prepare(basis, order):
+    return _Prepared(sorted((_triple(g, order) for g in basis), key=lambda t: order.key(t[0])))
+
+
 def left_nf(f, ideal_or_basis, order=None):
-    """Left normal form: no remaining term is divisible by a basis lead."""
+    """Left normal form: no remaining term is divisible by a basis lead.
+
+    Terms are reduced from the top down.  The leading term comes off a heap
+    of descending order keys, each computed once when its term appears; a
+    reduction only brings in smaller terms, so an entry whose monomial has
+    left the work dict since it was pushed is stale and skipped.
+    """
     if isinstance(ideal_or_basis, LeftIdeal):
-        basis = ideal_or_basis.groebner_basis()
-        order = order or ideal_or_basis.order
-    else:
-        basis = list(ideal_or_basis)
+        if order is None or order == ideal_or_basis.order:
+            prepared = ideal_or_basis._prepared_basis()
+            order = ideal_or_basis.order
+        else:
+            prepared = _prepare(ideal_or_basis.groebner_basis(), order)
+    elif isinstance(ideal_or_basis, _Prepared):
+        prepared = ideal_or_basis
         order = order or _GREVLEX
-    prepared = []
-    for g in basis:
-        lead, lc = g.leading(order)
-        prepared.append((lead, f.ring.inv(lc), g))
-    prepared.sort(key=lambda t: order.key(t[0]))
+    else:
+        order = order or _GREVLEX
+        prepared = _prepare(ideal_or_basis, order)
 
     # the remainder grows and the work shrinks in place, on a private copy
-    R = f.ring
+    R, n = f.ring, f.n
+    desc_key = order.desc_key
     work = dict(f.terms)
+    heap = [(desc_key(m), m) for m in work]
+    heapq.heapify(heap)
     rem = {}
-    while work:
-        lt = max(work, key=order.key)
-        for lead, lc_inv, g in prepared:
+    while heap:
+        lt = heapq.heappop(heap)[1]
+        c = work.get(lt)
+        if c is None:
+            continue
+        for lead, lc_inv, split in prepared:
             if monomial_divides(lead, lt):
-                # work -= (c/lc(g)) * x^u d^v * g, where x^u d^v shifts lead(g) onto lt
-                factor = R.mul(work[lt], lc_inv)
-                mono = WeylOp.monomial(R, f.n, monomial_sub(lt, lead), factor)
-                for key, c in (mono * g).terms.items():
-                    acc = work.get(key)
-                    c = R.sub(acc, c) if acc is not None else R.neg(c)
-                    if R.is_zero(c):
-                        work.pop(key, None)
-                    else:
-                        work[key] = c
+                # work -= (c/lc(g)) * x^a d^b * g, where x^a d^b shifts lead(g)
+                # onto lt; d^b x^gx = sum_j w_j x^(gx-j) d^(b-j), so each term
+                # of g gives x^(a+gx-j) d^(b+gd-j) with weight w_j
+                u = monomial_sub(lt, lead)
+                a, b = u[:n], u[n:]
+                factor = R.mul(c, lc_inv)
+                for gx, gd, gc in split:
+                    cg = R.mul(factor, gc)
+                    ax = tuple(map(add, a, gx))
+                    bd = tuple(map(add, b, gd))
+                    for j, w in _reorder_weights(b, gx):
+                        delta = R.mul(cg, R.from_int(w))
+                        if R.is_zero(delta):
+                            continue
+                        key = tuple(map(sub, ax, j)) + tuple(map(sub, bd, j))
+                        acc = work.get(key)
+                        if acc is None:
+                            work[key] = R.neg(delta)
+                            heapq.heappush(heap, (desc_key(key), key))
+                        else:
+                            acc = R.sub(acc, delta)
+                            if R.is_zero(acc):
+                                del work[key]
+                            else:
+                                work[key] = acc
                 break
         else:
             rem[lt] = work.pop(lt)
-    return WeylOp(R, f.n, rem)
+    return WeylOp(R, n, rem)
 
 
 def left_groebner(gens, order=_GREVLEX):
@@ -73,11 +122,17 @@ def left_groebner(gens, order=_GREVLEX):
 
     G = []
     leads = []
+    triples = []
+    # the same triples, kept sorted by lead for every reduction
+    prep = _Prepared()
 
     def admit(op):
-        lead, lc = op.leading(order)
-        G.append(op.scale(ring.inv(lc)))
-        leads.append(lead)
+        g = op.scale(ring.inv(op.leading(order)[1]))
+        triple = _triple(g, order)
+        G.append(g)
+        leads.append(triple[0])
+        triples.append(triple)
+        bisect.insort(prep, triple, key=lambda t: order.key(t[0]))
 
     for g in gens:
         admit(g)
@@ -104,25 +159,26 @@ def left_groebner(gens, order=_GREVLEX):
         mi = WeylOp.monomial(ring, n, monomial_sub(lcm, leads[i]), one)
         mj = WeylOp.monomial(ring, n, monomial_sub(lcm, leads[j]), one)
         s = mi * G[i] - mj * G[j]
-        h = left_nf(s, G, order)
+        h = left_nf(s, prep, order)
         if not h.is_zero():
             admit(h)
             push_pairs(len(G) - 1)
 
-    # minimalize, then tail-reduce; reduced left bases are unique
+    # minimalize, then tail-reduce; reduced left bases are unique, and the
+    # leads are untouched, so the result stays sorted by lead like ``keep``
     order_idx = sorted(range(len(G)), key=lambda i: order.key(leads[i]))
     keep = []
     for i in order_idx:
         if any(monomial_divides(leads[k], leads[i]) for k in keep):
             continue
         keep.append(i)
-    minimal = [G[i] for i in keep]
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = [h for j, h in enumerate(minimal) if j != i]
-        reduced.append(left_nf(g, others, order) if others else g)
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return reduced
+    if len(keep) == 1:
+        return [G[keep[0]]]  # nothing to tail-reduce against
+    minimal = [triples[i] for i in keep]
+    return [
+        left_nf(G[i], _Prepared(minimal[:k] + minimal[k + 1 :]), order)
+        for k, i in enumerate(keep)
+    ]
 
 
 @dataclass(frozen=True)
@@ -149,6 +205,11 @@ class LeftIdeal:
         if "basis" not in self._cache:
             self._cache["basis"] = tuple(left_groebner(list(self.gens), self.order))
         return self._cache["basis"]
+
+    def _prepared_basis(self):
+        if "prep" not in self._cache:
+            self._cache["prep"] = _prepare(self.groebner_basis(), self.order)
+        return self._cache["prep"]
 
     def normal_form(self, f):
         if f.ring != self.ring or f.n != self.n:

@@ -16,12 +16,13 @@ from pweyl import (
 )
 from pweyl.center import (
     _central_normal_forms,
+    _KernelEchelon,
     _minimal_leads,
     _monomials_up_to,
     truncated_kernel,
 )
 from pweyl.errors import ExactGuardExceeded
-from pweyl.linalg import nullspace
+from pweyl.linalg import rref
 from pweyl.mpoly import MPoly
 from pweyl.poisson import coisotropy_check
 from pweyl.rings import Zmod
@@ -31,6 +32,34 @@ from helpers import ideal_equal, random_weylop
 
 def gens_1var(ring):
     return WeylOp.x(ring, 1, 0), WeylOp.d(ring, 1, 0), WeylOp.one(ring, 1)
+
+
+def nullspace(rows, F):
+    """Canonical basis of {v : rows @ v = 0}, one vector per free column."""
+    ncols = len(rows[0])
+    m, pivots = rref(rows, F)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [F.zero()] * ncols
+        v[free] = F.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = F.neg(m[r][free])
+        basis.append(v)
+    return basis
+
+
+def dense_kernel(monos, nfs, R):
+    """The truncated kernel by one dense elimination over the normal forms
+    ``nfs`` of the embedded monomials ``monos``: the canonical nullspace
+    basis, as polynomials of the twisted ring R."""
+    support = sorted({key for nf in nfs for key in nf.terms})
+    # a zero row when every normal form vanishes: the kernel is everything
+    rows = [[nf.terms.get(key, 0) for nf in nfs] for key in support]
+    kernel = nullspace(rows or [[0] * len(monos)], R.coeffs)
+    return [MPoly(R, {e: c for e, c in zip(monos, v) if c}) for v in kernel]
 
 
 def test_decompose_p2_examples():
@@ -213,12 +242,8 @@ def test_ladder_normal_forms_by_frobenius_shift():
             direct = [I.normal_form(tw.embed(MPoly(R, {e: 1}))) for e in monos]
             assert _central_normal_forms(I, tw, monos) == direct, (gens, p)
             for d in range(4):
-                block = [(e, nf) for e, nf in zip(monos, direct) if sum(e) <= d]
-                support = sorted({key for _, nf in block for key in nf.terms})
-                # a zero row when every normal form vanishes: the kernel is everything
-                rows = [[nf.terms.get(key, 0) for _, nf in block] for key in support]
-                kernel = nullspace(rows or [[0] * len(block)], R.coeffs)
-                reference = [MPoly(R, {e: c for (e, _), c in zip(block, v) if c}) for v in kernel]
+                size = len(_monomials_up_to(2 * n, d))
+                reference = dense_kernel(monos[:size], direct[:size], R)
                 assert kernels[d] == reference, (gens, p, d)
                 # the minimal leads generate the same ideal as the whole kernel
                 # and give the same coisotropy verdict and witness
@@ -226,6 +251,53 @@ def test_ladder_normal_forms_by_frobenius_shift():
                 minimal = CIdeal.of(_minimal_leads(reference), ring=R)
                 assert minimal.groebner_basis() == whole.groebner_basis()
                 assert coisotropy_check(minimal) == coisotropy_check(whole)
+
+
+def test_kernel_echelon_answers_degrees_in_any_order():
+    # one ideal asked for degrees 3, 1, 4, 2 gives, at each degree, the dense
+    # reference computed from scratch on a fresh ideal
+    rng = random.Random(11)
+    for n, p in product((1, 2), (2, 3, 5)):
+        tw = FrobeniusTwist(p, n)
+        R = tw.twisted_ring
+        for _ in range(3):
+            gens = [
+                random_weylop(tw.weyl_ring, n, rng, max_exp=2, max_terms=3, nonzero=True)
+                for _ in range(rng.randrange(1, n + 1))
+            ]
+            I = LeftIdeal.of(gens)
+            for d in (3, 1, 4, 2):
+                fresh = LeftIdeal.of(gens)
+                monos = _monomials_up_to(2 * n, d)
+                direct = [fresh.normal_form(tw.embed(MPoly(R, {e: 1}))) for e in monos]
+                assert truncated_kernel(I, tw, d) == dense_kernel(monos, direct, R), (gens, p, d)
+
+
+def test_kernel_echelon_matches_dense_nullspace():
+    # denser columns than ladder normal forms usually give, many of them
+    # combinations of earlier ones, fed to the echelon in uneven batches
+    rng = random.Random(13)
+    for p in (2, 3, 5):
+        R = FrobeniusTwist(p, 1).twisted_ring
+        monos = _monomials_up_to(2, 5)
+        keys = [(i, j) for i in range(3) for j in range(3)]
+        for _ in range(10):
+            cols = []
+            for _ in monos:
+                if cols and rng.random() < 0.5:
+                    col = R.zero()
+                    for c in rng.sample(cols, min(3, len(cols))):
+                        col = col + c.scale(rng.randrange(p))
+                else:
+                    col = MPoly(R, {k: rng.randrange(1, p) for k in rng.sample(keys, rng.randrange(6))})
+                cols.append(col)
+            echelon = _KernelEchelon(R)
+            start = 0
+            while start < len(monos):
+                stop = min(len(monos), start + rng.randrange(1, 8))
+                echelon.extend(monos, cols[start:stop])
+                start = stop
+            assert [z for _, z in echelon.kernel] == dense_kernel(monos, cols, R), p
 
 
 def test_truncated_route_passes_a_zero_plateau():

@@ -8,7 +8,14 @@ import pytest
 from pweyl import CIdeal, FreeSubmodule, buchberger, krull_dim, module_colon, radical_member
 from pweyl.errors import NotAField
 from pweyl.mpoly import MPoly, PolyRing
-from pweyl.orders import Lex
+from pweyl.orders import (
+    BlockElimination,
+    GrevLex,
+    Lex,
+    PositionOverTerm,
+    Weighted,
+    monomial_divides,
+)
 from pweyl.rings import QQ, Zmod
 
 from helpers import ideal_equal, radical_member_bruteforce, random_mpoly
@@ -216,3 +223,62 @@ def test_module_membership_via_normal_form():
     N = FreeSubmodule.of([(x, zero), (zero, xi)])
     assert N.contains((x * xi, x * xi))
     assert not N.contains((R.one(), zero))
+
+
+def reference_nf(vec, basis, termkey, R):
+    """Normal form of a {(position, exponents): coeff} dict by the textbook
+    loop: the leading term by ``max``, the smallest dividing basis lead."""
+    leads = sorted(((max(g, key=termkey), g) for g in basis), key=lambda t: termkey(t[0]))
+    work, rem = dict(vec), {}
+    while work:
+        lt = max(work, key=termkey)
+        c = work[lt]
+        for lead, g in leads:
+            if lead[0] == lt[0] and monomial_divides(lead[1], lt[1]):
+                factor = R.div(c, g[lead])
+                shift = tuple(a - b for a, b in zip(lt[1], lead[1]))
+                for (pos, e), gc in g.items():
+                    key = (pos, tuple(a + b for a, b in zip(e, shift)))
+                    v = R.sub(work.get(key, R.zero()), R.mul(factor, gc))
+                    if R.is_zero(v):
+                        work.pop(key, None)
+                    else:
+                        work[key] = v
+                break
+        else:
+            rem[lt] = work.pop(lt)
+    return rem
+
+
+@pytest.mark.parametrize(
+    "order", [Lex(), GrevLex(), BlockElimination(1), Weighted((1, 2))], ids=repr
+)
+def test_ideal_normal_form_matches_max_reference(order):
+    R = ring2()
+    rng = random.Random(101)
+    termkey = lambda t: order.key(t[1])
+    for _ in range(15):
+        I = CIdeal.of([random_mpoly(R, rng, nonzero=True) for _ in range(2)], order)
+        f = random_mpoly(R, rng, max_degree=5, max_terms=6)
+        basis = [{(0, e): c for e, c in g.terms.items()} for g in I.groebner_basis()]
+        expected = reference_nf({(0, e): c for e, c in f.terms.items()}, basis, termkey, F5)
+        assert I.normal_form(f) == MPoly(R, {e: c for (_, e), c in expected.items()})
+
+
+@pytest.mark.parametrize("base", [GrevLex(), Lex()], ids=repr)
+def test_module_normal_form_matches_max_reference(base):
+    R = ring2()
+    rng = random.Random(103)
+    order = PositionOverTerm(base)
+    termkey = lambda t: order.key(t[0], t[1])
+    for _ in range(10):
+        rank = rng.randrange(2, 4)
+        cols = [
+            tuple(random_mpoly(R, rng, max_degree=2, max_terms=2) for _ in range(rank))
+            for _ in range(rank)
+        ]
+        N = FreeSubmodule.of(cols, rank=rank, ring=R, order=order)
+        v = tuple(random_mpoly(R, rng, max_degree=4, max_terms=4) for _ in range(rank))
+        basis = [N._vec(g) for g in N.groebner_basis()]
+        expected = reference_nf(N._vec(v), basis, termkey, F5)
+        assert N.normal_form(v) == N._unvec(expected)

@@ -18,7 +18,6 @@ from pweyl import (
     specialize_mod_p,
 )
 from pweyl.errors import BadPrime, EmptySupport, RingMismatch
-from pweyl.psupport import SpecializationContext
 from pweyl.rings import QQ, Zmod
 
 
@@ -60,9 +59,14 @@ def test_specialize_integer_coefficients_termwise():
 def test_specialization_context():
     (x,), (d,), one = qq_gens()
     spec = DModuleSpec(1, (d - const(Fraction(1, 6)),))
-    assert not SpecializationContext.analyze(spec, 2).good
-    assert not SpecializationContext.analyze(spec, 3).good
-    assert SpecializationContext.analyze(spec, 5).good
+    for p in (2, 3):
+        with pytest.raises(BadPrime) as exc:
+            specialize_mod_p(spec, p)
+        assert exc.value.prime == p and exc.value.denominator == 6
+    F5 = Zmod(5)
+    assert specialize_mod_p(spec, 5).gens == (
+        WeylOp.d(F5, 1, 0) - WeylOp.constant(F5, 1, F5.from_fraction(Fraction(1, 6))),
+    )
 
 
 def test_spec_validation():

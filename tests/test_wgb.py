@@ -8,7 +8,7 @@ import pytest
 from pweyl import LeftIdeal, WeylOp, buchberger, initial_weighted, left_groebner, left_nf
 from pweyl.errors import NonGlobalOrder, NotAField, ZeroInput
 from pweyl.mpoly import PolyRing
-from pweyl.orders import GrevLex, Weighted
+from pweyl.orders import BlockElimination, GrevLex, Lex, Weighted, monomial_divides
 from pweyl.rings import QQ, Zmod
 
 from helpers import random_weylop
@@ -128,3 +128,48 @@ def test_unit_ideal_detection():
     x, d, one = gens_1var(F5)
     assert LeftIdeal.of([d, x]).is_unit_ideal()
     assert not LeftIdeal.of([d]).is_unit_ideal()
+
+
+def reference_left_nf(f, basis, order):
+    """Left normal form by the textbook loop: the leading term by ``max``,
+    the basis element with the smallest dividing lead, the full product."""
+    R, n = f.ring, f.n
+    prepared = sorted(((g.leading(order), g) for g in basis), key=lambda t: order.key(t[0][0]))
+    rem = {}
+    while not f.is_zero():
+        lt = max(f.terms, key=order.key)
+        c = f.terms[lt]
+        for (lead, lc), g in prepared:
+            if monomial_divides(lead, lt):
+                u = tuple(a - b for a, b in zip(lt, lead))
+                f = f - WeylOp.monomial(R, n, u, R.div(c, lc)) * g
+                break
+        else:
+            rem[lt] = c
+            f = f - WeylOp.monomial(R, n, lt, c)
+    return WeylOp(R, n, rem)
+
+
+@pytest.mark.parametrize(
+    "order2, order1",
+    [
+        (Lex(), Lex()),
+        (Weighted((0, 0, 1, 1)), Weighted((0, 1))),
+        (BlockElimination(2), BlockElimination(1)),
+        (GrevLex(), GrevLex()),
+    ],
+    ids=repr,
+)
+def test_left_nf_matches_max_reference(order2, order1):
+    # against generators in A_2 (not a Groebner basis, so the result depends
+    # on the order in which terms are reduced) and against the basis of an
+    # ideal of A_1 under the same kind of order
+    rng = random.Random(97)
+    for _ in range(15):
+        gens = [random_weylop(F5, 2, rng, max_exp=2, max_terms=3, nonzero=True) for _ in range(2)]
+        f = random_weylop(F5, 2, rng, max_exp=3, max_terms=6)
+        assert left_nf(f, gens, order2) == reference_left_nf(f, gens, order2)
+        gens = [random_weylop(F5, 1, rng, max_exp=2, max_terms=3, nonzero=True) for _ in range(2)]
+        f = random_weylop(F5, 1, rng, max_exp=4, max_terms=6)
+        I = LeftIdeal.of(gens, order1)
+        assert left_nf(f, I) == reference_left_nf(f, I.groebner_basis(), order1)
