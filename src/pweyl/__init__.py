@@ -12,6 +12,7 @@ from .cgb import (
     CIdeal,
     FreeSubmodule,
     buchberger,
+    frobenius_root,
     krull_dim,
     module_colon,
     normal_form,

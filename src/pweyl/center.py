@@ -43,6 +43,7 @@ from itertools import product
 
 from .cgb import CIdeal, FreeSubmodule, module_colon
 from .errors import ExactGuardExceeded, RingMismatch
+from .linalg import _sub_scaled
 from .mpoly import MPoly, PolyRing
 from .orders import GrevLex, monomial_divides
 from .rings import Zmod, is_prime
@@ -154,8 +155,15 @@ def z_module_presentation(ideal, twist):
     The left ideal, viewed as a module over the center, is spanned by
     (basis monomial) * g over all residue monomials and basis generators g.
     Returns (basis list, columns), each column a tuple of twisted
-    polynomials indexed like the basis list.
+    polynomials indexed like the basis list.  The pair is built once per
+    (ideal, twist) and kept on the ideal, like the central normal forms, so
+    the exact annihilator and the generic rank share it; callers must not
+    modify it.
     """
+    key = ("presentation", twist)
+    cached = ideal._cache.get(key)
+    if cached is not None:
+        return cached
     B = twist.basis()
     index = {b: i for i, b in enumerate(B)}
     ring = twist.twisted_ring
@@ -169,6 +177,7 @@ def z_module_presentation(ideal, twist):
             for r, poly in dec.coords.items():
                 col[index[r]] = poly
             columns.append(tuple(col))
+    ideal._cache[key] = B, columns
     return B, columns
 
 
@@ -295,17 +304,6 @@ class _KernelEchelon:
                 terms = {monos[i]: comb[i] for i in sorted(comb)}
                 self.kernel.append((j, MPoly(self.ring, terms)))
         self.ncols += len(nfs)
-
-
-def _sub_scaled(out, c, vec, F):
-    """out -= c * vec, in place, dropping zeros."""
-    for k, v in vec.items():
-        acc = out.get(k)
-        acc = F.sub(acc, F.mul(c, v)) if acc is not None else F.neg(F.mul(c, v))
-        if F.is_zero(acc):
-            out.pop(k, None)
-        else:
-            out[k] = acc
 
 
 def truncated_kernel(ideal, twist, degree):

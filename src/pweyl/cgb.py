@@ -317,6 +317,40 @@ def radical_member(f, ideal):
     return len(basis) == 1 and basis[0].is_constant()
 
 
+def _pth_root(f, p):
+    """h with h^p = f when every exponent of f is divisible by p, else None.
+
+    Over F_p, c^p = c, so sum c_e X^(p e) = (sum c_e X^e)^p.  Constants are
+    p-th powers of themselves and give None.
+    """
+    if not any(any(e) for e in f.terms) or any(x % p for e in f.terms for x in e):
+        return None
+    return MPoly(f.ring, {tuple(x // p for x in e): c for e, c in f.terms.items()})
+
+
+def frobenius_root(ideal):
+    """The ideal with each p-th power of its reduced basis replaced by its
+    root, repeated until the reduced basis has no p-th power (coefficients
+    in F_p).
+
+    h^p and h have the same zeros, so the radical is unchanged; but all
+    derivatives of h^p vanish in characteristic p, so brackets of the
+    generators of a non-reduced ideal miss the geometry.  Each step adds a
+    root h outside the ideal (else a basis lead would divide lead(h), a
+    proper divisor of lead(h^p)), so the ideals rise and the loop ends.  An
+    ideal without p-th powers in its reduced basis is returned as it is,
+    generators and all.
+    """
+    p = ideal.ring.coeffs.characteristic
+    while True:
+        basis = ideal.groebner_basis()
+        roots = [_pth_root(g, p) for g in basis]
+        if all(h is None for h in roots):
+            return ideal
+        gens = [g if h is None else h for g, h in zip(basis, roots)]
+        ideal = CIdeal.of(gens, ring=ideal.ring)
+
+
 def krull_dim(ideal):
     """Krull dimension of ring/ideal: the largest variable subset S such that
     no leading monomial of a grevlex basis is supported inside S.  Returns -1

@@ -1,40 +1,42 @@
-"""Dense exact linear algebra over a field ring (row-echelon form and rank).
+"""Sparse exact linear algebra over a field ring: the rank of a row list.
 
-Matrices are lists of rows; rows are lists of coefficient payloads of the
-given ring.  Everything is deterministic: pivots are chosen left to right,
-top to bottom, so echelon forms are canonical.
+A sparse vector is a dict {index: nonzero coefficient payload} of the given
+ring; absent indices are zero.  Everything is exact and deterministic.
 """
 
 
-def rref(rows, ring):
-    """Reduced row-echelon form; returns (new rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if not ring.is_zero(m[i][c]):
-                pivot = i
+def _sub_scaled(out, c, vec, F):
+    """out -= c * vec, in place, dropping zeros."""
+    for k, v in vec.items():
+        acc = out.get(k)
+        acc = F.sub(acc, F.mul(c, v)) if acc is not None else F.neg(F.mul(c, v))
+        if F.is_zero(acc):
+            out.pop(k, None)
+        else:
+            out[k] = acc
+
+
+def rank(rows, ring, ncols):
+    """Rank over the field ``ring`` of sparse rows with columns in range(ncols).
+
+    Each row is reduced against a pivot map keyed by the lowest column of
+    the rows kept so far: while the row's lowest column has a pivot, that
+    pivot row is subtracted (it is 1 there and zero on every lower column,
+    so the row's lowest column only rises); a row left nonzero is scaled
+    to 1 at its lowest column and kept.  The rows are not modified, and
+    no row is read once the rank reaches ``ncols``.
+    """
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            low = min(row)
+            pivot = pivots.get(low)
+            if pivot is None:
+                inv = ring.inv(row[low])
+                pivots[low] = {k: ring.mul(inv, v) for k, v in row.items()}
                 break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ring.inv(m[r][c])
-        m[r] = [ring.mul(inv, v) for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not ring.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+            _sub_scaled(row, row[low], pivot, ring)
+        if len(pivots) == ncols:
             break
-    return m, pivots
-
-
-def rank(rows, ring):
-    return len(rref(rows, ring)[1])
+    return len(pivots)

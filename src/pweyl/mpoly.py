@@ -178,26 +178,6 @@ class MPoly:
     def sorted_terms(self, order=_GREVLEX, reverse=True):
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
 
-    def evaluate(self, point, target):
-        """Evaluate at a point with coordinates in the ring ``target``.
-
-        Coefficients are embedded through target.from_base, so this supports
-        evaluation of an F_p polynomial at a point over GF(p^k).
-        """
-        if len(point) != self.ring.nvars:
-            raise ValueError("point arity differs from variable count")
-        acc = target.zero()
-        for e, c in self.terms.items():
-            val = target.from_base(c)
-            for xi, ei in zip(point, e):
-                if ei:
-                    pw = xi
-                    for _ in range(ei - 1):
-                        pw = target.mul(pw, xi)
-                    val = target.mul(val, pw)
-            acc = target.add(acc, val)
-        return acc
-
     def __eq__(self, other):
         return (
             isinstance(other, MPoly)
@@ -218,6 +198,35 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self})"
+
+
+def evaluator(point, target):
+    """The evaluation at ``point``, whose coordinates lie in the ring ``target``.
+
+    Returns a function from a polynomial's terms (exponent -> coefficient)
+    to its value.  Coefficients are embedded through target.from_base, so
+    an F_p polynomial can be evaluated at a point over GF(p^k).  Each
+    distinct monomial is evaluated once per point: its value is cached by
+    exponent tuple, for every polynomial the function is applied to.
+    """
+    monomials = {}
+    zero, one = target.zero(), target.one()
+    add, mul, embed = target.add, target.mul, target.from_base
+
+    def value(terms):
+        acc = zero
+        for e, c in terms.items():
+            m = monomials.get(e)
+            if m is None:
+                m = one
+                for x, k in zip(point, e):
+                    for _ in range(k):
+                        m = mul(m, x)
+                monomials[e] = m
+            acc = add(acc, mul(embed(c), m))
+        return acc
+
+    return value
 
 
 def format_terms(coeff_ring, names, sorted_items, symmetric=True):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import random
 
-from .cgb import CIdeal, krull_dim, radical_member
+from .cgb import CIdeal, frobenius_root, krull_dim, radical_member
 from .center import (
     EXACT_GUARD,
     FrobeniusTwist,
@@ -30,7 +30,7 @@ from .errors import (
     RingMismatch,
 )
 from .linalg import rank as matrix_rank
-from .mpoly import MPoly, PolyRing
+from .mpoly import MPoly, PolyRing, evaluator
 from .orders import GrevLex, Weighted
 from .poisson import canonical_bracket, coisotropy_check
 from .rings import QQ, Zmod, extension_field, is_prime
@@ -175,10 +175,34 @@ class RankResult:
     agreement: bool
 
 
+def _sparse_entries(vectors):
+    """Each vector of polynomials as the list of its nonzero entries
+    (index, terms), terms the polynomial's exponent -> coefficient dict."""
+    return [[(i, f.terms) for i, f in enumerate(vec) if f.terms] for vec in vectors]
+
+
+def _sparse_rows(entries, value, K):
+    """Rows {index: nonzero value} of the evaluated sparse entry lists."""
+    rows = []
+    for row_entries in entries:
+        row = {}
+        for i, terms in row_entries:
+            v = value(terms)
+            if not K.is_zero(v):
+                row[i] = v
+        rows.append(row)
+    return rows
+
+
 def _points_on_variety(basis, nvars, p, k, rng):
     """F_(p^k)-rational points where every basis element vanishes."""
     K = extension_field(p, k)
     space = K.size**nvars
+
+    def on_variety(pt):
+        value = evaluator(pt, K)
+        return all(K.is_zero(value(g.terms)) for g in basis)
+
     points = []
     if space <= EXHAUSTIVE_POINT_LIMIT:
         for idx in range(space):
@@ -188,7 +212,7 @@ def _points_on_variety(basis, nvars, p, k, rng):
                 pt.append(K.element_from_index(rest % K.size))
                 rest //= K.size
             pt = tuple(pt)
-            if all(K.is_zero(g.evaluate(pt, K)) for g in basis):
+            if on_variety(pt):
                 points.append(pt)
     else:
         seen = set()
@@ -197,7 +221,7 @@ def _points_on_variety(basis, nvars, p, k, rng):
             if pt in seen:
                 continue
             seen.add(pt)
-            if all(K.is_zero(g.evaluate(pt, K)) for g in basis):
+            if on_variety(pt):
                 points.append(pt)
     return K, points
 
@@ -208,7 +232,12 @@ def generic_rank(ideal, twist, annihilator, attempts=5, seed=0, guard=EXACT_GUAR
     Points are drawn over F_(p^k), k = 1..3, preferring those where the
     Jacobian of the annihilator's basis reaches its maximal observed rank
     (the smooth locus of the top-dimensional components).  The fiber at a
-    point is the cokernel of the evaluated center-module presentation.
+    point is the cokernel of the evaluated center-module presentation,
+    which is shared with the exact annihilator of the same ideal (see
+    ``z_module_presentation``).  The Jacobian and the presentation are
+    turned into sparse entry lists once per call; at each point every
+    distinct monomial is evaluated once, and the evaluated rows, as sparse
+    dicts, go to the incremental ``linalg.rank``.
     """
     if annihilator.is_unit_ideal():
         raise EmptySupport("unit annihilator: the support is empty")
@@ -221,11 +250,12 @@ def generic_rank(ideal, twist, annihilator, attempts=5, seed=0, guard=EXACT_GUAR
     B, columns = z_module_presentation(ideal, twist)
     rng = random.Random(seed)
 
-    jac = [[g.partial(v) for v in range(nvars)] for g in basis]
+    jac = _sparse_entries([g.partial(v) for v in range(nvars)] for g in basis)
+    presentation = _sparse_entries(columns)
 
     def jacobian_rank(K, pt):
-        rows = [[entry.evaluate(pt, K) for entry in row] for row in jac]
-        return matrix_rank(rows, K) if rows else 0
+        rows = _sparse_rows(jac, evaluator(pt, K), K)
+        return matrix_rank(rows, K, nvars) if rows else 0
 
     # extend the field until enough points attain the maximal observed
     # Jacobian rank (the smooth locus of the top-dimensional components)
@@ -247,8 +277,8 @@ def generic_rank(ideal, twist, annihilator, attempts=5, seed=0, guard=EXACT_GUAR
     samples = []
     dicts = []
     for jr, k, K, pt in chosen:
-        rows = [[poly.evaluate(pt, K) for poly in col] for col in columns]
-        fiber = len(B) - (matrix_rank(rows, K) if rows else 0)
+        rows = _sparse_rows(presentation, evaluator(pt, K), K)
+        fiber = len(B) - (matrix_rank(rows, K, len(B)) if rows else 0)
         s = RankSample(pt, k, jr, fiber)
         samples.append(s)
         dicts.append(s.to_dict(K))
@@ -374,7 +404,8 @@ def p_support(
         )
 
     dim = krull_dim(ann)
-    verdict = coisotropy_check(ann, canonical_bracket)
+    # brackets see the reduced structure only after p-th powers are rooted
+    verdict = coisotropy_check(frobenius_root(ann), canonical_bracket)
     witness = None
     if not verdict.ok:
         witness = {

@@ -82,3 +82,37 @@ def naive_d_pow_x_pow(m, k):
                 new[(a - 1, b)] = new.get((a - 1, b), 0) + c * a
         terms = new
     return {key: c for key, c in terms.items() if c}
+
+
+def rref(rows, ring):
+    """Dense reduced row-echelon form; returns (new rows, pivot column list).
+
+    The reference for the sparse linear algebra of the package: pivots are
+    chosen left to right, top to bottom, so the echelon form is canonical.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(m)):
+            if not ring.is_zero(m[i][c]):
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ring.inv(m[r][c])
+        m[r] = [ring.mul(inv, v) for v in m[r]]
+        for i in range(len(m)):
+            if i != r and not ring.is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots

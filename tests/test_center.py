@@ -22,12 +22,11 @@ from pweyl.center import (
     truncated_kernel,
 )
 from pweyl.errors import ExactGuardExceeded
-from pweyl.linalg import rref
 from pweyl.mpoly import MPoly
 from pweyl.poisson import coisotropy_check
 from pweyl.rings import Zmod
 
-from helpers import ideal_equal, random_weylop
+from helpers import ideal_equal, random_weylop, rref
 
 
 def gens_1var(ring):

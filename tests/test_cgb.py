@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from pweyl import CIdeal, FreeSubmodule, buchberger, krull_dim, module_colon, radical_member
+from pweyl import (
+    CIdeal,
+    FreeSubmodule,
+    buchberger,
+    frobenius_root,
+    krull_dim,
+    module_colon,
+    radical_member,
+)
 from pweyl.errors import NotAField
 from pweyl.mpoly import MPoly, PolyRing
 from pweyl.orders import (
@@ -282,3 +290,19 @@ def test_module_normal_form_matches_max_reference(base):
         basis = [N._vec(g) for g in N.groebner_basis()]
         expected = reference_nf(N._vec(v), basis, termkey, F5)
         assert N.normal_form(v) == N._unvec(expected)
+
+
+def test_frobenius_root():
+    R = PolyRing(Zmod(2), ("X1", "X2", "Xi1", "Xi2"))
+    X1, X2, Xi1, Xi2 = R.gens()
+    # X1^4 = (X1^2)^2 is rooted twice; X2^2 + Xi1^2 + 1 = (X2 + Xi1 + 1)^2
+    J = frobenius_root(CIdeal.of([X1**4, X2**2 + Xi1**2 + R.one(), Xi2**3]))
+    assert set(J.groebner_basis()) == {X1, X2 + Xi1 + R.one(), Xi2**3}
+    # no p-th power in the reduced basis: the same ideal, generators and all
+    K = CIdeal.of([Xi2 * X1, X1**2 * X2 + Xi1])
+    assert frobenius_root(K) is K
+    # over F_3 only exponents divisible by 3 are rooted
+    S = PolyRing(Zmod(3), ("X", "Y"))
+    X, Y = S.gens()
+    J = frobenius_root(CIdeal.of([X**6 - Y**3, Y**4]))
+    assert set(J.groebner_basis()) == {X**2 - Y, Y**4}

@@ -7,9 +7,10 @@ import pytest
 from pweyl import PolyRing
 from pweyl.errors import RingMismatch
 from pweyl.orders import BlockElimination, GrevLex, Lex, PositionOverTerm, Weighted
-from pweyl.rings import QQ, Zmod
+from pweyl.mpoly import evaluator
+from pweyl.rings import QQ, Zmod, extension_field
 
-from helpers import random_monomial, random_mpoly
+from helpers import random_coeff, random_monomial, random_mpoly
 
 
 def twisted(p, n=1):
@@ -177,3 +178,27 @@ def test_format_round_numbers():
     assert str(f) == "X1*Xi1 - 1"
     assert f.format(symmetric=False) == "X1*Xi1 + 6"
     assert str(R.zero()) == "0"
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 2), (2, 3)])
+def test_evaluator_is_a_ring_homomorphism(p, k):
+    # evaluation at a point respects sums and products; one evaluator
+    # serves every polynomial at its point, sharing monomial values
+    R = twisted(p, 2)
+    K = extension_field(p, k)
+    rng = random.Random(p * 10 + k)
+    for _ in range(20):
+        f, g = random_mpoly(R, rng), random_mpoly(R, rng)
+        value = evaluator(tuple(random_coeff(K, rng) for _ in range(4)), K)
+        assert value((f + g).terms) == K.add(value(f.terms), value(g.terms))
+        assert value((f * g).terms) == K.mul(value(f.terms), value(g.terms))
+        assert value(R.one().terms) == K.one()
+        assert value(R.zero().terms) == K.zero()
+
+
+def test_evaluator_at_a_point():
+    R = twisted(5)
+    X, Xi = R.gens()
+    f = X**2 * Xi + R.constant(3) * Xi**3 - R.one()
+    # 4 * 2 + 3 * 8 - 1 = 31 = 1 mod 5
+    assert evaluator((2, 2), Zmod(5))(f.terms) == 1

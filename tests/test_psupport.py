@@ -15,6 +15,7 @@ from pweyl import (
     generic_rank,
     is_conical,
     p_support,
+    parse_weyl,
     specialize_mod_p,
 )
 from pweyl.errors import BadPrime, EmptySupport, RingMismatch
@@ -263,6 +264,89 @@ def test_rank_samples_over_gf_p2_for_p_above_7():
     assert r.annihilator == ("Xi1^2 + 1",)
     assert r.generic_rank == 11
     assert {s["field"] for s in r.to_dict()["rank_samples"]} == {"GF(11^2)"}
+
+
+# rank_samples as (point, field, Jacobian rank, fiber dimension), pinned from
+# the dense evaluate-and-rref implementation that the sparse one replaced
+RANK_SAMPLE_GOLDENS = [
+    # every point over GF(5) (exhaustive search)
+    ("d1 - x1", 1, 5, {}, [
+        (("0", "0"), "GF(5)", 1, 5),
+        (("1", "1"), "GF(5)", 1, 5),
+        (("2", "2"), "GF(5)", 1, 5),
+        (("3", "3"), "GF(5)", 1, 5),
+        (("4", "4"), "GF(5)", 1, 5),
+    ]),
+    # random points over GF(11^2): the seeded RNG sequence is pinned too
+    ("d1^2 + 1", 1, 11, {"guard": 200}, [
+        (("(1 + 9*t)", "(8 + 7*t)"), "GF(11^2)", 1, 11),
+        (("(t)", "(3 + 4*t)"), "GF(11^2)", 1, 11),
+        (("(1 + 5*t)", "(8 + 7*t)"), "GF(11^2)", 1, 11),
+    ]),
+    # too few points over GF(2) and GF(2^2): the search reaches GF(2^3)
+    ("x1^2*d1 + x1", 1, 2, {}, [
+        (("1", "0"), "GF(2)", 1, 2),
+        (("1", "0"), "GF(2^2)", 1, 2),
+        (("(t)", "0"), "GF(2^2)", 1, 2),
+        (("(1 + t)", "0"), "GF(2^2)", 1, 2),
+        (("1", "0"), "GF(2^3)", 1, 2),
+    ]),
+    # n = 2: Jacobian rank 2, fibers of dimension p^n
+    ("d1 - x1; d2 - 1", 2, 2, {}, [
+        (("1", "0", "0", "1"), "GF(2)", 2, 4),
+        (("1", "1", "0", "1"), "GF(2)", 2, 4),
+        (("0", "0", "1", "1"), "GF(2)", 2, 4),
+        (("0", "1", "1", "1"), "GF(2)", 2, 4),
+        (("1", "0", "0", "1"), "GF(2^2)", 2, 4),
+    ]),
+]
+
+
+@pytest.mark.parametrize("text, n, p, kw, expected", RANK_SAMPLE_GOLDENS)
+def test_rank_samples_golden(text, n, p, kw, expected):
+    gens = tuple(parse_weyl(g, n, QQ) for g in text.split("; "))
+    r = p_support(DModuleSpec(n, gens), p, **kw).to_dict()
+    got = [
+        (tuple(s["point"]), s["field"], s["jacobian_rank"], s["fiber_dim"])
+        for s in r["rank_samples"]
+    ]
+    assert got == expected
+    assert r["generic_rank"] == expected[0][3]
+
+
+def test_rank_on_exact_route_builds_the_presentation_once(monkeypatch):
+    calls = []
+    decompose = FrobeniusTwist.decompose
+
+    def counting(self, op):
+        calls.append(op)
+        return decompose(self, op)
+
+    monkeypatch.setattr(FrobeniusTwist, "decompose", counting)
+    xs, ds, one = qq_gens(2)
+    spec = DModuleSpec(2, (ds[0] - xs[0], ds[1] - one))
+    r = p_support(spec, 2)
+    assert r.annihilator_status == "exact" and r.generic_rank == 4
+    # one decomposition per (residue monomial, basis generator) pair, once
+    basis = specialize_mod_p(spec, 2).groebner_basis()
+    assert len(basis) == 2
+    assert len(calls) == 2**4 * len(basis)
+
+
+def test_non_reduced_annihilator_is_not_lagrangian():
+    # (x1^4, d1^4) at p = 2 has annihilator (X1^2, Xi1^2): its zero set is
+    # the (X2, Xi2)-plane, which is symplectic, not Lagrangian
+    xs, ds, one = qq_gens(2)
+    r = p_support(DModuleSpec(2, (xs[0] ** 4, ds[0] ** 4)), 2, compute_rank=False)
+    assert r.annihilator == ("Xi1^2", "X1^2")
+    assert r.dimension == 2
+    assert not r.coisotropic and not r.lagrangian
+    assert r.coisotropy_witness == {"pair": ["Xi1", "X1"], "bracket": "1"}
+
+    # adding d2 cuts the support to a line, which is not coisotropic in 4-space
+    r = p_support(DModuleSpec(2, (xs[0] ** 4, ds[0] ** 4, ds[1])), 2, compute_rank=False)
+    assert r.dimension == 1
+    assert not r.coisotropic and not r.lagrangian
 
 
 def test_exact_method_with_raised_guard():
