@@ -15,7 +15,6 @@ from .cgb import (
     frobenius_root,
     krull_dim,
     module_colon,
-    normal_form,
     radical_member,
 )
 from .center import (
@@ -73,8 +72,8 @@ from .psupport import (
     p_support,
     specialize_mod_p,
 )
-from .rings import QQ, GaloisField, Rationals, Zmod, coeff_inv, extension_field, is_prime
-from .weyl import WeylOp, is_central, weyl_commutator, weyl_pow
+from .rings import QQ, GaloisField, Rationals, Zmod, extension_field, is_prime
+from .weyl import WeylOp, is_central
 from .wgb import LeftIdeal, initial_weighted, left_groebner, left_nf
 
 __version__ = "0.1.0"

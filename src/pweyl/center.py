@@ -139,9 +139,6 @@ class CentralDecomposition:
     def coordinate(self, residue):
         return self.coords.get(tuple(residue), self.twist.twisted_ring.zero())
 
-    def support(self):
-        return sorted(self.coords)
-
 
 @dataclass(frozen=True)
 class AnnihilatorResult:
@@ -355,6 +352,12 @@ def central_annihilator_truncated(ideal, twist=None, max_degree=None, window=2):
     (status "truncated(max_degree)").  Kernels grow monotonically with the
     degree, so a window of equality certifies the plateau seen so far.
 
+    The default max_degree is the reduced-norm floor max(2p, m * p^(n-1)),
+    m the least total degree of the ideal's reduced left basis: the reduced
+    norm of a nonzero element of total degree m is a nonzero central element
+    of the ideal of twisted degree at most m * p^(n-1), so the ladder never
+    stops on a zero annihilator of a nonzero ideal.
+
     The ladder is incremental: each central monomial is normalised once,
     from its predecessor by a Frobenius shift, and its normal form is
     reduced once into the ideal's kernel echelon, both reused at every later
@@ -363,7 +366,8 @@ def central_annihilator_truncated(ideal, twist=None, max_degree=None, window=2):
     """
     twist = twist or FrobeniusTwist(ideal.ring.modulus, ideal.n)
     if max_degree is None:
-        max_degree = 2 * twist.p
+        norm_degree = min((g.total_degree() for g in ideal.groebner_basis()), default=0)
+        max_degree = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
     ring = twist.twisted_ring
     candidates = {}
     for d in range(1, max_degree + 1):

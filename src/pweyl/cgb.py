@@ -1,28 +1,27 @@
-"""Commutative Groebner machinery over field coefficients.
+"""The Groebner engine: one Buchberger loop and one reducer over field
+coefficients, for commutative ideals, submodules of a free module and, through
+``wgb``, left ideals of the Weyl algebra.
 
-One engine serves both plain ideals and submodules of a free module: terms
-are keyed by (position, exponent tuple), ideals use position 0 everywhere.
-Buchberger runs with the normal selection strategy (smallest lcm degree
-first); the product and chain criteria are applied in the ideal case, where
-they are valid.  Output bases are reduced (monic, mutually tail-reduced,
-sorted), hence unique for a given ideal and order.
+The engine works on term dicts keyed by (position, exponent tuple): ideals
+and Weyl operators use position 0 everywhere.  The algebras differ only in
+the product of a monomial with a basis element, which the caller supplies
+as ``submul``, and in whether the product criterion applies: it holds for
+ideals of the polynomial ring only.  Buchberger's chain criterion holds in
+every algebra of solvable type (Kandri-Rody and Weispfenning, J. Symb. Comp.
+1990), so it is applied to all of them.  Buchberger runs with the normal
+selection strategy (smallest lcm degree first).  Output bases are reduced
+(monic, mutually tail-reduced, sorted by lead), hence unique for a given
+ideal and order.
 """
 
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, le, sub
 
 from .errors import DimensionMismatch, NotAField, RingMismatch
 from .mpoly import MPoly, PolyRing
-from .orders import (
-    BlockElimination,
-    GrevLex,
-    PositionOverTerm,
-    monomial_divides,
-    monomial_lcm,
-    monomial_sub,
-)
+from .orders import BlockElimination, GrevLex, PositionOverTerm, monomial_lcm
 
 _GREVLEX = GrevLex()
 _POSITION_OVER_TERM = PositionOverTerm()
@@ -33,28 +32,20 @@ _POSITION_OVER_TERM = PositionOverTerm()
 # ---------------------------------------------------------------------------
 
 
-def _vec_sub_scaled(out, vec, factor, shift, R):
-    """out -= factor * x^shift * vec, in place."""
-    for (pos, e), c in vec.items():
-        key = (pos, tuple(a + b for a, b in zip(e, shift)))
-        delta = R.mul(factor, c)
-        acc = out.get(key)
-        val = R.sub(acc, delta) if acc is not None else R.neg(delta)
-        if R.is_zero(val):
-            out.pop(key, None)
-        else:
-            out[key] = val
+def _reduce(work, basis, R, desckey, submul):
+    """Fully reduce the term dict ``work`` against ``basis`` and return the
+    remainder, in which no term is divisible by a basis lead; ``work`` is
+    emptied on the way.
 
-
-def _normal_form(vec, basis, R, desckey):
-    """Fully reduce vec against basis; no remainder term is divisible by a lead.
-
-    The leading term comes off a heap of ``desckey`` values (ascending desc
-    keys run from the biggest term down), each computed once when its term
-    appears; an entry whose term has left ``work`` since it was pushed is
-    stale, because a reduction only brings in smaller terms.
+    ``basis`` holds (lead, 1/lc, form) triples; the first lead in basis order
+    that divides the leading term reduces it, by
+    ``submul(work, lt, lead, factor, form)``, which subtracts factor * m * g
+    from ``work`` for the monomial m with m * lead = lt and returns the terms
+    it created.  The leading term comes off a heap of ``desckey`` values
+    (ascending desc keys run from the biggest term down), each computed once
+    when its term appears; an entry whose term has left ``work`` since it was
+    pushed is stale, because a reduction only brings in smaller terms.
     """
-    work = dict(vec)
     heap = [(desckey(t), t) for t in work]
     heapq.heapify(heap)
     rem = {}
@@ -63,127 +54,132 @@ def _normal_form(vec, basis, R, desckey):
         c = work.get(lt)
         if c is None:
             continue
-        for lead, lc_inv, g in basis:
-            if lead[0] == lt[0] and monomial_divides(lead[1], lt[1]):
-                # work -= (c/lc(g)) * x^shift * g
-                factor = R.mul(c, lc_inv)
-                shift = monomial_sub(lt[1], lead[1])
-                for (pos, e), gc in g.items():
-                    key = (pos, tuple(map(add, e, shift)))
-                    delta = R.mul(factor, gc)
-                    acc = work.get(key)
-                    if acc is None:
-                        work[key] = R.neg(delta)
-                        heapq.heappush(heap, (desckey(key), key))
-                    else:
-                        acc = R.sub(acc, delta)
-                        if R.is_zero(acc):
-                            del work[key]
-                        else:
-                            work[key] = acc
+        pos, e = lt
+        for lead, lc_inv, form in basis:
+            if lead[0] == pos and all(map(le, lead[1], e)):
+                for t in submul(work, lt, lead, R.mul(c, lc_inv), form):
+                    heapq.heappush(heap, (desckey(t), t))
                 break
         else:
             rem[lt] = work.pop(lt)
     return rem
 
 
-def _prepared(basis_vecs, termkey, R):
-    """Precompute (lead, 1/lc, vec) triples, sorted by lead for determinism."""
+def _prepared(vecs, R, termkey, prepare):
+    """The (lead, 1/lc, form) triples of ``vecs``, sorted by lead: the basis
+    format of ``_reduce``, with ``prepare`` giving the form."""
     out = []
-    for g in basis_vecs:
+    for g in vecs:
         lead = max(g, key=termkey)
-        out.append((lead, R.inv(g[lead]), g))
+        out.append((lead, R.inv(g[lead]), prepare(g)))
     out.sort(key=lambda t: termkey(t[0]))
     return out
 
 
-def _buchberger_core(vectors, R, termkey, desckey, ring_case):
-    """Reduced Groebner basis of the span of ``vectors`` (term dicts).
+def _groebner(vectors, R, termkey, desckey, submul, prepare, product_criterion):
+    """Reduced Groebner basis of the span of ``vectors`` (term dicts), as term
+    dicts sorted by lead.
 
-    ``termkey`` realises the term order, ``desckey`` its reverse (see
-    ``orders``); both take a (position, exponents) term.
+    ``termkey`` realises the term order and ``desckey`` its reverse (see
+    ``orders``), both on (position, exponents) terms; ``submul`` and
+    ``prepare`` give the algebra's product (see ``_reduce``).  Pairs whose
+    leads are coprime are skipped only under ``product_criterion``.
     """
-    G = []
-    leads = []
-    prep = []
+    one = R.one()
+    G, leads, basis = [], [], []
+    heap = []
 
     def admit(vec):
         lead = max(vec, key=termkey)
         lc_inv = R.inv(vec[lead])
-        monic = {k: R.mul(lc_inv, c) for k, c in vec.items()}
-        G.append(monic)
+        g = {t: R.mul(lc_inv, c) for t, c in vec.items()}
+        j = len(G)
+        G.append(g)
         leads.append(lead)
-        prep.append((lead, R.one(), monic))
+        basis.append((lead, one, prepare(g)))
+        pos, lj = lead
+        for i in range(j):
+            if leads[i][0] == pos:
+                lcm = monomial_lcm(leads[i][1], lj)
+                heapq.heappush(heap, (sum(lcm), termkey((pos, lcm)), i, j))
 
     for v in vectors:
         if v:
-            admit(dict(v))
-
-    pending = set()
-    heap = []
-
-    def push_pairs(j):
-        for i in range(j):
-            if leads[i][0] != leads[j][0]:
-                continue
-            lcm = monomial_lcm(leads[i][1], leads[j][1])
-            heapq.heappush(heap, (sum(lcm), termkey((leads[i][0], lcm)), i, j))
-            pending.add((i, j))
-
-    for j in range(len(G)):
-        push_pairs(j)
+            admit(v)
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
+        (pos, li), lj = leads[i], leads[j][1]
+        lcm = monomial_lcm(li, lj)
+        if product_criterion and not any(map(min, li, lj)):
             continue
-        pending.discard((i, j))
-        li, lj = leads[i], leads[j]
-        lcm = monomial_lcm(li[1], lj[1])
-        if ring_case:
-            # product criterion: coprime leads give a reducible S-pair
-            if all(a + b == m for a, b, m in zip(li[1], lj[1], lcm)):
-                continue
-            # chain criterion
-            skip = False
-            for k in range(len(G)):
-                if k in (i, j) or leads[k][0] != li[0]:
-                    continue
-                if monomial_divides(leads[k][1], lcm):
-                    pik = (min(i, k), max(i, k))
-                    pjk = (min(j, k), max(j, k))
-                    if pik not in pending and pjk not in pending:
-                        skip = True
-                        break
-            if skip:
-                continue
-        s = {}
-        _vec_sub_scaled(s, G[j], R.neg(R.one()), monomial_sub(lcm, lj[1]), R)
-        _vec_sub_scaled(s, G[i], R.one(), monomial_sub(lcm, li[1]), R)
-        h = _normal_form(s, prep, R, desckey)
-        if h:
-            admit(h)
-            push_pairs(len(G) - 1)
-
-    # minimalize: drop elements whose lead is divisible by another lead
-    order_idx = sorted(range(len(G)), key=lambda i: termkey(leads[i]))
-    keep = []
-    for i in order_idx:
-        li = leads[i]
+        # chain criterion (Gebauer and Moeller's B_k): the pair is redundant
+        # if a third lead divides its lcm and the lcms of that lead with i
+        # and with j are proper divisors of it.  The S-polynomial is then a
+        # combination of the S-polynomials of those two pairs, which have a
+        # smaller degree, so the normal strategy has treated them already.
+        # k = i or j gives the lcm itself.
         if any(
-            leads[k][0] == li[0] and monomial_divides(leads[k][1], li[1])
-            for k in keep
+            leads[k][0] == pos
+            and all(map(le, leads[k][1], lcm))
+            and monomial_lcm(li, leads[k][1]) != lcm
+            and monomial_lcm(lj, leads[k][1]) != lcm
+            for k in range(len(G))
         ):
             continue
-        keep.append(i)
+        lt = (pos, lcm)
+        s = {}
+        submul(s, lt, leads[j], one, basis[j][2])
+        submul(s, lt, leads[i], R.neg(one), basis[i][2])
+        h = _reduce(s, basis, R, desckey, submul)
+        if h:
+            admit(h)
+
+    # minimalize: drop elements whose lead is divisible by another lead
+    keep = []
+    for i in sorted(range(len(G)), key=lambda i: termkey(leads[i])):
+        pos, li = leads[i]
+        if not any(leads[k][0] == pos and all(map(le, leads[k][1], li)) for k in keep):
+            keep.append(i)
 
     # tail-reduce each against the others; leads are untouched by construction,
     # so the result stays sorted by lead like ``keep``
-    minimal = [prep[i] for i in keep]
+    minimal = [basis[i] for i in keep]
     return [
-        _normal_form(g, minimal[:k] + minimal[k + 1 :], R, desckey)
-        for k, (_, _, g) in enumerate(minimal)
+        _reduce(dict(G[i]), minimal[:k] + minimal[k + 1 :], R, desckey, submul)
+        for k, i in enumerate(keep)
     ]
+
+
+def _shift_form(g):
+    """The commutative form of a term dict is the dict itself."""
+    return g
+
+
+def _shift_submul(R):
+    """The commutative ``submul`` over R: x^shift times g is a shift of its
+    exponents."""
+    mul, rsub, neg, is_zero = R.mul, R.sub, R.neg, R.is_zero
+
+    def submul(work, lt, lead, factor, form):
+        shift = tuple(map(sub, lt[1], lead[1]))
+        new = []
+        for (pos, e), c in form.items():
+            t = (pos, tuple(map(add, e, shift)))
+            delta = mul(factor, c)
+            acc = work.get(t)
+            if acc is None:
+                work[t] = neg(delta)
+                new.append(t)
+            else:
+                acc = rsub(acc, delta)
+                if is_zero(acc):
+                    del work[t]
+                else:
+                    work[t] = acc
+        return new
+
+    return submul
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +209,14 @@ def buchberger(gens, order=_GREVLEX):
     for g in gens:
         g._check(gens[0])
     _require_field(ring)
-    termkey = lambda t: order.key(t[1])
-    desckey = lambda t: order.desc_key(t[1])
-    basis = _buchberger_core(
-        [_to_vec(g) for g in gens], ring.coeffs, termkey, desckey, True
+    basis = _groebner(
+        [_to_vec(g) for g in gens],
+        ring.coeffs,
+        lambda t: order.key(t[1]),
+        lambda t: order.desc_key(t[1]),
+        _shift_submul(ring.coeffs),
+        _shift_form,
+        True,
     )
     return [_from_vec(ring, g) for g in basis]
 
@@ -248,19 +248,22 @@ class CIdeal:
         if "prep" not in self._cache:
             self._cache["prep"] = _prepared(
                 [_to_vec(g) for g in self.groebner_basis()],
-                lambda t: self.order.key(t[1]),
                 self.ring.coeffs,
+                lambda t: self.order.key(t[1]),
+                _shift_form,
             )
         return self._cache["prep"]
 
     def normal_form(self, f):
         if f.ring != self.ring:
             raise RingMismatch("polynomial from a different ring")
-        vec = _normal_form(
+        R = self.ring.coeffs
+        vec = _reduce(
             _to_vec(f),
             self._prepared_basis(),
-            self.ring.coeffs,
+            R,
             lambda t: self.order.desc_key(t[1]),
+            _shift_submul(R),
         )
         return _from_vec(self.ring, vec)
 
@@ -283,10 +286,6 @@ class CIdeal:
     def __str__(self):
         inner = ", ".join(str(g) for g in self.groebner_basis())
         return f"({inner})" if inner else "(0)"
-
-
-def normal_form(f, ideal):
-    return ideal.normal_form(f)
 
 
 def _fresh_name(names):
@@ -416,22 +415,33 @@ class FreeSubmodule:
     def groebner_basis(self):
         if "basis" not in self._cache:
             _require_field(self.ring)
+            R = self.ring.coeffs
             termkey = lambda t: self.order.key(t[0], t[1])
-            desckey = lambda t: self.order.desc_key(t[0], t[1])
-            vecs = [self._vec(col) for col in self.columns]
-            basis = _buchberger_core(vecs, self.ring.coeffs, termkey, desckey, False)
-            self._cache["basis"] = tuple(self._unvec(v) for v in basis)
-            self._cache["vecs"] = tuple(basis)
+            vecs = _groebner(
+                [self._vec(col) for col in self.columns],
+                R,
+                termkey,
+                lambda t: self.order.desc_key(t[0], t[1]),
+                _shift_submul(R),
+                _shift_form,
+                False,
+            )
+            self._cache["basis"] = tuple(self._unvec(v) for v in vecs)
+            self._cache["prep"] = _prepared(vecs, R, termkey, _shift_form)
         return self._cache["basis"]
 
     def normal_form(self, col):
         if len(col) != self.rank:
             raise DimensionMismatch("vector length differs from module rank")
         self.groebner_basis()
-        termkey = lambda t: self.order.key(t[0], t[1])
-        desckey = lambda t: self.order.desc_key(t[0], t[1])
-        prep = _prepared(list(self._cache["vecs"]), termkey, self.ring.coeffs)
-        vec = _normal_form(self._vec(tuple(col)), prep, self.ring.coeffs, desckey)
+        R = self.ring.coeffs
+        vec = _reduce(
+            self._vec(tuple(col)),
+            self._cache["prep"],
+            R,
+            lambda t: self.order.desc_key(t[0], t[1]),
+            _shift_submul(R),
+        )
         return self._unvec(vec)
 
     def contains(self, col):
@@ -455,9 +465,15 @@ def module_colon(submodule, v):
     tag = submodule._vec(v)
     tag[(rank, (0,) * ring.nvars)] = ring.coeffs.one()
     vecs = [submodule._vec(col) for col in submodule.columns] + [tag]
-    termkey = lambda t: _POSITION_OVER_TERM.key(t[0], t[1])
-    desckey = lambda t: _POSITION_OVER_TERM.desc_key(t[0], t[1])
-    basis = _buchberger_core(vecs, ring.coeffs, termkey, desckey, False)
+    basis = _groebner(
+        vecs,
+        ring.coeffs,
+        lambda t: _POSITION_OVER_TERM.key(t[0], t[1]),
+        lambda t: _POSITION_OVER_TERM.desc_key(t[0], t[1]),
+        _shift_submul(ring.coeffs),
+        _shift_form,
+        False,
+    )
     gens = [
         MPoly(ring, {e: c for (_, e), c in g.items()})
         for g in basis

@@ -75,9 +75,6 @@ class MPoly:
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_coeff(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.coeffs.zero())
-
     def total_degree(self):
         """Maximum term degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
@@ -140,16 +137,6 @@ class MPoly:
         if R.is_zero(c):
             return self.ring.zero()
         return MPoly(self.ring, {e: R.mul(c, v) for e, v in self.terms.items()})
-
-    def term_mul(self, expo, coeff):
-        """Multiply by the single term coeff * x^expo."""
-        R = self.ring.coeffs
-        if R.is_zero(coeff):
-            return self.ring.zero()
-        return MPoly(
-            self.ring,
-            {monomial_mul(e, expo): R.mul(coeff, c) for e, c in self.terms.items()},
-        )
 
     def partial(self, i):
         """Formal partial derivative in variable i (exponent times coefficient)."""

@@ -10,7 +10,7 @@ algorithms require.
 """
 
 from dataclasses import dataclass, field
-from operator import add, le, neg, sub
+from operator import add, le, neg
 
 
 def _grevlex_key(e):
@@ -113,7 +113,3 @@ def monomial_lcm(u, v):
 
 def monomial_mul(u, v):
     return tuple(map(add, u, v))
-
-
-def monomial_sub(u, v):
-    return tuple(map(sub, u, v))

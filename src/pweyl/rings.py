@@ -366,8 +366,3 @@ def extension_field(p, k):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return GaloisField(p, k, _conway_polynomial(p, k))
-
-
-def coeff_inv(ring, a):
-    """Multiplicative inverse of a in its ring; NotUnit / DivisionByZero on failure."""
-    return ring.inv(a)

@@ -228,14 +228,6 @@ class WeylOp:
         return f"WeylOp({self})"
 
 
-def weyl_commutator(f, g):
-    return f.commutator(g)
-
-
-def weyl_pow(f, k):
-    return f**k
-
-
 def is_central(f):
     """Check [f, x_i] = [f, d_i] = 0 for all i; first nonzero commutator witnesses."""
     for i in range(f.n):

@@ -1,110 +1,111 @@
-"""Left Groebner bases for left ideals of the Weyl algebra over a field.
+"""The Weyl product for the Groebner engine; left Groebner bases and left
+normal forms for left ideals of the Weyl algebra over a field; weighted
+initial forms.
 
-The Weyl algebra is solvable-type: for a global order on the joint
+The Weyl algebra is of solvable type: for a global order on the joint
 (x, d)-exponents, leading exponents multiply additively, because every
 reordering correction strictly lowers both sides of the exponent pair.
-Buchberger's algorithm therefore terminates verbatim, with S-pairs and
-reductions built from left multiplication only.  The product criterion is
-not valid here (the pair {d, x} with coprime leads reduces to 1), so no
-pair is ever skipped.
+Buchberger's algorithm therefore runs verbatim, with S-pairs and reductions
+built from left multiplication only, and the one engine of ``cgb`` runs it:
+operators enter it as term dicts at position 0, and this module supplies the
+product.  The engine's chain criterion holds in algebras of solvable type;
+the product criterion does not (the pair {d, x} with coprime leads reduces
+to 1), so it is off here.
 """
 
-import bisect
-import heapq
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import add, sub
 
+from .cgb import _groebner, _prepared, _reduce, _to_vec
 from .errors import DimensionMismatch, NonGlobalOrder, NotAField, ZeroInput
 from .mpoly import MPoly, PolyRing
-from .orders import GrevLex, monomial_divides, monomial_lcm, monomial_sub
+from .orders import GrevLex
 from .weyl import WeylOp, _reorder_weights
 
 _GREVLEX = GrevLex()
 
 
-class _Prepared(list):
-    """Basis triples (lead, 1/lc, split terms) sorted by lead, ready for left_nf.
+def _weyl_form(g):
+    """A term dict as (exponents, x exponents, coefficient) triples, the form
+    in which ``submul`` multiplies it."""
+    return tuple((e, e[: len(e) // 2], c) for (_, e), c in g.items())
 
-    The split terms are (x exponents, d exponents, coefficient) of each
-    basis operator, the form in which a reduction step multiplies it.
+
+@lru_cache(maxsize=None)
+def _weyl_submul(R):
+    """The engine's ``submul`` for the Weyl algebra over R.
+
+    It subtracts factor * x^a d^b * g, where x^a d^b shifts lead(g) onto lt:
+    d^b x^gx = sum_j w_j x^(gx-j) d^(b-j), so each term x^gx d^gd of g gives
+    x^(a+gx-j) d^(b+gd-j) with weight w_j.  The integer weights of
+    ``_reorder_weights`` are mapped into R once per (b, gx), and only the
+    nonzero ones are kept.
     """
+    mul, rsub, neg = R.mul, R.sub, R.neg
+    is_zero, from_int = R.is_zero, R.from_int
+    # (b, gx) -> the nonzero weights in R, each with its offset (j, j); the
+    # few distinct expansions are shared, and the integer expansion is
+    # computed past its lru_cache, whose keys this cache would repeat
+    weights, distinct = {}, {}
+    expand = _reorder_weights.__wrapped__
 
+    def submul(work, lt, lead, factor, form):
+        u = tuple(map(sub, lt[1], lead[1]))
+        b = u[len(u) // 2 :]
+        new = []
+        for ge, gx, gc in form:
+            wts = weights.get((b, gx))
+            if wts is None:
+                wts = tuple(
+                    (j + j, w)
+                    for j, w in ((j, from_int(w)) for j, w in expand(b, gx))
+                    if not is_zero(w)
+                )
+                wts = weights[b, gx] = distinct.setdefault(wts, wts)
+            cg = mul(factor, gc)
+            s = tuple(map(add, u, ge))
+            for jj, w in wts:
+                t = (0, tuple(map(sub, s, jj)))
+                delta = mul(cg, w)
+                acc = work.get(t)
+                if acc is None:
+                    work[t] = neg(delta)
+                    new.append(t)
+                else:
+                    acc = rsub(acc, delta)
+                    if is_zero(acc):
+                        del work[t]
+                    else:
+                        work[t] = acc
+        return new
 
-def _triple(g, order):
-    lead, lc = g.leading(order)
-    n = g.n
-    split = tuple((k[:n], k[n:], c) for k, c in g.terms.items())
-    return (lead, g.ring.inv(lc), split)
-
-
-def _prepare(basis, order):
-    return _Prepared(sorted((_triple(g, order) for g in basis), key=lambda t: order.key(t[0])))
+    return submul
 
 
 def left_nf(f, ideal_or_basis, order=None):
-    """Left normal form: no remaining term is divisible by a basis lead.
+    """Left normal form over a field: no remaining term is divisible by a
+    basis lead.
 
-    Terms are reduced from the top down.  The leading term comes off a heap
-    of descending order keys, each computed once when its term appears; a
-    reduction only brings in smaller terms, so an entry whose monomial has
-    left the work dict since it was pushed is stale and skipped.
+    Against a list of operators, the first of the smallest leads that divides
+    a term reduces it.  Terms are reduced from the top down (``cgb._reduce``).
     """
-    if isinstance(ideal_or_basis, LeftIdeal):
-        if order is None or order == ideal_or_basis.order:
-            prepared = ideal_or_basis._prepared_basis()
-            order = ideal_or_basis.order
-        else:
-            prepared = _prepare(ideal_or_basis.groebner_basis(), order)
-    elif isinstance(ideal_or_basis, _Prepared):
-        prepared = ideal_or_basis
-        order = order or _GREVLEX
+    if isinstance(ideal_or_basis, LeftIdeal) and order in (None, ideal_or_basis.order):
+        order = ideal_or_basis.order
+        basis = ideal_or_basis._prepared_basis()
     else:
+        if isinstance(ideal_or_basis, LeftIdeal):
+            ideal_or_basis = ideal_or_basis.groebner_basis()
+        elif not f.ring.is_field:
+            # a product of nonzero coefficients must not vanish in submul
+            raise NotAField(f"left normal forms need field coefficients, got {f.ring}")
         order = order or _GREVLEX
-        prepared = _prepare(ideal_or_basis, order)
-
-    # the remainder grows and the work shrinks in place, on a private copy
-    R, n = f.ring, f.n
-    desc_key = order.desc_key
-    work = dict(f.terms)
-    heap = [(desc_key(m), m) for m in work]
-    heapq.heapify(heap)
-    rem = {}
-    while heap:
-        lt = heapq.heappop(heap)[1]
-        c = work.get(lt)
-        if c is None:
-            continue
-        for lead, lc_inv, split in prepared:
-            if monomial_divides(lead, lt):
-                # work -= (c/lc(g)) * x^a d^b * g, where x^a d^b shifts lead(g)
-                # onto lt; d^b x^gx = sum_j w_j x^(gx-j) d^(b-j), so each term
-                # of g gives x^(a+gx-j) d^(b+gd-j) with weight w_j
-                u = monomial_sub(lt, lead)
-                a, b = u[:n], u[n:]
-                factor = R.mul(c, lc_inv)
-                for gx, gd, gc in split:
-                    cg = R.mul(factor, gc)
-                    ax = tuple(map(add, a, gx))
-                    bd = tuple(map(add, b, gd))
-                    for j, w in _reorder_weights(b, gx):
-                        delta = R.mul(cg, R.from_int(w))
-                        if R.is_zero(delta):
-                            continue
-                        key = tuple(map(sub, ax, j)) + tuple(map(sub, bd, j))
-                        acc = work.get(key)
-                        if acc is None:
-                            work[key] = R.neg(delta)
-                            heapq.heappush(heap, (desc_key(key), key))
-                        else:
-                            acc = R.sub(acc, delta)
-                            if R.is_zero(acc):
-                                del work[key]
-                            else:
-                                work[key] = acc
-                break
-        else:
-            rem[lt] = work.pop(lt)
-    return WeylOp(R, n, rem)
+        basis = _prepared(
+            [_to_vec(g) for g in ideal_or_basis], f.ring, lambda t: order.key(t[1]), _weyl_form
+        )
+    R = f.ring
+    rem = _reduce(_to_vec(f), basis, R, lambda t: order.desc_key(t[1]), _weyl_submul(R))
+    return WeylOp(R, f.n, {e: c for (_, e), c in rem.items()})
 
 
 def left_groebner(gens, order=_GREVLEX):
@@ -119,66 +120,16 @@ def left_groebner(gens, order=_GREVLEX):
         raise NotAField(f"left Groebner bases need field coefficients, got {ring}")
     if not order.is_global:
         raise NonGlobalOrder("left Groebner bases need a global order")
-
-    G = []
-    leads = []
-    triples = []
-    # the same triples, kept sorted by lead for every reduction
-    prep = _Prepared()
-
-    def admit(op):
-        g = op.scale(ring.inv(op.leading(order)[1]))
-        triple = _triple(g, order)
-        G.append(g)
-        leads.append(triple[0])
-        triples.append(triple)
-        bisect.insort(prep, triple, key=lambda t: order.key(t[0]))
-
-    for g in gens:
-        admit(g)
-
-    heap = []
-    pending = set()
-
-    def push_pairs(j):
-        for i in range(j):
-            lcm = monomial_lcm(leads[i], leads[j])
-            heapq.heappush(heap, (sum(lcm), order.key(lcm), i, j))
-            pending.add((i, j))
-
-    for j in range(len(G)):
-        push_pairs(j)
-
-    one = ring.one()
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        lcm = monomial_lcm(leads[i], leads[j])
-        mi = WeylOp.monomial(ring, n, monomial_sub(lcm, leads[i]), one)
-        mj = WeylOp.monomial(ring, n, monomial_sub(lcm, leads[j]), one)
-        s = mi * G[i] - mj * G[j]
-        h = left_nf(s, prep, order)
-        if not h.is_zero():
-            admit(h)
-            push_pairs(len(G) - 1)
-
-    # minimalize, then tail-reduce; reduced left bases are unique, and the
-    # leads are untouched, so the result stays sorted by lead like ``keep``
-    order_idx = sorted(range(len(G)), key=lambda i: order.key(leads[i]))
-    keep = []
-    for i in order_idx:
-        if any(monomial_divides(leads[k], leads[i]) for k in keep):
-            continue
-        keep.append(i)
-    if len(keep) == 1:
-        return [G[keep[0]]]  # nothing to tail-reduce against
-    minimal = [triples[i] for i in keep]
-    return [
-        left_nf(G[i], _Prepared(minimal[:k] + minimal[k + 1 :]), order)
-        for k, i in enumerate(keep)
-    ]
+    basis = _groebner(
+        [_to_vec(g) for g in gens],
+        ring,
+        lambda t: order.key(t[1]),
+        lambda t: order.desc_key(t[1]),
+        _weyl_submul(ring),
+        _weyl_form,
+        False,
+    )
+    return [WeylOp(ring, n, {e: c for (_, e), c in g.items()}) for g in basis]
 
 
 @dataclass(frozen=True)
@@ -208,7 +159,12 @@ class LeftIdeal:
 
     def _prepared_basis(self):
         if "prep" not in self._cache:
-            self._cache["prep"] = _prepare(self.groebner_basis(), self.order)
+            self._cache["prep"] = _prepared(
+                [_to_vec(g) for g in self.groebner_basis()],
+                self.ring,
+                lambda t: self.order.key(t[1]),
+                _weyl_form,
+            )
         return self._cache["prep"]
 
     def normal_form(self, f):

@@ -26,7 +26,7 @@ from pweyl.orders import (
 )
 from pweyl.rings import QQ, Zmod
 
-from helpers import ideal_equal, radical_member_bruteforce, random_mpoly
+from helpers import ideal_equal, radical_member_bruteforce, random_monomial, random_mpoly
 
 F5 = Zmod(5)
 
@@ -306,3 +306,66 @@ def test_frobenius_root():
     X, Y = S.gens()
     J = frobenius_root(CIdeal.of([X**6 - Y**3, Y**4]))
     assert set(J.groebner_basis()) == {X**2 - Y, Y**4}
+
+
+def assert_reduced_module_basis(vecs, termkey, R):
+    """Term dicts {(position, exponents): coeff}: monic, no term divisible by
+    another element's lead, and every S-vector of two elements whose leads
+    share a position reduces to zero by the textbook reference."""
+    leads = [max(g, key=termkey) for g in vecs]
+    for i, g in enumerate(vecs):
+        assert g[leads[i]] == R.one()
+        for k, (pos, lead) in enumerate(leads):
+            if k != i:
+                assert not any(p == pos and monomial_divides(lead, e) for p, e in g), (k, i)
+    for i, k in itertools.combinations(range(len(vecs)), 2):
+        (pi, li), (pk, lk) = leads[i], leads[k]
+        if pi != pk:
+            continue
+        lcm = tuple(map(max, li, lk))
+        s = {}
+        for g, lead, sign in ((vecs[i], li, R.one()), (vecs[k], lk, R.neg(R.one()))):
+            shift = tuple(a - b for a, b in zip(lcm, lead))
+            for (pos, e), c in g.items():
+                t = (pos, tuple(a + b for a, b in zip(e, shift)))
+                v = R.add(s.get(t, R.zero()), R.mul(sign, c))
+                if R.is_zero(v):
+                    s.pop(t, None)
+                else:
+                    s[t] = v
+        assert not reference_nf(s, vecs, termkey, R)
+
+
+@pytest.mark.parametrize("order", [GrevLex(), Lex()], ids=repr)
+def test_ideal_basis_certificate(order):
+    # the product and chain criteria skip S-pairs; a pair they needed would
+    # leave an S-polynomial that does not reduce to zero.  Binomial ideals
+    # have larger bases than random dense ones.
+    R = PolyRing(F5, ("a", "b", "c"))
+    rng = random.Random(109)
+    termkey = lambda t: order.key(t[1])
+    for _ in range(15):
+        gens = [
+            R.from_terms(
+                [(random_monomial(3, rng, 4), 1), (random_monomial(3, rng, 4), rng.randrange(1, 5))]
+            )
+            for _ in range(3)
+        ]
+        basis = [{(0, e): c for e, c in g.terms.items()} for g in buchberger(gens, order)]
+        assert_reduced_module_basis(basis, termkey, F5)
+
+
+@pytest.mark.parametrize("base", [GrevLex(), Lex()], ids=repr)
+def test_submodule_basis_certificate(base):
+    R = ring2()
+    rng = random.Random(113)
+    order = PositionOverTerm(base)
+    termkey = lambda t: order.key(t[0], t[1])
+    for _ in range(15):
+        rank = rng.randrange(2, 4)
+        cols = [
+            tuple(random_mpoly(R, rng, max_degree=2, max_terms=3) for _ in range(rank))
+            for _ in range(rng.randrange(2, 5))
+        ]
+        N = FreeSubmodule.of(cols, rank=rank, ring=R, order=order)
+        assert_reduced_module_basis([N._vec(g) for g in N.groebner_basis()], termkey, F5)

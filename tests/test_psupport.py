@@ -396,3 +396,26 @@ def test_no_rank_option():
     r = report_for([d], 3, compute_rank=False)
     assert r.generic_rank is None
     assert any("not requested" in note for note in r.notes)
+
+
+@pytest.mark.parametrize(
+    "text, annihilator",
+    [
+        ("d1^2*d2 - x1", ("Xi1^6*Xi2^3 - X1^3 - Xi2",)),
+        (
+            "x1*x2*d2 - x1*d1*d2 - x2",
+            (
+                "X1^3*X2^3*Xi2^3 - X1^3*Xi1^3*Xi2^3 - X2^3 + X1^2*Xi1 + X1*X2*Xi2 + X2*Xi2^2",
+            ),
+        ),
+    ],
+)
+def test_truncated_ladder_reaches_the_reduced_norm_degree(text, annihilator):
+    # both operators have total degree 3, so the reduced norm has twisted
+    # degree <= 3 * p^(n-1) = 9 at p = 3: the default ladder runs to 9, past
+    # the 2p = 6 where it used to stop on the zero annihilator (dimension 4)
+    spec = DModuleSpec(2, (parse_weyl(text, 2, QQ),), text)
+    r = p_support(spec, 3, compute_rank=False)
+    assert r.annihilator == annihilator
+    assert r.annihilator_status == "truncated(9)"
+    assert r.dimension == 3

@@ -8,10 +8,10 @@ import pytest
 from pweyl import LeftIdeal, WeylOp, buchberger, initial_weighted, left_groebner, left_nf
 from pweyl.errors import NonGlobalOrder, NotAField, ZeroInput
 from pweyl.mpoly import PolyRing
-from pweyl.orders import BlockElimination, GrevLex, Lex, Weighted, monomial_divides
+from pweyl.orders import BlockElimination, GrevLex, Lex, Weighted, monomial_divides, monomial_lcm
 from pweyl.rings import QQ, Zmod
 
-from helpers import random_weylop
+from helpers import random_coeff, random_weylop
 
 F5 = Zmod(5)
 
@@ -109,6 +109,8 @@ def test_field_and_order_preconditions():
     x, d, one = gens_1var(Zmod(4))
     with pytest.raises(NotAField):
         left_groebner([d])
+    with pytest.raises(NotAField):
+        left_nf(x * d, [d])
     x5, d5, one5 = gens_1var(F5)
     with pytest.raises(NonGlobalOrder):
         left_groebner([d5], Weighted((-1, 0)))
@@ -173,3 +175,60 @@ def test_left_nf_matches_max_reference(order2, order1):
         f = random_weylop(F5, 1, rng, max_exp=4, max_terms=6)
         I = LeftIdeal.of(gens, order1)
         assert left_nf(f, I) == reference_left_nf(f, I.groebner_basis(), order1)
+
+
+def weyl_s_polynomial(f, g, order):
+    """m_f * f - m_g * g with monic multipliers that lift both leads to their lcm."""
+    (lf, cf), (lg, cg) = f.leading(order), g.leading(order)
+    lcm = monomial_lcm(lf, lg)
+    R, n = f.ring, f.n
+    mf = WeylOp.monomial(R, n, tuple(a - b for a, b in zip(lcm, lf)), R.inv(cf))
+    mg = WeylOp.monomial(R, n, tuple(a - b for a, b in zip(lcm, lg)), R.inv(cg))
+    return mf * f - mg * g
+
+
+def assert_reduced_left_basis(basis, order):
+    """Monic, no term divisible by another element's lead, and every
+    S-polynomial reduces to zero by the textbook reference."""
+    leads = [g.leading(order) for g in basis]
+    for i, g in enumerate(basis):
+        assert leads[i][1] == g.ring.one()
+        for k, (lead, _) in enumerate(leads):
+            if k != i:
+                assert not any(monomial_divides(lead, t) for t in g.terms), (basis, k, i)
+    for f, g in itertools.combinations(basis, 2):
+        assert reference_left_nf(weyl_s_polynomial(f, g, order), basis, order).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_left_basis_certificate(p, n):
+    # the chain criterion skips S-pairs on the Weyl side; a pair it needed
+    # would leave an S-polynomial that does not reduce to zero.  Two central
+    # generators (in the x_i^p, d_i^p) next to a random one keep most of
+    # these ideals proper, with bases of up to 14 elements.
+    rng = random.Random(100 * p + n)
+    F = Zmod(p)
+
+    def central():
+        z = random_weylop(F, n, rng, max_exp=1, max_terms=2, nonzero=True)
+        return WeylOp(F, n, {tuple(p * e for e in k): c for k, c in z.terms.items()})
+
+    for _ in range(10):
+        L = random_weylop(F, n, rng, max_exp=3 - n, max_terms=3, nonzero=True)
+        assert_reduced_left_basis(left_groebner([L, central(), central()]), GrevLex())
+
+
+def test_left_basis_certificate_over_q_weighted():
+    # annihilators of x^a, moved by x -> x + c and by an exponential twist
+    # d -> d - c1 - c2*x, with two-element bases
+    rng = random.Random(107)
+    order = Weighted((1, 2))
+    x, d, one = gens_1var(QQ)
+    c = lambda: one.scale(random_coeff(QQ, rng))
+    for _ in range(10):
+        a = rng.randrange(3)
+        X = x + c()
+        D = d - c() - c() * x
+        gens = [X * D - one.scale(a), D ** (a + 1)]
+        assert_reduced_left_basis(left_groebner(gens, order), order)
