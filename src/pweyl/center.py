@@ -9,10 +9,13 @@ over that basis is exact exponent surgery (split every exponent as p*q + r).
 The central annihilator of D/I is I itself, intersected with the center.
 Two routes are provided:
 
-* exact: present I as a submodule of Z^(p^2n) spanned by the decompositions
-  of (basis monomial) * (ideal generator), then take the colon of that
-  submodule into the coordinate of 1.  Certified, but the module rank grows
-  as p^(2n); a size guard routes oversized inputs away.
+* exact: the x_i and d_i^p commute, so D is a free module of rank p^n over
+  the polynomial ring A = F_p[x, Xi] on the d^r, 0 <= r_i < p.  Present I
+  as the submodule of A^(p^n) spanned by d^r * (basis generator), split by
+  the d-exponents alone, take its colon into the coordinate of d^0, which
+  is I cap A, and contract that to the center by one block elimination of
+  x against X_i - x_i^p.  Certified; ``central_annihilator`` routes inputs
+  whose rank p^(2n) over the center exceeds a size guard away from it.
 * truncated: for rising degree d, compute by linear algebra the space of
   central polynomials of degree <= d that the ideal's normal form kills,
   and stop once the resulting ideal stabilises over a degree window.
@@ -41,11 +44,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .cgb import CIdeal, FreeSubmodule, module_colon
+from .cgb import CIdeal, FreeSubmodule, buchberger, module_colon
 from .errors import ExactGuardExceeded, RingMismatch
 from .linalg import _sub_scaled
 from .mpoly import MPoly, PolyRing
-from .orders import GrevLex, monomial_divides
+from .orders import BlockElimination, GrevLex, monomial_divides
 from .rings import Zmod, is_prime
 from .weyl import WeylOp, is_central
 
@@ -152,10 +155,11 @@ def z_module_presentation(ideal, twist):
     The left ideal, viewed as a module over the center, is spanned by
     (basis monomial) * g over all residue monomials and basis generators g.
     Returns (basis list, columns), each column a tuple of twisted
-    polynomials indexed like the basis list.  The pair is built once per
-    (ideal, twist) and kept on the ideal, like the central normal forms, so
-    the exact annihilator and the generic rank share it; callers must not
-    modify it.
+    polynomials indexed like the basis list.  Only ``generic_rank`` needs
+    it, for the fibres over points of the support, so it is built only
+    when the rank is requested; the exact annihilator uses the smaller
+    presentation over F_p[x, Xi] instead.  The pair is built once per
+    (ideal, twist) and kept on the ideal; callers must not modify it.
     """
     key = ("presentation", twist)
     cached = ideal._cache.get(key)
@@ -179,21 +183,59 @@ def z_module_presentation(ideal, twist):
 
 
 def central_annihilator_exact(ideal, twist=None, guard=EXACT_GUARD):
-    """I intersect Z via the free-module colon; certified generators."""
+    """I intersect Z by a colon over A = F_p[x, Xi]; certified generators.
+
+    The x_i and Xi_i = d_i^p commute, and D is the free A-module on the
+    d^r, 0 <= r_i < p; x^a d^b is x^a Xi^(b // p) at position b mod p.  The
+    left ideal I is the A-submodule N spanned by d^r * g over the residues
+    r and the reduced left basis g, so I cap A = (N :_A e_0) with e_0 the
+    position of d^0.  Its contraction to Z = F_p[X, Xi], X_i = x_i^p, is one
+    block elimination of x from it plus X_i - x_i^p, on (X, Xi, x).  The
+    result is the reduced grevlex basis, which is also ``gens``.  ``guard``
+    bounds the rank p^(2n) of D over Z, as ``central_annihilator`` does.
+    """
     twist = twist or FrobeniusTwist(ideal.ring.modulus, ideal.n)
     if guard is not None and twist.module_rank > guard:
         raise ExactGuardExceeded(
             f"module rank {twist.module_rank} exceeds the guard {guard}"
         )
     ring = twist.twisted_ring
-    B, columns = z_module_presentation(ideal, twist)
-    if not columns:
+    basis = ideal.groebner_basis()
+    if not basis:
         return AnnihilatorResult(CIdeal.of([], ring=ring), "exact")
-    N = FreeSubmodule.of(columns, rank=len(B), ring=ring)
-    e0 = [ring.zero()] * len(B)
-    e0[B.index((0,) * (2 * twist.n))] = ring.one()
-    J = module_colon(N, tuple(e0))
-    return AnnihilatorResult(J, "exact")
+    p, n, F = twist.p, twist.n, twist.weyl_ring
+    x_names = tuple(f"x{i + 1}" for i in range(n))
+    A = PolyRing(F, x_names + twisted_names(n)[n:])
+    residues = list(product(range(p), repeat=n))
+    index = {r: i for i, r in enumerate(residues)}
+    columns = []
+    for g in basis:
+        for r in residues:
+            col = [{} for _ in residues]
+            for key, c in (WeylOp.monomial(F, n, (0,) * n + r) * g).terms.items():
+                b = key[n:]
+                pos = index[tuple(bi % p for bi in b)]
+                col[pos][key[:n] + tuple(bi // p for bi in b)] = c
+            columns.append(tuple(MPoly(A, t) for t in col))
+    N = FreeSubmodule.of(columns, rank=len(residues), ring=A)
+    e0 = (A.one(),) + (A.zero(),) * (len(residues) - 1)
+    colon = module_colon(N, e0)
+    # contract to Z: the elements of colon + (X_i - x_i^p) free of x
+    big = PolyRing(F, twisted_names(n) + x_names)
+    zeros = (0,) * n
+    gens = [
+        MPoly(big, {zeros + e[n:] + e[:n]: c for e, c in f.terms.items()})
+        for f in colon.groebner_basis()
+    ]
+    for i in range(n):
+        X, x = big.gen(i), big.gen(2 * n + i)
+        gens.append(X - x**p)
+    contracted = [
+        MPoly(ring, {e[: 2 * n]: c for e, c in f.terms.items()})
+        for f in buchberger(gens, BlockElimination(2 * n))
+        if not any(any(e[2 * n :]) for e in f.terms)
+    ]
+    return AnnihilatorResult(CIdeal.of(contracted, ring=ring), "exact")
 
 
 @lru_cache(maxsize=None)

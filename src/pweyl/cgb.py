@@ -24,7 +24,6 @@ from .mpoly import MPoly, PolyRing
 from .orders import BlockElimination, GrevLex, PositionOverTerm, monomial_lcm
 
 _GREVLEX = GrevLex()
-_POSITION_OVER_TERM = PositionOverTerm()
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +451,12 @@ def module_colon(submodule, v):
     """The ideal (N : v) = {z : z*v in N}, by elimination of one tagged coordinate.
 
     One module Groebner basis of the columns (col_j, 0) and of (v, 1) in
-    R^(rank+1), under a position-over-term order where the tag coordinate
-    comes last: the basis elements supported on the tag alone are (0, z) with
-    z*v in N, and their z form the reduced grevlex basis of the colon.
+    R^(rank+1), under an order that eliminates the tag coordinate: any term
+    on a non-tag position beats any term on the tag, and other ties go to
+    grevlex before the position.  The basis elements whose lead lies on the
+    tag are then supported on the tag alone; they are (0, z) with z*v in N,
+    and their z form the reduced grevlex basis of the colon.  Comparing
+    terms before positions keeps the intermediate elements of low degree.
     """
     v = tuple(v)
     rank = submodule.rank
@@ -468,8 +470,8 @@ def module_colon(submodule, v):
     basis = _groebner(
         vecs,
         ring.coeffs,
-        lambda t: _POSITION_OVER_TERM.key(t[0], t[1]),
-        lambda t: _POSITION_OVER_TERM.desc_key(t[0], t[1]),
+        lambda t: (t[0] != rank, _GREVLEX.key(t[1]), -t[0]),
+        lambda t: (t[0] == rank, _GREVLEX.desc_key(t[1]), t[0]),
         _shift_submul(ring.coeffs),
         _shift_form,
         False,

@@ -232,12 +232,12 @@ def generic_rank(ideal, twist, annihilator, attempts=5, seed=0, guard=EXACT_GUAR
     Points are drawn over F_(p^k), k = 1..3, preferring those where the
     Jacobian of the annihilator's basis reaches its maximal observed rank
     (the smooth locus of the top-dimensional components).  The fiber at a
-    point is the cokernel of the evaluated center-module presentation,
-    which is shared with the exact annihilator of the same ideal (see
-    ``z_module_presentation``).  The Jacobian and the presentation are
-    turned into sparse entry lists once per call; at each point every
-    distinct monomial is evaluated once, and the evaluated rows, as sparse
-    dicts, go to the incremental ``linalg.rank``.
+    point is the cokernel of the evaluated center-module presentation
+    (``z_module_presentation``), which only the rank needs: it is built on
+    the first rank request for the ideal.  The Jacobian and the
+    presentation are turned into sparse entry lists once per call; at each
+    point every distinct monomial is evaluated once, and the evaluated
+    rows, as sparse dicts, go to the incremental ``linalg.rank``.
     """
     if annihilator.is_unit_ideal():
         raise EmptySupport("unit annihilator: the support is empty")

@@ -7,12 +7,15 @@ import pytest
 
 from pweyl import (
     CIdeal,
+    FreeSubmodule,
     FrobeniusTwist,
     LeftIdeal,
     WeylOp,
     central_annihilator,
     central_annihilator_exact,
     central_annihilator_truncated,
+    module_colon,
+    z_module_presentation,
 )
 from pweyl.center import (
     _central_normal_forms,
@@ -208,19 +211,47 @@ def test_exact_and_truncated_agree(p):
 def test_exact_and_truncated_agree_on_random_operators():
     # (n, primes, operators, max exponent per slot): operators of order <= 2,
     # on the default max_degree, whose reduced-norm floor m * p^(n-1) covers
-    # the degree-7 annihilator of one n = 2 draw that 2p misses.  n = 2 at
-    # p = 3 is left out, its exact route (module rank 81) can run for minutes
-    # on one operator.
-    cases = ((1, (3, 5), 10, 2), (1, (7,), 6, 2), (2, (2,), 10, 1))
+    # the degree-7 annihilator of one n = 2 draw that 2p misses.  The n = 2,
+    # p = 3 draws include x1*x2*d2 - x1*d1*d2 - x2, beyond the default guard.
+    cases = ((1, (3, 5), 10, 2), (1, (7,), 6, 2), (2, (2,), 10, 1), (2, (3,), 10, 1))
     rng = random.Random(0)
     for n, primes, count, max_exp in cases:
         for _ in range(count):
             tw = FrobeniusTwist(rng.choice(primes), n)
             L = random_weylop(tw.weyl_ring, n, rng, max_exp=max_exp, max_terms=3, nonzero=True)
             I = LeftIdeal.of([L])
-            exact = central_annihilator_exact(I, tw)
+            exact = central_annihilator_exact(I, tw, guard=None)
             trunc = central_annihilator_truncated(I, tw)
             assert exact.ideal.groebner_basis() == trunc.ideal.groebner_basis(), (str(L), tw.p)
+
+
+def rank_p2n_colon(I, tw):
+    """I cap Z by the colon of the rank-p^(2n) presentation over Z into the
+    coordinate of 1: the reference for the rank-p^n route."""
+    R = tw.twisted_ring
+    B, columns = z_module_presentation(I, tw)
+    if not columns:
+        return CIdeal.of([], ring=R)
+    N = FreeSubmodule.of(columns, rank=len(B), ring=R)
+    e0 = [R.zero()] * len(B)
+    e0[B.index((0,) * (2 * tw.n))] = R.one()
+    return module_colon(N, tuple(e0))
+
+
+def test_exact_annihilator_matches_the_rank_p2n_colon():
+    rng = random.Random(23)
+    for n, p in [(1, 2), (1, 3), (1, 5), (1, 7), (1, 11), (2, 2)]:
+        tw = FrobeniusTwist(p, n)
+        for ngens in (1, 2):
+            for _ in range(5):
+                gens = [
+                    random_weylop(tw.weyl_ring, n, rng, max_exp=3 - n, max_terms=3, nonzero=True)
+                    for _ in range(ngens)
+                ]
+                want = rank_p2n_colon(LeftIdeal.of(gens), tw).groebner_basis()
+                got = central_annihilator_exact(LeftIdeal.of(gens), tw, guard=None).ideal
+                assert got.gens == want, ([str(g) for g in gens], p)
+                assert got.groebner_basis() == want
 
 
 def test_ladder_normal_forms_by_frobenius_shift():

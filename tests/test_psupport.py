@@ -325,9 +325,14 @@ def test_rank_on_exact_route_builds_the_presentation_once(monkeypatch):
     monkeypatch.setattr(FrobeniusTwist, "decompose", counting)
     xs, ds, one = qq_gens(2)
     spec = DModuleSpec(2, (ds[0] - xs[0], ds[1] - one))
+    r = p_support(spec, 2, compute_rank=False)
+    assert r.annihilator_status == "exact" and r.generic_rank is None
+    # the exact annihilator does not use the presentation over the centre
+    assert calls == []
     r = p_support(spec, 2)
     assert r.annihilator_status == "exact" and r.generic_rank == 4
-    # one decomposition per (residue monomial, basis generator) pair, once
+    # generic_rank builds the presentation: one decomposition per (residue
+    # monomial, basis generator) pair, once
     basis = specialize_mod_p(spec, 2).groebner_basis()
     assert len(basis) == 2
     assert len(calls) == 2**4 * len(basis)
@@ -398,16 +403,17 @@ def test_no_rank_option():
     assert any("not requested" in note for note in r.notes)
 
 
+# the annihilator of x1*x2*d2 - x1*d1*d2 - x2 at p = 3, by both routes
+CUBIC_N2_ANNIHILATOR = (
+    "X1^3*X2^3*Xi2^3 - X1^3*Xi1^3*Xi2^3 - X2^3 + X1^2*Xi1 + X1*X2*Xi2 + X2*Xi2^2",
+)
+
+
 @pytest.mark.parametrize(
     "text, annihilator",
     [
         ("d1^2*d2 - x1", ("Xi1^6*Xi2^3 - X1^3 - Xi2",)),
-        (
-            "x1*x2*d2 - x1*d1*d2 - x2",
-            (
-                "X1^3*X2^3*Xi2^3 - X1^3*Xi1^3*Xi2^3 - X2^3 + X1^2*Xi1 + X1*X2*Xi2 + X2*Xi2^2",
-            ),
-        ),
+        ("x1*x2*d2 - x1*d1*d2 - x2", CUBIC_N2_ANNIHILATOR),
     ],
 )
 def test_truncated_ladder_reaches_the_reduced_norm_degree(text, annihilator):
@@ -419,3 +425,20 @@ def test_truncated_ladder_reaches_the_reduced_norm_degree(text, annihilator):
     assert r.annihilator == annihilator
     assert r.annihilator_status == "truncated(9)"
     assert r.dimension == 3
+
+
+@pytest.mark.parametrize(
+    "text, n, p, annihilator",
+    [
+        ("x1*x2*d2 - x1*d1*d2 - x2", 2, 3, CUBIC_N2_ANNIHILATOR),
+        # the ladder reports this one uncertified, as truncated(21)
+        ("x2*d1*d2 + d1 - 3", 2, 7, ("X2^7*Xi1^7*Xi2^7 + 3*Xi1^6 - 3",)),
+        ("x1^2*d1 - 1", 1, 11, ("X1^2*Xi1 - 1",)),
+    ],
+)
+def test_exact_route_certifies_inputs_beyond_the_guard(text, n, p, annihilator):
+    # module ranks 81, 2401 and 121 over the centre, all above EXACT_GUARD
+    spec = DModuleSpec(n, (parse_weyl(text, n, QQ),), text)
+    r = p_support(spec, p, compute_rank=False, method="exact")
+    assert r.annihilator == annihilator
+    assert r.annihilator_status == "exact"
