@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     DivisionByZero,
     EmptySupport,
-    ExactGuardExceeded,
     IndexOutOfRange,
     MixedAlphabets,
     NoPointsFound,

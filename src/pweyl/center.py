@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .cgb import CIdeal, FreeSubmodule, buchberger, module_colon
-from .errors import ExactGuardExceeded, RingMismatch
+from .cgb import CIdeal, FreeSubmodule, _reduced_ideal, buchberger, module_colon
+from .errors import RingMismatch
 from .linalg import _sub_scaled
 from .mpoly import MPoly, PolyRing
 from .orders import BlockElimination, GrevLex, monomial_divides
@@ -55,18 +55,31 @@ from .weyl import WeylOp, is_central
 _GREVLEX = GrevLex()
 
 EXACT_GUARD = 64
+STABILITY_WINDOW = 2
 
 
 def twisted_names(n):
     return tuple(f"X{i + 1}" for i in range(n)) + tuple(f"Xi{i + 1}" for i in range(n))
 
 
+@lru_cache(maxsize=None)
+def _check_centrality(p, n):
+    """Raise AssertionError unless every x_i^p and d_i^p of A_n(F_p) is
+    central.  A raising call caches nothing, so a failure repeats."""
+    F = Zmod(p)
+    for i in range(n):
+        for gen in (WeylOp.x(F, n, i), WeylOp.d(F, n, i)):
+            if not is_central(gen**p).is_central:
+                raise AssertionError(f"p-th power {gen}^{p} is not central; broken arithmetic")
+
+
 @dataclass(frozen=True)
 class FrobeniusTwist:
     """Bookkeeping for the center of A_n(F_p) in twisted coordinates.
 
-    Centrality of the p-th powers is verified on construction; the twisted
-    polynomial ring carries names X1..Xn, Xi1..Xin over F_p.
+    Centrality of the p-th powers is verified on the first construction for
+    each (p, n); the twisted polynomial ring carries names X1..Xn, Xi1..Xin
+    over F_p.
     """
 
     p: int
@@ -75,14 +88,7 @@ class FrobeniusTwist:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        F = self.weyl_ring
-        for i in range(self.n):
-            for gen in (WeylOp.x(F, self.n, i), WeylOp.d(F, self.n, i)):
-                res = is_central(gen**self.p)
-                if not res.is_central:
-                    raise AssertionError(
-                        f"p-th power {gen}^{self.p} is not central; broken arithmetic"
-                    )
+        _check_centrality(self.p, self.n)
 
     @property
     def weyl_ring(self):
@@ -182,7 +188,7 @@ def z_module_presentation(ideal, twist):
     return B, columns
 
 
-def central_annihilator_exact(ideal, twist=None, guard=EXACT_GUARD):
+def central_annihilator_exact(ideal, twist=None):
     """I intersect Z by a colon over A = F_p[x, Xi]; certified generators.
 
     The x_i and Xi_i = d_i^p commute, and D is the free A-module on the
@@ -191,14 +197,9 @@ def central_annihilator_exact(ideal, twist=None, guard=EXACT_GUARD):
     r and the reduced left basis g, so I cap A = (N :_A e_0) with e_0 the
     position of d^0.  Its contraction to Z = F_p[X, Xi], X_i = x_i^p, is one
     block elimination of x from it plus X_i - x_i^p, on (X, Xi, x).  The
-    result is the reduced grevlex basis, which is also ``gens``.  ``guard``
-    bounds the rank p^(2n) of D over Z, as ``central_annihilator`` does.
+    result is the reduced grevlex basis, which is also ``gens``.
     """
     twist = twist or FrobeniusTwist(ideal.ring.modulus, ideal.n)
-    if guard is not None and twist.module_rank > guard:
-        raise ExactGuardExceeded(
-            f"module rank {twist.module_rank} exceeds the guard {guard}"
-        )
     ring = twist.twisted_ring
     basis = ideal.groebner_basis()
     if not basis:
@@ -230,12 +231,14 @@ def central_annihilator_exact(ideal, twist=None, guard=EXACT_GUARD):
     for i in range(n):
         X, x = big.gen(i), big.gen(2 * n + i)
         gens.append(X - x**p)
+    # the x-free elements of a reduced block-elimination basis are the
+    # reduced grevlex basis of the contraction, in grevlex order of leads
     contracted = [
         MPoly(ring, {e[: 2 * n]: c for e, c in f.terms.items()})
         for f in buchberger(gens, BlockElimination(2 * n))
         if not any(any(e[2 * n :]) for e in f.terms)
     ]
-    return AnnihilatorResult(CIdeal.of(contracted, ring=ring), "exact")
+    return AnnihilatorResult(_reduced_ideal(contracted, ring), "exact")
 
 
 @lru_cache(maxsize=None)
@@ -386,18 +389,18 @@ def _minimal_leads(kernel):
     return kept
 
 
-def central_annihilator_truncated(ideal, twist=None, max_degree=None, window=2):
+def central_annihilator_truncated(ideal, twist=None):
     """Degree-truncated central annihilator with a stabilisation certificate.
 
     Returns the kernel ideal at the first degree d whose ideal equals the one
-    at d + window (status "stabilized(d)"), else the ideal at max_degree
-    (status "truncated(max_degree)").  Kernels grow monotonically with the
-    degree, so a window of equality certifies the plateau seen so far.
+    at d + STABILITY_WINDOW (status "stabilized(d)"), else the ideal at the
+    top degree D (status "truncated(D)").  Kernels grow monotonically with
+    the degree, so a window of equality certifies the plateau seen so far.
 
-    The default max_degree is the reduced-norm floor max(2p, m * p^(n-1)),
-    m the least total degree of the ideal's reduced left basis: the reduced
-    norm of a nonzero element of total degree m is a nonzero central element
-    of the ideal of twisted degree at most m * p^(n-1), so the ladder never
+    The top degree is the reduced-norm floor D = max(2p, m * p^(n-1)), m the
+    least total degree of the ideal's reduced left basis: the reduced norm
+    of a nonzero element of total degree m is a nonzero central element of
+    the ideal of twisted degree at most m * p^(n-1), so the ladder never
     stops on a zero annihilator of a nonzero ideal.
 
     The ladder is incremental: each central monomial is normalised once,
@@ -407,15 +410,14 @@ def central_annihilator_truncated(ideal, twist=None, max_degree=None, window=2):
     minimal leads only (see the module docstring).
     """
     twist = twist or FrobeniusTwist(ideal.ring.modulus, ideal.n)
-    if max_degree is None:
-        norm_degree = min((g.total_degree() for g in ideal.groebner_basis()), default=0)
-        max_degree = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
+    norm_degree = min((g.total_degree() for g in ideal.groebner_basis()), default=0)
+    top = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
     ring = twist.twisted_ring
     candidates = {}
-    for d in range(1, max_degree + 1):
+    for d in range(1, top + 1):
         J = CIdeal.of(_minimal_leads(truncated_kernel(ideal, twist, d)), ring=ring)
         candidates[d] = J
-        back = d - window
+        back = d - STABILITY_WINDOW
         # a nonzero left ideal always meets the centre (the reduced norm of
         # any nonzero element lies in it), so a zero plateau is premature
         if back < 1 or (candidates[back].is_zero_ideal() and ideal.groebner_basis()):
@@ -423,15 +425,14 @@ def central_annihilator_truncated(ideal, twist=None, max_degree=None, window=2):
         # reduced bases are unique, so equal bases mean equal ideals
         if candidates[back].groebner_basis() == J.groebner_basis():
             return AnnihilatorResult(candidates[back], f"stabilized({back})")
-    return AnnihilatorResult(candidates[max_degree], f"truncated({max_degree})")
+    return AnnihilatorResult(candidates[top], f"truncated({top})")
 
 
-def central_annihilator(
-    ideal, twist=None, guard=EXACT_GUARD, max_degree=None, window=2, method="auto"
-):
+def central_annihilator(ideal, twist=None, guard=EXACT_GUARD, method="auto"):
     """The central annihilator by the route ``method`` names.
 
-    This is the one place that chooses the route: "exact" takes the colon
+    This is the one place that chooses the route, and the only reader of
+    ``guard`` for it; the two routes take no guard.  "exact" takes the colon
     whatever the module rank, "truncated" the degree-truncated kernel, and
     "auto" the exact route while the module rank p^(2n) is within ``guard``,
     else the truncated one.
@@ -440,5 +441,5 @@ def central_annihilator(
         raise ValueError(f"unknown method {method!r}")
     twist = twist or FrobeniusTwist(ideal.ring.modulus, ideal.n)
     if method == "exact" or (method == "auto" and twist.module_rank <= guard):
-        return central_annihilator_exact(ideal, twist, guard=None)
-    return central_annihilator_truncated(ideal, twist, max_degree, window)
+        return central_annihilator_exact(ideal, twist)
+    return central_annihilator_truncated(ideal, twist)

@@ -276,15 +276,17 @@ class CIdeal:
     def is_zero_ideal(self):
         return not self.groebner_basis()
 
-    def radical_contains(self, f):
-        return radical_member(f, self)
-
-    def dim(self):
-        return krull_dim(self)
-
     def __str__(self):
         inner = ", ".join(str(g) for g in self.groebner_basis())
         return f"({inner})" if inner else "(0)"
+
+
+def _reduced_ideal(basis, ring):
+    """The grevlex ideal generated by ``basis``, which must already be its
+    reduced grevlex basis sorted by lead; that basis is cached as it is."""
+    ideal = CIdeal.of(basis, ring=ring)
+    ideal._cache["basis"] = ideal.gens
+    return ideal
 
 
 def _fresh_name(names):
@@ -481,6 +483,4 @@ def module_colon(submodule, v):
         for g in basis
         if all(pos == rank for pos, _ in g)
     ]
-    ideal = CIdeal.of(gens, ring=ring)
-    ideal.groebner_basis()
-    return ideal
+    return _reduced_ideal(gens, ring)

@@ -41,10 +41,6 @@ class NotDeformationDivisible(PweylError):
     """
 
 
-class ExactGuardExceeded(PweylError):
-    """The exact central-annihilator route was requested beyond its size guard."""
-
-
 class BadPrime(PweylError):
     """Reduction mod p hit a denominator divisible by p."""
 

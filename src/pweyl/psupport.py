@@ -22,13 +22,7 @@ from .center import (
     central_annihilator,
     z_module_presentation,
 )
-from .errors import (
-    BadPrime,
-    EmptySupport,
-    ExactGuardExceeded,
-    NoPointsFound,
-    RingMismatch,
-)
+from .errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch
 from .linalg import rank as matrix_rank
 from .mpoly import MPoly, PolyRing, evaluator
 from .orders import GrevLex, Weighted
@@ -226,7 +220,7 @@ def _points_on_variety(basis, nvars, p, k, rng):
     return K, points
 
 
-def generic_rank(ideal, twist, annihilator, attempts=5, seed=0, guard=EXACT_GUARD):
+def generic_rank(ideal, twist, annihilator, attempts=5, seed=0):
     """Modal fiber dimension of D/I over sampled points of the support.
 
     Points are drawn over F_(p^k), k = 1..3, preferring those where the
@@ -234,17 +228,15 @@ def generic_rank(ideal, twist, annihilator, attempts=5, seed=0, guard=EXACT_GUAR
     (the smooth locus of the top-dimensional components).  The fiber at a
     point is the cokernel of the evaluated center-module presentation
     (``z_module_presentation``), which only the rank needs: it is built on
-    the first rank request for the ideal.  The Jacobian and the
-    presentation are turned into sparse entry lists once per call; at each
-    point every distinct monomial is evaluated once, and the evaluated
-    rows, as sparse dicts, go to the incremental ``linalg.rank``.
+    the first rank request for the ideal, whatever its rank p^(2n), so
+    ``p_support`` decides against its size guard whether to ask.  The
+    Jacobian and the presentation are turned into sparse entry lists once
+    per call; at each point every distinct monomial is evaluated once, and
+    the evaluated rows, as sparse dicts, go to the incremental
+    ``linalg.rank``.
     """
     if annihilator.is_unit_ideal():
         raise EmptySupport("unit annihilator: the support is empty")
-    if twist.module_rank > guard:
-        raise ExactGuardExceeded(
-            f"rank computation needs the exact presentation (rank {twist.module_rank})"
-        )
     basis = annihilator.groebner_basis()
     nvars = 2 * twist.n
     B, columns = z_module_presentation(ideal, twist)
@@ -370,15 +362,19 @@ def p_support(
     compute_rank=True,
     method="auto",
     guard=EXACT_GUARD,
-    max_degree=None,
-    window=2,
 ):
-    """Full support verdict for one presentation at one prime."""
+    """Full support verdict for one presentation at one prime.
+
+    ``guard`` bounds the module rank p^(2n) twice: for the route that
+    ``central_annihilator`` takes under ``method="auto"``, and for the
+    rank-p^(2n) presentation behind the generic rank, which is computed
+    only on the exact route and within the guard.
+    """
     ideal = specialize_mod_p(spec, p)
     twist = FrobeniusTwist(p, spec.n)
     notes = ["dimension is the top dimension only; equidimensionality not checked"]
 
-    result = central_annihilator(ideal, twist, guard, max_degree, window, method)
+    result = central_annihilator(ideal, twist, guard, method)
     exact_route = result.status == "exact"
     if not exact_route:
         notes.append("central annihilator from the degree-truncated method")
@@ -417,20 +413,17 @@ def p_support(
 
     rank_value = None
     rank_samples = ()
-    guard_note = "generic rank unavailable: exact presentation exceeds guard"
     if not compute_rank:
         notes.append("generic rank not requested")
-    elif not exact_route:
-        notes.append(guard_note)
+    elif not exact_route or twist.module_rank > guard:
+        notes.append("generic rank unavailable: exact presentation exceeds guard")
     else:
         try:
-            rr = generic_rank(ideal, twist, ann, attempts=attempts, seed=seed, guard=guard)
+            rr = generic_rank(ideal, twist, ann, attempts=attempts, seed=seed)
             rank_value = rr.value
             rank_samples = rr.sample_dicts
             if not rr.agreement:
                 notes.append("sampled fiber dimensions disagree; modal value reported")
-        except ExactGuardExceeded:
-            notes.append(guard_note)
         except NoPointsFound:
             notes.append("generic rank unavailable: no points found over F_(p^k), k <= 3")
 

@@ -11,6 +11,7 @@ from pweyl import (
     FrobeniusTwist,
     LeftIdeal,
     WeylOp,
+    buchberger,
     central_annihilator,
     central_annihilator_exact,
     central_annihilator_truncated,
@@ -24,7 +25,6 @@ from pweyl.center import (
     _monomials_up_to,
     truncated_kernel,
 )
-from pweyl.errors import ExactGuardExceeded
 from pweyl.mpoly import MPoly
 from pweyl.poisson import coisotropy_check
 from pweyl.rings import Zmod
@@ -124,6 +124,30 @@ def test_embedded_polynomials_are_central():
         assert is_central(tw.embed(poly)).is_central
 
 
+def test_twist_centrality_is_checked_once_per_prime_and_arity(monkeypatch):
+    import pweyl.center as center
+    from pweyl.weyl import CentralityResult
+
+    calls = []
+    real = center.is_central
+
+    def counting(op):
+        calls.append(op)
+        return real(op)
+
+    monkeypatch.setattr(center, "is_central", counting)
+    center._check_centrality.cache_clear()
+    FrobeniusTwist(5, 2)
+    assert len(calls) == 4  # x1^5, d1^5, x2^5 and d2^5
+    FrobeniusTwist(5, 2)
+    assert len(calls) == 4
+    # a failed check is not cached: it raises on every construction
+    monkeypatch.setattr(center, "is_central", lambda op: CentralityResult(False, None, None))
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            FrobeniusTwist(7, 1)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_exact_annihilator_examples(p):
     F = Zmod(p)
@@ -220,7 +244,7 @@ def test_exact_and_truncated_agree_on_random_operators():
             tw = FrobeniusTwist(rng.choice(primes), n)
             L = random_weylop(tw.weyl_ring, n, rng, max_exp=max_exp, max_terms=3, nonzero=True)
             I = LeftIdeal.of([L])
-            exact = central_annihilator_exact(I, tw, guard=None)
+            exact = central_annihilator_exact(I, tw)
             trunc = central_annihilator_truncated(I, tw)
             assert exact.ideal.groebner_basis() == trunc.ideal.groebner_basis(), (str(L), tw.p)
 
@@ -249,9 +273,10 @@ def test_exact_annihilator_matches_the_rank_p2n_colon():
                     for _ in range(ngens)
                 ]
                 want = rank_p2n_colon(LeftIdeal.of(gens), tw).groebner_basis()
-                got = central_annihilator_exact(LeftIdeal.of(gens), tw, guard=None).ideal
+                got = central_annihilator_exact(LeftIdeal.of(gens), tw).ideal
                 assert got.gens == want, ([str(g) for g in gens], p)
                 assert got.groebner_basis() == want
+                assert list(want) == buchberger(list(want))
 
 
 def test_ladder_normal_forms_by_frobenius_shift():
@@ -347,12 +372,14 @@ def test_guard_routes_to_truncated():
     d1 = WeylOp.d(F, 2, 0)
     d2 = WeylOp.d(F, 2, 1)
     I = LeftIdeal.of([d1, d2])
-    with pytest.raises(ExactGuardExceeded):
-        central_annihilator_exact(I, tw)
-    res = central_annihilator(I, tw)
-    assert res.status.startswith("stabilized")
     R = tw.twisted_ring
     Xi1, Xi2 = R.gen(2), R.gen(3)
+    # the worker takes no guard: called directly, it certifies at any rank
+    exact = central_annihilator_exact(I, tw)
+    assert exact.status == "exact"
+    assert ideal_equal(exact.ideal, CIdeal.of([Xi1, Xi2]))
+    res = central_annihilator(I, tw)
+    assert res.status.startswith("stabilized")
     assert ideal_equal(res.ideal, CIdeal.of([Xi1, Xi2]))
 
 

@@ -192,6 +192,8 @@ def test_module_colon_vs_exhaustive_search():
         N = FreeSubmodule.of(cols, rank=rank, ring=R)
         v = tuple(random_mpoly(R, rng, max_degree=1) for _ in range(rank))
         colon = module_colon(N, v)
+        # the colon's generators are its reduced basis, cached as they are
+        assert list(colon.groebner_basis()) == buchberger(list(colon.gens))
         # soundness: every generator of the colon multiplies v into N
         for g in colon.gens:
             assert N.contains(tuple(g * vi for vi in v))
@@ -218,6 +220,7 @@ def test_module_colon_into_first_coordinate():
         N = FreeSubmodule.of(cols, rank=rank, ring=R)
         tail = (R.zero(),) * (rank - 1)
         colon = module_colon(N, (R.one(),) + tail)
+        assert list(colon.groebner_basis()) == buchberger(list(colon.gens))
         for g in colon.gens:
             assert N.contains((g,) + tail)
         for z in monos:

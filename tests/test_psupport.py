@@ -16,6 +16,7 @@ from pweyl import (
     is_conical,
     p_support,
     parse_weyl,
+    radical_member,
     specialize_mod_p,
 )
 from pweyl.errors import BadPrime, EmptySupport, RingMismatch
@@ -161,10 +162,10 @@ def test_dilation_witness_for_nonconical_support():
     J = CIdeal.of([Xi - R.one()])
     g = dilate_fiber(Xi - R.one(), 2)
     assert g == Xi.scale(2) - R.one()
-    assert not J.radical_contains(g)
+    assert not radical_member(g, J)
     # while the conical ideal (X*Xi) is carried into itself
     J2 = CIdeal.of([X * Xi])
-    assert J2.radical_contains(dilate_fiber(X * Xi, 2))
+    assert radical_member(dilate_fiber(X * Xi, 2), J2)
 
 
 def test_generic_rank_values():
@@ -392,6 +393,14 @@ def test_truncated_route_beyond_guard():
     r = p_support(spec, 3)
     assert r.annihilator_status.startswith("stabilized")
     assert r.dimension == 2 and r.lagrangian
+    assert r.generic_rank is None
+    assert any("exceeds guard" in note for note in r.notes)
+    # the exact route beyond the guard (module rank 121): the annihilator is
+    # certified, and the rank is still withheld
+    (x,), (d,), _ = qq_gens()
+    r = p_support(DModuleSpec(1, (d - x,)), 11, method="exact")
+    assert r.annihilator_status == "exact"
+    assert r.annihilator == ("X1 - Xi1",)
     assert r.generic_rank is None
     assert any("exceeds guard" in note for note in r.notes)
 
