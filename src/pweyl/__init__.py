@@ -25,7 +25,6 @@ from .center import (
     central_annihilator_exact,
     central_annihilator_truncated,
     twisted_names,
-    z_module_presentation,
 )
 from .corpus import CorpusEntry, load_corpus, run_corpus
 from .errors import (

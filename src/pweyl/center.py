@@ -5,6 +5,9 @@ ring; we bookkeep it with fresh variable names X_i <-> x_i^p and Xi_i <->
 d_i^p.  The Weyl algebra is a free module of rank p^(2n) over this center,
 with basis the monomials x^a d^b, 0 <= a_i, b_i < p; decomposing an operator
 over that basis is exact exponent surgery (split every exponent as p*q + r).
+It is Azumaya over the center, so its fibre over each point of the center
+is a p^n x p^n matrix algebra: ``psupport.generic_rank`` reads the fibres
+of D/I on a simple module of rank p^n.
 
 The central annihilator of D/I is I itself, intersected with the center.
 Two routes are provided:
@@ -102,10 +105,6 @@ class FrobeniusTwist:
     def module_rank(self):
         return self.p ** (2 * self.n)
 
-    def basis(self):
-        """The residue monomials (a, b), 0 <= entries < p, in a fixed order."""
-        return [tuple(t) for t in product(range(self.p), repeat=2 * self.n)]
-
     def embed(self, poly):
         """A twisted polynomial as the corresponding central operator."""
         if poly.ring != self.twisted_ring:
@@ -153,39 +152,6 @@ class CentralDecomposition:
 class AnnihilatorResult:
     ideal: CIdeal
     status: str
-
-
-def z_module_presentation(ideal, twist):
-    """Columns over the center presenting the left ideal inside Z^(p^2n).
-
-    The left ideal, viewed as a module over the center, is spanned by
-    (basis monomial) * g over all residue monomials and basis generators g.
-    Returns (basis list, columns), each column a tuple of twisted
-    polynomials indexed like the basis list.  Only ``generic_rank`` needs
-    it, for the fibres over points of the support, so it is built only
-    when the rank is requested; the exact annihilator uses the smaller
-    presentation over F_p[x, Xi] instead.  The pair is built once per
-    (ideal, twist) and kept on the ideal; callers must not modify it.
-    """
-    key = ("presentation", twist)
-    cached = ideal._cache.get(key)
-    if cached is not None:
-        return cached
-    B = twist.basis()
-    index = {b: i for i, b in enumerate(B)}
-    ring = twist.twisted_ring
-    zero = ring.zero()
-    columns = []
-    for g in ideal.groebner_basis():
-        for beta in B:
-            op = WeylOp.monomial(twist.weyl_ring, twist.n, beta) * g
-            dec = twist.decompose(op)
-            col = [zero] * len(B)
-            for r, poly in dec.coords.items():
-                col[index[r]] = poly
-            columns.append(tuple(col))
-    ideal._cache[key] = B, columns
-    return B, columns
 
 
 def central_annihilator_exact(ideal, twist=None):
@@ -435,10 +401,12 @@ def central_annihilator(ideal, twist=None, guard=EXACT_GUARD, method="auto"):
     ``guard`` for it; the two routes take no guard.  "exact" takes the colon
     whatever the module rank, "truncated" the degree-truncated kernel, and
     "auto" the exact route while the module rank p^(2n) is within ``guard``,
-    else the truncated one.
+    else the truncated one.  ``guard`` must be an int, whatever the method.
     """
     if method not in ("auto", "exact", "truncated"):
         raise ValueError(f"unknown method {method!r}")
+    if not isinstance(guard, int):
+        raise ValueError(f"guard must be an int, got {guard!r}")
     twist = twist or FrobeniusTwist(ideal.ring.modulus, ideal.n)
     if method == "exact" or (method == "auto" and twist.module_rank <= guard):
         return central_annihilator_exact(ideal, twist)

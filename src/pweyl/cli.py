@@ -12,7 +12,7 @@ import os
 import sys
 
 from .corpus import run_corpus
-from .errors import BadPrime, ParseError, PweylError
+from .errors import ParseError, PweylError
 from .parser import parse_twisted, parse_weyl
 from .poisson import canonical_bracket, deformation_bracket
 from .psupport import DModuleSpec, characteristic_variety, p_support
@@ -231,9 +231,6 @@ def run(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except BadPrime as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PweylError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

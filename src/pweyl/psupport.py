@@ -5,7 +5,8 @@ basis, intersects the ideal with the center (exact route within the size
 guard, degree-truncated route beyond), and then interrogates the resulting
 ideal in the twisted cotangent ring: dimension, coisotropy under the
 canonical bracket, the middle-dimension verdict, conicality for the fiber
-dilation, and the generic fiber rank from sampled points of the variety.
+dilation, and the generic fiber rank from sampled points of the variety,
+where D/I is read on the simple module of rank p^n over each point.
 For comparison the characteristic-zero symbol ideal of the same presentation
 is available as well.
 """
@@ -13,15 +14,11 @@ is available as well.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 import random
 
 from .cgb import CIdeal, frobenius_root, krull_dim, radical_member
-from .center import (
-    EXACT_GUARD,
-    FrobeniusTwist,
-    central_annihilator,
-    z_module_presentation,
-)
+from .center import EXACT_GUARD, FrobeniusTwist, central_annihilator
 from .errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch
 from .linalg import rank as matrix_rank
 from .mpoly import MPoly, PolyRing, evaluator
@@ -220,30 +217,65 @@ def _points_on_variety(basis, nvars, p, k, rng):
     return K, points
 
 
+def _simple_module_rows(ideal, twist):
+    """The reduced left basis acting on V = D / D(x^p - X, d - beta), its
+    matrices stacked by rows, as sparse entry lists in (X, beta).
+
+    V has the basis x^s, 0 <= s_i < p, and x^a d^b sends 1 to
+    beta^b * X^(a // p) * x^(a mod p); column s of g is g * x^s applied to 1.
+    """
+    p, n, F = twist.p, twist.n, twist.weyl_ring
+    residues = list(product(range(p), repeat=n))
+    index = {r: i for i, r in enumerate(residues)}
+    rows = []
+    for g in ideal.groebner_basis():
+        cells = [{} for _ in residues]  # row -> column -> terms
+        for col, s in enumerate(residues):
+            for key, c in (g * WeylOp.monomial(F, n, s + (0,) * n)).terms.items():
+                a = key[:n]
+                cell = cells[index[tuple(ai % p for ai in a)]].setdefault(col, {})
+                cell[tuple(ai // p for ai in a) + key[n:]] = c
+        rows.extend(list(row.items()) for row in cells)
+    return rows
+
+
+def _fiber_dim(module_rows, twist, K, pt):
+    """p^n * (p^n - rank) of the module rows at the point pt over K, with
+    beta = Xi^(|K| / p) (see ``generic_rank``)."""
+    n, dim_v = twist.n, twist.p**twist.n
+    root = {(K.size // twist.p,): 1}
+    beta = tuple(evaluator((xi,), K)(root) for xi in pt[n:])
+    rows = _sparse_rows(module_rows, evaluator(pt[:n] + beta, K), K)
+    return dim_v * (dim_v - matrix_rank(rows, K, dim_v))
+
+
 def generic_rank(ideal, twist, annihilator, attempts=5, seed=0):
     """Modal fiber dimension of D/I over sampled points of the support.
 
     Points are drawn over F_(p^k), k = 1..3, preferring those where the
     Jacobian of the annihilator's basis reaches its maximal observed rank
-    (the smooth locus of the top-dimensional components).  The fiber at a
-    point is the cokernel of the evaluated center-module presentation
-    (``z_module_presentation``), which only the rank needs: it is built on
-    the first rank request for the ideal, whatever its rank p^(2n), so
-    ``p_support`` decides against its size guard whether to ask.  The
-    Jacobian and the presentation are turned into sparse entry lists once
-    per call; at each point every distinct monomial is evaluated once, and
-    the evaluated rows, as sparse dicts, go to the incremental
-    ``linalg.rank``.
+    (the smooth locus of the top-dimensional components).
+
+    D is Azumaya over its centre Z = F_p[X, Xi] (Bezrukavnikov-Mirkovic-
+    Rumynin): at a point (X, Xi) over K, D tensor K is End(V) for the
+    simple module V = D / D(x^p - X, d - beta) of dimension p^n, where
+    beta^p = Xi, that is beta = Xi^(|K| / p), as Frobenius is bijective on
+    K.  The image of I is the left ideal of the endomorphisms that kill the
+    common kernel W of the reduced left basis on V, so the fiber of D/I has
+    dimension p^n * dim W = p^n * (p^n - rank), the rank of the basis's
+    matrices on V with their rows stacked.  Those rows are built once per
+    call, from the p^n products g * x^s; at each point every distinct
+    monomial is evaluated once, and the evaluated rows, as sparse dicts,
+    go to the incremental ``linalg.rank``.
     """
     if annihilator.is_unit_ideal():
         raise EmptySupport("unit annihilator: the support is empty")
     basis = annihilator.groebner_basis()
     nvars = 2 * twist.n
-    B, columns = z_module_presentation(ideal, twist)
+    module_rows = _simple_module_rows(ideal, twist)
     rng = random.Random(seed)
 
     jac = _sparse_entries([g.partial(v) for v in range(nvars)] for g in basis)
-    presentation = _sparse_entries(columns)
 
     def jacobian_rank(K, pt):
         rows = _sparse_rows(jac, evaluator(pt, K), K)
@@ -269,9 +301,7 @@ def generic_rank(ideal, twist, annihilator, attempts=5, seed=0):
     samples = []
     dicts = []
     for jr, k, K, pt in chosen:
-        rows = _sparse_rows(presentation, evaluator(pt, K), K)
-        fiber = len(B) - (matrix_rank(rows, K, len(B)) if rows else 0)
-        s = RankSample(pt, k, jr, fiber)
+        s = RankSample(pt, k, jr, _fiber_dim(module_rows, twist, K, pt))
         samples.append(s)
         dicts.append(s.to_dict(K))
     counts = Counter(s.fiber_dim for s in samples)
@@ -365,10 +395,10 @@ def p_support(
 ):
     """Full support verdict for one presentation at one prime.
 
-    ``guard`` bounds the module rank p^(2n) twice: for the route that
-    ``central_annihilator`` takes under ``method="auto"``, and for the
-    rank-p^(2n) presentation behind the generic rank, which is computed
-    only on the exact route and within the guard.
+    ``guard``, an int, bounds the module rank p^(2n) twice: for the route
+    that ``central_annihilator`` takes under ``method="auto"``, and for the
+    generic rank, which is computed only on the exact route and within the
+    guard, although it works on the simple module of rank p^n.
     """
     ideal = specialize_mod_p(spec, p)
     twist = FrobeniusTwist(p, spec.n)

@@ -105,10 +105,6 @@ class WeylOp:
     def is_zero(self):
         return not self.terms
 
-    def diff_order(self):
-        """Maximum total degree in the d variables; -1 for zero."""
-        return max((sum(k[self.n :]) for k in self.terms), default=-1)
-
     def total_degree(self):
         return max((sum(k) for k in self.terms), default=-1)
 

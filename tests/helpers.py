@@ -1,6 +1,7 @@
 """Seeded random generators and brute-force oracles shared by the tests."""
 
 from fractions import Fraction
+from itertools import product
 
 from pweyl import WeylOp
 from pweyl.rings import GaloisField, Rationals, Zmod
@@ -50,6 +51,30 @@ def random_weylop(ring, n, rng, max_exp=3, max_terms=4, nonzero=False):
         f = WeylOp.from_terms(ring, n, items)
         if not (nonzero and f.is_zero()):
             return f
+
+
+def z_module_presentation(ideal, twist):
+    """Columns over the centre presenting the left ideal inside Z^(p^(2n)).
+
+    The left ideal, as a module over the centre, is spanned by
+    (residue monomial) * g over the residue monomials x^a d^b,
+    0 <= a_i, b_i < p, and the reduced left basis g; each product is
+    decomposed over that free basis.  Returns (residue list, columns), each
+    column a tuple of twisted polynomials indexed like the residue list.
+    The reference for the rank-p^n colon and for the fibres of D/I.
+    """
+    B = list(product(range(twist.p), repeat=2 * twist.n))
+    index = {b: i for i, b in enumerate(B)}
+    zero = twist.twisted_ring.zero()
+    columns = []
+    for g in ideal.groebner_basis():
+        for beta in B:
+            dec = twist.decompose(WeylOp.monomial(twist.weyl_ring, twist.n, beta) * g)
+            col = [zero] * len(B)
+            for r, poly in dec.coords.items():
+                col[index[r]] = poly
+            columns.append(tuple(col))
+    return B, columns
 
 
 def ideal_equal(I, J):

@@ -1,6 +1,7 @@
 """Pipeline tests: specialization, reports, conicality, rank, char variety."""
 
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from pweyl import (
     FrobeniusTwist,
     LeftIdeal,
     WeylOp,
+    central_annihilator,
     characteristic_variety,
     dilate_fiber,
     generic_rank,
@@ -20,7 +22,12 @@ from pweyl import (
     specialize_mod_p,
 )
 from pweyl.errors import BadPrime, EmptySupport, RingMismatch
-from pweyl.rings import QQ, Zmod
+from pweyl.linalg import rank as matrix_rank
+from pweyl.mpoly import evaluator
+from pweyl.psupport import _fiber_dim, _points_on_variety, _simple_module_rows
+from pweyl.rings import QQ, Zmod, extension_field
+
+from helpers import random_weylop, z_module_presentation
 
 
 
@@ -315,7 +322,7 @@ def test_rank_samples_golden(text, n, p, kw, expected):
     assert r["generic_rank"] == expected[0][3]
 
 
-def test_rank_on_exact_route_builds_the_presentation_once(monkeypatch):
+def test_rank_on_exact_route_builds_no_presentation_over_the_centre(monkeypatch):
     calls = []
     decompose = FrobeniusTwist.decompose
 
@@ -328,15 +335,58 @@ def test_rank_on_exact_route_builds_the_presentation_once(monkeypatch):
     spec = DModuleSpec(2, (ds[0] - xs[0], ds[1] - one))
     r = p_support(spec, 2, compute_rank=False)
     assert r.annihilator_status == "exact" and r.generic_rank is None
-    # the exact annihilator does not use the presentation over the centre
-    assert calls == []
     r = p_support(spec, 2)
     assert r.annihilator_status == "exact" and r.generic_rank == 4
-    # generic_rank builds the presentation: one decomposition per (residue
-    # monomial, basis generator) pair, once
-    basis = specialize_mod_p(spec, 2).groebner_basis()
-    assert len(basis) == 2
-    assert len(calls) == 2**4 * len(basis)
+    # neither the exact annihilator nor the rank, which reads the fibres on
+    # the simple module of rank p^n, decomposes over the centre
+    assert calls == []
+
+
+def test_fiber_dim_matches_the_rank_p2n_presentation():
+    # the fibre of D/I read on the rank-p^n simple module is the corank of
+    # the evaluated rank-p^(2n) presentation over the centre: at random
+    # points of GF(p^k)^(2n), mostly off the support, at points of the
+    # support over each GF(p^k), and at the points generic_rank samples
+    rng = random.Random(11)
+    fibre_is_nonzero = set()
+    for n, p in [(1, 2), (1, 3), (1, 5), (1, 7), (2, 2), (2, 3)]:
+        tw = FrobeniusTwist(p, n)
+        for ngens in (1, 2, 2):
+            gens = [
+                random_weylop(tw.weyl_ring, n, rng, max_exp=3 - n, max_terms=3, nonzero=True)
+                for _ in range(ngens)
+            ]
+            I = LeftIdeal.of(gens)
+            B, columns = z_module_presentation(I, tw)
+            rows = _simple_module_rows(I, tw)
+
+            def reference(K, pt):
+                value = evaluator(pt, K)
+                evaluated = []
+                for col in columns:
+                    vals = {i: value(f.terms) for i, f in enumerate(col)}
+                    evaluated.append({i: v for i, v in vals.items() if not K.is_zero(v)})
+                return len(B) - matrix_rank(evaluated, K, len(B))
+
+            ann = central_annihilator(I, tw, method="exact").ideal
+            support = ann.groebner_basis()
+            for k in (1, 2, 3):
+                K = extension_field(p, k)
+                points = [
+                    tuple(K.element_from_index(rng.randrange(K.size)) for _ in range(2 * n))
+                    for _ in range(3)
+                ]
+                if not ann.is_unit_ideal():
+                    points += _points_on_variety(support, 2 * n, p, k, rng)[1][:3]
+                for pt in points:
+                    fibre = _fiber_dim(rows, tw, K, pt)
+                    assert fibre == reference(K, pt), ([str(g) for g in gens], p, pt)
+                    fibre_is_nonzero.add(fibre > 0)
+            if not ann.is_unit_ideal():
+                for s in generic_rank(I, tw, ann).samples:
+                    K = extension_field(p, s.degree)
+                    assert s.fiber_dim == reference(K, s.point)
+    assert fibre_is_nonzero == {False, True}
 
 
 def test_non_reduced_annihilator_is_not_lagrangian():
@@ -403,6 +453,15 @@ def test_truncated_route_beyond_guard():
     assert r.annihilator == ("X1 - Xi1",)
     assert r.generic_rank is None
     assert any("exceeds guard" in note for note in r.notes)
+
+
+@pytest.mark.parametrize("method", ["auto", "exact"])
+def test_guard_must_be_an_int(method):
+    # the route reader rejects it before either guard comparison is made
+    (x,), (d,), _ = qq_gens()
+    for guard in (None, 64.0, "64"):
+        with pytest.raises(ValueError, match="guard must be an int"):
+            p_support(DModuleSpec(1, (d - x,)), 3, method=method, guard=guard)
 
 
 def test_no_rank_option():
