@@ -1,9 +1,9 @@
 """Command-line interface: psupport, bracket, charvar, center-check, corpus.
 
 Exit codes: 0 success, 1 computation-level failure (bad prime, corpus
-mismatch), 2 usage or parse error.  Machine-readable output is requested
-with --json; randomized steps take --seed, falling back to the PWEYL_SEED
-environment variable, then 0.
+mismatch, unreadable corpus file), 2 usage or parse error.  Machine-readable
+output is requested with --json; randomized steps take --seed, falling back
+to the PWEYL_SEED environment variable, then 0.
 """
 
 import argparse
@@ -28,6 +28,10 @@ def _prime(text):
     if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
+
+
+def _primes(text):
+    return tuple(_prime(tok) for tok in text.split(","))
 
 
 def _positive(text):
@@ -141,10 +145,7 @@ def _cmd_center_check(args):
 
 
 def _cmd_corpus(args):
-    primes = None
-    if args.primes:
-        primes = tuple(_prime(tok) for tok in args.primes.split(","))
-    results = run_corpus(args.run, primes=primes, seed=_seed(args), attempts=args.attempts)
+    results = run_corpus(args.run, primes=args.primes, seed=_seed(args), attempts=args.attempts)
     if args.json:
         _emit_json(
             [
@@ -210,7 +211,9 @@ def build_parser():
 
     co = sub.add_parser("corpus", help="run the corpus against its golden reports")
     co.add_argument("--run", metavar="PATH", default=None, help="corpus file (default: shipped)")
-    co.add_argument("--primes", default=None, help="comma-separated primes overriding the entries")
+    co.add_argument(
+        "--primes", type=_primes, default=None, help="comma-separated primes overriding the entries"
+    )
     co.add_argument("--seed", type=int, default=None)
     co.add_argument("--attempts", type=_positive, default=5)
     co.add_argument("--json", action="store_true")

@@ -34,27 +34,37 @@ class CorpusEntry:
 
 
 def load_corpus(path=None):
-    if path is None:
-        raw = resources.files("pweyl.data").joinpath("corpus.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    doc = json.loads(raw)
-    if doc.get("schema") != CORPUS_SCHEMA:
-        raise PweylError(f"unknown corpus schema {doc.get('schema')!r}")
-    entries = []
-    for rec in doc["entries"]:
-        expected = {int(k): v for k, v in rec.get("expected", {}).items()}
-        entries.append(
+    """The entries of the corpus file at ``path``, or of the shipped corpus.
+
+    A file that cannot be read, is not JSON or holds no well-formed entries
+    raises ``PweylError`` naming the file.
+    """
+    source = "the shipped corpus" if path is None else repr(str(path))
+    try:
+        if path is None:
+            raw = resources.files("pweyl.data").joinpath("corpus.json").read_text()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        doc = json.loads(raw)
+    except (OSError, ValueError) as exc:
+        raise PweylError(f"cannot read corpus {source}: {exc}") from exc
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != CORPUS_SCHEMA:
+        raise PweylError(f"unknown corpus schema {schema!r} in {source}")
+    try:
+        return [
             CorpusEntry(
                 name=rec["name"],
                 n=rec["n"],
                 generators=tuple(rec["generators"]),
                 primes=tuple(rec.get("primes", DEFAULT_PRIMES)),
-                expected=expected,
+                expected={int(k): v for k, v in rec.get("expected", {}).items()},
             )
-        )
-    return entries
+            for rec in doc["entries"]
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PweylError(f"malformed corpus {source}: {type(exc).__name__}: {exc}") from exc
 
 
 _COMPARED_FIELDS = (

@@ -3,6 +3,10 @@
 Terms are stored as a dict mapping exponent tuples to nonzero coefficient
 payloads.  Instances are immutable by convention: no method mutates ``terms``
 after construction, so values are safe to share and to use as dict keys.
+
+``TermArithmetic`` holds the linear arithmetic of such a term dict (sums,
+negation, scaling, powers, leading terms, degrees) once, for polynomials
+and for the Weyl operators of ``weyl``; each class keeps its own product.
 """
 
 from dataclasses import dataclass
@@ -60,32 +64,39 @@ class PolyRing:
         return MPoly(self, terms)
 
 
-class MPoly:
-    """A sparse polynomial; ``terms`` maps exponent tuples to nonzero coefficients."""
+class TermArithmetic:
+    """The linear arithmetic of a sparse term dict, shared by ``MPoly`` and
+    ``weyl.WeylOp``: sums, negation, scaling, powers, leading terms and
+    degrees.
 
-    __slots__ = ("ring", "terms")
+    A subclass supplies ``terms``, the coefficient ring as ``_coeffs``, the
+    constructor ``_new(terms)`` of a value like itself, its ``_one()``,
+    ``_check(other)`` and the ``_noun`` its errors name, plus its own
+    product, equality and hash.
+    """
 
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = terms
+    __slots__ = ()
 
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
-
     def total_degree(self):
-        """Maximum term degree; -1 for the zero polynomial."""
+        """Maximum term degree; -1 for zero."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise RingMismatch(f"polynomial rings differ: {self.ring} vs {other.ring}")
+    def leading(self, order=_GREVLEX):
+        """(exponent, coefficient) of the largest term; ValueError on zero."""
+        if not self.terms:
+            raise ValueError(f"zero {self._noun} has no leading term")
+        e = max(self.terms, key=order.key)
+        return e, self.terms[e]
+
+    def sorted_terms(self, order=_GREVLEX, reverse=True):
+        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
 
     def __add__(self, other):
         self._check(other)
-        R = self.ring.coeffs
+        R = self._coeffs
         out = dict(self.terms)
         for e, c in other.terms.items():
             acc = out.get(e)
@@ -94,14 +105,63 @@ class MPoly:
                 out.pop(e, None)
             else:
                 out[e] = c
-        return MPoly(self.ring, out)
+        return self._new(out)
 
     def __neg__(self):
-        R = self.ring.coeffs
-        return MPoly(self.ring, {e: R.neg(c) for e, c in self.terms.items()})
+        R = self._coeffs
+        return self._new({e: R.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
+
+    def scale(self, c):
+        R = self._coeffs
+        if R.is_zero(c):
+            return self._new({})
+        return self._new({e: R.mul(c, v) for e, v in self.terms.items()})
+
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError(f"{self._noun} raised to a negative power")
+        # powers of a single element commute with themselves, so binary
+        # powering is sound in the noncommutative Weyl algebra too
+        result = self._one()
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+
+class MPoly(TermArithmetic):
+    """A sparse polynomial; ``terms`` maps exponent tuples to nonzero coefficients."""
+
+    __slots__ = ("ring", "terms")
+    _noun = "polynomial"
+
+    def __init__(self, ring, terms):
+        self.ring = ring
+        self.terms = terms
+
+    @property
+    def _coeffs(self):
+        return self.ring.coeffs
+
+    def _new(self, terms):
+        return MPoly(self.ring, terms)
+
+    def _one(self):
+        return self.ring.one()
+
+    def is_constant(self):
+        return all(sum(e) == 0 for e in self.terms)
+
+    def _check(self, other):
+        if self.ring != other.ring:
+            raise RingMismatch(f"polynomial rings differ: {self.ring} vs {other.ring}")
 
     def __mul__(self, other):
         self._check(other)
@@ -119,25 +179,6 @@ class MPoly:
                     out[e] = c
         return MPoly(self.ring, out)
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def scale(self, c):
-        R = self.ring.coeffs
-        if R.is_zero(c):
-            return self.ring.zero()
-        return MPoly(self.ring, {e: R.mul(c, v) for e, v in self.terms.items()})
-
     def partial(self, i):
         """Formal partial derivative in variable i (exponent times coefficient)."""
         if not 0 <= i < self.ring.nvars:
@@ -154,16 +195,6 @@ class MPoly:
             ne[i] -= 1
             out[tuple(ne)] = nc
         return MPoly(self.ring, out)
-
-    def leading(self, order=_GREVLEX):
-        """(exponent, coefficient) of the largest term; ValueError on zero."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
-
-    def sorted_terms(self, order=_GREVLEX, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
 
     def __eq__(self, other):
         return (

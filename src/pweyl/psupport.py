@@ -398,8 +398,12 @@ def p_support(
     ``guard``, an int, bounds the module rank p^(2n) twice: for the route
     that ``central_annihilator`` takes under ``method="auto"``, and for the
     generic rank, which is computed only on the exact route and within the
-    guard, although it works on the simple module of rank p^n.
+    guard, although it works on the simple module of rank p^n.  ``attempts``
+    caps the rank samples; it must be a positive int, even when no rank is
+    computed.
     """
+    if not isinstance(attempts, int) or attempts < 1:
+        raise ValueError(f"attempts must be a positive int, got {attempts!r}")
     ideal = specialize_mod_p(spec, p)
     twist = FrobeniusTwist(p, spec.n)
     notes = ["dimension is the top dimension only; equidimensionality not checked"]

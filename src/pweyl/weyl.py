@@ -12,19 +12,23 @@ Multiplication reorders d^m x^k through the closed form
 applied independently per variable; the integer weights are computed exactly
 and only then reduced into the coefficient ring, which keeps the formula
 correct over Z/p^2 where factorials are not invertible.
+
+The product is written once, as ``_weyl_submul``, in the ``submul`` form of
+the Groebner engine (``cgb``): ``WeylOp.__mul__`` sums its left factor's
+terms through it, and ``wgb`` hands it to the engine for left reductions.
+The linear arithmetic (sums, scaling, powers, leading terms) is
+``mpoly.TermArithmetic``, shared with polynomials.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial
+from operator import add, sub
 
 from .errors import DimensionMismatch, RingMismatch
-from .orders import GrevLex
-
-_GREVLEX = GrevLex()
+from .mpoly import TermArithmetic, format_terms
 
 
-@lru_cache(maxsize=None)
 def _reorder_weights(b, c):
     """Integer expansion of d^b x^c: tuple of (j, weight) with j <= min(b, c)."""
     acc = [((), 1)]
@@ -34,13 +38,72 @@ def _reorder_weights(b, c):
     return tuple(acc)
 
 
+def _weyl_form(g):
+    """A term dict keyed by (position, exponents) as (exponents, x exponents,
+    coefficient) triples, the form in which ``submul`` multiplies it."""
+    return tuple((e, e[: len(e) // 2], c) for (_, e), c in g.items())
+
+
+@lru_cache(maxsize=None)
+def _weyl_submul(R):
+    """The Weyl product over R, in the ``submul`` form of the Groebner engine
+    (see ``cgb._reduce``).
+
+    It subtracts factor * x^a d^b * g, where x^a d^b shifts lead(g) onto lt:
+    d^b x^gx = sum_j w_j x^(gx-j) d^(b-j), so each term x^gx d^gd of g gives
+    x^(a+gx-j) d^(b+gd-j) with weight w_j.  The integer weights of
+    ``_reorder_weights`` are mapped into R once per (b, gx), and only the
+    nonzero ones are kept.  Over a ring with zero divisors, a product of
+    nonzero coefficients can vanish: the zero it leaves in ``work`` is the
+    caller's to drop.
+    """
+    mul, rsub, neg = R.mul, R.sub, R.neg
+    is_zero, from_int = R.is_zero, R.from_int
+    # (b, gx) -> the nonzero weights in R, each with its offset (j, j); the
+    # few distinct expansions are shared
+    weights, distinct = {}, {}
+
+    def submul(work, lt, lead, factor, form):
+        u = tuple(map(sub, lt[1], lead[1]))
+        b = u[len(u) // 2 :]
+        new = []
+        for ge, gx, gc in form:
+            wts = weights.get((b, gx))
+            if wts is None:
+                wts = tuple(
+                    (j + j, w)
+                    for j, w in ((j, from_int(w)) for j, w in _reorder_weights(b, gx))
+                    if not is_zero(w)
+                )
+                wts = weights[b, gx] = distinct.setdefault(wts, wts)
+            cg = mul(factor, gc)
+            s = tuple(map(add, u, ge))
+            for jj, w in wts:
+                t = (0, tuple(map(sub, s, jj)))
+                delta = mul(cg, w)
+                acc = work.get(t)
+                if acc is None:
+                    work[t] = neg(delta)
+                    new.append(t)
+                else:
+                    acc = rsub(acc, delta)
+                    if is_zero(acc):
+                        del work[t]
+                    else:
+                        work[t] = acc
+        return new
+
+    return submul
+
+
 CentralityResult = namedtuple("CentralityResult", "is_central generator witness")
 
 
-class WeylOp:
+class WeylOp(TermArithmetic):
     """An element of A_n(R) in normal order."""
 
     __slots__ = ("ring", "n", "terms")
+    _noun = "operator"
 
     def __init__(self, ring, n, terms):
         self.ring = ring
@@ -100,22 +163,17 @@ class WeylOp:
             return cls(ring, n, {})
         return cls(ring, n, {tuple(key): c})
 
-    # -- structure ---------------------------------------------------------
+    # -- the hooks of TermArithmetic ---------------------------------------
 
-    def is_zero(self):
-        return not self.terms
+    @property
+    def _coeffs(self):
+        return self.ring
 
-    def total_degree(self):
-        return max((sum(k) for k in self.terms), default=-1)
+    def _new(self, terms):
+        return WeylOp(self.ring, self.n, terms)
 
-    def leading(self, order=_GREVLEX):
-        if not self.terms:
-            raise ValueError("zero operator has no leading term")
-        key = max(self.terms, key=order.key)
-        return key, self.terms[key]
-
-    def sorted_terms(self, order=_GREVLEX, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
+    def _one(self):
+        return WeylOp.one(self.ring, self.n)
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -125,73 +183,19 @@ class WeylOp:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        self._check(other)
-        R = self.ring
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key)
-            c = R.add(acc, c) if acc is not None else c
-            if R.is_zero(c):
-                out.pop(key, None)
-            else:
-                out[key] = c
-        return WeylOp(self.ring, self.n, out)
-
-    def __neg__(self):
-        R = self.ring
-        return WeylOp(self.ring, self.n, {k: R.neg(c) for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        R = self.ring
-        if R.is_zero(c):
-            return WeylOp(self.ring, self.n, {})
-        return WeylOp(self.ring, self.n, {k: R.mul(c, v) for k, v in self.terms.items()})
-
     def __mul__(self, other):
+        """Sum over the terms c x^a d^b of self of c * x^a d^b * other, by the
+        engine's ``submul`` against the lead 1.  Over Z/p^2 a product of
+        nonzero coefficients can vanish; such zeros are dropped."""
         self._check(other)
         R = self.ring
-        n = self.n
-        out = {}
-        for k1, c1 in self.terms.items():
-            a, b = k1[:n], k1[n:]
-            for k2, c2 in other.terms.items():
-                c, d = k2[:n], k2[n:]
-                c12 = R.mul(c1, c2)
-                if R.is_zero(c12):
-                    continue
-                for j, w in _reorder_weights(b, c):
-                    coeff = R.mul(c12, R.from_int(w))
-                    if R.is_zero(coeff):
-                        continue
-                    key = tuple(ai + ci - ji for ai, ci, ji in zip(a, c, j)) + tuple(
-                        bi + di - ji for bi, di, ji in zip(b, d, j)
-                    )
-                    acc = out.get(key)
-                    coeff = R.add(acc, coeff) if acc is not None else coeff
-                    if R.is_zero(coeff):
-                        out.pop(key, None)
-                    else:
-                        out[key] = coeff
-        return WeylOp(self.ring, self.n, out)
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of an operator")
-        # powers of a single element commute with themselves, so binary
-        # powering is sound in the noncommutative algebra too
-        result = WeylOp.one(self.ring, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        submul, neg, is_zero = _weyl_submul(R), R.neg, R.is_zero
+        one = (0, (0,) * (2 * self.n))
+        form = _weyl_form({(0, e): c for e, c in other.terms.items()})
+        work = {}
+        for e, c in self.terms.items():
+            submul(work, (0, e), one, neg(c), form)
+        return WeylOp(R, self.n, {e: c for (_, e), c in work.items() if not is_zero(c)})
 
     def commutator(self, other):
         return self * other - other * self
@@ -210,8 +214,6 @@ class WeylOp:
     # -- display -----------------------------------------------------------
 
     def format(self, symmetric=True):
-        from .mpoly import format_terms
-
         names = tuple(f"x{i + 1}" for i in range(self.n)) + tuple(
             f"d{i + 1}" for i in range(self.n)
         )

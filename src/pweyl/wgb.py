@@ -1,86 +1,26 @@
-"""The Weyl product for the Groebner engine; left Groebner bases and left
-normal forms for left ideals of the Weyl algebra over a field; weighted
-initial forms.
+"""Left Groebner bases and left normal forms for left ideals of the Weyl
+algebra over a field; weighted initial forms.
 
 The Weyl algebra is of solvable type: for a global order on the joint
 (x, d)-exponents, leading exponents multiply additively, because every
 reordering correction strictly lowers both sides of the exponent pair.
 Buchberger's algorithm therefore runs verbatim, with S-pairs and reductions
 built from left multiplication only, and the one engine of ``cgb`` runs it:
-operators enter it as term dicts at position 0, and this module supplies the
-product.  The engine's chain criterion holds in algebras of solvable type;
-the product criterion does not (the pair {d, x} with coprime leads reduces
-to 1), so it is off here.
+operators enter it as term dicts at position 0, and the one Weyl product,
+``weyl._weyl_submul``, is the engine's ``submul``.  The engine's chain
+criterion holds in algebras of solvable type; the product criterion does not
+(the pair {d, x} with coprime leads reduces to 1), so it is off here.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import add, sub
 
 from .cgb import _groebner, _prepared, _reduce, _to_vec
 from .errors import DimensionMismatch, NonGlobalOrder, NotAField, ZeroInput
 from .mpoly import MPoly, PolyRing
 from .orders import GrevLex
-from .weyl import WeylOp, _reorder_weights
+from .weyl import WeylOp, _weyl_form, _weyl_submul
 
 _GREVLEX = GrevLex()
-
-
-def _weyl_form(g):
-    """A term dict as (exponents, x exponents, coefficient) triples, the form
-    in which ``submul`` multiplies it."""
-    return tuple((e, e[: len(e) // 2], c) for (_, e), c in g.items())
-
-
-@lru_cache(maxsize=None)
-def _weyl_submul(R):
-    """The engine's ``submul`` for the Weyl algebra over R.
-
-    It subtracts factor * x^a d^b * g, where x^a d^b shifts lead(g) onto lt:
-    d^b x^gx = sum_j w_j x^(gx-j) d^(b-j), so each term x^gx d^gd of g gives
-    x^(a+gx-j) d^(b+gd-j) with weight w_j.  The integer weights of
-    ``_reorder_weights`` are mapped into R once per (b, gx), and only the
-    nonzero ones are kept.
-    """
-    mul, rsub, neg = R.mul, R.sub, R.neg
-    is_zero, from_int = R.is_zero, R.from_int
-    # (b, gx) -> the nonzero weights in R, each with its offset (j, j); the
-    # few distinct expansions are shared, and the integer expansion is
-    # computed past its lru_cache, whose keys this cache would repeat
-    weights, distinct = {}, {}
-    expand = _reorder_weights.__wrapped__
-
-    def submul(work, lt, lead, factor, form):
-        u = tuple(map(sub, lt[1], lead[1]))
-        b = u[len(u) // 2 :]
-        new = []
-        for ge, gx, gc in form:
-            wts = weights.get((b, gx))
-            if wts is None:
-                wts = tuple(
-                    (j + j, w)
-                    for j, w in ((j, from_int(w)) for j, w in expand(b, gx))
-                    if not is_zero(w)
-                )
-                wts = weights[b, gx] = distinct.setdefault(wts, wts)
-            cg = mul(factor, gc)
-            s = tuple(map(add, u, ge))
-            for jj, w in wts:
-                t = (0, tuple(map(sub, s, jj)))
-                delta = mul(cg, w)
-                acc = work.get(t)
-                if acc is None:
-                    work[t] = neg(delta)
-                    new.append(t)
-                else:
-                    acc = rsub(acc, delta)
-                    if is_zero(acc):
-                        del work[t]
-                    else:
-                        work[t] = acc
-        return new
-
-    return submul
 
 
 def left_nf(f, ideal_or_basis, order=None):

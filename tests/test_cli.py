@@ -7,7 +7,8 @@ import pytest
 
 from pweyl import WeylOp, parse_operator, parse_twisted, parse_weyl
 from pweyl.cli import run
-from pweyl.errors import IndexOutOfRange, MixedAlphabets, ParseError
+from pweyl.corpus import load_corpus
+from pweyl.errors import IndexOutOfRange, MixedAlphabets, ParseError, PweylError
 from pweyl.rings import QQ, Zmod
 
 from helpers import random_mpoly, random_weylop
@@ -162,6 +163,30 @@ def test_cli_usage_error_is_exit_two(capsys):
     assert run(["psupport", "--frobnicate"]) == 2
     assert run([]) == 2
     assert run(["psupport", "--prime", "4", "--vars", "1", "d1"]) == 2
+
+
+@pytest.mark.parametrize("primes", ["4", "x", "2,x", "3,"])
+def test_cli_corpus_bad_primes_is_usage_error(capsys, primes):
+    assert run(["corpus", "--primes", primes]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--primes" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "not json {", json.dumps({"schema": "pweyl-corpus-v1"}), json.dumps([1, 2])],
+    ids=["missing", "not-json", "no-entries", "not-an-object"],
+)
+def test_cli_corpus_bad_file_is_one_error_line(tmp_path, capsys, content):
+    path = tmp_path / "corpus.json"
+    if content is not None:
+        path.write_text(content)
+    assert run(["corpus", "--run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    with pytest.raises(PweylError, match="corpus.json"):
+        load_corpus(path)
 
 
 def test_cli_corpus_runs_green(capsys):

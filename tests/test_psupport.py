@@ -464,6 +464,15 @@ def test_guard_must_be_an_int(method):
             p_support(DModuleSpec(1, (d - x,)), 3, method=method, guard=guard)
 
 
+@pytest.mark.parametrize("compute_rank", [True, False])
+def test_attempts_must_be_a_positive_int(compute_rank):
+    (x,), (d,), _ = qq_gens()
+    for attempts in (0, -1, 2.0, "5", None):
+        with pytest.raises(ValueError, match="attempts must be a positive int"):
+            p_support(DModuleSpec(1, (d - x,)), 3, attempts=attempts, compute_rank=compute_rank)
+    assert p_support(DModuleSpec(1, (d - x,)), 3, attempts=1).generic_rank == 3
+
+
 def test_no_rank_option():
     (x,), (d,), one = qq_gens()
     r = report_for([d], 3, compute_rank=False)

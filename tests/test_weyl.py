@@ -1,6 +1,7 @@
 """Weyl algebra arithmetic: normal ordering, commutators, centrality."""
 
 import random
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -93,6 +94,49 @@ def test_associativity_random(ring):
         h = random_weylop(ring, 1, rng)
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+
+def test_non_domain_product_drops_vanishing_coefficients():
+    # over Z/9, 3 * 3 = 0: the product must store no zero coefficient
+    Z9 = Zmod(9)
+    x, d, one = gens_1var(Z9)
+    product = x.scale(3) * d.scale(3)
+    assert product.is_zero() and product.terms == {}
+    product = (x.scale(3) + one) * d.scale(3)
+    assert product == d.scale(3)
+    assert product.terms == {(0, 1): 3}
+
+
+def _reference_product(f, g):
+    """f * g term by term: x^a d^b x^c d^e = x^a (prod_i d_i^b_i x_i^c_i) d^e,
+    each factor expanded by ``naive_d_pow_x_pow`` and the variables combined
+    as independent commuting blocks."""
+    R, n = f.ring, f.n
+    items = []
+    for k1, c1 in f.terms.items():
+        for k2, c2 in g.terms.items():
+            a, b, c, e = k1[:n], k1[n:], k2[:n], k2[n:]
+            blocks = [list(naive_d_pow_x_pow(b[i], c[i]).items()) for i in range(n)]
+            for choice in product(*blocks):
+                w = 1
+                for _, wi in choice:
+                    w *= wi
+                key = tuple(a[i] + choice[i][0][0] for i in range(n)) + tuple(
+                    choice[i][0][1] + e[i] for i in range(n)
+                )
+                items.append((key, R.mul(R.mul(c1, c2), R.from_int(w))))
+    return WeylOp.from_terms(R, n, items)
+
+
+@pytest.mark.parametrize("ring", [Zmod(5), Zmod(9), QQ])
+def test_two_var_product_against_single_swaps(ring):
+    rng = random.Random(41)
+    for _ in range(40):
+        f = random_weylop(ring, 2, rng)
+        g = random_weylop(ring, 2, rng)
+        got = f * g
+        assert got == _reference_product(f, g)
+        assert not any(ring.is_zero(c) for c in got.terms.values())
 
 
 def test_associativity_two_vars():
