@@ -19,7 +19,6 @@ from .cgb import (
 )
 from .center import (
     AnnihilatorResult,
-    CentralDecomposition,
     FrobeniusTwist,
     central_annihilator,
     central_annihilator_exact,
@@ -54,7 +53,6 @@ from .orders import (
 )
 from .parser import parse_operator, parse_twisted, parse_weyl
 from .poisson import (
-    BracketContext,
     canonical_bracket,
     coisotropy_check,
     deformation_bracket,
@@ -64,7 +62,6 @@ from .psupport import (
     DModuleSpec,
     SupportReport,
     characteristic_variety,
-    dilate_fiber,
     generic_rank,
     is_conical,
     p_support,

@@ -2,12 +2,16 @@
 
 Over F_p the elements x_i^p and d_i^p are central and generate a polynomial
 ring; we bookkeep it with fresh variable names X_i <-> x_i^p and Xi_i <->
-d_i^p.  The Weyl algebra is a free module of rank p^(2n) over this center,
-with basis the monomials x^a d^b, 0 <= a_i, b_i < p; decomposing an operator
-over that basis is exact exponent surgery (split every exponent as p*q + r).
-It is Azumaya over the center, so its fibre over each point of the center
-is a p^n x p^n matrix algebra: ``psupport.generic_rank`` reads the fibres
-of D/I on a simple module of rank p^n.
+d_i^p.  D is Azumaya over this center (Bezrukavnikov-Mirkovic-Rumynin), and
+the pipeline reads it through two modules of rank p^n: D is free over
+A = F_p[x, Xi] on the d^r (the exact route below), and its fibre over each
+point of the center acts on the simple module with basis the x^s
+(``_simple_module_rows``, read by ``psupport.generic_rank``).  Both come
+from one split of an operator's exponents by residues mod p,
+``_split_residues``, at the d slots for the first and at the x slots for
+the second; ``poisson.deformation_bracket`` splits at all 2n slots to read
+the coordinate of 1 over the center.  An exponent p*q + r at a split slot
+leaves r in the residue monomial and q in the coordinate.
 
 The central annihilator of D/I is I itself, intersected with the center.
 Two routes are provided:
@@ -18,7 +22,7 @@ Two routes are provided:
   the d-exponents alone, take its colon into the coordinate of d^0, which
   is I cap A, and contract that to the center by one block elimination of
   x against X_i - x_i^p.  Certified; ``central_annihilator`` routes inputs
-  whose rank p^(2n) over the center exceeds a size guard away from it.
+  with p^(2n) above a size guard away from it.
 * truncated: for rising degree d, compute by linear algebra the space of
   central polynomials of degree <= d that the ideal's normal form kills,
   and stop once the resulting ideal stabilises over a degree window.
@@ -49,8 +53,8 @@ from itertools import product
 
 from .cgb import CIdeal, FreeSubmodule, _reduced_ideal, buchberger, module_colon
 from .errors import RingMismatch
-from .linalg import _sub_scaled
-from .mpoly import MPoly, PolyRing
+from .linalg import _sparse_rows, _sub_scaled, rank as matrix_rank
+from .mpoly import MPoly, PolyRing, evaluator
 from .orders import BlockElimination, GrevLex, monomial_divides
 from .rings import Zmod, is_prime
 from .weyl import WeylOp, is_central
@@ -63,6 +67,21 @@ STABILITY_WINDOW = 2
 
 def twisted_names(n):
     return tuple(f"X{i + 1}" for i in range(n)) + tuple(f"Xi{i + 1}" for i in range(n))
+
+
+def _split_residues(terms, p, slots):
+    """The term dict ``terms`` split by the residues mod p of its exponents
+    at ``slots``: each residue tuple r maps to the terms whose exponents
+    there are p * q + r, keyed with q in their place and every other
+    exponent kept.  The one place that splits exponents by residue."""
+    out = {}
+    for key, c in terms.items():
+        e, r = list(key), []
+        for i in slots:
+            e[i], ri = divmod(key[i], p)
+            r.append(ri)
+        out.setdefault(tuple(r), {})[tuple(e)] = c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -106,46 +125,15 @@ class FrobeniusTwist:
         return self.p ** (2 * self.n)
 
     def embed(self, poly):
-        """A twisted polynomial as the corresponding central operator."""
+        """A twisted polynomial as the corresponding central operator, with
+        X_i -> x_i^p and Xi_i -> d_i^p; ``poisson.deformation_bracket``
+        lifts it to Z/p^2 by its coefficients' representatives in [0, p)."""
         if poly.ring != self.twisted_ring:
             raise RingMismatch("polynomial is not in the twisted ring")
         terms = {
             tuple(self.p * e for e in key): c for key, c in poly.terms.items()
         }
         return WeylOp(self.weyl_ring, self.n, terms)
-
-    def decompose(self, op):
-        """Coordinates of op in the free basis over the center."""
-        if op.ring != self.weyl_ring or op.n != self.n:
-            raise RingMismatch("operator is not over F_p in the right arity")
-        coords = {}
-        for key, c in op.terms.items():
-            q = tuple(e // self.p for e in key)
-            r = tuple(e % self.p for e in key)
-            coords.setdefault(r, {})[q] = c
-        ring = self.twisted_ring
-        return CentralDecomposition(
-            self, {r: MPoly(ring, t) for r, t in coords.items()}
-        )
-
-    def recombine(self, dec):
-        terms = {}
-        for r, poly in dec.coords.items():
-            for q, c in poly.terms.items():
-                key = tuple(self.p * qi + ri for qi, ri in zip(q, r))
-                terms[key] = c
-        return WeylOp(self.weyl_ring, self.n, terms)
-
-
-@dataclass(frozen=True)
-class CentralDecomposition:
-    """Sparse coordinates over the center: residue monomial -> twisted polynomial."""
-
-    twist: FrobeniusTwist
-    coords: dict
-
-    def coordinate(self, residue):
-        return self.coords.get(tuple(residue), self.twist.twisted_ring.zero())
 
 
 @dataclass(frozen=True)
@@ -174,16 +162,12 @@ def central_annihilator_exact(ideal, twist=None):
     x_names = tuple(f"x{i + 1}" for i in range(n))
     A = PolyRing(F, x_names + twisted_names(n)[n:])
     residues = list(product(range(p), repeat=n))
-    index = {r: i for i, r in enumerate(residues)}
     columns = []
     for g in basis:
         for r in residues:
-            col = [{} for _ in residues]
-            for key, c in (WeylOp.monomial(F, n, (0,) * n + r) * g).terms.items():
-                b = key[n:]
-                pos = index[tuple(bi % p for bi in b)]
-                col[pos][key[:n] + tuple(bi // p for bi in b)] = c
-            columns.append(tuple(MPoly(A, t) for t in col))
+            dr_g = WeylOp.monomial(F, n, (0,) * n + r) * g
+            parts = _split_residues(dr_g.terms, p, range(n, 2 * n))
+            columns.append(tuple(MPoly(A, parts.get(s, {})) for s in residues))
     N = FreeSubmodule.of(columns, rank=len(residues), ring=A)
     e0 = (A.one(),) + (A.zero(),) * (len(residues) - 1)
     colon = module_colon(N, e0)
@@ -205,6 +189,37 @@ def central_annihilator_exact(ideal, twist=None):
         if not any(any(e[2 * n :]) for e in f.terms)
     ]
     return AnnihilatorResult(_reduced_ideal(contracted, ring), "exact")
+
+
+def _simple_module_rows(ideal, twist):
+    """The reduced left basis acting on V = D / D(x^p - X, d - beta), its
+    matrices stacked by rows, as sparse entry lists in (X, beta).
+
+    V has the basis x^s, 0 <= s_i < p, and x^a d^b sends 1 to
+    beta^b * X^(a // p) * x^(a mod p); column s of g is g * x^s applied to 1.
+    """
+    p, n, F = twist.p, twist.n, twist.weyl_ring
+    residues = list(product(range(p), repeat=n))
+    index = {r: i for i, r in enumerate(residues)}
+    rows = []
+    for g in ideal.groebner_basis():
+        cells = [{} for _ in residues]  # row -> column -> terms
+        for col, s in enumerate(residues):
+            g_xs = g * WeylOp.monomial(F, n, s + (0,) * n)
+            for r, terms in _split_residues(g_xs.terms, p, range(n)).items():
+                cells[index[r]][col] = terms
+        rows.extend(list(row.items()) for row in cells)
+    return rows
+
+
+def _fiber_dim(module_rows, twist, K, pt):
+    """p^n * (p^n - rank) of the module rows at the point pt over K, with
+    beta = Xi^(|K| / p) (see ``psupport.generic_rank``)."""
+    n, dim_v = twist.n, twist.p**twist.n
+    root = {(K.size // twist.p,): 1}
+    beta = tuple(evaluator((xi,), K)(root) for xi in pt[n:])
+    rows = _sparse_rows(module_rows, evaluator(pt[:n] + beta, K), K)
+    return dim_v * (dim_v - matrix_rank(rows, K, dim_v))
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from importlib import resources
 from .errors import BadPrime, PweylError
 from .parser import parse_weyl
 from .psupport import DModuleSpec, p_support
-from .rings import QQ
+from .rings import QQ, is_prime
 
 CORPUS_SCHEMA = "pweyl-corpus-v1"
 DEFAULT_PRIMES = (2, 3, 5, 7)
@@ -33,11 +33,52 @@ class CorpusEntry:
         return DModuleSpec(self.n, gens, self.name)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _entry(rec, where):
+    """One corpus entry, its field types and values checked; ``where``
+    names the file and the entry in the ``PweylError`` of a bad field."""
+    if not isinstance(rec, dict):
+        raise PweylError(f"{where} is not an object")
+    where = f"{where} ({rec.get('name')!r})"
+
+    def require(ok, rule, value):
+        if not ok:
+            raise PweylError(f"{where}: {rule}, got {value!r}")
+
+    name, n, gens = rec.get("name"), rec.get("n"), rec.get("generators")
+    primes, expected = rec.get("primes", list(DEFAULT_PRIMES)), rec.get("expected", {})
+    require(isinstance(name, str), "name must be a string", name)
+    require(_is_int(n) and n >= 1, "n must be a positive int", n)
+    require(
+        isinstance(gens, list) and gens and all(isinstance(g, str) for g in gens),
+        "generators must be a nonempty list of strings",
+        gens,
+    )
+    require(
+        isinstance(primes, list) and all(_is_int(q) and is_prime(q) for q in primes),
+        "primes must be a list of primes",
+        primes,
+    )
+    require(
+        isinstance(expected, dict)
+        and all(k.isdecimal() and isinstance(v, dict) for k, v in expected.items()),
+        "expected must map primes, written as strings, to objects",
+        expected,
+    )
+    return CorpusEntry(
+        name, n, tuple(gens), tuple(primes), {int(k): v for k, v in expected.items()}
+    )
+
+
 def load_corpus(path=None):
     """The entries of the corpus file at ``path``, or of the shipped corpus.
 
-    A file that cannot be read, is not JSON or holds no well-formed entries
-    raises ``PweylError`` naming the file.
+    A file that cannot be read, is not JSON, or holds an entry with a field
+    of the wrong type or value raises ``PweylError`` naming the file (and
+    the entry).
     """
     source = "the shipped corpus" if path is None else repr(str(path))
     try:
@@ -52,19 +93,10 @@ def load_corpus(path=None):
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != CORPUS_SCHEMA:
         raise PweylError(f"unknown corpus schema {schema!r} in {source}")
-    try:
-        return [
-            CorpusEntry(
-                name=rec["name"],
-                n=rec["n"],
-                generators=tuple(rec["generators"]),
-                primes=tuple(rec.get("primes", DEFAULT_PRIMES)),
-                expected={int(k): v for k, v in rec.get("expected", {}).items()},
-            )
-            for rec in doc["entries"]
-        ]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise PweylError(f"malformed corpus {source}: {type(exc).__name__}: {exc}") from exc
+    entries = doc.get("entries")
+    if not isinstance(entries, list):
+        raise PweylError(f"malformed corpus {source}: entries must be a list, got {entries!r}")
+    return [_entry(rec, f"malformed corpus {source}: entry {i}") for i, rec in enumerate(entries)]
 
 
 _COMPARED_FIELDS = (

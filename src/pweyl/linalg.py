@@ -5,6 +5,20 @@ ring; absent indices are zero.  Everything is exact and deterministic.
 """
 
 
+def _sparse_rows(entries, value, K):
+    """Rows {index: nonzero value} of sparse entry lists, each entry an
+    (index, terms) pair evaluated by ``value`` (``mpoly.evaluator``)."""
+    rows = []
+    for row_entries in entries:
+        row = {}
+        for i, terms in row_entries:
+            v = value(terms)
+            if not K.is_zero(v):
+                row[i] = v
+        rows.append(row)
+    return rows
+
+
 def _sub_scaled(out, c, vec, F):
     """out -= c * vec, in place, dropping zeros."""
     for k, v in vec.items():

@@ -49,20 +49,6 @@ class PolyRing:
     def gens(self):
         return [self.gen(i) for i in range(self.nvars)]
 
-    def from_terms(self, items):
-        """Build from (exponent tuple, coefficient) pairs, merging duplicates."""
-        terms = {}
-        for e, c in items:
-            if len(e) != self.nvars:
-                raise ValueError(f"exponent tuple {e} has wrong length")
-            acc = terms.get(e)
-            c = self.coeffs.add(acc, c) if acc is not None else c
-            if self.coeffs.is_zero(c):
-                terms.pop(e, None)
-            else:
-                terms[e] = c
-        return MPoly(self, terms)
-
 
 class TermArithmetic:
     """The linear arithmetic of a sparse term dict, shared by ``MPoly`` and

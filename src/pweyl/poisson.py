@@ -4,23 +4,23 @@ Two brackets are implemented on F_p[X_1..X_n, Xi_1..Xi_n]:
 
 * the canonical symplectic bracket with {Xi_i, X_j} = delta_ij;
 * the deformation bracket: lift both arguments to central operators of the
-  Weyl algebra over Z/p^2 (coefficients lifted to [0, p), variables to
-  x^p, d^p), take the commutator, and divide by p.
+  Weyl algebra over Z/p^2 (``FrobeniusTwist.embed``, with coefficients read
+  as their representatives in [0, p)), take the commutator, divide by p,
+  and read off the coordinate of the residue monomial 1
+  (``center._split_residues`` over every exponent slot).
 
-The two agree up to the single global sign -1, which is pinned here and
-re-verified by the property suite.
+The deformation bracket is minus the canonical one; the property suite
+checks that sign.
 """
 
-from dataclasses import dataclass
 from collections import namedtuple
 
 from .cgb import radical_member
 from .errors import NotDeformationDivisible, RingMismatch
-from .center import FrobeniusTwist
+from .center import FrobeniusTwist, _split_residues
+from .mpoly import MPoly
 from .rings import Zmod
 from .weyl import WeylOp
-
-DEFORMATION_SIGN = -1
 
 
 def canonical_bracket(f, g):
@@ -36,15 +36,6 @@ def canonical_bracket(f, g):
     return out
 
 
-def _lift_central(poly, twist, ring2):
-    """Twisted polynomial -> central operator over Z/p^2 via [0, p) representatives."""
-    terms = {}
-    for key, c in poly.terms.items():
-        big = tuple(twist.p * e for e in key)
-        terms[big] = c % twist.p  # already in [0, p); kept explicit
-    return WeylOp(ring2, twist.n, terms)
-
-
 def deformation_bracket(f, g, twist=None):
     """Bracket induced by the Z/p^2 lift: commutator of lifts, divided by p."""
     if f.ring != g.ring:
@@ -54,8 +45,8 @@ def deformation_bracket(f, g, twist=None):
     if f.ring != twist.twisted_ring:
         raise RingMismatch("arguments are not in the twisted ring of this twist")
     ring2 = Zmod(p * p)
-    comm = _lift_central(f, twist, ring2).commutator(_lift_central(g, twist, ring2))
-    Fp = twist.weyl_ring
+    lift_f, lift_g = (WeylOp(ring2, twist.n, twist.embed(h).terms) for h in (f, g))
+    comm = lift_f.commutator(lift_g)
     terms = {}
     for key, c in comm.terms.items():
         if c % p != 0:
@@ -65,37 +56,10 @@ def deformation_bracket(f, g, twist=None):
         c = (c // p) % p
         if c:
             terms[key] = c
-    quotient = WeylOp(Fp, twist.n, terms)
-    dec = twist.decompose(quotient)
-    zero_res = (0,) * (2 * twist.n)
-    for r in dec.coords:
-        if r != zero_res:
-            raise NotDeformationDivisible(
-                "commutator of central lifts is not central mod p"
-            )
-    return dec.coordinate(zero_res)
-
-
-@dataclass(frozen=True)
-class BracketContext:
-    """A twist plus the pinned sign relating the two brackets."""
-
-    twist: FrobeniusTwist
-    sign: int = DEFORMATION_SIGN
-
-    def canonical(self, f, g):
-        return canonical_bracket(f, g)
-
-    def deformation(self, f, g):
-        return deformation_bracket(f, g, self.twist)
-
-    def signs_match(self, f, g):
-        """Whether deformation = sign * canonical holds on this pair."""
-        lhs = self.deformation(f, g)
-        rhs = canonical_bracket(f, g).scale(
-            self.twist.twisted_ring.coeffs.from_int(self.sign)
-        )
-        return lhs == rhs
+    parts = _split_residues(terms, p, range(2 * twist.n))
+    if any(any(r) for r in parts):
+        raise NotDeformationDivisible("commutator of central lifts is not central mod p")
+    return MPoly(f.ring, parts.get((0,) * (2 * twist.n), {}))
 
 
 CoisotropyVerdict = namedtuple("CoisotropyVerdict", "ok pair bracket_value")

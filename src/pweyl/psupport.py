@@ -5,8 +5,9 @@ basis, intersects the ideal with the center (exact route within the size
 guard, degree-truncated route beyond), and then interrogates the resulting
 ideal in the twisted cotangent ring: dimension, coisotropy under the
 canonical bracket, the middle-dimension verdict, conicality for the fiber
-dilation, and the generic fiber rank from sampled points of the variety,
-where D/I is read on the simple module of rank p^n over each point.
+dilation, and, on the exact route, the generic fiber rank from sampled
+points of the variety, where D/I is read on the simple module of rank p^n
+over each point (``center._simple_module_rows``).
 For comparison the characteristic-zero symbol ideal of the same presentation
 is available as well.
 """
@@ -14,13 +15,18 @@ is available as well.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 import random
 
 from .cgb import CIdeal, frobenius_root, krull_dim, radical_member
-from .center import EXACT_GUARD, FrobeniusTwist, central_annihilator
+from .center import (
+    EXACT_GUARD,
+    FrobeniusTwist,
+    _fiber_dim,
+    _simple_module_rows,
+    central_annihilator,
+)
 from .errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch
-from .linalg import rank as matrix_rank
+from .linalg import _sparse_rows, rank as matrix_rank
 from .mpoly import MPoly, PolyRing, evaluator
 from .orders import GrevLex, Weighted
 from .poisson import canonical_bracket, coisotropy_check
@@ -102,22 +108,6 @@ def fiber_weight_parts(poly):
     return [MPoly(poly.ring, t) for _, t in sorted(buckets.items())]
 
 
-def dilate_fiber(poly, t):
-    """Substitute Xi_i -> t * Xi_i for a scalar t of the coefficient ring."""
-    R = poly.ring.coeffs
-    n = poly.ring.nvars // 2
-    out = {}
-    for e, c in poly.terms.items():
-        w = sum(e[n:])
-        factor = R.one()
-        for _ in range(w):
-            factor = R.mul(factor, t)
-        c = R.mul(c, factor)
-        if not R.is_zero(c):
-            out[e] = c
-    return MPoly(poly.ring, out)
-
-
 def is_conical(ideal):
     """Whether rad(J) is stable under scaling the fiber variables.
 
@@ -172,19 +162,6 @@ def _sparse_entries(vectors):
     return [[(i, f.terms) for i, f in enumerate(vec) if f.terms] for vec in vectors]
 
 
-def _sparse_rows(entries, value, K):
-    """Rows {index: nonzero value} of the evaluated sparse entry lists."""
-    rows = []
-    for row_entries in entries:
-        row = {}
-        for i, terms in row_entries:
-            v = value(terms)
-            if not K.is_zero(v):
-                row[i] = v
-        rows.append(row)
-    return rows
-
-
 def _points_on_variety(basis, nvars, p, k, rng):
     """F_(p^k)-rational points where every basis element vanishes."""
     K = extension_field(p, k)
@@ -215,38 +192,6 @@ def _points_on_variety(basis, nvars, p, k, rng):
             if on_variety(pt):
                 points.append(pt)
     return K, points
-
-
-def _simple_module_rows(ideal, twist):
-    """The reduced left basis acting on V = D / D(x^p - X, d - beta), its
-    matrices stacked by rows, as sparse entry lists in (X, beta).
-
-    V has the basis x^s, 0 <= s_i < p, and x^a d^b sends 1 to
-    beta^b * X^(a // p) * x^(a mod p); column s of g is g * x^s applied to 1.
-    """
-    p, n, F = twist.p, twist.n, twist.weyl_ring
-    residues = list(product(range(p), repeat=n))
-    index = {r: i for i, r in enumerate(residues)}
-    rows = []
-    for g in ideal.groebner_basis():
-        cells = [{} for _ in residues]  # row -> column -> terms
-        for col, s in enumerate(residues):
-            for key, c in (g * WeylOp.monomial(F, n, s + (0,) * n)).terms.items():
-                a = key[:n]
-                cell = cells[index[tuple(ai % p for ai in a)]].setdefault(col, {})
-                cell[tuple(ai // p for ai in a) + key[n:]] = c
-        rows.extend(list(row.items()) for row in cells)
-    return rows
-
-
-def _fiber_dim(module_rows, twist, K, pt):
-    """p^n * (p^n - rank) of the module rows at the point pt over K, with
-    beta = Xi^(|K| / p) (see ``generic_rank``)."""
-    n, dim_v = twist.n, twist.p**twist.n
-    root = {(K.size // twist.p,): 1}
-    beta = tuple(evaluator((xi,), K)(root) for xi in pt[n:])
-    rows = _sparse_rows(module_rows, evaluator(pt[:n] + beta, K), K)
-    return dim_v * (dim_v - matrix_rank(rows, K, dim_v))
 
 
 def generic_rank(ideal, twist, annihilator, attempts=5, seed=0):
@@ -395,12 +340,11 @@ def p_support(
 ):
     """Full support verdict for one presentation at one prime.
 
-    ``guard``, an int, bounds the module rank p^(2n) twice: for the route
-    that ``central_annihilator`` takes under ``method="auto"``, and for the
-    generic rank, which is computed only on the exact route and within the
-    guard, although it works on the simple module of rank p^n.  ``attempts``
-    caps the rank samples; it must be a positive int, even when no rank is
-    computed.
+    ``guard``, an int, bounds the module rank p^(2n) for the route that
+    ``central_annihilator`` takes under ``method="auto"``.  The generic rank
+    is computed whenever the exact route ran and ``compute_rank`` asks; it
+    works on the simple module of rank p^n.  ``attempts`` caps the rank
+    samples; it must be a positive int, even when no rank is computed.
     """
     if not isinstance(attempts, int) or attempts < 1:
         raise ValueError(f"attempts must be a positive int, got {attempts!r}")
@@ -414,61 +358,46 @@ def p_support(
         notes.append("central annihilator from the degree-truncated method")
     ann = result.ideal
 
-    ann_strings = tuple(str(g) for g in ann.groebner_basis())
+    # the verdicts of an empty support, and no rank
+    dim, coisotropic, witness, lagr, conical = -1, True, None, False, True
+    rank_value, rank_samples = None, ()
     if ann.is_unit_ideal():
         notes.append("unit annihilator: empty support")
-        return SupportReport(
-            name=spec.name,
-            prime=p,
-            n=spec.n,
-            annihilator=ann_strings,
-            annihilator_status=result.status,
-            dimension=-1,
-            coisotropic=True,
-            coisotropy_witness=None,
-            lagrangian=False,
-            conical=True,
-            generic_rank=None,
-            rank_samples=(),
-            notes=tuple(notes),
-        )
-
-    dim = krull_dim(ann)
-    # brackets see the reduced structure only after p-th powers are rooted
-    verdict = coisotropy_check(frobenius_root(ann), canonical_bracket)
-    witness = None
-    if not verdict.ok:
-        witness = {
-            "pair": [str(verdict.pair[0]), str(verdict.pair[1])],
-            "bracket": str(verdict.bracket_value),
-        }
-    conical = is_conical(ann)
-    lagr = (dim == spec.n) and verdict.ok
-
-    rank_value = None
-    rank_samples = ()
-    if not compute_rank:
-        notes.append("generic rank not requested")
-    elif not exact_route or twist.module_rank > guard:
-        notes.append("generic rank unavailable: exact presentation exceeds guard")
     else:
-        try:
-            rr = generic_rank(ideal, twist, ann, attempts=attempts, seed=seed)
-            rank_value = rr.value
-            rank_samples = rr.sample_dicts
-            if not rr.agreement:
-                notes.append("sampled fiber dimensions disagree; modal value reported")
-        except NoPointsFound:
-            notes.append("generic rank unavailable: no points found over F_(p^k), k <= 3")
+        dim = krull_dim(ann)
+        # brackets see the reduced structure only after p-th powers are rooted
+        verdict = coisotropy_check(frobenius_root(ann), canonical_bracket)
+        coisotropic = verdict.ok
+        if not verdict.ok:
+            witness = {
+                "pair": [str(verdict.pair[0]), str(verdict.pair[1])],
+                "bracket": str(verdict.bracket_value),
+            }
+        conical = is_conical(ann)
+        lagr = (dim == spec.n) and verdict.ok
+
+        if not compute_rank:
+            notes.append("generic rank not requested")
+        elif not exact_route:
+            notes.append("generic rank not computed on the degree-truncated route")
+        else:
+            try:
+                rr = generic_rank(ideal, twist, ann, attempts=attempts, seed=seed)
+                rank_value = rr.value
+                rank_samples = rr.sample_dicts
+                if not rr.agreement:
+                    notes.append("sampled fiber dimensions disagree; modal value reported")
+            except NoPointsFound:
+                notes.append("generic rank unavailable: no points found over F_(p^k), k <= 3")
 
     return SupportReport(
         name=spec.name,
         prime=p,
         n=spec.n,
-        annihilator=ann_strings,
+        annihilator=tuple(str(g) for g in ann.groebner_basis()),
         annihilator_status=result.status,
         dimension=dim,
-        coisotropic=verdict.ok,
+        coisotropic=coisotropic,
         coisotropy_witness=witness,
         lagrangian=lagr,
         conical=conical,

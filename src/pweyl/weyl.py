@@ -143,20 +143,6 @@ class WeylOp(TermArithmetic):
         return cls(ring, n, {tuple(e): ring.one()})
 
     @classmethod
-    def from_terms(cls, ring, n, items):
-        terms = {}
-        for key, c in items:
-            if len(key) != 2 * n:
-                raise ValueError(f"exponent key {key} has wrong length")
-            acc = terms.get(key)
-            c = ring.add(acc, c) if acc is not None else c
-            if ring.is_zero(c):
-                terms.pop(key, None)
-            else:
-                terms[key] = c
-        return cls(ring, n, terms)
-
-    @classmethod
     def monomial(cls, ring, n, key, c=None):
         c = ring.one() if c is None else c
         if ring.is_zero(c):

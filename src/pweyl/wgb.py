@@ -23,28 +23,14 @@ from .weyl import WeylOp, _weyl_form, _weyl_submul
 _GREVLEX = GrevLex()
 
 
-def left_nf(f, ideal_or_basis, order=None):
-    """Left normal form over a field: no remaining term is divisible by a
-    basis lead.
-
-    Against a list of operators, the first of the smallest leads that divides
-    a term reduces it.  Terms are reduced from the top down (``cgb._reduce``).
-    """
-    if isinstance(ideal_or_basis, LeftIdeal) and order in (None, ideal_or_basis.order):
-        order = ideal_or_basis.order
-        basis = ideal_or_basis._prepared_basis()
-    else:
-        if isinstance(ideal_or_basis, LeftIdeal):
-            ideal_or_basis = ideal_or_basis.groebner_basis()
-        elif not f.ring.is_field:
-            # a product of nonzero coefficients must not vanish in submul
-            raise NotAField(f"left normal forms need field coefficients, got {f.ring}")
-        order = order or _GREVLEX
-        basis = _prepared(
-            [_to_vec(g) for g in ideal_or_basis], f.ring, lambda t: order.key(t[1]), _weyl_form
-        )
-    R = f.ring
-    rem = _reduce(_to_vec(f), basis, R, lambda t: order.desc_key(t[1]), _weyl_submul(R))
+def left_nf(f, ideal):
+    """Left normal form of f modulo the LeftIdeal ``ideal``, against its
+    reduced left basis under its order: no remaining term is divisible by a
+    basis lead.  Terms are reduced from the top down (``cgb._reduce``)."""
+    R, order = f.ring, ideal.order
+    rem = _reduce(
+        _to_vec(f), ideal._prepared_basis(), R, lambda t: order.desc_key(t[1]), _weyl_submul(R)
+    )
     return WeylOp(R, f.n, {e: c for (_, e), c in rem.items()})
 
 

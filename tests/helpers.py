@@ -3,7 +3,8 @@
 from fractions import Fraction
 from itertools import product
 
-from pweyl import WeylOp
+from pweyl import MPoly, WeylOp
+from pweyl.center import _split_residues
 from pweyl.rings import GaloisField, Rationals, Zmod
 
 
@@ -37,7 +38,8 @@ def random_mpoly(ring, rng, max_degree=3, max_terms=4, nonzero=False):
             (random_monomial(ring.nvars, rng, max_degree), random_coeff(ring.coeffs, rng))
             for _ in range(rng.randrange(1, max_terms + 1))
         ]
-        f = ring.from_terms(items)
+        # TermArithmetic.__add__ merges repeated exponents and drops zeros
+        f = sum((MPoly(ring, {e: c}) for e, c in items), ring.zero())
         if not (nonzero and f.is_zero()):
             return f
 
@@ -48,9 +50,22 @@ def random_weylop(ring, n, rng, max_exp=3, max_terms=4, nonzero=False):
         for _ in range(rng.randrange(1, max_terms + 1)):
             key = tuple(rng.randrange(max_exp + 1) for _ in range(2 * n))
             items.append((key, random_coeff(ring, rng)))
-        f = WeylOp.from_terms(ring, n, items)
+        f = sum((WeylOp(ring, n, {e: c}) for e, c in items), WeylOp.zero(ring, n))
         if not (nonzero and f.is_zero()):
             return f
+
+
+def recombine_residues(parts, p, slots):
+    """The inverse of ``center._split_residues``: the term dict with the
+    exponent p * q + r at each slot, from residue r -> terms keyed by q."""
+    terms = {}
+    for r, part in parts.items():
+        for key, c in part.items():
+            e = list(key)
+            for i, ri in zip(slots, r):
+                e[i] = p * e[i] + ri
+            terms[tuple(e)] = c
+    return terms
 
 
 def z_module_presentation(ideal, twist):
@@ -58,22 +73,20 @@ def z_module_presentation(ideal, twist):
 
     The left ideal, as a module over the centre, is spanned by
     (residue monomial) * g over the residue monomials x^a d^b,
-    0 <= a_i, b_i < p, and the reduced left basis g; each product is
-    decomposed over that free basis.  Returns (residue list, columns), each
-    column a tuple of twisted polynomials indexed like the residue list.
-    The reference for the rank-p^n colon and for the fibres of D/I.
+    0 <= a_i, b_i < p, and the reduced left basis g; each product is split
+    over that free basis by the residues of all its exponents.  Returns
+    (residue list, columns), each column a tuple of twisted polynomials
+    indexed like the residue list.  The reference for the rank-p^n colon and
+    for the fibres of D/I.
     """
-    B = list(product(range(twist.p), repeat=2 * twist.n))
-    index = {b: i for i, b in enumerate(B)}
-    zero = twist.twisted_ring.zero()
+    p, n, R = twist.p, twist.n, twist.twisted_ring
+    B = list(product(range(p), repeat=2 * n))
     columns = []
     for g in ideal.groebner_basis():
         for beta in B:
-            dec = twist.decompose(WeylOp.monomial(twist.weyl_ring, twist.n, beta) * g)
-            col = [zero] * len(B)
-            for r, poly in dec.coords.items():
-                col[index[r]] = poly
-            columns.append(tuple(col))
+            product_terms = (WeylOp.monomial(twist.weyl_ring, n, beta) * g).terms
+            parts = _split_residues(product_terms, p, range(2 * n))
+            columns.append(tuple(MPoly(R, parts.get(r, {})) for r in B))
     return B, columns
 
 

@@ -11,14 +11,15 @@ from contextlib import contextmanager
 from math import comb, factorial
 
 from pweyl import (
-    BracketContext,
     CIdeal,
     FrobeniusTwist,
     WeylOp,
     buchberger,
+    canonical_bracket,
     central_annihilator_exact,
     central_annihilator_truncated,
     characteristic_variety,
+    deformation_bracket,
     is_central,
     is_conical,
     module_colon,
@@ -28,6 +29,7 @@ from pweyl import (
     radical_member,
     specialize_mod_p,
 )
+from pweyl.center import _split_residues
 from pweyl.cgb import FreeSubmodule
 from pweyl.cli import run
 from pweyl.corpus import load_corpus
@@ -40,6 +42,7 @@ from helpers import (
     radical_member_bruteforce,
     random_mpoly,
     random_weylop,
+    recombine_residues,
 )
 
 
@@ -64,10 +67,14 @@ def test_criterion_1_center_invariants():
             for i in range(n):
                 assert is_central(WeylOp.x(F, n, i) ** p).is_central
                 assert is_central(WeylOp.d(F, n, i) ** p).is_central
+            # the residue split over the free basis x^a d^b, 0 <= a_i, b_i < p
+            every = range(2 * n)
             rng = random.Random(p * 100 + n)
             for _ in range(200):
                 f = random_weylop(F, n, rng, max_exp=3 * p)
-                assert tw.recombine(tw.decompose(f)) == f
+                parts = _split_residues(f.terms, p, every)
+                assert all(len(r) == 2 * n and max(r, default=0) < p for r in parts)
+                assert recombine_residues(parts, p, every) == f.terms
 
 
 def test_criterion_2_bracket_sign():
@@ -78,13 +85,13 @@ def test_criterion_2_bracket_sign():
         x9, d9 = WeylOp.x(Zmod(9), 1, 0), WeylOp.d(Zmod(9), 1, 0)
         assert (d9**3).commutator(x9**3) == WeylOp.constant(Zmod(9), 1, 6)
         for p, n in itertools.product((2, 3, 5), (1, 2)):
-            ctx = BracketContext(FrobeniusTwist(p, n))
-            R = ctx.twist.twisted_ring
+            tw = FrobeniusTwist(p, n)
+            R = tw.twisted_ring
             rng = random.Random(10_000 + p * 10 + n)
             for _ in range(100):
                 f = random_mpoly(R, rng, max_degree=4)
                 g = random_mpoly(R, rng, max_degree=4)
-                assert ctx.signs_match(f, g)
+                assert deformation_bracket(f, g, tw) == -canonical_bracket(f, g)
 
 
 def _exact_guard_cases():
@@ -163,16 +170,13 @@ def test_criterion_6_oracle_identities():
         xq, dq = WeylOp.x(QQ, 1, 0), WeylOp.d(QQ, 1, 0)
         for m in range(7):
             for k in range(7):
-                closed = WeylOp.from_terms(
+                closed = WeylOp(
                     QQ,
                     1,
-                    [
-                        (
-                            (k - j, m - j),
-                            QQ.from_int(factorial(j) * comb(m, j) * comb(k, j)),
-                        )
+                    {
+                        (k - j, m - j): QQ.from_int(factorial(j) * comb(m, j) * comb(k, j))
                         for j in range(min(m, k) + 1)
-                    ],
+                    },
                 )
                 assert dq**m * xq**k == closed, (m, k)
 

@@ -1,4 +1,4 @@
-"""Center bookkeeping: decomposition over the center, central annihilators."""
+"""Center bookkeeping: the residue split over the center, central annihilators."""
 
 import random
 from itertools import product
@@ -22,13 +22,21 @@ from pweyl.center import (
     _KernelEchelon,
     _minimal_leads,
     _monomials_up_to,
+    _split_residues,
     truncated_kernel,
 )
 from pweyl.mpoly import MPoly
 from pweyl.poisson import coisotropy_check
 from pweyl.rings import Zmod
 
-from helpers import ideal_equal, random_weylop, rref, z_module_presentation
+from helpers import (
+    ideal_equal,
+    random_mpoly,
+    random_weylop,
+    recombine_residues,
+    rref,
+    z_module_presentation,
+)
 
 
 def gens_1var(ring):
@@ -64,53 +72,58 @@ def dense_kernel(monos, nfs, R):
 
 
 def test_decompose_p2_examples():
+    # x^a d^b split by the residues of all its exponents: the coordinate of
+    # the residue monomial x^r d^s over the centre, with q in place of p*q + r
     tw = FrobeniusTwist(2, 1)
     F = tw.weyl_ring
     x, d, one = gens_1var(F)
-    R = tw.twisted_ring
-    X, Xi = R.gens()
+    every = range(2)
 
-    dec = tw.decompose(x**2)
-    assert sorted(dec.coords) == [(0, 0)]
-    assert dec.coordinate((0, 0)) == X
-
-    dec = tw.decompose(x**3 * d)
-    assert sorted(dec.coords) == [(1, 1)]
-    assert dec.coordinate((1, 1)) == X
-
-    dec = tw.decompose(d**2 * x**2)  # = x^2 d^2 mod 2
-    assert dec.coordinate((0, 0)) == X * Xi
-    assert sorted(dec.coords) == [(0, 0)]
+    assert _split_residues((x**2).terms, 2, every) == {(0, 0): {(1, 0): 1}}
+    assert _split_residues((x**3 * d).terms, 2, every) == {(1, 1): {(1, 0): 1}}
+    # d^2 x^2 = x^2 d^2 mod 2
+    assert _split_residues((d**2 * x**2).terms, 2, every) == {(0, 0): {(1, 1): 1}}
+    # the d slot alone: x^3 d^3 is x^3 Xi at d^1; the x slot alone: X x d^3
+    assert _split_residues((x**3 * d**3).terms, 2, range(1, 2)) == {(1,): {(3, 1): 1}}
+    assert _split_residues((x**3 * d**3).terms, 2, range(1)) == {(1,): {(1, 3): 1}}
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+SLOT_SETS = {"x": lambda n: range(n), "d": lambda n: range(n, 2 * n), "all": lambda n: range(2 * n)}
+
+
+@pytest.mark.parametrize("p,n", list(product((2, 3, 5), (1, 2))))
 def test_decompose_round_trip(p, n):
+    # splitting by residues at the x slots, the d slots or all slots, then
+    # recombining each exponent as p*q + r, gives back the operator; every
+    # part is keyed by its residue, with quotients in place at the slots
     tw = FrobeniusTwist(p, n)
-    rng = random.Random(101)
+    rng = random.Random(101 * p + n)
     for _ in range(40):
         f = random_weylop(tw.weyl_ring, n, rng, max_exp=3 * p)
-        assert tw.recombine(tw.decompose(f)) == f
+        for label, slots_of in SLOT_SETS.items():
+            slots = slots_of(n)
+            parts = _split_residues(f.terms, p, slots)
+            assert recombine_residues(parts, p, slots) == f.terms, (label, str(f))
+            assert all(0 <= ri < p for r in parts for ri in r)
+            assert sum(len(t) for t in parts.values()) == len(f.terms)
 
 
 def test_recombine_then_decompose_round_trip():
-    from pweyl.center import CentralDecomposition
-
-    from helpers import random_mpoly
-
+    # parts over the residues of all slots, each a twisted polynomial,
+    # recombined into an operator split back into the same parts
     tw = FrobeniusTwist(3, 1)
     R = tw.twisted_ring
     rng = random.Random(103)
     residues = list(product(range(3), repeat=2))
     for _ in range(40):
-        coords = {}
+        parts = {}
         for _ in range(rng.randrange(1, 4)):
             r = residues[rng.randrange(len(residues))]
             poly = random_mpoly(R, rng, max_degree=2)
             if not poly.is_zero():
-                coords[r] = poly
-        dec = CentralDecomposition(tw, coords)
-        back = tw.decompose(tw.recombine(dec))
-        assert back.coords == coords
+                parts[r] = poly.terms
+        op = WeylOp(tw.weyl_ring, 1, recombine_residues(parts, 3, range(2)))
+        assert _split_residues(op.terms, 3, range(2)) == parts
 
 
 def test_embedded_polynomials_are_central():

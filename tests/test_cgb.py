@@ -349,9 +349,8 @@ def test_ideal_basis_certificate(order):
     termkey = lambda t: order.key(t[1])
     for _ in range(15):
         gens = [
-            R.from_terms(
-                [(random_monomial(3, rng, 4), 1), (random_monomial(3, rng, 4), rng.randrange(1, 5))]
-            )
+            MPoly(R, {random_monomial(3, rng, 4): 1})
+            + MPoly(R, {random_monomial(3, rng, 4): rng.randrange(1, 5)})
             for _ in range(3)
         ]
         basis = [{(0, e): c for e, c in g.terms.items()} for g in buchberger(gens, order)]

@@ -189,6 +189,30 @@ def test_cli_corpus_bad_file_is_one_error_line(tmp_path, capsys, content):
         load_corpus(path)
 
 
+BAD_ENTRY_FIELDS = {
+    "n-string": ("n", "1"),
+    "n-zero": ("n", 0),
+    "prime-4": ("primes", [4]),
+    "prime-string": ("primes", ["3"]),
+    "generators-string": ("generators", "d1 - 1"),
+    "no-generators": ("generators", []),
+    "expected-string": ("expected", {"3": "x"}),
+}
+
+
+@pytest.mark.parametrize("field, value", BAD_ENTRY_FIELDS.values(), ids=BAD_ENTRY_FIELDS)
+def test_cli_corpus_bad_entry_is_one_error_line(tmp_path, capsys, field, value):
+    entry = {"name": "probe", "n": 1, "generators": ["d1 - 1"], "primes": [3], field: value}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"schema": "pweyl-corpus-v1", "entries": [entry]}))
+    assert run(["corpus", "--run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "entry 0 ('probe')" in err and field in err
+    with pytest.raises(PweylError, match="corpus.json"):
+        load_corpus(path)
+
+
 def test_cli_corpus_runs_green(capsys):
     code = run(["corpus"])
     out = capsys.readouterr().out

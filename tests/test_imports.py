@@ -1,0 +1,44 @@
+"""Every import in the package, the tests and the benchmark is used.
+
+No linter ships with the project, so this reads each module with ``ast``:
+a name an import binds must appear as a name elsewhere in the module.  The
+package's ``__init__`` re-exports what it imports and is skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(
+    path
+    for folder in ("src/pweyl", "tests", "bench")
+    for path in (ROOT / folder).rglob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def unused_imports(source):
+    """(line, name) of every name bound by an import and never read."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.append((node.lineno, name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_the_checker_sees_an_unused_import():
+    source = "import os\nfrom sys import argv, path as p\nimport a.b\nprint(argv, a)\n"
+    assert unused_imports(source) == [(1, "os"), (2, "p")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

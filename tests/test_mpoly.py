@@ -7,7 +7,7 @@ import pytest
 from pweyl import PolyRing
 from pweyl.errors import RingMismatch
 from pweyl.orders import BlockElimination, GrevLex, Lex, PositionOverTerm, Weighted
-from pweyl.mpoly import evaluator
+from pweyl.mpoly import MPoly, evaluator
 from pweyl.rings import QQ, Zmod, extension_field
 
 from helpers import random_coeff, random_monomial, random_mpoly
@@ -29,7 +29,7 @@ def test_difference_of_squares_f3():
     R = twisted(3)
     X, _ = R.gens()
     f = (X + R.one()) * (X - R.one())
-    assert f == R.from_terms([((2, 0), 1), ((0, 0), 2)])
+    assert f == MPoly(R, {(2, 0): 1, (0, 0): 2})
 
 
 def test_char_two_square_kills_cross_term():

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from pweyl import (
-    BracketContext,
     CIdeal,
     FrobeniusTwist,
     canonical_bracket,
@@ -57,28 +56,27 @@ def test_bracket_of_anything_with_itself_vanishes():
 @pytest.mark.parametrize("n", [1, 2])
 def test_deformation_is_minus_canonical(p, n):
     tw = FrobeniusTwist(p, n)
-    ctx = BracketContext(tw)
     R = tw.twisted_ring
     rng = random.Random(1000 * p + n)
     for _ in range(25):
         f = random_mpoly(R, rng, max_degree=4)
         g = random_mpoly(R, rng, max_degree=4)
-        assert ctx.signs_match(f, g)
+        assert deformation_bracket(f, g, tw) == -canonical_bracket(f, g)
 
 
 def test_lift_choice_cancels_in_commutator():
     # two lifts differ by p * (central term); the commutator can't see it
-    from pweyl.poisson import _lift_central
     from pweyl.weyl import WeylOp
 
     tw, R = twist_ring(3)
     X, Xi = R.gens()
     ring2 = Zmod(9)
     f, g = X * Xi, X + Xi
-    lf = _lift_central(f, tw, ring2)
-    lg = _lift_central(g, tw, ring2)
+    # the lifts deformation_bracket takes: the embedding's [0, p) residues
+    lf = WeylOp(ring2, 1, tw.embed(f).terms)
+    lg = WeylOp(ring2, 1, tw.embed(g).terms)
     # perturb the lift of f by 3 * (x^3 d^3), still a lift of f
-    perturbed = lf + WeylOp.from_terms(ring2, 1, [((3, 3), 3)])
+    perturbed = lf + WeylOp.monomial(ring2, 1, (3, 3), 3)
     assert lf.commutator(lg) == perturbed.commutator(lg)
 
 

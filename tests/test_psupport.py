@@ -13,7 +13,6 @@ from pweyl import (
     WeylOp,
     central_annihilator,
     characteristic_variety,
-    dilate_fiber,
     generic_rank,
     is_conical,
     p_support,
@@ -24,7 +23,8 @@ from pweyl import (
 from pweyl.errors import BadPrime, EmptySupport, RingMismatch
 from pweyl.linalg import rank as matrix_rank
 from pweyl.mpoly import evaluator
-from pweyl.psupport import _fiber_dim, _points_on_variety, _simple_module_rows
+from pweyl.center import _fiber_dim, _simple_module_rows
+from pweyl.psupport import _points_on_variety
 from pweyl.rings import QQ, Zmod, extension_field
 
 from helpers import random_weylop, z_module_presentation
@@ -163,16 +163,14 @@ def test_is_conical_examples():
 
 
 def test_dilation_witness_for_nonconical_support():
-    # substituting Xi -> t*Xi moves the ideal (Xi - 1): concrete witness
+    # substituting Xi -> 2*Xi moves the ideal (Xi - 1): concrete witness
     R = twisted_ring(5)
     X, Xi = R.gens()
     J = CIdeal.of([Xi - R.one()])
-    g = dilate_fiber(Xi - R.one(), 2)
-    assert g == Xi.scale(2) - R.one()
-    assert not radical_member(g, J)
+    assert not radical_member(Xi.scale(2) - R.one(), J)
     # while the conical ideal (X*Xi) is carried into itself
     J2 = CIdeal.of([X * Xi])
-    assert radical_member(dilate_fiber(X * Xi, 2), J2)
+    assert radical_member((X * Xi).scale(2), J2)
 
 
 def test_generic_rank_values():
@@ -323,23 +321,26 @@ def test_rank_samples_golden(text, n, p, kw, expected):
 
 
 def test_rank_on_exact_route_builds_no_presentation_over_the_centre(monkeypatch):
+    import pweyl.center as center
+
     calls = []
-    decompose = FrobeniusTwist.decompose
+    split = center._split_residues
 
-    def counting(self, op):
-        calls.append(op)
-        return decompose(self, op)
+    def counting(terms, p, slots):
+        calls.append(len(slots))
+        return split(terms, p, slots)
 
-    monkeypatch.setattr(FrobeniusTwist, "decompose", counting)
+    monkeypatch.setattr(center, "_split_residues", counting)
     xs, ds, one = qq_gens(2)
     spec = DModuleSpec(2, (ds[0] - xs[0], ds[1] - one))
     r = p_support(spec, 2, compute_rank=False)
     assert r.annihilator_status == "exact" and r.generic_rank is None
     r = p_support(spec, 2)
     assert r.annihilator_status == "exact" and r.generic_rank == 4
-    # neither the exact annihilator nor the rank, which reads the fibres on
-    # the simple module of rank p^n, decomposes over the centre
-    assert calls == []
+    # the exact annihilator splits by the n d-exponents and the rank, which
+    # reads the fibres on the simple module of rank p^n, by the n
+    # x-exponents; neither splits by all 2n exponents over the centre
+    assert calls and set(calls) == {2}
 
 
 def test_fiber_dim_matches_the_rank_p2n_presentation():
@@ -444,20 +445,20 @@ def test_truncated_route_beyond_guard():
     assert r.annihilator_status.startswith("stabilized")
     assert r.dimension == 2 and r.lagrangian
     assert r.generic_rank is None
-    assert any("exceeds guard" in note for note in r.notes)
+    assert "generic rank not computed on the degree-truncated route" in r.notes
     # the exact route beyond the guard (module rank 121): the annihilator is
-    # certified, and the rank is still withheld
+    # certified, and the rank is computed on the simple module of rank p
     (x,), (d,), _ = qq_gens()
     r = p_support(DModuleSpec(1, (d - x,)), 11, method="exact")
     assert r.annihilator_status == "exact"
     assert r.annihilator == ("X1 - Xi1",)
-    assert r.generic_rank is None
-    assert any("exceeds guard" in note for note in r.notes)
+    assert r.generic_rank == 11
+    assert not any("generic rank" in note for note in r.notes)
 
 
 @pytest.mark.parametrize("method", ["auto", "exact"])
 def test_guard_must_be_an_int(method):
-    # the route reader rejects it before either guard comparison is made
+    # the route reader rejects it before the guard is compared
     (x,), (d,), _ = qq_gens()
     for guard in (None, 64.0, "64"):
         with pytest.raises(ValueError, match="guard must be an int"):
