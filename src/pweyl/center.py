@@ -28,9 +28,9 @@ Two routes are provided:
   and stop once the resulting ideal stabilises over a degree window.
 
 The truncated ladder does each reduction once, and keeps its results on
-the ideal for every later degree.  It normalises each central monomial X^e
-once, and reduces each normal form once against one column echelon of the
-normal forms before it: the monomials of degree <= d come first in
+the ideal for every later degree.  It normalises a central monomial X^e at
+most once, and reduces each normal form once against one column echelon of
+the normal forms before it: the monomials of degree <= d come first in
 (degree, grevlex) order, so the kernel at degree d + 1 extends the one at
 d and no degree is eliminated from scratch.  The normal form of X^e comes
 from that of a predecessor X^(e - u_k) by a Frobenius shift:
@@ -40,10 +40,19 @@ from that of a predecessor X^(e - u_k) by a Frobenius shift:
 where shift_k adds p to Weyl exponent slot k.  This is exact because
 z = x_k^p or d_k^p is central, so left multiplication by z only shifts the
 exponents of a normal-ordered operator, and z * (m - nf(m)) lies in the
-left ideal with m - nf(m).  Only nf(1) is normalised directly.  The ladder
-then hands the ideal only the kernel vectors whose lead no earlier kernel
-vector's lead divides; the others are monomial multiples of those modulo
-smaller leads, so the ideal and its reduced basis are unchanged.
+left ideal with m - nf(m).  Only nf(1) is normalised directly.
+
+The ladder never normalises a monomial X^e that the lead X^m of an earlier
+kernel vector u divides.  X^(e - m) * u lies in I cap Z with lead X^e and
+every other term on an earlier column, so X^e is a free column, never a
+pivot, and skipping it changes no later column's reduction.  Its kernel
+vector is not kept either: it is a monomial multiple of u modulo smaller
+leads, so the ideal and its reduced basis are unchanged, and by the same
+expansion and the Leibniz rule so is the coisotropy witness, the first
+generator pair whose bracket leaves the radical.  The predecessor of a
+kept monomial divides it, so it is kept too and its normal form is
+cached.  The kernel vectors the ladder returns are thus exactly those
+whose lead no earlier kernel vector's lead divides.
 """
 
 import heapq
@@ -249,9 +258,9 @@ def _monomials_up_to(nvars, degree):
 def _central_normal_forms(ideal, twist, monos):
     """nf(embed(X^e)) for every e of monos, cached on the ideal.
 
-    ``monos`` must list each exponent after all exponents of lower degree.
     An uncached X^e is normalised from its predecessor X^(e - u_k), k the
-    last nonzero slot of e, by the Frobenius shift (module docstring).
+    last nonzero slot of e, by the Frobenius shift (module docstring); that
+    predecessor must be cached already or come earlier in ``monos``.
     """
     cache = ideal._cache.setdefault(("central_nf", twist), {})
     p = twist.p
@@ -284,6 +293,10 @@ class _KernelEchelon:
     and entries on earlier pivot columns only, which is the canonical
     nullspace vector of that free column; any other column becomes a pivot
     column, scaled to 1 at one of its remaining keys.
+
+    The ladder feeds it no normal form for a monomial that an earlier
+    kernel lead divides: ``skip`` counts that column, which is free and
+    never a pivot (module docstring), and records no kernel vector for it.
     """
 
     def __init__(self, ring):
@@ -292,6 +305,10 @@ class _KernelEchelon:
         self.pivots = []  # (pivot key, reduced column, combination)
         self.index = {}  # pivot key -> its place in self.pivots
         self.kernel = []  # (column index, kernel polynomial), by column
+
+    def skip(self):
+        """Append a free column without its normal form or kernel vector."""
+        self.ncols += 1
 
     def extend(self, monos, nfs):
         """Append the columns nfs of the monomials monos[ncols:]."""
@@ -330,44 +347,30 @@ class _KernelEchelon:
 
 
 def truncated_kernel(ideal, twist, degree):
-    """Basis of {z central, deg <= degree : z acts as 0 on D/I}.
+    """The kernel vectors with minimal leads of {z central, deg <= degree :
+    z acts as 0 on D/I}; they generate the ideal the whole kernel generates.
 
     left_nf is linear over F_p, so the kernel is the space of relations
     among the normal forms of the embedded monomials.  The columns are the
     monomials in (degree, grevlex) order, and the ones of degree <= d are a
     prefix of the ones of degree <= d + 1; one column echelon per ideal,
     cached like the normal forms, reduces each column once, whatever
-    sequence of degrees is asked for.  The basis is the canonical nullspace
-    basis, one vector per free column, so each vector's grevlex lead is its
-    free column's monomial.
+    sequence of degrees is asked for.  A monomial that an earlier kernel
+    vector's lead divides is counted as a column but never normalised (see
+    the module docstring).  The vectors returned are the canonical nullspace
+    vectors of the other free columns, so each vector's grevlex lead is its
+    free column's monomial and no earlier returned lead divides it.
     """
     monos = _monomials_up_to(2 * twist.n, degree)
     echelon = ideal._cache.get(("kernel_echelon", twist))
     if echelon is None:
         echelon = ideal._cache[("kernel_echelon", twist)] = _KernelEchelon(twist.twisted_ring)
-    if len(monos) > echelon.ncols:
-        new = monos[echelon.ncols :]
-        echelon.extend(monos, _central_normal_forms(ideal, twist, new))
+    for e in monos[echelon.ncols :]:
+        if any(monomial_divides(monos[j], e) for j, _ in echelon.kernel):
+            echelon.skip()
+        else:
+            echelon.extend(monos, _central_normal_forms(ideal, twist, (e,)))
     return [z for j, z in echelon.kernel if j < len(monos)]
-
-
-def _minimal_leads(kernel):
-    """The kernel vectors whose lead no earlier vector's lead divides.
-
-    A vector whose lead is t * lead(u) for an earlier u differs from a
-    multiple of t * u by a kernel element with a smaller lead, so dropping
-    it leaves the generated ideal unchanged.  By the same expansion and the
-    Leibniz rule, the first generator pair whose bracket leaves the radical
-    (the coisotropy witness) is a pair of kept vectors, so reports are
-    unchanged too.
-    """
-    kept, leads = [], []
-    for z in kernel:
-        lead = z.leading(_GREVLEX)[0]
-        if not any(monomial_divides(m, lead) for m in leads):
-            kept.append(z)
-            leads.append(lead)
-    return kept
 
 
 def central_annihilator_truncated(ideal, twist=None):
@@ -387,8 +390,10 @@ def central_annihilator_truncated(ideal, twist=None):
     The ladder is incremental: each central monomial is normalised once,
     from its predecessor by a Frobenius shift, and its normal form is
     reduced once into the ideal's kernel echelon, both reused at every later
-    degree; the ideal at degree d is generated by the kernel vectors with
-    minimal leads only (see the module docstring).
+    degree.  A monomial that an earlier kernel lead divides is never
+    normalised, and the ideal at degree d is generated by the kernel vectors
+    with minimal leads that ``truncated_kernel`` returns (see the module
+    docstring).
     """
     twist = twist or FrobeniusTwist(ideal.ring.modulus, ideal.n)
     norm_degree = min((g.total_degree() for g in ideal.groebner_basis()), default=0)
@@ -396,7 +401,7 @@ def central_annihilator_truncated(ideal, twist=None):
     ring = twist.twisted_ring
     candidates = {}
     for d in range(1, top + 1):
-        J = CIdeal.of(_minimal_leads(truncated_kernel(ideal, twist, d)), ring=ring)
+        J = CIdeal.of(truncated_kernel(ideal, twist, d), ring=ring)
         candidates[d] = J
         back = d - STABILITY_WINDOW
         # a nonzero left ideal always meets the centre (the reduced norm of

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import BadPrime, PweylError
+from .errors import BadPrime, ParseError, PweylError
 from .parser import parse_weyl
 from .psupport import DModuleSpec, p_support
 from .rings import QQ, is_prime
@@ -27,10 +27,10 @@ class CorpusEntry:
     generators: tuple
     primes: tuple
     expected: dict
+    operators: tuple  # the generators parsed over Q
 
     def spec(self):
-        gens = tuple(parse_weyl(text, self.n, QQ) for text in self.generators)
-        return DModuleSpec(self.n, gens, self.name)
+        return DModuleSpec(self.n, self.operators, self.name)
 
 
 def _is_int(value):
@@ -38,8 +38,9 @@ def _is_int(value):
 
 
 def _entry(rec, where):
-    """One corpus entry, its field types and values checked; ``where``
-    names the file and the entry in the ``PweylError`` of a bad field."""
+    """One corpus entry, its field types and values checked and its
+    generators parsed; ``where`` names the file and the entry in the
+    ``PweylError`` of a bad field and the ``ParseError`` of a bad generator."""
     if not isinstance(rec, dict):
         raise PweylError(f"{where} is not an object")
     where = f"{where} ({rec.get('name')!r})"
@@ -68,8 +69,20 @@ def _entry(rec, where):
         "expected must map primes, written as strings, to objects",
         expected,
     )
+    operators = []
+    for text in gens:
+        try:
+            operators.append(parse_weyl(text, n, QQ))
+        except ParseError as exc:
+            raise ParseError(f"{where}: generator {text!r}: {exc}") from exc
+    require(not any(op.is_zero() for op in operators), "generators must be nonzero", gens)
     return CorpusEntry(
-        name, n, tuple(gens), tuple(primes), {int(k): v for k, v in expected.items()}
+        name,
+        n,
+        tuple(gens),
+        tuple(primes),
+        {int(k): v for k, v in expected.items()},
+        tuple(operators),
     )
 
 
@@ -78,7 +91,9 @@ def load_corpus(path=None):
 
     A file that cannot be read, is not JSON, or holds an entry with a field
     of the wrong type or value raises ``PweylError`` naming the file (and
-    the entry).
+    the entry); a generator that does not parse raises ``ParseError`` naming
+    the file and the entry.  Every generator is parsed here, before any
+    report runs.
     """
     source = "the shipped corpus" if path is None else repr(str(path))
     try:

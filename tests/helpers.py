@@ -3,8 +3,9 @@
 from fractions import Fraction
 from itertools import product
 
-from pweyl import MPoly, WeylOp
-from pweyl.center import _split_residues
+from pweyl import CIdeal, MPoly, WeylOp
+from pweyl.center import STABILITY_WINDOW, _monomials_up_to, _split_residues
+from pweyl.orders import GrevLex, monomial_divides
 from pweyl.rings import GaloisField, Rationals, Zmod
 
 
@@ -154,3 +155,69 @@ def rref(rows, ring):
         if r == len(m):
             break
     return m, pivots
+
+
+def nullspace(rows, F):
+    """Canonical basis of {v : rows @ v = 0}, one vector per free column."""
+    ncols = len(rows[0])
+    m, pivots = rref(rows, F)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [F.zero()] * ncols
+        v[free] = F.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = F.neg(m[r][free])
+        basis.append(v)
+    return basis
+
+
+def dense_kernel(monos, nfs, R):
+    """The truncated kernel by one dense elimination over the normal forms
+    ``nfs`` of the embedded monomials ``monos``: the canonical nullspace
+    basis, as polynomials of the twisted ring R."""
+    support = sorted({key for nf in nfs for key in nf.terms})
+    # a zero row when every normal form vanishes: the kernel is everything
+    rows = [[nf.terms.get(key, 0) for nf in nfs] for key in support]
+    kernel = nullspace(rows or [[0] * len(monos)], R.coeffs)
+    return [MPoly(R, {e: c for e, c in zip(monos, v) if c}) for v in kernel]
+
+
+def minimal_leads(kernel):
+    """The kernel vectors whose grevlex lead no earlier vector's lead divides.
+
+    A vector whose lead is t * lead(u) for an earlier u differs from a
+    multiple of t * u by a kernel element with a smaller lead, so dropping
+    it leaves the generated ideal unchanged.
+    """
+    kept, leads = [], []
+    for z in kernel:
+        lead = z.leading(GrevLex())[0]
+        if not any(monomial_divides(m, lead) for m in leads):
+            kept.append(z)
+            leads.append(lead)
+    return kept
+
+
+def reference_ladder(ideal, twist):
+    """``central_annihilator_truncated`` without its shortcuts: at each
+    degree, the whole dense kernel over the direct normal forms of the
+    embedded monomials, cut to its minimal leads, under the same ceiling and
+    window rule.  Returns (status, generators of the chosen ideal)."""
+    R = twist.twisted_ring
+    basis = ideal.groebner_basis()
+    norm_degree = min((g.total_degree() for g in basis), default=0)
+    top = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
+    nfs, candidates = [], {}
+    for d in range(1, top + 1):
+        monos = _monomials_up_to(2 * twist.n, d)
+        nfs += [ideal.normal_form(twist.embed(MPoly(R, {e: 1}))) for e in monos[len(nfs) :]]
+        candidates[d] = CIdeal.of(minimal_leads(dense_kernel(monos, nfs, R)), ring=R)
+        back = d - STABILITY_WINDOW
+        if back < 1 or (candidates[back].is_zero_ideal() and basis):
+            continue
+        if candidates[back].groebner_basis() == candidates[d].groebner_basis():
+            return f"stabilized({back})", candidates[back].gens
+    return f"truncated({top})", candidates[top].gens

@@ -16,59 +16,34 @@ from pweyl import (
     central_annihilator_exact,
     central_annihilator_truncated,
     module_colon,
+    parse_weyl,
 )
 from pweyl.center import (
     _central_normal_forms,
     _KernelEchelon,
-    _minimal_leads,
     _monomials_up_to,
     _split_residues,
     truncated_kernel,
 )
 from pweyl.mpoly import MPoly
+from pweyl.orders import GrevLex, monomial_divides
 from pweyl.poisson import coisotropy_check
 from pweyl.rings import Zmod
 
 from helpers import (
+    dense_kernel,
     ideal_equal,
+    minimal_leads,
     random_mpoly,
     random_weylop,
     recombine_residues,
-    rref,
+    reference_ladder,
     z_module_presentation,
 )
 
 
 def gens_1var(ring):
     return WeylOp.x(ring, 1, 0), WeylOp.d(ring, 1, 0), WeylOp.one(ring, 1)
-
-
-def nullspace(rows, F):
-    """Canonical basis of {v : rows @ v = 0}, one vector per free column."""
-    ncols = len(rows[0])
-    m, pivots = rref(rows, F)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [F.zero()] * ncols
-        v[free] = F.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(m[r][free])
-        basis.append(v)
-    return basis
-
-
-def dense_kernel(monos, nfs, R):
-    """The truncated kernel by one dense elimination over the normal forms
-    ``nfs`` of the embedded monomials ``monos``: the canonical nullspace
-    basis, as polynomials of the twisted ring R."""
-    support = sorted({key for nf in nfs for key in nf.terms})
-    # a zero row when every normal form vanishes: the kernel is everything
-    rows = [[nf.terms.get(key, 0) for nf in nfs] for key in support]
-    kernel = nullspace(rows or [[0] * len(monos)], R.coeffs)
-    return [MPoly(R, {e: c for e, c in zip(monos, v) if c}) for v in kernel]
 
 
 def test_decompose_p2_examples():
@@ -294,7 +269,8 @@ def test_exact_annihilator_matches_the_rank_p2n_colon():
 def test_ladder_normal_forms_by_frobenius_shift():
     # the cached normal forms of the embedded monomials, reached by Frobenius
     # shifts of their predecessors, equal the direct normal forms, and the
-    # kernels equal a per-degree reference built from the direct ones
+    # kernels equal the minimal leads of a per-degree reference built from
+    # the direct ones
     rng = random.Random(5)
     for n, p in product((1, 2), (2, 3, 5)):
         tw = FrobeniusTwist(p, n)
@@ -312,18 +288,19 @@ def test_ladder_normal_forms_by_frobenius_shift():
             for d in range(4):
                 size = len(_monomials_up_to(2 * n, d))
                 reference = dense_kernel(monos[:size], direct[:size], R)
-                assert kernels[d] == reference, (gens, p, d)
+                assert kernels[d] == minimal_leads(reference), (gens, p, d)
                 # the minimal leads generate the same ideal as the whole kernel
                 # and give the same coisotropy verdict and witness
                 whole = CIdeal.of(reference, ring=R)
-                minimal = CIdeal.of(_minimal_leads(reference), ring=R)
+                minimal = CIdeal.of(kernels[d], ring=R)
                 assert minimal.groebner_basis() == whole.groebner_basis()
                 assert coisotropy_check(minimal) == coisotropy_check(whole)
 
 
 def test_kernel_echelon_answers_degrees_in_any_order():
-    # one ideal asked for degrees 3, 1, 4, 2 gives, at each degree, the dense
-    # reference computed from scratch on a fresh ideal
+    # one ideal asked for degrees 3, 1, 4, 2 gives, at each degree, the
+    # minimal leads of the dense reference computed from scratch on a fresh
+    # ideal
     rng = random.Random(11)
     for n, p in product((1, 2), (2, 3, 5)):
         tw = FrobeniusTwist(p, n)
@@ -338,7 +315,8 @@ def test_kernel_echelon_answers_degrees_in_any_order():
                 fresh = LeftIdeal.of(gens)
                 monos = _monomials_up_to(2 * n, d)
                 direct = [fresh.normal_form(tw.embed(MPoly(R, {e: 1}))) for e in monos]
-                assert truncated_kernel(I, tw, d) == dense_kernel(monos, direct, R), (gens, p, d)
+                want = minimal_leads(dense_kernel(monos, direct, R))
+                assert truncated_kernel(I, tw, d) == want, (gens, p, d)
 
 
 def test_kernel_echelon_matches_dense_nullspace():
@@ -366,6 +344,64 @@ def test_kernel_echelon_matches_dense_nullspace():
                 echelon.extend(monos, cols[start:stop])
                 start = stop
             assert [z for _, z in echelon.kernel] == dense_kernel(monos, cols, R), p
+
+
+def external_product(F, rng):
+    """L1(x1, d1) * L2(x2, d2) for random L1 of order <= 2 and L2 of order <= 1."""
+    L1 = random_weylop(F, 1, rng, max_exp=2, max_terms=3, nonzero=True)
+    L2 = random_weylop(F, 1, rng, max_exp=1, max_terms=3, nonzero=True)
+    first = WeylOp(F, 2, {(a, 0, b, 0): c for (a, b), c in L1.terms.items()})
+    second = WeylOp(F, 2, {(0, a, 0, b): c for (a, b), c in L2.terms.items()})
+    return first * second
+
+
+def test_pruned_ladder_matches_the_reference_ladder():
+    # the ladder that never normalises a multiple of a kernel lead picks the
+    # status and generators of a ladder that eliminates the whole dense
+    # kernel at every degree, on random inputs and on external products
+    rng = random.Random(31)
+    cases = []
+    for _ in range(12):
+        tw = FrobeniusTwist(rng.choice((2, 3, 5, 7)), 1)
+        L = random_weylop(tw.weyl_ring, 1, rng, max_exp=2, max_terms=3, nonzero=True)
+        cases.append((tw, [L]))
+    for _ in range(8):
+        tw = FrobeniusTwist(rng.choice((2, 3)), 2)
+        gens = [
+            random_weylop(tw.weyl_ring, 2, rng, max_exp=1, max_terms=3, nonzero=True)
+            for _ in range(rng.randrange(1, 3))
+        ]
+        cases.append((tw, gens))
+    for _ in range(8):
+        tw = FrobeniusTwist(rng.choice((3, 5)), 2)
+        cases.append((tw, [external_product(tw.weyl_ring, rng)]))
+    # Legendre times e^(x2), where the ladder stops on a plateau
+    tw = FrobeniusTwist(5, 2)
+    legendre = ("x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4", "d2 - 1")
+    cases.append((tw, [parse_weyl(text, 2, tw.weyl_ring) for text in legendre]))
+    for tw, gens in cases:
+        res = central_annihilator_truncated(LeftIdeal.of(gens), tw)
+        status, want = reference_ladder(LeftIdeal.of(gens), tw)
+        label = ([str(g) for g in gens], tw.p)
+        assert (res.status, res.ideal.gens) == (status, want), label
+        assert res.ideal.groebner_basis() == CIdeal.of(want, ring=tw.twisted_ring).groebner_basis()
+
+
+def test_ladder_never_normalises_a_multiple_of_a_kernel_lead():
+    # Xi1^2 - X1 and Xi2 - X2 are found at degrees 2 and 1; no monomial that
+    # a lead divides properly reaches left_nf, and some are skipped
+    tw = FrobeniusTwist(5, 2)
+    I = LeftIdeal.of([parse_weyl(text, 2, tw.weyl_ring) for text in ("d1^2 - x1", "d2 - x2")])
+    res = central_annihilator_truncated(I, tw)
+    assert res.status == "stabilized(2)"
+    top = 4  # the ladder climbs to the window's end
+    leads = [z.leading(GrevLex())[0] for z in truncated_kernel(I, tw, top)]
+    assert len(leads) == 2
+    normalised = I._cache[("central_nf", tw)]
+    assert not [
+        e for e in normalised for m in leads if m != e and monomial_divides(m, e)
+    ]
+    assert len(normalised) < len(_monomials_up_to(4, top))
 
 
 def test_truncated_route_passes_a_zero_plateau():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pweyl import WeylOp, parse_operator, parse_twisted, parse_weyl
+import pweyl.corpus
 from pweyl.cli import run
 from pweyl.corpus import load_corpus
 from pweyl.errors import IndexOutOfRange, MixedAlphabets, ParseError, PweylError
@@ -197,6 +198,7 @@ BAD_ENTRY_FIELDS = {
     "generators-string": ("generators", "d1 - 1"),
     "no-generators": ("generators", []),
     "expected-string": ("expected", {"3": "x"}),
+    "zero-generator": ("generators", ["d1 - d1"]),
 }
 
 
@@ -210,6 +212,26 @@ def test_cli_corpus_bad_entry_is_one_error_line(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err and "entry 0 ('probe')" in err and field in err
     with pytest.raises(PweylError, match="corpus.json"):
+        load_corpus(path)
+
+
+def test_cli_corpus_bad_generator_is_a_parse_error_before_any_report(tmp_path, capsys, monkeypatch):
+    # d2 in an entry with n = 1: exit 2 with one line naming the file, the
+    # entry and the generator, and no report run for the good first entry
+    good = {"name": "good", "n": 1, "generators": ["d1 - 1"], "primes": [3]}
+    bad = {"name": "probe", "n": 1, "generators": ["d1", "d2 - 1"], "primes": [3]}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"schema": "pweyl-corpus-v1", "entries": [good, bad]}))
+    calls = []
+    monkeypatch.setattr(pweyl.corpus, "p_support", lambda *a, **k: calls.append(a))
+    assert run(["corpus", "--run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    err = captured.err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert str(path) in err and "entry 1 ('probe')" in err and "'d2 - 1'" in err
+    assert "index 2 outside 1..1" in err
+    with pytest.raises(ParseError, match="entry 1"):
         load_corpus(path)
 
 
