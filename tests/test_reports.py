@@ -16,6 +16,7 @@ from pweyl.rings import Zmod
 from helpers import random_mpoly
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report_exponential_p3.json"
+GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus_seed0.json"
 
 
 def test_json_report_matches_frozen_golden():
@@ -38,6 +39,16 @@ def test_json_report_matches_frozen_golden():
         )
     assert code == 0
     assert buf.getvalue() == GOLDEN.read_text()
+
+
+def test_corpus_json_matches_frozen_golden():
+    # every field of every report, including the rank samples over GF(2^2)
+    # and GF(3^2), the notes and the coisotropy witnesses
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(["corpus", "--json", "--seed", "0"])
+    assert code == 0
+    assert buf.getvalue() == GOLDEN_CORPUS.read_text()
 
 
 def test_report_field_order_frozen():
