@@ -1,9 +1,9 @@
 """Command-line interface: psupport, bracket, charvar, center-check, corpus.
 
-Exit codes: 0 success, 1 computation-level failure (bad prime, corpus
-mismatch, unreadable corpus file), 2 usage or parse error.  Machine-readable
-output is requested with --json; randomized steps take --seed, falling back
-to the PWEYL_SEED environment variable, then 0.
+Exit codes: 0 success, 1 computation-level failure (bad prime, zero
+generator, corpus mismatch, unreadable corpus file), 2 usage or parse
+error.  Machine-readable output is requested with --json; randomized steps
+take --seed, falling back to the PWEYL_SEED environment variable, then 0.
 """
 
 import argparse

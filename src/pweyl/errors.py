@@ -29,7 +29,7 @@ class NonGlobalOrder(PweylError):
     """A Groebner computation needs a global order (1 minimal) but got none."""
 
 
-class ZeroInput(PweylError):
+class ZeroInput(PweylError, ValueError):
     """An operation that is undefined on zero received zero."""
 
 

@@ -15,6 +15,7 @@ is available as well.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 import random
 
 from .cgb import CIdeal, frobenius_root, krull_dim, radical_member
@@ -25,7 +26,7 @@ from .center import (
     _simple_module_rows,
     central_annihilator,
 )
-from .errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch
+from .errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch, ZeroInput
 from .linalg import _sparse_rows, rank as matrix_rank
 from .mpoly import MPoly, PolyRing, evaluator
 from .orders import GrevLex, Weighted
@@ -54,7 +55,7 @@ class DModuleSpec:
         ring = self.generators[0].ring
         for g in self.generators:
             if g.is_zero():
-                raise ValueError("zero generator in module presentation")
+                raise ZeroInput("zero generator in module presentation")
             if g.n != self.n:
                 raise ValueError("generator arity differs from n")
             if g.ring != ring:
@@ -165,27 +166,23 @@ def _sparse_entries(vectors):
 def _points_on_variety(basis, nvars, p, k, rng):
     """F_(p^k)-rational points where every basis element vanishes."""
     K = extension_field(p, k)
-    space = K.size**nvars
+    elements = [K.element_from_index(i) for i in range(K.size)]
 
     def on_variety(pt):
         value = evaluator(pt, K)
         return all(K.is_zero(value(g.terms)) for g in basis)
 
     points = []
-    if space <= EXHAUSTIVE_POINT_LIMIT:
-        for idx in range(space):
-            pt = []
-            rest = idx
-            for _ in range(nvars):
-                pt.append(K.element_from_index(rest % K.size))
-                rest //= K.size
-            pt = tuple(pt)
+    if K.size**nvars <= EXHAUSTIVE_POINT_LIMIT:
+        # reversed, so that the first coordinate varies fastest
+        for pt in product(elements, repeat=nvars):
+            pt = pt[::-1]
             if on_variety(pt):
                 points.append(pt)
     else:
         seen = set()
         for _ in range(RANDOM_POINT_BUDGET):
-            pt = tuple(K.element_from_index(rng.randrange(K.size)) for _ in range(nvars))
+            pt = tuple(elements[rng.randrange(K.size)] for _ in range(nvars))
             if pt in seen:
                 continue
             seen.add(pt)

@@ -1,9 +1,14 @@
 """Exact coefficient rings: Z/m (m a prime or prime square), GF(p^k), and Q.
 
-A ring object is a stateless, hashable description of the arithmetic; the
+A ring object is an immutable, hashable description of the arithmetic; the
 element payloads are plain Python values (int for Z/m, tuple of int for
 GF(p^k), fractions.Fraction for Q).  Containers (polynomials, operators)
 carry the ring and refuse to mix payloads from different rings.
+
+GF(p^k) is F_p[t]/(modulus) with a primitive modulus (a Conway polynomial
+from ``extension_field``): every nonzero element is a power of t, so one
+cached table of those powers and their logarithms gives products, inverses
+and the primitivity test (Zech logarithms).
 
 Canonical representatives: Z/m values always live in [0, m); rationals are
 Fraction instances, hence always in lowest terms with positive denominator;
@@ -89,9 +94,6 @@ class Zmod:
             raise NotUnit(f"{a} is not a unit in Z/{self.modulus}")
         return pow(a, -1, self.modulus)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def element_from_index(self, i):
         return i % self.modulus
 
@@ -108,7 +110,13 @@ class Zmod:
 
 @dataclass(frozen=True)
 class GaloisField:
-    """GF(p^k) as F_p[t]/(modulus); elements are coefficient tuples of length k."""
+    """GF(p^k) as F_p[t]/(modulus); elements are coefficient tuples of length k.
+
+    The modulus must be primitive: t must generate the multiplicative group.
+    Products and inverses then read one table of the powers 1, t, ..., t^(q-2)
+    (q = p^k) and its inverse, the logarithm of each nonzero element; the
+    table is built once per modulus and shared by every instance.
+    """
 
     p: int
     k: int
@@ -119,6 +127,11 @@ class GaloisField:
             raise ValueError(f"{self.p} is not prime")
         if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
+        exp, log = _power_table(self.p, self.modulus)
+        if len(exp) != self.size - 1:
+            raise ValueError(f"t is not primitive modulo {self.modulus} over F_{self.p}")
+        object.__setattr__(self, "_exp", exp)
+        object.__setattr__(self, "_log", log)
 
     @property
     def is_field(self):
@@ -165,66 +178,14 @@ class GaloisField:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce by the monic modulus
-        for d in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(self.k):
-                    prod[d - self.k + j] = (prod[d - self.k + j] - c * self.modulus[j]) % self.p
-        return tuple(prod[: self.k])
+        if not (any(a) and any(b)):
+            return self.zero()
+        return self._exp[(self._log[a] + self._log[b]) % len(self._exp)]
 
     def inv(self, a):
         if self.is_zero(a):
             raise DivisionByZero(f"cannot invert 0 in GF({self.p}^{self.k})")
-        # extended Euclid in F_p[t] on (modulus, a)
-        p = self.p
-
-        def poly_trim(v):
-            while v and v[-1] == 0:
-                v.pop()
-            return v
-
-        def poly_divmod(u, v):
-            u = u[:]
-            q = [0] * max(1, len(u) - len(v) + 1)
-            inv_lead = pow(v[-1], -1, p)
-            while len(u) >= len(v) and poly_trim(u):
-                d = len(u) - len(v)
-                c = (u[-1] * inv_lead) % p
-                q[d] = c
-                for j in range(len(v)):
-                    u[d + j] = (u[d + j] - c * v[j]) % p
-                poly_trim(u)
-            return q, u
-
-        r0, r1 = list(self.modulus), poly_trim(list(a))
-        s0, s1 = [0], [1]
-        while r1:
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, poly_trim(r)
-            # s0 - q*s1
-            ns = s0[:]
-            ns += [0] * (len(q) + len(s1) - 1 - len(ns))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        ns[i + j] = (ns[i + j] - qc * sc) % p
-            s0, s1 = s1, poly_trim(ns)
-        if len(r0) != 1:
-            raise NotUnit("element shares a factor with the modulus")
-        c = pow(r0[0], -1, p)
-        out = [(x * c) % p for x in s0]
-        out += [0] * (self.k - len(out))
-        return tuple(out[: self.k])
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        return self._exp[-self._log[a]]
 
     def element_from_index(self, i):
         i %= self.size
@@ -294,9 +255,6 @@ class Rationals:
             raise DivisionByZero("cannot invert 0 in Q")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return a * self.inv(b)
-
     def format_value(self, a, symmetric=False):
         return str(a)
 
@@ -304,37 +262,26 @@ class Rationals:
 QQ = Rationals()
 
 
-def _prime_factors(m):
-    out, q = [], 2
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    return out + [m] if m > 1 else out
+@lru_cache(maxsize=None)
+def _power_table(p, modulus):
+    """The powers 1, t, t^2, ... of t in F_p[t]/(modulus), in order up to the
+    first zero or repeat, and their logarithms {t^i: i}.
+
+    There are p^k - 1 powers exactly when t generates the multiplicative
+    group; since such an element exists only in a field, that also certifies
+    that the modulus is irreducible.
+    """
+    log = {}
+    a = (1,) + (0,) * (len(modulus) - 2)
+    while any(a) and a not in log:
+        log[a] = len(log)
+        # a*t: shift up one degree, then reduce t^k by the monic modulus
+        a = tuple((low - a[-1] * m) % p for low, m in zip((0,) + a[:-1], modulus))
+    return tuple(log), log
 
 
-def _is_primitive(K):
-    """Whether t generates the multiplicative group of K = F_p[t]/(modulus).
-
-    An element of order p^k - 1 exists only when the quotient is a field, so
-    this also certifies that the modulus is irreducible."""
-
-    def power(a, e):
-        acc = K.one()
-        while e:
-            if e & 1:
-                acc = K.mul(acc, a)
-            a = K.mul(a, a)
-            e >>= 1
-        return acc
-
-    order = K.size - 1
-    t = (0, 1) + (0,) * (K.k - 2)
-    return power(t, order) == K.one() and all(
-        power(t, order // q) != K.one() for q in _prime_factors(order)
-    )
+def _t_is_primitive(p, modulus):
+    return len(_power_table(p, modulus)[0]) == p ** (len(modulus) - 1) - 1
 
 
 @lru_cache(maxsize=None)
@@ -346,12 +293,12 @@ def _conway_polynomial(p, k):
     the primitive monic polynomials with that constant term it is the least
     under the key ((-1)^i * a_(k-i) mod p, i = 1..k).
     """
-    factors = _prime_factors(p - 1)
-    g = next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+    # g is primitive iff t generates F_p[t]/(t - g)
+    g = next(g for g in range(1, p) if _t_is_primitive(p, (-g % p, 1)))
     for key in product(range(p), repeat=k - 1):
         high = [(-1) ** i * c % p for i, c in enumerate(key, start=1)]
         modulus = ((-1) ** k * g % p,) + tuple(reversed(high)) + (1,)
-        if _is_primitive(GaloisField(p, k, modulus)):
+        if _t_is_primitive(p, modulus):
             return modulus
     raise AssertionError(f"no primitive polynomial of degree {k} over F_{p}")
 

@@ -26,6 +26,31 @@ def random_coeff(ring, rng, nonzero=False):
     raise TypeError(f"no generator for {ring}")
 
 
+def schoolbook_mul(K, a, b):
+    """The product in GF(p^k) = F_p[t]/(modulus) by the schoolbook rule, then
+    reduction by the monic modulus from the top degree down."""
+    prod = [0] * (2 * K.k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % K.p
+    for d in range(len(prod) - 1, K.k - 1, -1):
+        c, prod[d] = prod[d], 0
+        for j in range(K.k):
+            prod[d - K.k + j] = (prod[d - K.k + j] - c * K.modulus[j]) % K.p
+    return tuple(prod[: K.k])
+
+
+def fermat_inv(K, a):
+    """a^(q-2) in GF(q) by binary powering with ``schoolbook_mul``."""
+    acc, e = K.one(), K.size - 2
+    while e:
+        if e & 1:
+            acc = schoolbook_mul(K, acc, a)
+        a = schoolbook_mul(K, a, a)
+        e >>= 1
+    return acc
+
+
 def random_monomial(nvars, rng, max_degree):
     e = [0] * nvars
     for _ in range(rng.randrange(max_degree + 1)):

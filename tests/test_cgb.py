@@ -246,7 +246,7 @@ def reference_nf(vec, basis, termkey, R):
         c = work[lt]
         for lead, g in leads:
             if lead[0] == lt[0] and monomial_divides(lead[1], lt[1]):
-                factor = R.div(c, g[lead])
+                factor = R.mul(c, R.inv(g[lead]))
                 shift = tuple(a - b for a, b in zip(lt[1], lead[1]))
                 for (pos, e), gc in g.items():
                     key = (pos, tuple(a + b for a, b in zip(e, shift)))

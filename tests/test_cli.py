@@ -153,6 +153,18 @@ def test_cli_bad_prime_is_exit_one(capsys):
     assert "denominator" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["psupport", "-p", "3", "-n", "1", "0"], ["charvar", "-n", "1", "d1 - d1"]],
+    ids=["psupport", "charvar"],
+)
+def test_cli_zero_generator_is_one_error_line(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: zero generator in module presentation\n"
+
+
 def test_cli_parse_error_is_exit_two(capsys):
     code = run(["psupport", "--prime", "3", "--vars", "1", "d1 +"])
     assert code == 2

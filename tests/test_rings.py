@@ -8,7 +8,7 @@ import pytest
 from pweyl.errors import DivisionByZero, NotUnit
 from pweyl.rings import QQ, GaloisField, Zmod, extension_field, is_prime
 
-from helpers import random_coeff
+from helpers import fermat_inv, random_coeff, schoolbook_mul
 
 ALL_RINGS = [Zmod(5), Zmod(9), Zmod(49), extension_field(3, 2), extension_field(2, 3), QQ]
 
@@ -121,6 +121,43 @@ def test_extension_field_enumeration(p, k):
     for e in elements:
         if not K.is_zero(e):
             assert K.mul(e, K.inv(e)) == K.one()
+
+
+ORACLE_FIELDS = [(2, 2), (3, 2), (2, 3), (5, 2), (13, 3)]
+
+
+@pytest.mark.parametrize("p,k", ORACLE_FIELDS)
+def test_extension_field_matches_schoolbook_oracle(p, k):
+    K = extension_field(p, k)
+    elements = [K.element_from_index(i) for i in range(K.size)]
+    if K.size <= 25:
+        pairs = [(a, b) for a in elements for b in elements]
+    else:
+        rng = random.Random(1303)
+        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(2000)]
+    for a, b in pairs:
+        assert K.mul(a, b) == schoolbook_mul(K, a, b), (a, b)
+    for a in elements[1:]:
+        assert K.inv(a) == fermat_inv(K, a), a
+        assert K.mul(a, K.inv(a)) == K.one(), a
+
+
+@pytest.mark.parametrize(
+    "p,k,modulus",
+    [(3, 2, (1, 0, 1)), (2, 2, (0, 0, 1)), (2, 2, (0, 1, 1))],
+    ids=["t2+1-over-F3", "t2-over-F2", "t2+t-over-F2"],
+)
+def test_non_primitive_modulus_rejected(p, k, modulus):
+    # t^2 + 1 is irreducible over F_3 but t has order 4, not 8; the other
+    # two are reducible and t is a zero divisor
+    with pytest.raises(ValueError, match="not primitive"):
+        GaloisField(p, k, modulus)
+
+
+def test_power_table_shared_by_every_instance():
+    K, L = extension_field(3, 2), extension_field(3, 2)
+    assert K == L and K is not L
+    assert K._exp is L._exp and K._log is L._log
 
 
 def test_extension_field_embeds_prime_field():

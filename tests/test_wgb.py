@@ -141,7 +141,7 @@ def reference_left_nf(f, basis, order):
         for (lead, lc), g in prepared:
             if monomial_divides(lead, lt):
                 u = tuple(a - b for a, b in zip(lt, lead))
-                f = f - WeylOp.monomial(R, n, u, R.div(c, lc)) * g
+                f = f - WeylOp.monomial(R, n, u, R.mul(c, R.inv(lc))) * g
                 break
         else:
             rem[lt] = c
