@@ -164,21 +164,62 @@ def _sparse_entries(vectors):
 
 
 def _points_on_variety(basis, nvars, p, k, rng):
-    """F_(p^k)-rational points where every basis element vanishes."""
+    """F_(p^k)-rational points where every basis element vanishes.
+
+    A depth-first search fixes one coordinate at a time, the last one
+    outermost and the first innermost, each running over the field in
+    ``element_from_index`` order, so the points come out in the order of
+    enumerating all of F_(p^k)^nvars with the first coordinate varying
+    fastest.  Fixing a coordinate substitutes its value into every
+    remaining element (coefficients embedded once by ``from_base``, powers
+    cached per field element): an element that vanishes identically is
+    dropped, a branch ends at the first element that becomes a nonzero
+    constant, and once no element is left every completion of the branch
+    is a point.  Beyond ``EXHAUSTIVE_POINT_LIMIT`` points,
+    ``RANDOM_POINT_BUDGET`` points are drawn from ``rng`` instead and each
+    distinct one is tested by the same substitution along its one path.
+    """
     K = extension_field(p, k)
     elements = [K.element_from_index(i) for i in range(K.size)]
+    one, add, mul, embed, is_zero = K.one(), K.add, K.mul, K.from_base, K.is_zero
+    powers = {}
 
-    def on_variety(pt):
-        value = evaluator(pt, K)
-        return all(K.is_zero(value(g.terms)) for g in basis)
+    def fix(polys, x):
+        """The elements with x put for their last variable, the zero ones
+        dropped; None when one of them becomes a nonzero constant."""
+        row = powers.setdefault(x, [one])
+        fixed = []
+        for f in polys:
+            g = {}
+            for e, c in f.items():
+                d = e[-1]
+                while len(row) <= d:
+                    row.append(mul(row[-1], x))
+                if d:
+                    c = mul(c, row[d])
+                head = e[:-1]
+                g[head] = add(g[head], c) if head in g else c
+            g = {e: c for e, c in g.items() if not is_zero(c)}
+            if g:
+                if not any(map(any, g)):
+                    return None
+                fixed.append(g)
+        return fixed
 
+    def search(polys, suffix):
+        if not polys:
+            for rest in product(elements, repeat=nvars - len(suffix)):
+                points.append(rest[::-1] + suffix)
+            return
+        for x in elements:
+            fixed = fix(polys, x)
+            if fixed is not None:
+                search(fixed, (x,) + suffix)
+
+    start = [{e: embed(c) for e, c in g.terms.items()} for g in basis]
     points = []
     if K.size**nvars <= EXHAUSTIVE_POINT_LIMIT:
-        # reversed, so that the first coordinate varies fastest
-        for pt in product(elements, repeat=nvars):
-            pt = pt[::-1]
-            if on_variety(pt):
-                points.append(pt)
+        search(start, ())
     else:
         seen = set()
         for _ in range(RANDOM_POINT_BUDGET):
@@ -186,7 +227,12 @@ def _points_on_variety(basis, nvars, p, k, rng):
             if pt in seen:
                 continue
             seen.add(pt)
-            if on_variety(pt):
+            polys = start
+            for x in reversed(pt):
+                if not polys:
+                    break
+                polys = fix(polys, x)
+            if polys is not None:
                 points.append(pt)
     return K, points
 
@@ -196,7 +242,11 @@ def generic_rank(ideal, twist, annihilator, attempts=5, seed=0):
 
     Points are drawn over F_(p^k), k = 1..3, preferring those where the
     Jacobian of the annihilator's basis reaches its maximal observed rank
-    (the smooth locus of the top-dimensional components).
+    (the smooth locus of the top-dimensional components).  The points of
+    each field come from ``_points_on_variety``'s coordinate-by-coordinate
+    search, last coordinate outermost, which lists them in the same order
+    as evaluating the basis at every point, first coordinate fastest; the
+    samples chosen, and so the report, do not depend on the search.
 
     D is Azumaya over its centre Z = F_p[X, Xi] (Bezrukavnikov-Mirkovic-
     Rumynin): at a point (X, Xi) over K, D tensor K is End(V) for the

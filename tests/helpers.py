@@ -5,8 +5,10 @@ from itertools import product
 
 from pweyl import CIdeal, MPoly, WeylOp
 from pweyl.center import STABILITY_WINDOW, _monomials_up_to, _split_residues
+from pweyl.mpoly import evaluator
 from pweyl.orders import GrevLex, monomial_divides
-from pweyl.rings import GaloisField, Rationals, Zmod
+from pweyl.psupport import EXHAUSTIVE_POINT_LIMIT, RANDOM_POINT_BUDGET
+from pweyl.rings import GaloisField, Rationals, Zmod, extension_field
 
 
 def random_coeff(ring, rng, nonzero=False):
@@ -246,3 +248,33 @@ def reference_ladder(ideal, twist):
         if candidates[back].groebner_basis() == candidates[d].groebner_basis():
             return f"stabilized({back})", candidates[back].gens
     return f"truncated({top})", candidates[top].gens
+
+
+def brute_force_points(basis, nvars, p, k, rng):
+    """``psupport._points_on_variety`` by evaluating every basis element at
+    every point of F_(p^k)^nvars (or at each distinct random draw beyond
+    ``EXHAUSTIVE_POINT_LIMIT``), in the same order and with the same draws."""
+    K = extension_field(p, k)
+    elements = [K.element_from_index(i) for i in range(K.size)]
+
+    def on_variety(pt):
+        value = evaluator(pt, K)
+        return all(K.is_zero(value(g.terms)) for g in basis)
+
+    points = []
+    if K.size**nvars <= EXHAUSTIVE_POINT_LIMIT:
+        # reversed, so that the first coordinate varies fastest
+        for pt in product(elements, repeat=nvars):
+            pt = pt[::-1]
+            if on_variety(pt):
+                points.append(pt)
+    else:
+        seen = set()
+        for _ in range(RANDOM_POINT_BUDGET):
+            pt = tuple(elements[rng.randrange(K.size)] for _ in range(nvars))
+            if pt in seen:
+                continue
+            seen.add(pt)
+            if on_variety(pt):
+                points.append(pt)
+    return K, points

@@ -1,4 +1,5 @@
-"""Every import in the package, the tests and the benchmark is used.
+"""Every import in the package, the tests and the benchmark is used, and
+the package imports nothing outside the standard library.
 
 No linter ships with the project, so this reads each module with ``ast``:
 a name an import binds must appear as a name elsewhere in the module.  The
@@ -7,6 +8,7 @@ package's ``__init__`` re-exports what it imports and is skipped.
 
 import ast
 from pathlib import Path
+import sys
 
 import pytest
 
@@ -42,3 +44,23 @@ def test_the_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def absolute_imports(source):
+    """The top-level module of every absolute import in the source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_package_imports_only_the_standard_library():
+    source = "import os.path\nfrom . import a\nfrom .b import c\nfrom json import dumps\n"
+    assert absolute_imports(source) == {"os", "json"}
+    imported = set()
+    for path in (ROOT / "src/pweyl").rglob("*.py"):
+        imported |= absolute_imports(path.read_text(encoding="utf-8"))
+    assert imported and imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names

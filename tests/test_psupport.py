@@ -1,6 +1,7 @@
 """Pipeline tests: specialization, reports, conicality, rank, char variety."""
 
 from fractions import Fraction
+from itertools import product
 import random
 
 import pytest
@@ -16,18 +17,19 @@ from pweyl import (
     generic_rank,
     is_conical,
     p_support,
+    parse_twisted,
     parse_weyl,
     radical_member,
     specialize_mod_p,
 )
 from pweyl.errors import BadPrime, EmptySupport, RingMismatch
 from pweyl.linalg import rank as matrix_rank
-from pweyl.mpoly import evaluator
+from pweyl.mpoly import PolyRing, evaluator
 from pweyl.center import _fiber_dim, _simple_module_rows
 from pweyl.psupport import _points_on_variety
 from pweyl.rings import QQ, Zmod, extension_field
 
-from helpers import random_weylop, z_module_presentation
+from helpers import brute_force_points, random_mpoly, random_weylop, z_module_presentation
 
 
 
@@ -388,6 +390,47 @@ def test_fiber_dim_matches_the_rank_p2n_presentation():
                     K = extension_field(p, s.degree)
                     assert s.fiber_dim == reference(K, s.point)
     assert fibre_is_nonzero == {False, True}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("nvars", [2, 4, 6])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_points_on_variety_matches_brute_force(p, nvars, k):
+    # the same points in the same order, and the same draws from rng, as
+    # evaluating every element at every point (or at every random draw)
+    rng = random.Random(1000 * p + 10 * nvars + k)
+    R = PolyRing(Zmod(p), tuple(f"v{i}" for i in range(nvars)))
+    for size in (0, 1, 2, 3):
+        basis = [
+            random_mpoly(R, rng, max_degree=rng.choice([2, 4]), nonzero=True)
+            for _ in range(size)
+        ]
+        seed = rng.randrange(2**32)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        _, points = _points_on_variety(basis, nvars, p, k, ours)
+        _, expected = brute_force_points(basis, nvars, p, k, theirs)
+        assert points == expected, ([str(g) for g in basis], p, k)
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize(
+    "texts, n, p, k, count",
+    [
+        ([], 1, 3, 1, 9),
+        ([], 2, 2, 2, 256),
+        (["2"], 1, 3, 2, 0),
+        (["Xi2 + 1", "X1 + Xi1 + 1"], 2, 2, 2, 16),
+        (["X1*Xi1"], 1, 3, 2, 17),
+    ],
+)
+def test_points_on_variety_hand_cases(texts, n, p, k, count):
+    basis = [parse_twisted(t, n, Zmod(p)) for t in texts]
+    K, points = _points_on_variety(basis, 2 * n, p, k, random.Random(0))
+    assert len(points) == count
+    assert points == brute_force_points(basis, 2 * n, p, k, random.Random(0))[1]
+    if not texts:
+        elements = [K.element_from_index(i) for i in range(K.size)]
+        assert points == [pt[::-1] for pt in product(elements, repeat=2 * n)]
 
 
 def test_non_reduced_annihilator_is_not_lagrangian():
