@@ -33,14 +33,21 @@ most once, and reduces each normal form once against one column echelon of
 the normal forms before it: the monomials of degree <= d come first in
 (degree, grevlex) order, so the kernel at degree d + 1 extends the one at
 d and no degree is eliminated from scratch.  The normal form of X^e comes
-from that of a predecessor X^(e - u_k) by a Frobenius shift:
+from that of a predecessor X^(e - u_k), for any slot k with e_k > 0, by a
+Frobenius shift:
 
     nf(X^e) = nf(shift_k(nf(X^(e - u_k)))),
 
 where shift_k adds p to Weyl exponent slot k.  This is exact because
 z = x_k^p or d_k^p is central, so left multiplication by z only shifts the
 exponents of a normal-ordered operator, and z * (m - nf(m)) lies in the
-left ideal with m - nf(m).  Only nf(1) is normalised directly.
+left ideal with m - nf(m).  The normal form against the reduced left basis
+is unique, so every predecessor gives the same nf(X^e); the ladder takes
+the one whose shift leaves the fewest terms on a basis lead, the last slot
+on a tie.  No basis lead divides a term of nf(X^(e - u_k)), so after the
+shift only a lead positive at slot k can divide one, and a shift with no
+term on a lead is a normal form already: it is kept without a reduction.
+Only nf(1) is normalised directly.
 
 The ladder never normalises a monomial X^e that the lead X^m of an earlier
 kernel vector u divides.  X^(e - m) * u lies in I cap Z with lead X^e and
@@ -258,12 +265,19 @@ def _monomials_up_to(nvars, degree):
 def _central_normal_forms(ideal, twist, monos):
     """nf(embed(X^e)) for every e of monos, cached on the ideal.
 
-    An uncached X^e is normalised from its predecessor X^(e - u_k), k the
-    last nonzero slot of e, by the Frobenius shift (module docstring); that
-    predecessor must be cached already or come earlier in ``monos``.
+    An uncached X^e is normalised from a predecessor X^(e - u_k) by the
+    Frobenius shift (module docstring); every predecessor must be cached
+    already or come earlier in ``monos``.  Of the slots k with e_k > 0, the
+    one taken leaves the fewest shifted terms on a basis lead: the slots are
+    scanned from the last down, the scan stops at the first shift with none,
+    and a tie keeps the later slot.  A shift with no term on a lead is
+    already the normal form (no lead divided a term before the shift, nor
+    divides one after it) and is cached without a call to ``normal_form``;
+    any other is reduced.
     """
     cache = ideal._cache.setdefault(("central_nf", twist), {})
     p = twist.p
+    leads = [lead for (_, lead), _, _ in ideal._prepared_basis()]
     out = []
     for e in monos:
         nf = cache.get(e)
@@ -271,16 +285,39 @@ def _central_normal_forms(ideal, twist, monos):
             if not any(e):
                 nf = ideal.normal_form(WeylOp.one(twist.weyl_ring, twist.n))
             else:
-                k = max(i for i, ei in enumerate(e) if ei)
-                prev = cache[e[:k] + (e[k] - 1,) + e[k + 1 :]]
-                shifted = {
-                    key[:k] + (key[k] + p,) + key[k + 1 :]: c
-                    for key, c in prev.terms.items()
-                }
-                nf = ideal.normal_form(WeylOp(prev.ring, prev.n, shifted))
+                best = None
+                for k in reversed(range(len(e))):
+                    if not e[k]:
+                        continue
+                    prev = cache[e[:k] + (e[k] - 1,) + e[k + 1 :]]
+                    hits = _shift_hits(prev.terms, k, p, leads)
+                    if best is None or hits < best[0]:
+                        best = (hits, k, prev)
+                    if not hits:
+                        break
+                hits, k, prev = best
+                shifted = WeylOp(
+                    prev.ring,
+                    prev.n,
+                    {key[:k] + (key[k] + p,) + key[k + 1 :]: c for key, c in prev.terms.items()},
+                )
+                nf = ideal.normal_form(shifted) if hits else shifted
             cache[e] = nf
         out.append(nf)
     return out
+
+
+def _shift_hits(terms, k, p, leads):
+    """How many of ``terms``, a normal form, some lead in ``leads`` divides
+    once p is added at slot k.  No lead divides a term of a normal form, so
+    only the leads positive at slot k can divide a shifted term."""
+    leads = [lead for lead in leads if lead[k]]
+    hits = 0
+    for key in terms:
+        shifted = key[:k] + (key[k] + p,) + key[k + 1 :]
+        if any(monomial_divides(lead, shifted) for lead in leads):
+            hits += 1
+    return hits
 
 
 class _KernelEchelon:

@@ -270,31 +270,87 @@ def test_ladder_normal_forms_by_frobenius_shift():
     # the cached normal forms of the embedded monomials, reached by Frobenius
     # shifts of their predecessors, equal the direct normal forms, and the
     # kernels equal the minimal leads of a per-degree reference built from
-    # the direct ones
+    # the direct ones; besides random inputs, two fixed ones at p = 7: basis
+    # leads that cover every slot, and one lead that leaves three slots free
     rng = random.Random(5)
+    cases = []
     for n, p in product((1, 2), (2, 3, 5)):
         tw = FrobeniusTwist(p, n)
-        R = tw.twisted_ring
         for _ in range(3):
             gens = [
                 random_weylop(tw.weyl_ring, n, rng, max_exp=2, max_terms=3, nonzero=True)
                 for _ in range(rng.randrange(1, n + 1))
             ]
-            I = LeftIdeal.of(gens)
-            kernels = [truncated_kernel(I, tw, d) for d in range(4)]
-            monos = _monomials_up_to(2 * n, 3)
-            direct = [I.normal_form(tw.embed(MPoly(R, {e: 1}))) for e in monos]
-            assert _central_normal_forms(I, tw, monos) == direct, (gens, p)
-            for d in range(4):
-                size = len(_monomials_up_to(2 * n, d))
-                reference = dense_kernel(monos[:size], direct[:size], R)
-                assert kernels[d] == minimal_leads(reference), (gens, p, d)
-                # the minimal leads generate the same ideal as the whole kernel
-                # and give the same coisotropy verdict and witness
-                whole = CIdeal.of(reference, ring=R)
-                minimal = CIdeal.of(kernels[d], ring=R)
-                assert minimal.groebner_basis() == whole.groebner_basis()
-                assert coisotropy_check(minimal) == coisotropy_check(whole)
+            cases.append((tw, gens))
+    tw = FrobeniusTwist(7, 2)
+    for texts in (("d1*d2 - 1", "x1*d1 - x2*d2"), ("d1^2 + d2^2 - x1",)):
+        cases.append((tw, [parse_weyl(text, 2, tw.weyl_ring) for text in texts]))
+    for tw, gens in cases:
+        n, p, R = tw.n, tw.p, tw.twisted_ring
+        I = LeftIdeal.of(gens)
+        kernels = [truncated_kernel(I, tw, d) for d in range(4)]
+        monos = _monomials_up_to(2 * n, 3)
+        direct = [I.normal_form(tw.embed(MPoly(R, {e: 1}))) for e in monos]
+        assert _central_normal_forms(I, tw, monos) == direct, (gens, p)
+        for d in range(4):
+            size = len(_monomials_up_to(2 * n, d))
+            reference = dense_kernel(monos[:size], direct[:size], R)
+            assert kernels[d] == minimal_leads(reference), (gens, p, d)
+            # the minimal leads generate the same ideal as the whole kernel
+            # and give the same coisotropy verdict and witness
+            whole = CIdeal.of(reference, ring=R)
+            minimal = CIdeal.of(kernels[d], ring=R)
+            assert minimal.groebner_basis() == whole.groebner_basis()
+            assert coisotropy_check(minimal) == coisotropy_check(whole)
+
+
+@pytest.mark.parametrize(
+    "texts, status, basis, bound",
+    [
+        (("d1^2 + d2^2 - x1",), "stabilized(2)", ["Xi1^2 + Xi2^2 - X1"], 4),
+        (("d1^2 - x1", "d2 - x2"), "stabilized(2)", ["X2 - Xi2", "Xi1^2 - X1"], 5),
+    ],
+)
+def test_ladder_reduces_only_shifts_that_land_on_a_lead(monkeypatch, texts, status, basis, bound):
+    # a predecessor whose shifted normal form has no term on a basis lead
+    # needs no reduction: at p = 5 these inputs normalise 3 and 4 operators,
+    # where always stepping from the last nonzero slot normalised 56 and 27
+    calls = []
+    normal_form = LeftIdeal.normal_form
+
+    def counted(self, f):
+        calls.append(f)
+        return normal_form(self, f)
+
+    monkeypatch.setattr(LeftIdeal, "normal_form", counted)
+    tw = FrobeniusTwist(5, 2)
+    I = LeftIdeal.of([parse_weyl(text, 2, tw.weyl_ring) for text in texts])
+    res = central_annihilator_truncated(I, tw)
+    assert res.status == status
+    assert [str(g) for g in res.ideal.groebner_basis()] == basis
+    assert len(calls) <= bound
+
+
+@pytest.mark.parametrize(
+    "text, p, basis",
+    [
+        ("x2*d1*d2 + d1 - 3", 7, ("X2^7*Xi1^7*Xi2^7 + 3*Xi1^6 - 3",)),
+        (
+            "x1*x2*d2 - x1*d1*d2 - x2",
+            3,
+            ("X1^3*X2^3*Xi2^3 - X1^3*Xi1^3*Xi2^3 - X2^3 + X1^2*Xi1 + X1*X2*Xi2 + X2*Xi2^2",),
+        ),
+    ],
+)
+def test_exact_and_truncated_agree_at_the_frontier(text, p, basis):
+    # n = 2 inputs where the ladder climbs to its reduced-norm ceiling
+    tw = FrobeniusTwist(p, 2)
+    L = parse_weyl(text, 2, tw.weyl_ring)
+    exact = central_annihilator_exact(LeftIdeal.of([L]), tw)
+    trunc = central_annihilator_truncated(LeftIdeal.of([L]), tw)
+    assert tuple(str(g) for g in exact.ideal.groebner_basis()) == basis
+    assert trunc.status == f"truncated({3 * p})"
+    assert trunc.ideal.groebner_basis() == exact.ideal.groebner_basis()
 
 
 def test_kernel_echelon_answers_degrees_in_any_order():

@@ -555,10 +555,13 @@ def test_truncated_ladder_reaches_the_reduced_norm_degree(text, annihilator):
         # the ladder reports this one uncertified, as truncated(21)
         ("x2*d1*d2 + d1 - 3", 2, 7, ("X2^7*Xi1^7*Xi2^7 + 3*Xi1^6 - 3",)),
         ("x1^2*d1 - 1", 1, 11, ("X1^2*Xi1 - 1",)),
+        ("x1*d1^2 + d1 - x1", 1, 11, ("X1*Xi1^2 - X1",)),
+        ("d1^3 - x1", 1, 13, ("Xi1^3 - X1",)),
     ],
 )
 def test_exact_route_certifies_inputs_beyond_the_guard(text, n, p, annihilator):
-    # module ranks 81, 2401 and 121 over the centre, all above EXACT_GUARD
+    # module ranks 81, 2401, 121, 121 and 169 over the centre, all above
+    # EXACT_GUARD
     spec = DModuleSpec(n, (parse_weyl(text, n, QQ),), text)
     r = p_support(spec, p, compute_rank=False, method="exact")
     assert r.annihilator == annihilator
