@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 computation-level failure (bad prime, zero
 generator, corpus mismatch, unreadable corpus file), 2 usage or parse
 error.  Machine-readable output is requested with --json; randomized steps
-take --seed, falling back to the PWEYL_SEED environment variable, then 0.
+take --seed, falling back to the PWEYL_SEED environment variable, then 0;
+a PWEYL_SEED that is not an integer is a usage error.
 """
 
 import argparse
@@ -44,18 +45,6 @@ def _positive(text):
     return n
 
 
-def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PWEYL_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
-
-
 def _emit_json(obj):
     print(json.dumps(obj, indent=2))
 
@@ -67,7 +56,7 @@ def _cmd_psupport(args):
         spec,
         args.prime,
         attempts=args.attempts,
-        seed=_seed(args),
+        seed=args.seed,
         compute_rank=not args.no_rank,
         method=args.method,
     )
@@ -145,7 +134,7 @@ def _cmd_center_check(args):
 
 
 def _cmd_corpus(args):
-    results = run_corpus(args.run, primes=args.primes, seed=_seed(args), attempts=args.attempts)
+    results = run_corpus(args.run, primes=args.primes, seed=args.seed, attempts=args.attempts)
     if args.json:
         _emit_json(
             [
@@ -229,6 +218,13 @@ def run(argv=None):
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    if "seed" in vars(args) and args.seed is None:
+        env = os.environ.get("PWEYL_SEED") or "0"
+        try:
+            args.seed = int(env)
+        except ValueError:
+            print(f"usage error: PWEYL_SEED={env!r} is not an integer", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except ParseError as exc:

@@ -7,7 +7,11 @@ ideal in the twisted cotangent ring: dimension, coisotropy under the
 canonical bracket, the middle-dimension verdict, conicality for the fiber
 dilation, and, on the exact route, the generic fiber rank from sampled
 points of the variety, where D/I is read on the simple module of rank p^n
-over each point (``center._simple_module_rows``).
+over each point (``center._simple_module_rows``).  The points are searched
+field by field and ranked by the Jacobian of the annihilator's basis as they
+are found; the search stops once ``attempts`` of them reach the Jacobian's
+rank ceiling min(len(basis), 2n), since no later point can displace them from
+the samples a full search would keep.
 For comparison the characteristic-zero symbol ideal of the same presentation
 is available as well.
 """
@@ -164,7 +168,8 @@ def _sparse_entries(vectors):
 
 
 def _points_on_variety(basis, nvars, p, k, rng):
-    """F_(p^k)-rational points where every basis element vanishes.
+    """F_(p^k) and an iterator over its rational points where every basis
+    element vanishes.
 
     A depth-first search fixes one coordinate at a time, the last one
     outermost and the first innermost, each running over the field in
@@ -178,6 +183,8 @@ def _points_on_variety(basis, nvars, p, k, rng):
     is a point.  Beyond ``EXHAUSTIVE_POINT_LIMIT`` points,
     ``RANDOM_POINT_BUDGET`` points are drawn from ``rng`` instead and each
     distinct one is tested by the same substitution along its one path.
+    The points are yielded as they are found, and ``rng`` is drawn from
+    only as far as the iterator is read.
     """
     K = extension_field(p, k)
     elements = [K.element_from_index(i) for i in range(K.size)]
@@ -209,18 +216,14 @@ def _points_on_variety(basis, nvars, p, k, rng):
     def search(polys, suffix):
         if not polys:
             for rest in product(elements, repeat=nvars - len(suffix)):
-                points.append(rest[::-1] + suffix)
+                yield rest[::-1] + suffix
             return
         for x in elements:
             fixed = fix(polys, x)
             if fixed is not None:
-                search(fixed, (x,) + suffix)
+                yield from search(fixed, (x,) + suffix)
 
-    start = [{e: embed(c) for e, c in g.terms.items()} for g in basis]
-    points = []
-    if K.size**nvars <= EXHAUSTIVE_POINT_LIMIT:
-        search(start, ())
-    else:
+    def draw():
         seen = set()
         for _ in range(RANDOM_POINT_BUDGET):
             pt = tuple(elements[rng.randrange(K.size)] for _ in range(nvars))
@@ -233,8 +236,61 @@ def _points_on_variety(basis, nvars, p, k, rng):
                     break
                 polys = fix(polys, x)
             if polys is not None:
-                points.append(pt)
-    return K, points
+                yield pt
+
+    start = [{e: embed(c) for e, c in g.terms.items()} for g in basis]
+    if K.size**nvars <= EXHAUSTIVE_POINT_LIMIT:
+        return K, search(start, ())
+    return K, draw()
+
+
+def _check_attempts(attempts):
+    """Reject a rank-sample cap that is not a positive int (bools too)."""
+    if isinstance(attempts, bool) or not isinstance(attempts, int) or attempts < 1:
+        raise ValueError(f"attempts must be a positive int, got {attempts!r}")
+
+
+def _choose_samples(basis, nvars, p, attempts, rng):
+    """The points to read fibres at, as (Jacobian rank, k, F_(p^k), point).
+
+    Points come over F_(p^k), k = 1..3, field by field in the order of
+    ``_points_on_variety``, and each is ranked by the Jacobian of ``basis``
+    as it arrives.  The chosen ones are the first ``attempts`` points of the
+    top Jacobian rank seen (the smooth locus of the top-dimensional
+    components); a further field is searched only while fewer than
+    ``attempts`` points have that rank.
+
+    The Jacobian is a len(basis) x nvars matrix, so no point ranks above
+    ``min(len(basis), nvars)``.  Once ``attempts`` points reach that
+    ceiling, the top rank is known and so are the first ``attempts`` points
+    that have it: the search stops there, and the choice is the one a full
+    search of every field it reaches would make.  Where fewer points reach
+    the ceiling (a basis longer than the codimension, or a support singular
+    everywhere), every point of each field reached is ranked.
+    """
+    jac = _sparse_entries([g.partial(v) for v in range(nvars)] for g in basis)
+    ceiling = min(len(basis), nvars)
+    ranked = []
+    at_ceiling = 0
+    for k in (1, 2, 3):
+        K, points = _points_on_variety(basis, nvars, p, k, rng)
+        for pt in points:
+            rows = _sparse_rows(jac, evaluator(pt, K), K)
+            jr = matrix_rank(rows, K, nvars) if rows else 0
+            ranked.append((jr, k, K, pt))
+            if jr == ceiling:
+                at_ceiling += 1
+                if at_ceiling == attempts:
+                    return [item for item in ranked if item[0] == ceiling]
+        if ranked:
+            top = max(r for r, _, _, _ in ranked)
+            if sum(1 for r, _, _, _ in ranked if r == top) >= attempts:
+                break
+    if not ranked:
+        raise NoPointsFound("no points of the support over F_(p^k), k <= 3")
+
+    top = max(r for r, _, _, _ in ranked)
+    return [item for item in ranked if item[0] == top][:attempts]
 
 
 def generic_rank(ideal, twist, annihilator, attempts=5, seed=0):
@@ -242,11 +298,15 @@ def generic_rank(ideal, twist, annihilator, attempts=5, seed=0):
 
     Points are drawn over F_(p^k), k = 1..3, preferring those where the
     Jacobian of the annihilator's basis reaches its maximal observed rank
-    (the smooth locus of the top-dimensional components).  The points of
-    each field come from ``_points_on_variety``'s coordinate-by-coordinate
-    search, last coordinate outermost, which lists them in the same order
-    as evaluating the basis at every point, first coordinate fastest; the
-    samples chosen, and so the report, do not depend on the search.
+    (the smooth locus of the top-dimensional components); ``attempts``, a
+    positive int, caps the samples.  The points of each field come from
+    ``_points_on_variety``'s coordinate-by-coordinate search, last
+    coordinate outermost, which lists them in the same order as evaluating
+    the basis at every point, first coordinate fastest; the samples chosen,
+    and so the report, do not depend on the search.  No Jacobian ranks above
+    the ceiling min(len(basis), 2n), so the search stops as soon as
+    ``attempts`` points reach it (``_choose_samples``): those are the
+    samples a search of every point of each field would choose.
 
     D is Azumaya over its centre Z = F_p[X, Xi] (Bezrukavnikov-Mirkovic-
     Rumynin): at a point (X, Xi) over K, D tensor K is End(V) for the
@@ -260,35 +320,12 @@ def generic_rank(ideal, twist, annihilator, attempts=5, seed=0):
     monomial is evaluated once, and the evaluated rows, as sparse dicts,
     go to the incremental ``linalg.rank``.
     """
+    _check_attempts(attempts)
     if annihilator.is_unit_ideal():
         raise EmptySupport("unit annihilator: the support is empty")
     basis = annihilator.groebner_basis()
-    nvars = 2 * twist.n
     module_rows = _simple_module_rows(ideal, twist)
-    rng = random.Random(seed)
-
-    jac = _sparse_entries([g.partial(v) for v in range(nvars)] for g in basis)
-
-    def jacobian_rank(K, pt):
-        rows = _sparse_rows(jac, evaluator(pt, K), K)
-        return matrix_rank(rows, K, nvars) if rows else 0
-
-    # extend the field until enough points attain the maximal observed
-    # Jacobian rank (the smooth locus of the top-dimensional components)
-    ranked = []
-    for k in (1, 2, 3):
-        K, pts = _points_on_variety(basis, nvars, twist.p, k, rng)
-        ranked.extend((jacobian_rank(K, pt), k, K, pt) for pt in pts)
-        if ranked:
-            top = max(r for r, _, _, _ in ranked)
-            if sum(1 for r, _, _, _ in ranked if r == top) >= attempts:
-                break
-    if not ranked:
-        raise NoPointsFound("no points of the support over F_(p^k), k <= 3")
-
-    top = max(r for r, _, _, _ in ranked)
-    preferred = [item for item in ranked if item[0] == top]
-    chosen = preferred[:attempts]
+    chosen = _choose_samples(basis, 2 * twist.n, twist.p, attempts, random.Random(seed))
 
     samples = []
     dicts = []
@@ -393,8 +430,7 @@ def p_support(
     works on the simple module of rank p^n.  ``attempts`` caps the rank
     samples; it must be a positive int, even when no rank is computed.
     """
-    if not isinstance(attempts, int) or attempts < 1:
-        raise ValueError(f"attempts must be a positive int, got {attempts!r}")
+    _check_attempts(attempts)
     ideal = specialize_mod_p(spec, p)
     twist = FrobeniusTwist(p, spec.n)
     notes = ["dimension is the top dimension only; equidimensionality not checked"]

@@ -5,9 +5,11 @@ from itertools import product
 
 from pweyl import CIdeal, MPoly, WeylOp
 from pweyl.center import STABILITY_WINDOW, _monomials_up_to, _split_residues
+from pweyl.errors import NoPointsFound
+from pweyl.linalg import _sparse_rows, rank as matrix_rank
 from pweyl.mpoly import evaluator
 from pweyl.orders import GrevLex, monomial_divides
-from pweyl.psupport import EXHAUSTIVE_POINT_LIMIT, RANDOM_POINT_BUDGET
+from pweyl.psupport import EXHAUSTIVE_POINT_LIMIT, RANDOM_POINT_BUDGET, _sparse_entries
 from pweyl.rings import GaloisField, Rationals, Zmod, extension_field
 
 
@@ -278,3 +280,31 @@ def brute_force_points(basis, nvars, p, k, rng):
             if on_variety(pt):
                 points.append(pt)
     return K, points
+
+
+def reference_samples(basis, nvars, p, attempts, rng):
+    """``psupport._choose_samples`` without the early stop: every point of
+    each field reached (from ``brute_force_points``) is ranked, and the
+    first ``attempts`` points of the top Jacobian rank are chosen."""
+    jac = _sparse_entries([g.partial(v) for v in range(nvars)] for g in basis)
+
+    def jacobian_rank(K, pt):
+        rows = _sparse_rows(jac, evaluator(pt, K), K)
+        return matrix_rank(rows, K, nvars) if rows else 0
+
+    # extend the field until enough points attain the maximal observed
+    # Jacobian rank (the smooth locus of the top-dimensional components)
+    ranked = []
+    for k in (1, 2, 3):
+        K, pts = brute_force_points(basis, nvars, p, k, rng)
+        ranked.extend((jacobian_rank(K, pt), k, K, pt) for pt in pts)
+        if ranked:
+            top = max(r for r, _, _, _ in ranked)
+            if sum(1 for r, _, _, _ in ranked if r == top) >= attempts:
+                break
+    if not ranked:
+        raise NoPointsFound("no points of the support over F_(p^k), k <= 3")
+
+    top = max(r for r, _, _, _ in ranked)
+    preferred = [item for item in ranked if item[0] == top]
+    return preferred[:attempts]

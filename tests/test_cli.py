@@ -307,3 +307,14 @@ def test_cli_env_seed(capsys, monkeypatch):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["generic_rank"] == 3
+
+
+@pytest.mark.parametrize("command", [["psupport", "-p", "3", "-n", "1", "d1 - 1"], ["corpus"]])
+def test_cli_env_seed_must_be_an_integer(capsys, monkeypatch, command):
+    monkeypatch.setenv("PWEYL_SEED", "abc")
+    assert run(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "PWEYL_SEED" in captured.err
+    # --seed wins over the environment, which is then never read
+    assert run(command[:1] + ["--seed", "3"] + command[1:]) == 0

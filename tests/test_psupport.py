@@ -1,7 +1,7 @@
 """Pipeline tests: specialization, reports, conicality, rank, char variety."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 import random
 
 import pytest
@@ -22,14 +22,20 @@ from pweyl import (
     radical_member,
     specialize_mod_p,
 )
-from pweyl.errors import BadPrime, EmptySupport, RingMismatch
+from pweyl.errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch
 from pweyl.linalg import rank as matrix_rank
 from pweyl.mpoly import PolyRing, evaluator
 from pweyl.center import _fiber_dim, _simple_module_rows
-from pweyl.psupport import _points_on_variety
+from pweyl.psupport import _choose_samples, _points_on_variety
 from pweyl.rings import QQ, Zmod, extension_field
 
-from helpers import brute_force_points, random_mpoly, random_weylop, z_module_presentation
+from helpers import (
+    brute_force_points,
+    random_mpoly,
+    random_weylop,
+    reference_samples,
+    z_module_presentation,
+)
 
 
 
@@ -322,6 +328,86 @@ def test_rank_samples_golden(text, n, p, kw, expected):
     assert r["generic_rank"] == expected[0][3]
 
 
+@pytest.mark.parametrize(
+    "text, n, p, ranks",
+    [
+        # the search stops at the fifth point of Jacobian rank 1 or 2; a
+        # full search of each field reached ranks 7, 22 and 20 points
+        ("d1 - x1", 1, 7, range(6)),
+        ("x1*d1", 1, 3, range(8)),
+        ("d1 - x1; d2 - 1", 2, 2, range(6)),
+        # three basis elements on a surface: no point reaches rank 3, so
+        # every point of each field reached is ranked
+        ("d1*d2 - 1; x1*d1 - x2*d2", 2, 2, [14]),
+    ],
+)
+def test_rank_search_stops_at_the_jacobian_ceiling(monkeypatch, text, n, p, ranks):
+    # fibres are ranked through center, so psupport's binding of the rank
+    # sees only the Jacobian ranks
+    import pweyl.psupport as psupport
+
+    calls = []
+
+    def counting(rows, K, ncols):
+        calls.append(ncols)
+        return matrix_rank(rows, K, ncols)
+
+    monkeypatch.setattr(psupport, "matrix_rank", counting)
+    gens = tuple(parse_weyl(g, n, QQ) for g in text.split("; "))
+    r = p_support(DModuleSpec(n, gens), p)
+    assert r.generic_rank is not None and len(r.rank_samples) == 5
+    assert len(calls) in ranks
+
+
+def _samples_or_none(choose, basis, nvars, p, attempts, seed):
+    try:
+        return choose(basis, nvars, p, attempts, random.Random(seed))
+    except NoPointsFound:
+        return None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_choose_samples_matches_the_full_search(p, n):
+    # stopping at the Jacobian-rank ceiling chooses what ranking every point
+    # of each field reached chooses, with the same draws up to the stop
+    rng = random.Random(100 * p + n)
+    R = FrobeniusTwist(p, n).twisted_ring
+    for _ in range(4):
+        basis = [
+            random_mpoly(R, rng, max_degree=3, max_terms=3, nonzero=True)
+            for _ in range(rng.randrange(1, 4))
+        ]
+        for attempts in (1, 3, 5):
+            seed = rng.randrange(2**32)
+            ours = _samples_or_none(_choose_samples, basis, 2 * n, p, attempts, seed)
+            expected = _samples_or_none(reference_samples, basis, 2 * n, p, attempts, seed)
+            assert ours == expected, ([str(g) for g in basis], p, attempts)
+
+
+@pytest.mark.parametrize(
+    "texts, n, p, top",
+    [
+        # the Jacobian vanishes on the support: rank 0 < 1 everywhere
+        (["Xi1^2"], 1, 3, 0),
+        # Legendre: rank 0 on the line Xi1 = 0, which the search meets
+        # first, and rank 1 = the ceiling elsewhere
+        (["X1^2*Xi1^2 - X1*Xi1^2"], 1, 3, 1),
+        # three elements on a surface in 4 variables: rank 2 < 3
+        (["Xi1*Xi2 + 1", "X1*Xi1 + X2*Xi2", "X2*Xi2^2 + X1"], 2, 2, 2),
+        # no point over F_5; GF(25)^4 is past the exhaustive limit, so the
+        # stop comes among the random draws
+        (["Xi1^2 - 2"], 2, 5, 1),
+    ],
+)
+def test_choose_samples_hand_cases(texts, n, p, top):
+    basis = [parse_twisted(t, n, Zmod(p)) for t in texts]
+    for attempts in (1, 3, 5):
+        chosen = _choose_samples(basis, 2 * n, p, attempts, random.Random(0))
+        assert chosen == reference_samples(basis, 2 * n, p, attempts, random.Random(0))
+        assert len(chosen) == attempts and {s[0] for s in chosen} == {top}
+
+
 def test_rank_on_exact_route_builds_no_presentation_over_the_centre(monkeypatch):
     import pweyl.center as center
 
@@ -380,7 +466,7 @@ def test_fiber_dim_matches_the_rank_p2n_presentation():
                     for _ in range(3)
                 ]
                 if not ann.is_unit_ideal():
-                    points += _points_on_variety(support, 2 * n, p, k, rng)[1][:3]
+                    points += islice(_points_on_variety(support, 2 * n, p, k, rng)[1], 3)
                 for pt in points:
                     fibre = _fiber_dim(rows, tw, K, pt)
                     assert fibre == reference(K, pt), ([str(g) for g in gens], p, pt)
@@ -409,7 +495,8 @@ def test_points_on_variety_matches_brute_force(p, nvars, k):
         ours, theirs = random.Random(seed), random.Random(seed)
         _, points = _points_on_variety(basis, nvars, p, k, ours)
         _, expected = brute_force_points(basis, nvars, p, k, theirs)
-        assert points == expected, ([str(g) for g in basis], p, k)
+        # the stream is lazy: rng is drawn from only once it is read out
+        assert list(points) == expected, ([str(g) for g in basis], p, k)
         assert ours.getstate() == theirs.getstate()
 
 
@@ -426,6 +513,7 @@ def test_points_on_variety_matches_brute_force(p, nvars, k):
 def test_points_on_variety_hand_cases(texts, n, p, k, count):
     basis = [parse_twisted(t, n, Zmod(p)) for t in texts]
     K, points = _points_on_variety(basis, 2 * n, p, k, random.Random(0))
+    points = list(points)
     assert len(points) == count
     assert points == brute_force_points(basis, 2 * n, p, k, random.Random(0))[1]
     if not texts:
@@ -508,13 +596,28 @@ def test_guard_must_be_an_int(method):
             p_support(DModuleSpec(1, (d - x,)), 3, method=method, guard=guard)
 
 
+# True is an int to isinstance, but no count
+BAD_ATTEMPTS = (0, -1, 2.0, 2.5, "5", None, True, False)
+
+
 @pytest.mark.parametrize("compute_rank", [True, False])
 def test_attempts_must_be_a_positive_int(compute_rank):
     (x,), (d,), _ = qq_gens()
-    for attempts in (0, -1, 2.0, "5", None):
+    for attempts in BAD_ATTEMPTS:
         with pytest.raises(ValueError, match="attempts must be a positive int"):
             p_support(DModuleSpec(1, (d - x,)), 3, attempts=attempts, compute_rank=compute_rank)
     assert p_support(DModuleSpec(1, (d - x,)), 3, attempts=1).generic_rank == 3
+
+
+def test_generic_rank_attempts_must_be_a_positive_int():
+    F3 = Zmod(3)
+    tw = FrobeniusTwist(3, 1)
+    I = LeftIdeal.of([WeylOp.d(F3, 1, 0)])
+    ann = CIdeal.of([tw.twisted_ring.gens()[1]])
+    for attempts in BAD_ATTEMPTS:
+        with pytest.raises(ValueError, match="attempts must be a positive int"):
+            generic_rank(I, tw, ann, attempts=attempts)
+    assert len(generic_rank(I, tw, ann, attempts=2).samples) == 2
 
 
 def test_no_rank_option():
