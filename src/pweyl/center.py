@@ -19,10 +19,11 @@ Two routes are provided:
 * exact: the x_i and d_i^p commute, so D is a free module of rank p^n over
   the polynomial ring A = F_p[x, Xi] on the d^r, 0 <= r_i < p.  Present I
   as the submodule of A^(p^n) spanned by d^r * (basis generator), split by
-  the d-exponents alone, take its colon into the coordinate of d^0, which
-  is I cap A, and contract that to the center by one block elimination of
-  x against X_i - x_i^p.  Certified; ``central_annihilator`` routes inputs
-  with p^(2n) above a size guard away from it.
+  the d-exponents alone, eliminate onto the coordinate of d^0, which gives
+  I cap A, and contract that to the center by one block elimination of x
+  against X_i - x_i^p.  Each elimination finishes only the basis elements
+  it keeps.  Certified; ``central_annihilator`` routes inputs with p^(2n)
+  above a size guard away from it.
 * truncated: for rising degree d, compute by linear algebra the space of
   central polynomials of degree <= d that the ideal's normal form kills,
   and stop once the resulting ideal stabilises over a degree window.
@@ -67,8 +68,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .cgb import CIdeal, FreeSubmodule, _reduced_ideal, buchberger, module_colon
-from .errors import RingMismatch
+from .cgb import CIdeal, _buchberger, _eliminate_onto, _reduced_ideal
+from .errors import DimensionMismatch, RingMismatch
 from .linalg import _sparse_rows, _sub_scaled, rank as matrix_rank
 from .mpoly import MPoly, PolyRing, evaluator
 from .orders import BlockElimination, GrevLex, monomial_divides
@@ -158,41 +159,55 @@ class AnnihilatorResult:
     status: str
 
 
+def _route_twist(ideal, twist):
+    """``twist``, or the ideal's own twist when it is None.  A twist of
+    another Weyl algebra raises here, before either route takes a product."""
+    if twist is None:
+        return FrobeniusTwist(ideal.ring.modulus, ideal.n)
+    mismatch = (
+        f"twist of A_{twist.n} over {twist.weyl_ring}, ideal of A_{ideal.n} over {ideal.ring}"
+    )
+    if twist.weyl_ring != ideal.ring:
+        raise RingMismatch(mismatch)
+    if twist.n != ideal.n:
+        raise DimensionMismatch(mismatch)
+    return twist
+
+
 def central_annihilator_exact(ideal, twist=None):
-    """I intersect Z by a colon over A = F_p[x, Xi]; certified generators.
+    """I intersect Z by elimination over A = F_p[x, Xi]; certified generators.
 
     The x_i and Xi_i = d_i^p commute, and D is the free A-module on the
     d^r, 0 <= r_i < p; x^a d^b is x^a Xi^(b // p) at position b mod p.  The
     left ideal I is the A-submodule N spanned by d^r * g over the residues
-    r and the reduced left basis g, so I cap A = (N :_A e_0) with e_0 the
-    position of d^0.  Its contraction to Z = F_p[X, Xi], X_i = x_i^p, is one
-    block elimination of x from it plus X_i - x_i^p, on (X, Xi, x).  The
-    result is the reduced grevlex basis, which is also ``gens``.
+    r and the reduced left basis g, so I cap A is N cap A*e_0, with e_0 the
+    position of d^0: one elimination onto that coordinate
+    (``cgb._eliminate_onto``) of the term dicts of the d^r * g.  Its
+    contraction to Z = F_p[X, Xi], X_i = x_i^p, is one block elimination of
+    x from it plus X_i - x_i^p, on (X, Xi, x), which finishes only the
+    x-free elements.  The result is the reduced grevlex basis, which is also
+    ``gens``.
     """
-    twist = twist or FrobeniusTwist(ideal.ring.modulus, ideal.n)
+    twist = _route_twist(ideal, twist)
     ring = twist.twisted_ring
     basis = ideal.groebner_basis()
     if not basis:
         return AnnihilatorResult(CIdeal.of([], ring=ring), "exact")
     p, n, F = twist.p, twist.n, twist.weyl_ring
-    x_names = tuple(f"x{i + 1}" for i in range(n))
-    A = PolyRing(F, x_names + twisted_names(n)[n:])
     residues = list(product(range(p), repeat=n))
-    columns = []
+    index = {r: i for i, r in enumerate(residues)}
+    vecs = []
     for g in basis:
         for r in residues:
             dr_g = WeylOp.monomial(F, n, (0,) * n + r) * g
             parts = _split_residues(dr_g.terms, p, range(n, 2 * n))
-            columns.append(tuple(MPoly(A, parts.get(s, {})) for s in residues))
-    N = FreeSubmodule.of(columns, rank=len(residues), ring=A)
-    e0 = (A.one(),) + (A.zero(),) * (len(residues) - 1)
-    colon = module_colon(N, e0)
-    # contract to Z: the elements of colon + (X_i - x_i^p) free of x
-    big = PolyRing(F, twisted_names(n) + x_names)
+            vecs.append({(index[s], e): c for s, terms in parts.items() for e, c in terms.items()})
+    # contract to Z: the x-free elements of (I cap A) + (X_i - x_i^p)
+    big = PolyRing(F, twisted_names(n) + tuple(f"x{i + 1}" for i in range(n)))
     zeros = (0,) * n
     gens = [
-        MPoly(big, {zeros + e[n:] + e[:n]: c for e, c in f.terms.items()})
-        for f in colon.groebner_basis()
+        MPoly(big, {zeros + e[n:] + e[:n]: c for e, c in f.items()})
+        for f in _eliminate_onto(vecs, 0, F)
     ]
     for i in range(n):
         X, x = big.gen(i), big.gen(2 * n + i)
@@ -201,8 +216,7 @@ def central_annihilator_exact(ideal, twist=None):
     # reduced grevlex basis of the contraction, in grevlex order of leads
     contracted = [
         MPoly(ring, {e[: 2 * n]: c for e, c in f.terms.items()})
-        for f in buchberger(gens, BlockElimination(2 * n))
-        if not any(any(e[2 * n :]) for e in f.terms)
+        for f in _buchberger(gens, BlockElimination(2 * n), lambda e: not any(e[2 * n :]))
     ]
     return AnnihilatorResult(_reduced_ideal(contracted, ring), "exact")
 
@@ -432,7 +446,7 @@ def central_annihilator_truncated(ideal, twist=None):
     with minimal leads that ``truncated_kernel`` returns (see the module
     docstring).
     """
-    twist = twist or FrobeniusTwist(ideal.ring.modulus, ideal.n)
+    twist = _route_twist(ideal, twist)
     norm_degree = min((g.total_degree() for g in ideal.groebner_basis()), default=0)
     top = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
     ring = twist.twisted_ring
@@ -464,7 +478,7 @@ def central_annihilator(ideal, twist=None, guard=EXACT_GUARD, method="auto"):
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(guard, int):
         raise ValueError(f"guard must be an int, got {guard!r}")
-    twist = twist or FrobeniusTwist(ideal.ring.modulus, ideal.n)
+    twist = _route_twist(ideal, twist)
     if method == "exact" or (method == "auto" and twist.module_rank <= guard):
         return central_annihilator_exact(ideal, twist)
     return central_annihilator_truncated(ideal, twist)

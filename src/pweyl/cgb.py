@@ -11,7 +11,10 @@ every algebra of solvable type (Kandri-Rody and Weispfenning, J. Symb. Comp.
 1990), so it is applied to all of them.  Buchberger runs with the normal
 selection strategy (smallest lcm degree first).  Output bases are reduced
 (monic, mutually tail-reduced, sorted by lead), hence unique for a given
-ideal and order.
+ideal and order.  A private caller that reads only some of the basis, say
+the elements of an elimination basis whose lead lies in the eliminated
+part, passes a predicate on leads, and only the elements it selects are
+tail-reduced and returned (``_groebner``, ``_eliminate_onto``).
 """
 
 import heapq
@@ -75,7 +78,7 @@ def _prepared(vecs, R, termkey, prepare):
     return out
 
 
-def _groebner(vectors, R, termkey, desckey, submul, prepare, product_criterion):
+def _groebner(vectors, R, termkey, desckey, submul, prepare, product_criterion, finish=None):
     """Reduced Groebner basis of the span of ``vectors`` (term dicts), as term
     dicts sorted by lead.
 
@@ -83,6 +86,10 @@ def _groebner(vectors, R, termkey, desckey, submul, prepare, product_criterion):
     ``orders``), both on (position, exponents) terms; ``submul`` and
     ``prepare`` give the algebra's product (see ``_reduce``).  Pairs whose
     leads are coprime are skipped only under ``product_criterion``.
+
+    ``finish``, a predicate on leads, limits the output to the elements of
+    the reduced basis whose lead passes it, in the same order; only those are
+    tail-reduced.  Every element passes by default.
     """
     one = R.one()
     G, leads, basis = [], [], []
@@ -141,12 +148,14 @@ def _groebner(vectors, R, termkey, desckey, submul, prepare, product_criterion):
         if not any(leads[k][0] == pos and all(map(le, leads[k][1], li)) for k in keep):
             keep.append(i)
 
-    # tail-reduce each against the others; leads are untouched by construction,
-    # so the result stays sorted by lead like ``keep``
+    # tail-reduce each finished element against the others: the remainder is
+    # the reduced basis element with its lead, which the reduction leaves
+    # untouched, so the result stays sorted by lead like ``keep``
     minimal = [basis[i] for i in keep]
     return [
         _reduce(dict(G[i]), minimal[:k] + minimal[k + 1 :], R, desckey, submul)
         for k, i in enumerate(keep)
+        if finish is None or finish(leads[i])
     ]
 
 
@@ -201,6 +210,12 @@ def _from_vec(ring, vec):
 
 def buchberger(gens, order=_GREVLEX):
     """Reduced Groebner basis of the ideal generated by ``gens``."""
+    return _buchberger(gens, order)
+
+
+def _buchberger(gens, order, finish=None):
+    """``buchberger`` limited to the reduced basis elements whose lead
+    exponents pass ``finish`` (see ``_groebner``)."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -216,6 +231,7 @@ def buchberger(gens, order=_GREVLEX):
         _shift_submul(ring.coeffs),
         _shift_form,
         True,
+        None if finish is None else lambda lead: finish(lead[1]),
     )
     return [_from_vec(ring, g) for g in basis]
 
@@ -313,8 +329,8 @@ def radical_member(f, ideal):
     one = big.one()
     tf = MPoly(big, {e + (1,): c for e, c in f.terms.items()})
     gens = [extend(g) for g in ideal.gens] + [one - tf]
-    basis = buchberger(gens, BlockElimination(nv))
-    return len(basis) == 1 and basis[0].is_constant()
+    # the reduced basis is (1) exactly when it has a constant element
+    return bool(_buchberger(gens, BlockElimination(nv), lambda e: not any(e)))
 
 
 def _pth_root(f, p):
@@ -449,16 +465,37 @@ class FreeSubmodule:
         return all(p.is_zero() for p in self.normal_form(col))
 
 
-def module_colon(submodule, v):
-    """The ideal (N : v) = {z : z*v in N}, by elimination of one tagged coordinate.
+def _eliminate_onto(vecs, k, R):
+    """The reduced grevlex basis of span(vecs) cap A*e_k, as exponent term
+    dicts sorted by lead; ``vecs`` are term dicts keyed (position, exponents)
+    over the polynomial ring A with coefficients R, a field.
 
-    One module Groebner basis of the columns (col_j, 0) and of (v, 1) in
-    R^(rank+1), under an order that eliminates the tag coordinate: any term
-    on a non-tag position beats any term on the tag, and other ties go to
-    grevlex before the position.  The basis elements whose lead lies on the
-    tag are then supported on the tag alone; they are (0, z) with z*v in N,
-    and their z form the reduced grevlex basis of the colon.  Comparing
-    terms before positions keeps the intermediate elements of low degree.
+    One Groebner basis under the order (pos != k, grevlex, -pos): any term
+    off position k beats any term on it, and other ties go to grevlex before
+    the position, which keeps the intermediate elements of low degree.  An
+    element whose lead lies on k is then supported on k alone, and only those
+    elements are finished.
+    """
+    basis = _groebner(
+        vecs,
+        R,
+        lambda t: (t[0] != k, _GREVLEX.key(t[1]), -t[0]),
+        lambda t: (t[0] == k, _GREVLEX.desc_key(t[1]), t[0]),
+        _shift_submul(R),
+        _shift_form,
+        False,
+        lambda lead: lead[0] == k,
+    )
+    return [{e: c for (_, e), c in g.items()} for g in basis]
+
+
+def module_colon(submodule, v):
+    """The ideal (N : v) = {z : z*v in N}, by elimination onto a tag coordinate.
+
+    The columns (col_j, 0) and (v, 1) span a submodule of R^(rank+1), whose
+    intersection with the tag coordinate R*e_rank is (0, z) for z*v in N;
+    ``_eliminate_onto`` that coordinate finishes only the basis elements on
+    the tag, and their z form the reduced grevlex basis of the colon.
     """
     v = tuple(v)
     rank = submodule.rank
@@ -469,18 +506,5 @@ def module_colon(submodule, v):
     tag = submodule._vec(v)
     tag[(rank, (0,) * ring.nvars)] = ring.coeffs.one()
     vecs = [submodule._vec(col) for col in submodule.columns] + [tag]
-    basis = _groebner(
-        vecs,
-        ring.coeffs,
-        lambda t: (t[0] != rank, _GREVLEX.key(t[1]), -t[0]),
-        lambda t: (t[0] == rank, _GREVLEX.desc_key(t[1]), t[0]),
-        _shift_submul(ring.coeffs),
-        _shift_form,
-        False,
-    )
-    gens = [
-        MPoly(ring, {e: c for (_, e), c in g.items()})
-        for g in basis
-        if all(pos == rank for pos, _ in g)
-    ]
+    gens = [MPoly(ring, g) for g in _eliminate_onto(vecs, rank, ring.coeffs)]
     return _reduced_ideal(gens, ring)

@@ -3,8 +3,13 @@
 from fractions import Fraction
 from itertools import product
 
-from pweyl import CIdeal, MPoly, WeylOp
-from pweyl.center import STABILITY_WINDOW, _monomials_up_to, _split_residues
+from pweyl import CIdeal, MPoly, PolyRing, WeylOp
+from pweyl.center import (
+    STABILITY_WINDOW,
+    _monomials_up_to,
+    _simple_module_rows,
+    _split_residues,
+)
 from pweyl.errors import NoPointsFound
 from pweyl.linalg import _sparse_rows, rank as matrix_rank
 from pweyl.mpoly import evaluator
@@ -118,6 +123,55 @@ def z_module_presentation(ideal, twist):
             parts = _split_residues(product_terms, p, range(2 * n))
             columns.append(tuple(MPoly(R, parts.get(r, {})) for r in B))
     return B, columns
+
+
+def berkowitz_det(matrix, ring):
+    """The determinant of a square matrix over the commutative ring ``ring``
+    without a division (Berkowitz, Inform. Process. Lett. 18, 1984).
+
+    It works up the trailing blocks M[k:, k:], each written [[a, r], [c, B]]
+    with B the next block, of size s.  The coefficients q_0..q_(s+1) of the
+    block's characteristic polynomial det(t - M[k:, k:]) = sum q_i t^(s+1-i)
+    are T times those of B, for the lower-triangular Toeplitz matrix T with
+    first column 1, -a, -r.c, -r.B.c, ..., -r.B^(s-1).c.  For the whole
+    matrix, det M = (-1)^m q_m.
+    """
+    m = len(matrix)
+
+    def dot(u, v):
+        return sum((a * b for a, b in zip(u, v) if not (a.is_zero() or b.is_zero())), ring.zero())
+
+    coeffs = [ring.one()]
+    for k in range(m - 1, -1, -1):
+        row = matrix[k][k + 1 :]
+        block = [r[k + 1 :] for r in matrix[k + 1 :]]
+        toeplitz, vec = [ring.one(), -matrix[k][k]], [r[k] for r in matrix[k + 1 :]]
+        for _ in block:
+            toeplitz.append(-dot(row, vec))
+            vec = [dot(r, vec) for r in block]
+        coeffs = [
+            dot([toeplitz[i - j] for j in range(min(i, len(coeffs) - 1) + 1)], coeffs)
+            for i in range(len(coeffs) + 1)
+        ]
+    return coeffs[m] if m % 2 == 0 else -coeffs[m]
+
+
+def reduced_norms(ideal, twist):
+    """Nrd(g) for each g of the reduced left basis: the determinant of g on
+    the simple module V of rank p^n (``center._simple_module_rows``), as a
+    polynomial over F_p in X1..Xn, b1..bn with b the beta of that module."""
+    dim, n = twist.p**twist.n, twist.n
+    names = twist.twisted_ring.names[:n] + tuple(f"b{i + 1}" for i in range(n))
+    R = PolyRing(twist.weyl_ring, names)
+    rows = _simple_module_rows(ideal, twist)
+    norms = []
+    for start in range(0, len(rows), dim):
+        matrix = [[R.zero()] * dim for _ in range(dim)]
+        for i, row in enumerate(rows[start : start + dim]):
+            for col, terms in row:
+                matrix[i][col] = MPoly(R, terms)
+        norms.append(berkowitz_det(matrix, R))
+    return norms
 
 
 def ideal_equal(I, J):

@@ -1,7 +1,7 @@
 """Center bookkeeping: the residue split over the center, central annihilators."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from pweyl import (
     module_colon,
     parse_weyl,
 )
+from pweyl import cgb
 from pweyl.center import (
     _central_normal_forms,
     _KernelEchelon,
@@ -25,18 +26,23 @@ from pweyl.center import (
     _split_residues,
     truncated_kernel,
 )
-from pweyl.mpoly import MPoly
+from pweyl.corpus import load_corpus
+from pweyl.errors import BadPrime, DimensionMismatch, RingMismatch
+from pweyl.mpoly import MPoly, PolyRing
 from pweyl.orders import GrevLex, monomial_divides
 from pweyl.poisson import coisotropy_check
+from pweyl.psupport import specialize_mod_p
 from pweyl.rings import Zmod
 
 from helpers import (
+    berkowitz_det,
     dense_kernel,
     ideal_equal,
     minimal_leads,
     random_mpoly,
     random_weylop,
     recombine_residues,
+    reduced_norms,
     reference_ladder,
     z_module_presentation,
 )
@@ -168,6 +174,130 @@ def test_exact_annihilator_elements_lie_in_ideal():
             res = central_annihilator_exact(I, tw)
             for g in res.ideal.gens:
                 assert I.contains(tw.embed(g))
+
+
+LEGENDRE_EXP = ("x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4", "d2 - 1")
+
+# n = 2 inputs on which the truncated route is wrong (it misses the second
+# generator), with their exact annihilators
+EXACT_N2_PINS = [
+    (LEGENDRE_EXP, 3, ("Xi2 - 1", "X1^2*Xi1^2 - X1*Xi1^2")),
+    (LEGENDRE_EXP, 5, ("Xi2 - 1", "X1^2*Xi1^2 - X1*Xi1^2")),
+    (LEGENDRE_EXP, 7, ("Xi2 - 1", "X1^2*Xi1^2 - X1*Xi1^2")),
+    (("3*x1*d1 - 2*d1 - 1", "2*x2^2*d2^2 - 2*d2"), 3, ("Xi1 - 1", "X2^2*Xi2^2 - Xi2")),
+    (("x1 - d1^2 - 2*x1^2*d1^2", "d2"), 3, ("Xi2", "X1^2*Xi1^2 - Xi1^2 + X1 + 1")),
+]
+
+
+@pytest.mark.parametrize("texts, p, basis", EXACT_N2_PINS)
+def test_exact_annihilator_n2_pins(texts, p, basis):
+    tw = FrobeniusTwist(p, 2)
+    I = LeftIdeal.of([parse_weyl(text, 2, tw.weyl_ring) for text in texts])
+    res = central_annihilator(I, tw, method="exact")
+    assert res.status == "exact"
+    assert tuple(str(g) for g in res.ideal.gens) == basis
+    for g in res.ideal.gens:
+        assert I.contains(tw.embed(g))
+
+
+@pytest.mark.parametrize(
+    "texts, n, p, calls",
+    [
+        (("d1 - x1",), 1, 11, 13),
+        (("x1*d1^2 + d1 - x1",), 1, 7, 14),
+        (LEGENDRE_EXP, 2, 5, 51),
+    ],
+)
+def test_exact_route_finishes_only_the_elements_it_reads(monkeypatch, texts, n, p, calls):
+    # the elimination onto d^0 tail-reduces only the basis elements on that
+    # coordinate, and the contraction only the x-free ones; tail-reducing
+    # every element of both bases took 26, 31 and 90 reductions
+    tw = FrobeniusTwist(p, n)
+    I = LeftIdeal.of([parse_weyl(text, n, tw.weyl_ring) for text in texts])
+    I.groebner_basis()
+    count = []
+    reduce = cgb._reduce
+
+    def counted(*args):
+        count.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(cgb, "_reduce", counted)
+    central_annihilator_exact(I, tw)
+    assert len(count) == calls
+
+
+@pytest.mark.parametrize("route", [central_annihilator_exact, central_annihilator_truncated])
+def test_a_twist_of_another_algebra_is_rejected(route):
+    # both are PweylErrors, raised before any product with a message that
+    # names both algebras
+    I = LeftIdeal.of([WeylOp.d(Zmod(5), 1, 0)])
+    with pytest.raises(RingMismatch, match=r"modulus=7.*modulus=5"):
+        route(I, FrobeniusTwist(7, 1))
+    with pytest.raises(DimensionMismatch, match=r"A_2 .*A_1 "):
+        route(I, FrobeniusTwist(5, 2))
+
+
+def test_berkowitz_matches_the_permutation_expansion():
+    R = PolyRing(Zmod(7), ("a", "b"))
+    rng = random.Random(41)
+    for m in range(5):
+        for _ in range(4):
+            M = [[random_mpoly(R, rng, max_degree=2) for _ in range(m)] for _ in range(m)]
+            want = R.zero()
+            for perm in permutations(range(m)):
+                inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+                term = R.one()
+                for i, j in enumerate(perm):
+                    term = term * M[i][j]
+                want = want - term if inversions % 2 else want + term
+            assert berkowitz_det(M, R) == want
+
+
+def reduced_norm_cases():
+    cases = []
+    for entry in load_corpus():
+        for p in entry.primes if entry.n == 1 else ():
+            try:
+                cases.append((FrobeniusTwist(p, 1), specialize_mod_p(entry.spec(), p)))
+            except BadPrime:
+                pass
+    # the inputs of the exact-ladder benchmark
+    ladder = {
+        "d1 - x1": (5, 7, 11),
+        "d1^2 - x1": (5,),
+        "d1^3 - x1": (5, 7),
+        "d1^2 - 1": (5, 7, 13),
+        "x1*d1 - 1/3": (5, 7, 11),
+        "x1^2*d1 - 1": (5,),
+        "x1*d1^2 + d1 - x1": (5, 7),
+    }
+    for text, primes in ladder.items():
+        for p in primes:
+            tw = FrobeniusTwist(p, 1)
+            cases.append((tw, LeftIdeal.of([parse_weyl(text, 1, tw.weyl_ring)])))
+    tw = FrobeniusTwist(3, 2)
+    for texts, p, _ in EXACT_N2_PINS:
+        if p == 3:
+            cases.append((tw, LeftIdeal.of([parse_weyl(text, 2, tw.weyl_ring) for text in texts])))
+    return cases
+
+
+def test_reduced_norms_lie_in_the_exact_annihilator():
+    # Nrd(g), the determinant of g on the simple module, is a nonzero
+    # polynomial in X and beta^p, and lies in D*g, so in I cap Z: an oracle
+    # for the exact route that shares no code with the Groebner engine
+    cases = reduced_norm_cases()
+    assert len(cases) == 41
+    for tw, I in cases:
+        p, n = tw.p, tw.n
+        J = central_annihilator_exact(I, tw).ideal
+        for g, norm in zip(I.groebner_basis(), reduced_norms(I, tw)):
+            label = (str(g), p)
+            assert not norm.is_zero(), label
+            assert all(b % p == 0 for e in norm.terms for b in e[n:]), label
+            terms = {e[:n] + tuple(b // p for b in e[n:]): c for e, c in norm.terms.items()}
+            assert J.contains(MPoly(tw.twisted_ring, terms)), label
 
 
 def test_truncated_examples():

@@ -14,6 +14,7 @@ from pweyl import (
     module_colon,
     radical_member,
 )
+from pweyl.cgb import _buchberger, _eliminate_onto, _groebner, _shift_form, _shift_submul
 from pweyl.errors import NotAField
 from pweyl.mpoly import MPoly, PolyRing
 from pweyl.orders import (
@@ -225,6 +226,54 @@ def test_module_colon_into_first_coordinate():
             assert N.contains((g,) + tail)
         for z in monos:
             assert colon.contains(z) == N.contains((z,) + tail), str(z)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_finishing_selects_from_the_reduced_basis(p):
+    # a finish predicate returns exactly the elements of the full reduced
+    # basis whose lead passes it, in the same order: for elimination onto
+    # each position of random submodules, and for block eliminations of
+    # random ideals
+    grevlex = GrevLex()
+    R = PolyRing(Zmod(p), ("x", "xi"))
+    F = R.coeffs
+    rng = random.Random(300 + p)
+    for _ in range(8):
+        rank = rng.randrange(1, 4)
+        vecs = []
+        for _ in range(rng.randrange(1, 4)):
+            col = [random_mpoly(R, rng, max_degree=2) for _ in range(rank)]
+            vec = {(pos, e): c for pos, f in enumerate(col) for e, c in f.terms.items()}
+            if vec:
+                vecs.append(vec)
+        for k in range(rank):
+            termkey = lambda t: (t[0] != k, grevlex.key(t[1]), -t[0])
+            args = (
+                vecs,
+                F,
+                termkey,
+                lambda t: (t[0] == k, grevlex.desc_key(t[1]), t[0]),
+                _shift_submul(F),
+                _shift_form,
+                False,
+            )
+            on_k = lambda lead: lead[0] == k
+            full = _groebner(*args)
+            finished = _groebner(*args, on_k)
+            assert finished == [g for g in full if on_k(max(g, key=termkey))]
+            assert all(pos == k for g in finished for pos, _ in g)
+            assert _eliminate_onto(vecs, k, F) == [
+                {e: c for (_, e), c in g.items()} for g in finished
+            ]
+    S = PolyRing(Zmod(p), ("a", "b", "c", "t"))
+    for _ in range(8):
+        gens = [random_mpoly(S, rng, max_degree=2, nonzero=True) for _ in range(3)]
+        for split in (1, 2, 3):
+            order = BlockElimination(split)
+            full = buchberger(gens, order)
+            for finish in (lambda e: not any(e[split:]), lambda e: not any(e)):
+                want = [g for g in full if finish(g.leading(order)[0])]
+                assert _buchberger(gens, order, finish) == want
 
 
 def test_module_membership_via_normal_form():

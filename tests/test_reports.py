@@ -19,6 +19,7 @@ from helpers import random_mpoly
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report_exponential_p3.json"
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus_seed0.json"
+GOLDEN_LEGENDRE = Path(__file__).parent / "data" / "golden_report_legendre_exp_p3.json"
 
 
 def test_json_report_matches_frozen_golden():
@@ -41,6 +42,32 @@ def test_json_report_matches_frozen_golden():
         )
     assert code == 0
     assert buf.getvalue() == GOLDEN.read_text()
+
+
+def test_exact_n2_report_matches_frozen_golden():
+    # Legendre times e^(x2) at p = 3 on the exact route, rank off: the
+    # truncated route misses its second generator
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(
+            [
+                "psupport",
+                "--method",
+                "exact",
+                "--no-rank",
+                "--json",
+                "--seed",
+                "0",
+                "-n",
+                "2",
+                "-p",
+                "3",
+                "x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4",
+                "d2 - 1",
+            ]
+        )
+    assert code == 0
+    assert buf.getvalue() == GOLDEN_LEGENDRE.read_text()
 
 
 @pytest.mark.parametrize("seed", ["0", "7"])
