@@ -10,11 +10,9 @@ characteristic variety over Q for comparison.
 
 from .cgb import (
     CIdeal,
-    FreeSubmodule,
     buchberger,
     frobenius_root,
     krull_dim,
-    module_colon,
     radical_member,
 )
 from .center import (
@@ -48,7 +46,6 @@ from .orders import (
     BlockElimination,
     GrevLex,
     Lex,
-    PositionOverTerm,
     Weighted,
 )
 from .parser import parse_operator, parse_twisted, parse_weyl

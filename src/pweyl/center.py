@@ -137,10 +137,6 @@ class FrobeniusTwist:
     def twisted_ring(self):
         return PolyRing(Zmod(self.p), twisted_names(self.n))
 
-    @property
-    def module_rank(self):
-        return self.p ** (2 * self.n)
-
     def embed(self, poly):
         """A twisted polynomial as the corresponding central operator, with
         X_i -> x_i^p and Xi_i -> d_i^p; ``poisson.deformation_bracket``
@@ -469,16 +465,17 @@ def central_annihilator(ideal, twist=None, guard=EXACT_GUARD, method="auto"):
     """The central annihilator by the route ``method`` names.
 
     This is the one place that chooses the route, and the only reader of
-    ``guard`` for it; the two routes take no guard.  "exact" takes the colon
-    whatever the module rank, "truncated" the degree-truncated kernel, and
-    "auto" the exact route while the module rank p^(2n) is within ``guard``,
-    else the truncated one.  ``guard`` must be an int, whatever the method.
+    ``guard`` for it; the two routes take no guard.  "exact" takes the exact
+    route whatever p^(2n), "truncated" the degree-truncated kernel, and
+    "auto" the exact route while p^(2n) is within ``guard``, else the
+    truncated one.  ``guard`` must be an int, not a bool, whatever the
+    method.
     """
     if method not in ("auto", "exact", "truncated"):
         raise ValueError(f"unknown method {method!r}")
-    if not isinstance(guard, int):
+    if isinstance(guard, bool) or not isinstance(guard, int):
         raise ValueError(f"guard must be an int, got {guard!r}")
     twist = _route_twist(ideal, twist)
-    if method == "exact" or (method == "auto" and twist.module_rank <= guard):
+    if method == "exact" or (method == "auto" and twist.p ** (2 * twist.n) <= guard):
         return central_annihilator_exact(ideal, twist)
     return central_annihilator_truncated(ideal, twist)

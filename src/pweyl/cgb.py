@@ -1,6 +1,7 @@
 """The Groebner engine: one Buchberger loop and one reducer over field
-coefficients, for commutative ideals, submodules of a free module and, through
-``wgb``, left ideals of the Weyl algebra.
+coefficients, for commutative ideals, the elimination of a submodule of a
+free module onto one coordinate (``_eliminate_onto``, the exact route's
+intersection I cap A) and, through ``wgb``, left ideals of the Weyl algebra.
 
 The engine works on term dicts keyed by (position, exponent tuple): ideals
 and Weyl operators use position 0 everywhere.  The algebras differ only in
@@ -22,9 +23,10 @@ import itertools
 from dataclasses import dataclass, field
 from operator import add, le, sub
 
-from .errors import DimensionMismatch, NotAField, RingMismatch
+from .errors import NotAField, RingMismatch
 from .mpoly import MPoly, PolyRing
-from .orders import BlockElimination, GrevLex, PositionOverTerm, monomial_lcm
+from .orders import BlockElimination, GrevLex, monomial_lcm
+from .rings import Zmod
 
 _GREVLEX = GrevLex()
 
@@ -355,9 +357,13 @@ def frobenius_root(ideal):
     root h outside the ideal (else a basis lead would divide lead(h), a
     proper divisor of lead(h^p)), so the ideals rise and the loop ends.  An
     ideal without p-th powers in its reduced basis is returned as it is,
-    generators and all.
+    generators and all.  Coefficients other than F_p raise RingMismatch: over
+    a larger field c^p = c fails, and the root would change the radical.
     """
-    p = ideal.ring.coeffs.characteristic
+    coeffs = ideal.ring.coeffs
+    if not (isinstance(coeffs, Zmod) and coeffs.is_field):
+        raise RingMismatch(f"frobenius_root expects coefficients in F_p, got {coeffs}")
+    p = coeffs.characteristic
     while True:
         basis = ideal.groebner_basis()
         roots = [_pth_root(g, p) for g in basis]
@@ -388,81 +394,8 @@ def krull_dim(ideal):
 
 
 # ---------------------------------------------------------------------------
-# free modules and the colon
+# elimination onto one coordinate of a free module
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FreeSubmodule:
-    """A submodule of ring^rank given by column generators, with a module GB cache."""
-
-    ring: PolyRing
-    rank: int
-    columns: tuple
-    order: object = field(default_factory=PositionOverTerm)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @classmethod
-    def of(cls, columns, rank=None, ring=None, order=None):
-        columns = tuple(tuple(col) for col in columns)
-        if rank is None:
-            if not columns:
-                raise ValueError("empty column list needs an explicit rank")
-            rank = len(columns[0])
-        for col in columns:
-            if len(col) != rank:
-                raise DimensionMismatch("column length differs from module rank")
-        if ring is None:
-            ring = columns[0][0].ring
-        return cls(ring, rank, columns, order or PositionOverTerm())
-
-    def _vec(self, col):
-        out = {}
-        for pos, poly in enumerate(col):
-            for e, c in poly.terms.items():
-                out[(pos, e)] = c
-        return out
-
-    def _unvec(self, vec):
-        cols = [{} for _ in range(self.rank)]
-        for (pos, e), c in vec.items():
-            cols[pos][e] = c
-        return tuple(MPoly(self.ring, t) for t in cols)
-
-    def groebner_basis(self):
-        if "basis" not in self._cache:
-            _require_field(self.ring)
-            R = self.ring.coeffs
-            termkey = lambda t: self.order.key(t[0], t[1])
-            vecs = _groebner(
-                [self._vec(col) for col in self.columns],
-                R,
-                termkey,
-                lambda t: self.order.desc_key(t[0], t[1]),
-                _shift_submul(R),
-                _shift_form,
-                False,
-            )
-            self._cache["basis"] = tuple(self._unvec(v) for v in vecs)
-            self._cache["prep"] = _prepared(vecs, R, termkey, _shift_form)
-        return self._cache["basis"]
-
-    def normal_form(self, col):
-        if len(col) != self.rank:
-            raise DimensionMismatch("vector length differs from module rank")
-        self.groebner_basis()
-        R = self.ring.coeffs
-        vec = _reduce(
-            self._vec(tuple(col)),
-            self._cache["prep"],
-            R,
-            lambda t: self.order.desc_key(t[0], t[1]),
-            _shift_submul(R),
-        )
-        return self._unvec(vec)
-
-    def contains(self, col):
-        return all(p.is_zero() for p in self.normal_form(col))
 
 
 def _eliminate_onto(vecs, k, R):
@@ -487,24 +420,3 @@ def _eliminate_onto(vecs, k, R):
         lambda lead: lead[0] == k,
     )
     return [{e: c for (_, e), c in g.items()} for g in basis]
-
-
-def module_colon(submodule, v):
-    """The ideal (N : v) = {z : z*v in N}, by elimination onto a tag coordinate.
-
-    The columns (col_j, 0) and (v, 1) span a submodule of R^(rank+1), whose
-    intersection with the tag coordinate R*e_rank is (0, z) for z*v in N;
-    ``_eliminate_onto`` that coordinate finishes only the basis elements on
-    the tag, and their z form the reduced grevlex basis of the colon.
-    """
-    v = tuple(v)
-    rank = submodule.rank
-    if len(v) != rank:
-        raise DimensionMismatch("vector length differs from module rank")
-    ring = submodule.ring
-    _require_field(ring)
-    tag = submodule._vec(v)
-    tag[(rank, (0,) * ring.nvars)] = ring.coeffs.one()
-    vecs = [submodule._vec(col) for col in submodule.columns] + [tag]
-    gens = [MPoly(ring, g) for g in _eliminate_onto(vecs, rank, ring.coeffs)]
-    return _reduced_ideal(gens, ring)

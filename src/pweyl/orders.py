@@ -1,4 +1,4 @@
-"""Monomial orders on exponent tuples, plus module orders on (position, monomial).
+"""Monomial orders on exponent tuples.
 
 Every order exposes ``key(exponents) -> sortable`` such that the usual tuple
 comparison of keys realises the order (bigger key = bigger monomial), and
@@ -6,7 +6,8 @@ comparison of keys realises the order (bigger key = bigger monomial), and
 (smaller key = bigger monomial): a min-heap of desc keys pops the leading
 term first.  All orders here are total and multiplicative; ``is_global``
 reports whether the constant monomial is minimal, which Buchberger-type
-algorithms require.
+algorithms require.  The engine's one order on (position, exponents) terms
+is written where it is used, in ``cgb._eliminate_onto``.
 """
 
 from dataclasses import dataclass, field
@@ -87,19 +88,6 @@ class Weighted:
     @property
     def is_global(self):
         return all(w >= 0 for w in self.weights) and self.tie.is_global
-
-
-@dataclass(frozen=True)
-class PositionOverTerm:
-    """Module order: lower positions dominate, ties by the base order."""
-
-    base: object = field(default_factory=GrevLex)
-
-    def key(self, pos, e):
-        return (-pos, self.base.key(e))
-
-    def desc_key(self, pos, e):
-        return (pos, self.base.desc_key(e))
 
 
 def monomial_divides(u, v):

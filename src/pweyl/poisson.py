@@ -40,7 +40,10 @@ def deformation_bracket(f, g, twist=None):
     """Bracket induced by the Z/p^2 lift: commutator of lifts, divided by p."""
     if f.ring != g.ring:
         raise RingMismatch("bracket arguments live in different rings")
-    p = f.ring.coeffs.modulus
+    coeffs = f.ring.coeffs
+    if not isinstance(coeffs, Zmod):
+        raise RingMismatch(f"deformation bracket expects coefficients in F_p, got {coeffs}")
+    p = coeffs.modulus
     twist = twist or FrobeniusTwist(p, f.ring.nvars // 2)
     if f.ring != twist.twisted_ring:
         raise RingMismatch("arguments are not in the twisted ring of this twist")

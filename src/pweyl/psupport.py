@@ -424,7 +424,7 @@ def p_support(
 ):
     """Full support verdict for one presentation at one prime.
 
-    ``guard``, an int, bounds the module rank p^(2n) for the route that
+    ``guard``, an int, bounds p^(2n) for the route that
     ``central_annihilator`` takes under ``method="auto"``.  The generic rank
     is computed whenever the exact route ran and ``compute_rank`` asks; it
     works on the simple module of rank p^n.  ``attempts`` caps the rank

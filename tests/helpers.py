@@ -1,7 +1,7 @@
 """Seeded random generators and brute-force oracles shared by the tests."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from pweyl import CIdeal, MPoly, PolyRing, WeylOp
 from pweyl.center import (
@@ -10,6 +10,7 @@ from pweyl.center import (
     _simple_module_rows,
     _split_residues,
 )
+from pweyl.cgb import _eliminate_onto, _groebner, _shift_form, _shift_submul
 from pweyl.errors import NoPointsFound
 from pweyl.linalg import _sparse_rows, rank as matrix_rank
 from pweyl.mpoly import evaluator
@@ -123,6 +124,104 @@ def z_module_presentation(ideal, twist):
             parts = _split_residues(product_terms, p, range(2 * n))
             columns.append(tuple(MPoly(R, parts.get(r, {})) for r in B))
     return B, columns
+
+
+def column_vec(col):
+    """A column of polynomials as the engine's term dict, keyed (position,
+    exponents)."""
+    return {(pos, e): c for pos, f in enumerate(col) for e, c in f.terms.items()}
+
+
+def colon_by_tag(columns, v, ring):
+    """The reduced grevlex basis of (N : v) = {z : z*v in N}, N spanned by
+    ``columns``: the columns (col, 0) and the tag generator (v, 1) eliminated
+    onto the tag coordinate, whose elements are (0, z) for z*v in N."""
+    rank = len(v)
+    tag = column_vec(v)
+    tag[(rank, (0,) * ring.nvars)] = ring.coeffs.one()
+    vecs = [column_vec(col) for col in columns] + [tag]
+    return [MPoly(ring, g) for g in _eliminate_onto(vecs, rank, ring.coeffs)]
+
+
+def rank_p2n_colon(ideal, twist):
+    """I cap Z as a reduced grevlex basis, by the colon of the rank-p^(2n)
+    presentation over Z (``z_module_presentation``) into the coordinate of
+    1: the reference for the exact route, which eliminates in rank p^n."""
+    R = twist.twisted_ring
+    B, columns = z_module_presentation(ideal, twist)
+    e0 = [R.zero()] * len(B)
+    e0[B.index((0,) * (2 * twist.n))] = R.one()
+    return tuple(colon_by_tag(columns, e0, R))
+
+
+def reference_nf(vec, basis, termkey, R):
+    """Normal form of a {(position, exponents): coeff} dict by the textbook
+    loop: the leading term by ``max``, the smallest dividing basis lead."""
+    leads = sorted(((max(g, key=termkey), g) for g in basis), key=lambda t: termkey(t[0]))
+    work, rem = dict(vec), {}
+    while work:
+        lt = max(work, key=termkey)
+        c = work[lt]
+        for lead, g in leads:
+            if lead[0] == lt[0] and monomial_divides(lead[1], lt[1]):
+                factor = R.mul(c, R.inv(g[lead]))
+                shift = tuple(a - b for a, b in zip(lt[1], lead[1]))
+                for (pos, e), gc in g.items():
+                    key = (pos, tuple(a + b for a, b in zip(e, shift)))
+                    v = R.sub(work.get(key, R.zero()), R.mul(factor, gc))
+                    if R.is_zero(v):
+                        work.pop(key, None)
+                    else:
+                        work[key] = v
+                break
+        else:
+            rem[lt] = work.pop(lt)
+    return rem
+
+
+def assert_reduced_module_basis(vecs, termkey, R):
+    """Term dicts {(position, exponents): coeff}: monic, no term divisible by
+    another element's lead, and every S-vector of two elements whose leads
+    share a position reduces to zero by the textbook reference."""
+    leads = [max(g, key=termkey) for g in vecs]
+    for i, g in enumerate(vecs):
+        assert g[leads[i]] == R.one()
+        for k, (pos, lead) in enumerate(leads):
+            if k != i:
+                assert not any(p == pos and monomial_divides(lead, e) for p, e in g), (k, i)
+    for i, k in combinations(range(len(vecs)), 2):
+        (pi, li), (pk, lk) = leads[i], leads[k]
+        if pi != pk:
+            continue
+        lcm = tuple(map(max, li, lk))
+        s = {}
+        for g, lead, sign in ((vecs[i], li, R.one()), (vecs[k], lk, R.neg(R.one()))):
+            shift = tuple(a - b for a, b in zip(lcm, lead))
+            for (pos, e), c in g.items():
+                t = (pos, tuple(a + b for a, b in zip(e, shift)))
+                v = R.add(s.get(t, R.zero()), R.mul(sign, c))
+                if R.is_zero(v):
+                    s.pop(t, None)
+                else:
+                    s[t] = v
+        assert not reference_nf(s, vecs, termkey, R)
+
+
+def submodule_basis(columns, F, termkey, desckey):
+    """The engine's reduced basis of the span of ``columns`` (tuples of
+    polynomials over the field F) under the module order given by
+    ``termkey`` and its reverse ``desckey``."""
+    vecs = [column_vec(col) for col in columns]
+    return _groebner(vecs, F, termkey, desckey, _shift_submul(F), _shift_form, False)
+
+
+def submodule_member(columns, F, termkey, desckey):
+    """Membership in the span of ``columns``: a column lies in it iff
+    ``reference_nf`` reduces it to zero against ``submodule_basis``, which
+    ``assert_reduced_module_basis`` certifies first."""
+    basis = submodule_basis(columns, F, termkey, desckey)
+    assert_reduced_module_basis(basis, termkey, F)
+    return lambda col: not reference_nf(column_vec(col), basis, termkey, F)
 
 
 def berkowitz_det(matrix, ring):

@@ -7,7 +7,6 @@ import pytest
 
 from pweyl import (
     CIdeal,
-    FreeSubmodule,
     FrobeniusTwist,
     LeftIdeal,
     WeylOp,
@@ -15,7 +14,6 @@ from pweyl import (
     central_annihilator,
     central_annihilator_exact,
     central_annihilator_truncated,
-    module_colon,
     parse_weyl,
 )
 from pweyl import cgb
@@ -41,10 +39,10 @@ from helpers import (
     minimal_leads,
     random_mpoly,
     random_weylop,
+    rank_p2n_colon,
     recombine_residues,
     reduced_norms,
     reference_ladder,
-    z_module_presentation,
 )
 
 
@@ -366,19 +364,6 @@ def test_exact_and_truncated_agree_on_random_operators():
             assert exact.ideal.groebner_basis() == trunc.ideal.groebner_basis(), (str(L), tw.p)
 
 
-def rank_p2n_colon(I, tw):
-    """I cap Z by the colon of the rank-p^(2n) presentation over Z into the
-    coordinate of 1: the reference for the rank-p^n route."""
-    R = tw.twisted_ring
-    B, columns = z_module_presentation(I, tw)
-    if not columns:
-        return CIdeal.of([], ring=R)
-    N = FreeSubmodule.of(columns, rank=len(B), ring=R)
-    e0 = [R.zero()] * len(B)
-    e0[B.index((0,) * (2 * tw.n))] = R.one()
-    return module_colon(N, tuple(e0))
-
-
 def test_exact_annihilator_matches_the_rank_p2n_colon():
     rng = random.Random(23)
     for n, p in [(1, 2), (1, 3), (1, 5), (1, 7), (1, 11), (2, 2)]:
@@ -389,7 +374,7 @@ def test_exact_annihilator_matches_the_rank_p2n_colon():
                     random_weylop(tw.weyl_ring, n, rng, max_exp=3 - n, max_terms=3, nonzero=True)
                     for _ in range(ngens)
                 ]
-                want = rank_p2n_colon(LeftIdeal.of(gens), tw).groebner_basis()
+                want = rank_p2n_colon(LeftIdeal.of(gens), tw)
                 got = central_annihilator_exact(LeftIdeal.of(gens), tw).ideal
                 assert got.gens == want, ([str(g) for g in gens], p)
                 assert got.groebner_basis() == want

@@ -1,35 +1,45 @@
-"""Commutative Groebner engine: bases, normal forms, radical, dimension, colon."""
+"""Commutative Groebner engine: bases, normal forms, radical, dimension, and
+elimination onto one coordinate of a free module (with the colon it gives)."""
 
 import itertools
 import random
 
 import pytest
 
-from pweyl import (
-    CIdeal,
-    FreeSubmodule,
-    buchberger,
-    frobenius_root,
-    krull_dim,
-    module_colon,
-    radical_member,
+from pweyl import CIdeal, buchberger, frobenius_root, krull_dim, radical_member
+from pweyl.cgb import (
+    _buchberger,
+    _eliminate_onto,
+    _groebner,
+    _prepared,
+    _reduce,
+    _shift_form,
+    _shift_submul,
 )
-from pweyl.cgb import _buchberger, _eliminate_onto, _groebner, _shift_form, _shift_submul
-from pweyl.errors import NotAField
+from pweyl.errors import NotAField, RingMismatch
 from pweyl.mpoly import MPoly, PolyRing
-from pweyl.orders import (
-    BlockElimination,
-    GrevLex,
-    Lex,
-    PositionOverTerm,
-    Weighted,
-    monomial_divides,
-)
-from pweyl.rings import QQ, Zmod
+from pweyl.orders import BlockElimination, GrevLex, Lex, Weighted
+from pweyl.rings import QQ, Zmod, extension_field
 
-from helpers import ideal_equal, radical_member_bruteforce, random_monomial, random_mpoly
+from helpers import (
+    assert_reduced_module_basis,
+    colon_by_tag,
+    column_vec,
+    ideal_equal,
+    radical_member_bruteforce,
+    random_monomial,
+    random_mpoly,
+    reference_nf,
+    submodule_basis,
+    submodule_member,
+)
 
 F5 = Zmod(5)
+GREVLEX = GrevLex()
+
+# position over term: lower positions dominate, ties by grevlex
+POT_KEY = lambda t: (-t[0], GREVLEX.key(t[1]))
+POT_DESC = lambda t: (t[0], GREVLEX.desc_key(t[1]))
 
 
 def ring2(coeffs=F5):
@@ -166,11 +176,10 @@ def test_module_colon_examples():
     R = ring2()
     x, xi = R.gens()
     one, zero = R.one(), R.zero()
-    N = FreeSubmodule.of([(x,)])
-    assert ideal_equal(module_colon(N, (one,)), CIdeal.of([x]))
-    assert module_colon(N, (x,)).is_unit_ideal()
-    N2 = FreeSubmodule.of([(x, zero), (zero, xi)])
-    assert ideal_equal(module_colon(N2, (one, one)), CIdeal.of([x * xi]))
+    assert ideal_equal(CIdeal.of(colon_by_tag([(x,)], (one,), R), ring=R), CIdeal.of([x]))
+    assert colon_by_tag([(x,)], (x,), R) == [one]
+    colon = colon_by_tag([(x, zero), (zero, xi)], (one, one), R)
+    assert ideal_equal(CIdeal.of(colon, ring=R), CIdeal.of([x * xi]))
 
 
 def test_module_colon_vs_exhaustive_search():
@@ -190,19 +199,19 @@ def test_module_colon_vs_exhaustive_search():
         cols = [c for c in cols if any(not p.is_zero() for p in c)]
         if not cols:
             continue
-        N = FreeSubmodule.of(cols, rank=rank, ring=R)
+        in_module = submodule_member(cols, F5, POT_KEY, POT_DESC)
         v = tuple(random_mpoly(R, rng, max_degree=1) for _ in range(rank))
-        colon = module_colon(N, v)
-        # the colon's generators are its reduced basis, cached as they are
-        assert list(colon.groebner_basis()) == buchberger(list(colon.gens))
+        colon = colon_by_tag(cols, v, R)
+        # the elimination returns the colon's reduced basis
+        assert colon == buchberger(colon)
         # soundness: every generator of the colon multiplies v into N
-        for g in colon.gens:
-            assert N.contains(tuple(g * vi for vi in v))
+        for g in colon:
+            assert in_module(tuple(g * vi for vi in v))
         # pointwise agreement with brute force on monomials of degree <= 4
+        ideal = CIdeal.of(colon, ring=R)
         for z in monos:
-            in_colon = colon.contains(z)
-            in_module = N.contains(tuple(z * vi for vi in v))
-            assert in_colon == in_module, (str(z), [str(c) for c in v])
+            in_colon = ideal.contains(z)
+            assert in_colon == in_module(tuple(z * vi for vi in v)), (str(z), [str(c) for c in v])
 
 
 def test_module_colon_into_first_coordinate():
@@ -218,14 +227,40 @@ def test_module_colon_into_first_coordinate():
             tuple(random_mpoly(R, rng, max_degree=1, max_terms=3) for _ in range(rank))
             for _ in range(rng.randrange(rank, rank + 3))
         ]
-        N = FreeSubmodule.of(cols, rank=rank, ring=R)
+        in_module = submodule_member(cols, F5, POT_KEY, POT_DESC)
         tail = (R.zero(),) * (rank - 1)
-        colon = module_colon(N, (R.one(),) + tail)
-        assert list(colon.groebner_basis()) == buchberger(list(colon.gens))
-        for g in colon.gens:
-            assert N.contains((g,) + tail)
+        colon = colon_by_tag(cols, (R.one(),) + tail, R)
+        assert colon == buchberger(colon)
+        for g in colon:
+            assert in_module((g,) + tail)
+        ideal = CIdeal.of(colon, ring=R)
         for z in monos:
-            assert colon.contains(z) == N.contains((z,) + tail), str(z)
+            assert ideal.contains(z) == in_module((z,) + tail), str(z)
+
+
+def test_eliminate_onto_the_first_coordinate_vs_exhaustive_search():
+    # the exact route's own call: span cap A*e_0 with no tag coordinate, as
+    # the reduced grevlex basis of {z : z*e_0 in span}
+    R = ring2()
+    rng = random.Random(79)
+    monos = [
+        MPoly(R, {(e1, e2): 1}) for e1 in range(5) for e2 in range(5) if e1 + e2 <= 4
+    ]
+    for _ in range(10):
+        rank = rng.randrange(2, 5)
+        cols = [
+            tuple(random_mpoly(R, rng, max_degree=2, max_terms=3) for _ in range(rank))
+            for _ in range(rng.randrange(rank - 1, rank + 3))
+        ]
+        in_module = submodule_member(cols, F5, POT_KEY, POT_DESC)
+        tail = (R.zero(),) * (rank - 1)
+        onto = [MPoly(R, g) for g in _eliminate_onto([column_vec(c) for c in cols], 0, F5)]
+        assert onto == buchberger(onto)
+        for g in onto:
+            assert in_module((g,) + tail)
+        ideal = CIdeal.of(onto, ring=R)
+        for z in monos:
+            assert ideal.contains(z) == in_module((z,) + tail), str(z)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -276,40 +311,6 @@ def test_finishing_selects_from_the_reduced_basis(p):
                 assert _buchberger(gens, order, finish) == want
 
 
-def test_module_membership_via_normal_form():
-    R = ring2()
-    x, xi = R.gens()
-    zero = R.zero()
-    N = FreeSubmodule.of([(x, zero), (zero, xi)])
-    assert N.contains((x * xi, x * xi))
-    assert not N.contains((R.one(), zero))
-
-
-def reference_nf(vec, basis, termkey, R):
-    """Normal form of a {(position, exponents): coeff} dict by the textbook
-    loop: the leading term by ``max``, the smallest dividing basis lead."""
-    leads = sorted(((max(g, key=termkey), g) for g in basis), key=lambda t: termkey(t[0]))
-    work, rem = dict(vec), {}
-    while work:
-        lt = max(work, key=termkey)
-        c = work[lt]
-        for lead, g in leads:
-            if lead[0] == lt[0] and monomial_divides(lead[1], lt[1]):
-                factor = R.mul(c, R.inv(g[lead]))
-                shift = tuple(a - b for a, b in zip(lt[1], lead[1]))
-                for (pos, e), gc in g.items():
-                    key = (pos, tuple(a + b for a, b in zip(e, shift)))
-                    v = R.sub(work.get(key, R.zero()), R.mul(factor, gc))
-                    if R.is_zero(v):
-                        work.pop(key, None)
-                    else:
-                        work[key] = v
-                break
-        else:
-            rem[lt] = work.pop(lt)
-    return rem
-
-
 @pytest.mark.parametrize(
     "order", [Lex(), GrevLex(), BlockElimination(1), Weighted((1, 2))], ids=repr
 )
@@ -329,19 +330,20 @@ def test_ideal_normal_form_matches_max_reference(order):
 def test_module_normal_form_matches_max_reference(base):
     R = ring2()
     rng = random.Random(103)
-    order = PositionOverTerm(base)
-    termkey = lambda t: order.key(t[0], t[1])
+    # position over term: lower positions dominate, ties by the base order
+    termkey = lambda t: (-t[0], base.key(t[1]))
+    desckey = lambda t: (t[0], base.desc_key(t[1]))
     for _ in range(10):
         rank = rng.randrange(2, 4)
         cols = [
             tuple(random_mpoly(R, rng, max_degree=2, max_terms=2) for _ in range(rank))
             for _ in range(rank)
         ]
-        N = FreeSubmodule.of(cols, rank=rank, ring=R, order=order)
-        v = tuple(random_mpoly(R, rng, max_degree=4, max_terms=4) for _ in range(rank))
-        basis = [N._vec(g) for g in N.groebner_basis()]
-        expected = reference_nf(N._vec(v), basis, termkey, F5)
-        assert N.normal_form(v) == N._unvec(expected)
+        basis = submodule_basis(cols, F5, termkey, desckey)
+        v = column_vec([random_mpoly(R, rng, max_degree=4, max_terms=4) for _ in range(rank)])
+        expected = reference_nf(v, basis, termkey, F5)
+        prepared = _prepared(basis, F5, termkey, _shift_form)
+        assert _reduce(dict(v), prepared, F5, desckey, _shift_submul(F5)) == expected
 
 
 def test_frobenius_root():
@@ -360,32 +362,18 @@ def test_frobenius_root():
     assert set(J.groebner_basis()) == {X**2 - Y, Y**4}
 
 
-def assert_reduced_module_basis(vecs, termkey, R):
-    """Term dicts {(position, exponents): coeff}: monic, no term divisible by
-    another element's lead, and every S-vector of two elements whose leads
-    share a position reduces to zero by the textbook reference."""
-    leads = [max(g, key=termkey) for g in vecs]
-    for i, g in enumerate(vecs):
-        assert g[leads[i]] == R.one()
-        for k, (pos, lead) in enumerate(leads):
-            if k != i:
-                assert not any(p == pos and monomial_divides(lead, e) for p, e in g), (k, i)
-    for i, k in itertools.combinations(range(len(vecs)), 2):
-        (pi, li), (pk, lk) = leads[i], leads[k]
-        if pi != pk:
-            continue
-        lcm = tuple(map(max, li, lk))
-        s = {}
-        for g, lead, sign in ((vecs[i], li, R.one()), (vecs[k], lk, R.neg(R.one()))):
-            shift = tuple(a - b for a, b in zip(lcm, lead))
-            for (pos, e), c in g.items():
-                t = (pos, tuple(a + b for a, b in zip(e, shift)))
-                v = R.add(s.get(t, R.zero()), R.mul(sign, c))
-                if R.is_zero(v):
-                    s.pop(t, None)
-                else:
-                    s[t] = v
-        assert not reference_nf(s, vecs, termkey, R)
+def test_frobenius_root_rejects_coefficients_other_than_f_p():
+    # over Q there is no Frobenius; over GF(4), t^2 = t + 1, so the root
+    # X + t of X^2 + t would square to X^2 + t + 1 and change the radical
+    R = PolyRing(QQ, ("X",))
+    (X,) = R.gens()
+    with pytest.raises(RingMismatch):
+        frobenius_root(CIdeal.of([X**2]))
+    K = extension_field(2, 2)
+    S = PolyRing(K, ("X",))
+    f = MPoly(S, {(2,): K.one(), (0,): (0, 1)})
+    with pytest.raises(RingMismatch):
+        frobenius_root(CIdeal.of([f]))
 
 
 @pytest.mark.parametrize("order", [GrevLex(), Lex()], ids=repr)
@@ -410,13 +398,13 @@ def test_ideal_basis_certificate(order):
 def test_submodule_basis_certificate(base):
     R = ring2()
     rng = random.Random(113)
-    order = PositionOverTerm(base)
-    termkey = lambda t: order.key(t[0], t[1])
+    termkey = lambda t: (-t[0], base.key(t[1]))
+    desckey = lambda t: (t[0], base.desc_key(t[1]))
     for _ in range(15):
         rank = rng.randrange(2, 4)
         cols = [
             tuple(random_mpoly(R, rng, max_degree=2, max_terms=3) for _ in range(rank))
             for _ in range(rng.randrange(2, 5))
         ]
-        N = FreeSubmodule.of(cols, rank=rank, ring=R, order=order)
-        assert_reduced_module_basis([N._vec(g) for g in N.groebner_basis()], termkey, F5)
+        basis = submodule_basis(cols, F5, termkey, desckey)
+        assert_reduced_module_basis(basis, termkey, F5)

@@ -1,12 +1,16 @@
-"""Every import in the package, the tests and the benchmark is used, and
-the package imports nothing outside the standard library.
+"""Every import in the package, the tests and the benchmark is used, every
+function and class the package defines is used or exported, and the package
+imports nothing outside the standard library.
 
 No linter ships with the project, so this reads each module with ``ast``:
 a name an import binds must appear as a name elsewhere in the module.  The
-package's ``__init__`` re-exports what it imports and is skipped.
+package's ``__init__`` re-exports what it imports and is skipped.  A
+module-level function or class of the package must be read somewhere in
+the package outside its own definition, or be exported by ``__init__``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 import sys
 
@@ -64,3 +68,59 @@ def test_the_package_imports_only_the_standard_library():
     for path in (ROOT / "src/pweyl").rglob("*.py"):
         imported |= absolute_imports(path.read_text(encoding="utf-8"))
     assert imported and imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
+
+
+def names_read(node):
+    """How often each name is read under an ast node: as a loaded name, as an
+    attribute, or as a name a from-import takes from another module."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def unread_definitions(sources, exported):
+    """(module, name) of every module-level function or class in ``sources``
+    (module name -> source) that no module reads outside the definition
+    itself and that ``exported`` does not hold."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum((names_read(tree) for tree in trees.values()), Counter())
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in exported and total[node.name] == names_read(node)[node.name]:
+                unread.append((module, node.name))
+    return unread
+
+
+def test_the_checker_sees_an_unread_definition():
+    sources = {
+        "a": "def used():\n    pass\n\ndef recursive():\n    return recursive()\n\n"
+        "class Exported:\n    pass\n",
+        "b": "from a import used\n\nclass Local:\n    pass\n\nprint(Local, used)\n",
+    }
+    assert unread_definitions(sources, {"Exported"}) == [("a", "recursive")]
+
+
+def test_every_package_definition_is_read_or_exported():
+    package = ROOT / "src/pweyl"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in package.rglob("*.py")
+        if path.name != "__init__.py"
+    }
+    assert unread_definitions(sources, exported) == []

@@ -6,7 +6,7 @@ import pytest
 
 from pweyl import PolyRing
 from pweyl.errors import RingMismatch
-from pweyl.orders import BlockElimination, GrevLex, Lex, PositionOverTerm, Weighted
+from pweyl.orders import BlockElimination, GrevLex, Lex, Weighted
 from pweyl.mpoly import MPoly, evaluator
 from pweyl.rings import QQ, Zmod, extension_field
 
@@ -146,15 +146,6 @@ def test_desc_key_sorts_in_reverse(order):
     monos = list({random_monomial(4, rng, 6) for _ in range(300)})
     rng.shuffle(monos)
     assert sorted(monos, key=order.desc_key) == sorted(monos, key=order.key, reverse=True)
-
-
-def test_position_over_term_desc_key_sorts_in_reverse():
-    rng = random.Random(329)
-    for order in (PositionOverTerm(), PositionOverTerm(Lex())):
-        terms = list({(rng.randrange(3), random_monomial(4, rng, 5)) for _ in range(300)})
-        rng.shuffle(terms)
-        by_desc = sorted(terms, key=lambda t: order.desc_key(*t))
-        assert by_desc == sorted(terms, key=lambda t: order.key(*t), reverse=True)
 
 
 def test_grevlex_known_comparisons():

@@ -12,7 +12,8 @@ from pweyl import (
     deformation_bracket,
 )
 from pweyl.errors import RingMismatch
-from pweyl.rings import Zmod
+from pweyl.mpoly import PolyRing
+from pweyl.rings import QQ, Zmod
 
 from helpers import random_mpoly
 
@@ -112,6 +113,13 @@ def test_ring_mismatch_between_twists():
     _, R5 = twist_ring(5)
     with pytest.raises(RingMismatch):
         canonical_bracket(R3.one(), R5.one())
+
+
+def test_deformation_bracket_rejects_rational_coefficients():
+    R = PolyRing(QQ, ("X1", "Xi1"))
+    X, Xi = R.gens()
+    with pytest.raises(RingMismatch):
+        deformation_bracket(Xi, X)
 
 
 def test_coisotropy_examples():

@@ -589,9 +589,10 @@ def test_truncated_route_beyond_guard():
 
 @pytest.mark.parametrize("method", ["auto", "exact"])
 def test_guard_must_be_an_int(method):
-    # the route reader rejects it before the guard is compared
+    # the route reader rejects it before the guard is compared; True is an
+    # int to isinstance, but no size
     (x,), (d,), _ = qq_gens()
-    for guard in (None, 64.0, "64"):
+    for guard in (None, 64.0, "64", True, False):
         with pytest.raises(ValueError, match="guard must be an int"):
             p_support(DModuleSpec(1, (d - x,)), 3, method=method, guard=guard)
 
