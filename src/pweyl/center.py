@@ -14,7 +14,8 @@ the coordinate of 1 over the center.  An exponent p*q + r at a split slot
 leaves r in the residue monomial and q in the coordinate.
 
 The central annihilator of D/I is I itself, intersected with the center.
-Two routes are provided:
+Each route reads its twist off the ideal's own algebra A_n(F_p)
+(``_twist_of``).  Two routes are provided:
 
 * exact: the x_i and d_i^p commute, so D is a free module of rank p^n over
   the polynomial ring A = F_p[x, Xi] on the d^r, 0 <= r_i < p.  Present I
@@ -69,7 +70,7 @@ from functools import lru_cache
 from itertools import product
 
 from .cgb import CIdeal, _buchberger, _eliminate_onto, _reduced_ideal
-from .errors import DimensionMismatch, RingMismatch
+from .errors import RingMismatch
 from .linalg import _sparse_rows, _sub_scaled, rank as matrix_rank
 from .mpoly import MPoly, PolyRing, evaluator
 from .orders import BlockElimination, GrevLex, monomial_divides
@@ -155,22 +156,16 @@ class AnnihilatorResult:
     status: str
 
 
-def _route_twist(ideal, twist):
-    """``twist``, or the ideal's own twist when it is None.  A twist of
-    another Weyl algebra raises here, before either route takes a product."""
-    if twist is None:
-        return FrobeniusTwist(ideal.ring.modulus, ideal.n)
-    mismatch = (
-        f"twist of A_{twist.n} over {twist.weyl_ring}, ideal of A_{ideal.n} over {ideal.ring}"
-    )
-    if twist.weyl_ring != ideal.ring:
-        raise RingMismatch(mismatch)
-    if twist.n != ideal.n:
-        raise DimensionMismatch(mismatch)
-    return twist
+@lru_cache(maxsize=None)
+def _twist_of(coeffs, n):
+    """The twist of A_n(coeffs), whose construction checks centrality before
+    any product; coefficients other than F_p raise RingMismatch."""
+    if not (isinstance(coeffs, Zmod) and coeffs.is_field):
+        raise RingMismatch(f"the centre needs coefficients in F_p, got {coeffs}")
+    return FrobeniusTwist(coeffs.modulus, n)
 
 
-def central_annihilator_exact(ideal, twist=None):
+def central_annihilator_exact(ideal):
     """I intersect Z by elimination over A = F_p[x, Xi]; certified generators.
 
     The x_i and Xi_i = d_i^p commute, and D is the free A-module on the
@@ -184,7 +179,7 @@ def central_annihilator_exact(ideal, twist=None):
     x-free elements.  The result is the reduced grevlex basis, which is also
     ``gens``.
     """
-    twist = _route_twist(ideal, twist)
+    twist = _twist_of(ideal.ring, ideal.n)
     ring = twist.twisted_ring
     basis = ideal.groebner_basis()
     if not basis:
@@ -441,8 +436,13 @@ def central_annihilator_truncated(ideal, twist=None):
     normalised, and the ideal at degree d is generated by the kernel vectors
     with minimal leads that ``truncated_kernel`` returns (see the module
     docstring).
+
+    The route reads the twist off the ideal; ``twist``, kept for callers
+    that still pass it, must be that twist or None.
     """
-    twist = _route_twist(ideal, twist)
+    twist, given = _twist_of(ideal.ring, ideal.n), twist
+    if given not in (None, twist):
+        raise RingMismatch(f"{given} is not the twist of {ideal}")
     norm_degree = min((g.total_degree() for g in ideal.groebner_basis()), default=0)
     top = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
     ring = twist.twisted_ring
@@ -461,7 +461,7 @@ def central_annihilator_truncated(ideal, twist=None):
     return AnnihilatorResult(candidates[top], f"truncated({top})")
 
 
-def central_annihilator(ideal, twist=None, guard=EXACT_GUARD, method="auto"):
+def central_annihilator(ideal, guard=EXACT_GUARD, method="auto"):
     """The central annihilator by the route ``method`` names.
 
     This is the one place that chooses the route, and the only reader of
@@ -475,7 +475,7 @@ def central_annihilator(ideal, twist=None, guard=EXACT_GUARD, method="auto"):
         raise ValueError(f"unknown method {method!r}")
     if isinstance(guard, bool) or not isinstance(guard, int):
         raise ValueError(f"guard must be an int, got {guard!r}")
-    twist = _route_twist(ideal, twist)
+    twist = _twist_of(ideal.ring, ideal.n)
     if method == "exact" or (method == "auto" and twist.p ** (2 * twist.n) <= guard):
-        return central_annihilator_exact(ideal, twist)
-    return central_annihilator_truncated(ideal, twist)
+        return central_annihilator_exact(ideal)
+    return central_annihilator_truncated(ideal)

@@ -16,6 +16,10 @@ ideal and order.  A private caller that reads only some of the basis, say
 the elements of an elimination basis whose lead lies in the eliminated
 part, passes a predicate on leads, and only the elements it selects are
 tail-reduced and returned (``_groebner``, ``_eliminate_onto``).
+
+``_Ideal`` is the one ideal layer of ``CIdeal`` and ``wgb.LeftIdeal``, each
+naming its algebra, and ``_checked_basis`` the one checked entry behind
+``buchberger`` and ``wgb.left_groebner`` (a field, a global order).
 """
 
 import heapq
@@ -23,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from operator import add, le, sub
 
-from .errors import NotAField, RingMismatch
+from .errors import NonGlobalOrder, NotAField, RingMismatch
 from .mpoly import MPoly, PolyRing
 from .orders import BlockElimination, GrevLex, monomial_lcm
 from .rings import Zmod
@@ -193,53 +197,111 @@ def _shift_submul(R):
 
 
 # ---------------------------------------------------------------------------
-# polynomial-level API
+# the ideal layer: commutative ideals here, Weyl left ideals in ``wgb``
 # ---------------------------------------------------------------------------
-
-
-def _require_field(ring):
-    if not ring.coeffs.is_field:
-        raise NotAField(f"Groebner bases need field coefficients, got {ring.coeffs}")
 
 
 def _to_vec(f):
     return {(0, e): c for e, c in f.terms.items()}
 
 
-def _from_vec(ring, vec):
-    return MPoly(ring, {e: c for (_, e), c in vec.items()})
+def _checked_basis(algebra, gens, order, finish=None):
+    """The reduced basis of the ideal of ``algebra`` (``CIdeal`` or
+    ``wgb.LeftIdeal``) generated by ``gens``, as elements like them; zeros
+    are dropped, the rest must share one ring over a field, ``order`` must
+    be global, and ``finish`` acts on lead exponents as in ``_groebner``."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    first = gens[0]
+    for g in gens:
+        g._check(first)
+    R = first._coeffs
+    if not R.is_field:
+        raise NotAField(f"Groebner bases need field coefficients, got {R}")
+    if not order.is_global:
+        raise NonGlobalOrder(f"Groebner bases need a global order, got {order}")
+    basis = _groebner(
+        [_to_vec(g) for g in gens],
+        R,
+        lambda t: order.key(t[1]),
+        lambda t: order.desc_key(t[1]),
+        algebra._submul(R),
+        algebra._form,
+        algebra._product_criterion,
+        None if finish is None else lambda lead: finish(lead[1]),
+    )
+    return [first._new({e: c for (_, e), c in g.items()}) for g in basis]
 
 
 def buchberger(gens, order=_GREVLEX):
     """Reduced Groebner basis of the ideal generated by ``gens``."""
-    return _buchberger(gens, order)
+    return _checked_basis(CIdeal, gens, order)
 
 
 def _buchberger(gens, order, finish=None):
     """``buchberger`` limited to the reduced basis elements whose lead
     exponents pass ``finish`` (see ``_groebner``)."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    ring = gens[0].ring
-    for g in gens:
-        g._check(gens[0])
-    _require_field(ring)
-    basis = _groebner(
-        [_to_vec(g) for g in gens],
-        ring.coeffs,
-        lambda t: order.key(t[1]),
-        lambda t: order.desc_key(t[1]),
-        _shift_submul(ring.coeffs),
-        _shift_form,
-        True,
-        None if finish is None else lambda lead: finish(lead[1]),
-    )
-    return [_from_vec(ring, g) for g in basis]
+    return _checked_basis(CIdeal, gens, order, finish)
+
+
+class _Ideal:
+    """The code ``CIdeal`` and ``wgb.LeftIdeal`` share.
+
+    A subclass is a frozen dataclass with fields ``ring``, ``gens``,
+    ``order`` and ``_cache``.  It names its algebra for the engine
+    (``_submul``, ``_form``, ``_product_criterion``) and the ``_brackets``
+    of its printed basis, and defines ``_zero()``, whose ``_check`` admits
+    the elements of its ring; ``_basis()``, which calls the module function
+    for its bases, looked up at call time; and ``normal_form``.
+    """
+
+    def __post_init__(self):
+        zero = self._zero()
+        for g in self.gens:
+            zero._check(g)
+
+    def groebner_basis(self):
+        if "basis" not in self._cache:
+            self._cache["basis"] = tuple(self._basis())
+        return self._cache["basis"]
+
+    def _prepared_basis(self):
+        if "prep" not in self._cache:
+            self._cache["prep"] = _prepared(
+                [_to_vec(g) for g in self.groebner_basis()],
+                self._zero()._coeffs,
+                lambda t: self.order.key(t[1]),
+                self._form,
+            )
+        return self._cache["prep"]
+
+    def _nf(self, f):
+        """The normal form of f, an element of the ideal's ring, against the
+        reduced basis: no remaining term is divisible by a basis lead."""
+        R, order = f._coeffs, self.order
+        rem = _reduce(
+            _to_vec(f), self._prepared_basis(), R, lambda t: order.desc_key(t[1]), self._submul(R)
+        )
+        return f._new({e: c for (_, e), c in rem.items()})
+
+    def contains(self, f):
+        return self.normal_form(f).is_zero()
+
+    def is_unit_ideal(self):
+        basis = self.groebner_basis()
+        return len(basis) == 1 and basis[0].total_degree() == 0
+
+    def is_zero_ideal(self):
+        return not self.groebner_basis()
+
+    def __str__(self):
+        inner = ", ".join(str(g) for g in self.groebner_basis()) or "0"
+        return f"{self._brackets[0]}{inner}{self._brackets[1]}"
 
 
 @dataclass(frozen=True)
-class CIdeal:
+class CIdeal(_Ideal):
     """A commutative ideal with a lazily computed reduced Groebner basis."""
 
     ring: PolyRing
@@ -247,56 +309,28 @@ class CIdeal:
     order: object = field(default_factory=GrevLex)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
+    _submul = staticmethod(_shift_submul)
+    _form = staticmethod(_shift_form)
+    _product_criterion = True
+    _brackets = "()"
+
     @classmethod
     def of(cls, gens, order=_GREVLEX, ring=None):
         gens = tuple(gens)
-        if ring is None:
-            if not gens:
-                raise ValueError("empty generator list needs an explicit ring")
-            ring = gens[0].ring
+        if ring is None and not gens:
+            raise ValueError("empty generator list needs an explicit ring")
+        ring = gens[0].ring if ring is None else ring
         return cls(ring, tuple(g for g in gens if not g.is_zero()), order)
 
-    def groebner_basis(self):
-        if "basis" not in self._cache:
-            self._cache["basis"] = tuple(buchberger(list(self.gens), self.order))
-        return self._cache["basis"]
+    def _zero(self):
+        return self.ring.zero()
 
-    def _prepared_basis(self):
-        if "prep" not in self._cache:
-            self._cache["prep"] = _prepared(
-                [_to_vec(g) for g in self.groebner_basis()],
-                self.ring.coeffs,
-                lambda t: self.order.key(t[1]),
-                _shift_form,
-            )
-        return self._cache["prep"]
+    def _basis(self):
+        return buchberger(list(self.gens), self.order)
 
     def normal_form(self, f):
-        if f.ring != self.ring:
-            raise RingMismatch("polynomial from a different ring")
-        R = self.ring.coeffs
-        vec = _reduce(
-            _to_vec(f),
-            self._prepared_basis(),
-            R,
-            lambda t: self.order.desc_key(t[1]),
-            _shift_submul(R),
-        )
-        return _from_vec(self.ring, vec)
-
-    def contains(self, f):
-        return self.normal_form(f).is_zero()
-
-    def is_unit_ideal(self):
-        basis = self.groebner_basis()
-        return len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero()
-
-    def is_zero_ideal(self):
-        return not self.groebner_basis()
-
-    def __str__(self):
-        inner = ", ".join(str(g) for g in self.groebner_basis())
-        return f"({inner})" if inner else "(0)"
+        self._zero()._check(f)
+        return self._nf(f)
 
 
 def _reduced_ideal(basis, ring):

@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from .cgb import radical_member
 from .errors import NotDeformationDivisible, RingMismatch
-from .center import FrobeniusTwist, _split_residues
+from .center import _split_residues, _twist_of
 from .mpoly import MPoly
 from .rings import Zmod
 from .weyl import WeylOp
@@ -36,17 +36,14 @@ def canonical_bracket(f, g):
     return out
 
 
-def deformation_bracket(f, g, twist=None):
+def deformation_bracket(f, g):
     """Bracket induced by the Z/p^2 lift: commutator of lifts, divided by p."""
     if f.ring != g.ring:
         raise RingMismatch("bracket arguments live in different rings")
-    coeffs = f.ring.coeffs
-    if not isinstance(coeffs, Zmod):
-        raise RingMismatch(f"deformation bracket expects coefficients in F_p, got {coeffs}")
-    p = coeffs.modulus
-    twist = twist or FrobeniusTwist(p, f.ring.nvars // 2)
+    twist = _twist_of(f.ring.coeffs, f.ring.nvars // 2)
     if f.ring != twist.twisted_ring:
-        raise RingMismatch("arguments are not in the twisted ring of this twist")
+        raise RingMismatch("arguments are not in the twisted ring")
+    p = twist.p
     ring2 = Zmod(p * p)
     lift_f, lift_g = (WeylOp(ring2, twist.n, twist.embed(h).terms) for h in (f, g))
     comm = lift_f.commutator(lift_g)

@@ -11,7 +11,8 @@ over each point (``center._simple_module_rows``).  The points are searched
 field by field and ranked by the Jacobian of the annihilator's basis as they
 are found; the search stops once ``attempts`` of them reach the Jacobian's
 rank ceiling min(len(basis), 2n), since no later point can displace them from
-the samples a full search would keep.
+the samples a full search would keep, and it never enters an extension field
+with more than ``EXHAUSTIVE_POINT_LIMIT`` elements.
 For comparison the characteristic-zero symbol ideal of the same presentation
 is available as well.
 """
@@ -25,9 +26,9 @@ import random
 from .cgb import CIdeal, frobenius_root, krull_dim, radical_member
 from .center import (
     EXACT_GUARD,
-    FrobeniusTwist,
     _fiber_dim,
     _simple_module_rows,
+    _twist_of,
     central_annihilator,
 )
 from .errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch, ZeroInput
@@ -255,10 +256,12 @@ def _choose_samples(basis, nvars, p, attempts, rng):
 
     Points come over F_(p^k), k = 1..3, field by field in the order of
     ``_points_on_variety``, and each is ranked by the Jacobian of ``basis``
-    as it arrives.  The chosen ones are the first ``attempts`` points of the
-    top Jacobian rank seen (the smooth locus of the top-dimensional
-    components); a further field is searched only while fewer than
-    ``attempts`` points have that rank.
+    as it arrives.  No extension with more than ``EXHAUSTIVE_POINT_LIMIT``
+    elements is searched, since each builds a table of all its powers; the
+    message of ``NoPointsFound`` names the largest k searched.  The chosen
+    ones are the first ``attempts`` points of the top Jacobian rank seen
+    (the smooth locus of the top-dimensional components); a further field
+    is searched only while fewer than ``attempts`` points have that rank.
 
     The Jacobian is a len(basis) x nvars matrix, so no point ranks above
     ``min(len(basis), nvars)``.  Once ``attempts`` points reach that
@@ -272,7 +275,8 @@ def _choose_samples(basis, nvars, p, attempts, rng):
     ceiling = min(len(basis), nvars)
     ranked = []
     at_ceiling = 0
-    for k in (1, 2, 3):
+    degrees = [k for k in (1, 2, 3) if k == 1 or p**k <= EXHAUSTIVE_POINT_LIMIT]
+    for k in degrees:
         K, points = _points_on_variety(basis, nvars, p, k, rng)
         for pt in points:
             rows = _sparse_rows(jac, evaluator(pt, K), K)
@@ -287,16 +291,17 @@ def _choose_samples(basis, nvars, p, attempts, rng):
             if sum(1 for r, _, _, _ in ranked if r == top) >= attempts:
                 break
     if not ranked:
-        raise NoPointsFound("no points of the support over F_(p^k), k <= 3")
+        raise NoPointsFound(f"no points found over F_(p^k), k <= {degrees[-1]}")
 
     top = max(r for r, _, _, _ in ranked)
     return [item for item in ranked if item[0] == top][:attempts]
 
 
-def generic_rank(ideal, twist, annihilator, attempts=5, seed=0):
+def generic_rank(ideal, annihilator, attempts=5, seed=0):
     """Modal fiber dimension of D/I over sampled points of the support.
 
-    Points are drawn over F_(p^k), k = 1..3, preferring those where the
+    The twist is the ideal's own.  Points are drawn over F_(p^k), k = 1..3
+    (``_choose_samples`` bounds the extensions), preferring those where the
     Jacobian of the annihilator's basis reaches its maximal observed rank
     (the smooth locus of the top-dimensional components); ``attempts``, a
     positive int, caps the samples.  The points of each field come from
@@ -323,6 +328,7 @@ def generic_rank(ideal, twist, annihilator, attempts=5, seed=0):
     _check_attempts(attempts)
     if annihilator.is_unit_ideal():
         raise EmptySupport("unit annihilator: the support is empty")
+    twist = _twist_of(ideal.ring, ideal.n)
     basis = annihilator.groebner_basis()
     module_rows = _simple_module_rows(ideal, twist)
     chosen = _choose_samples(basis, 2 * twist.n, twist.p, attempts, random.Random(seed))
@@ -432,10 +438,9 @@ def p_support(
     """
     _check_attempts(attempts)
     ideal = specialize_mod_p(spec, p)
-    twist = FrobeniusTwist(p, spec.n)
     notes = ["dimension is the top dimension only; equidimensionality not checked"]
 
-    result = central_annihilator(ideal, twist, guard, method)
+    result = central_annihilator(ideal, guard, method)
     exact_route = result.status == "exact"
     if not exact_route:
         notes.append("central annihilator from the degree-truncated method")
@@ -465,13 +470,13 @@ def p_support(
             notes.append("generic rank not computed on the degree-truncated route")
         else:
             try:
-                rr = generic_rank(ideal, twist, ann, attempts=attempts, seed=seed)
+                rr = generic_rank(ideal, ann, attempts=attempts, seed=seed)
                 rank_value = rr.value
                 rank_samples = rr.sample_dicts
                 if not rr.agreement:
                     notes.append("sampled fiber dimensions disagree; modal value reported")
-            except NoPointsFound:
-                notes.append("generic rank unavailable: no points found over F_(p^k), k <= 3")
+            except NoPointsFound as exc:
+                notes.append(f"generic rank unavailable: {exc}")
 
     return SupportReport(
         name=spec.name,

@@ -449,6 +449,8 @@ def reference_samples(basis, nvars, p, attempts, rng):
     # Jacobian rank (the smooth locus of the top-dimensional components)
     ranked = []
     for k in (1, 2, 3):
+        if k > 1 and p**k > EXHAUSTIVE_POINT_LIMIT:
+            break
         K, pts = brute_force_points(basis, nvars, p, k, rng)
         ranked.extend((jacobian_rank(K, pt), k, K, pt) for pt in pts)
         if ranked:

@@ -94,7 +94,7 @@ def test_criterion_2_bracket_sign():
             for _ in range(100):
                 f = random_mpoly(R, rng, max_degree=4)
                 g = random_mpoly(R, rng, max_degree=4)
-                assert deformation_bracket(f, g, tw) == -canonical_bracket(f, g)
+                assert deformation_bracket(f, g) == -canonical_bracket(f, g)
 
 
 def _exact_guard_cases():
@@ -187,10 +187,9 @@ def test_criterion_6_oracle_identities():
 def test_criterion_7_exact_vs_truncated():
     with criterion(7, "exact vs truncated annihilators", 60):
         for entry, spec, p, expected in _exact_guard_cases():
-            tw = FrobeniusTwist(p, entry.n)
             I = specialize_mod_p(spec, p)
-            exact = central_annihilator_exact(I, tw)
-            trunc = central_annihilator_truncated(I, tw)
+            exact = central_annihilator_exact(I)
+            trunc = central_annihilator_truncated(I)
             assert trunc.status.startswith("stabilized"), (entry.name, p)
             assert ideal_equal(exact.ideal, trunc.ideal), (entry.name, p)
 

@@ -16,7 +16,7 @@ from pweyl.cgb import (
     _shift_form,
     _shift_submul,
 )
-from pweyl.errors import NotAField, RingMismatch
+from pweyl.errors import NonGlobalOrder, NotAField, RingMismatch
 from pweyl.mpoly import MPoly, PolyRing
 from pweyl.orders import BlockElimination, GrevLex, Lex, Weighted
 from pweyl.rings import QQ, Zmod, extension_field
@@ -170,6 +170,26 @@ def test_not_a_field_rejected():
     x, xi = R.gens()
     with pytest.raises(NotAField):
         buchberger([x + xi])
+
+
+def test_a_non_global_order_is_rejected():
+    # x - 1 has lead 1 under these weights, so a reducer would never stop
+    R = ring2()
+    x, _ = R.gens()
+    order = Weighted((-1, 0))
+    with pytest.raises(NonGlobalOrder):
+        buchberger([x - R.one()], order)
+    with pytest.raises(NonGlobalOrder):
+        CIdeal.of([x - R.one()], order).groebner_basis()
+
+
+def test_generators_of_another_ring_are_rejected():
+    x, _ = ring2().gens()
+    R7 = ring2(Zmod(7))
+    with pytest.raises(RingMismatch):
+        CIdeal.of([x - ring2().one()], ring=R7)
+    with pytest.raises(RingMismatch):
+        CIdeal.of([x]).normal_form(R7.gen(0))
 
 
 def test_module_colon_examples():

@@ -189,7 +189,7 @@ def test_generic_rank_values():
     R = tw3.twisted_ring
     X, Xi = R.gens()
     ann = CIdeal.of([Xi])
-    rr = generic_rank(I, tw3, ann, attempts=5, seed=0)
+    rr = generic_rank(I, ann, attempts=5, seed=0)
     assert rr.value == 3
     assert len(rr.samples) >= 3
     assert all(s.fiber_dim == 3 for s in rr.samples)
@@ -201,7 +201,7 @@ def test_generic_rank_values():
     R2 = tw2.twisted_ring
     X2, Xi2 = R2.gens()
     ann2 = CIdeal.of([Xi2 + X2 + R2.one()])
-    rr2 = generic_rank(I2, tw2, ann2, attempts=5, seed=0)
+    rr2 = generic_rank(I2, ann2, attempts=5, seed=0)
     assert rr2.value == 2
 
 
@@ -211,7 +211,7 @@ def test_generic_rank_empty_support():
     I = LeftIdeal.of([WeylOp.one(F3, 1)])
     ann = CIdeal.of([tw.twisted_ring.one()])
     with pytest.raises(EmptySupport):
-        generic_rank(I, tw, ann)
+        generic_rank(I, ann)
 
 
 def test_airy_type_operator_p3():
@@ -278,6 +278,29 @@ def test_rank_samples_over_gf_p2_for_p_above_7():
     assert r.annihilator == ("Xi1^2 + 1",)
     assert r.generic_rank == 11
     assert {s["field"] for s in r.to_dict()["rank_samples"]} == {"GF(11^2)"}
+
+
+def test_rank_search_builds_no_field_above_the_point_limit(monkeypatch):
+    # at p = 101 the line X1 = Xi1 has few random F_101 points, but GF(101^2)
+    # and GF(101^3) exceed the limit: only F_101 is searched, and a support
+    # without F_p points names that degree in its note
+    import pweyl.psupport as psupport
+
+    built = []
+
+    def recording(p, k):
+        built.append(p**k)
+        return extension_field(p, k)
+
+    monkeypatch.setattr(psupport, "extension_field", recording)
+    (x,), (d,), one = qq_gens()
+    r = p_support(DModuleSpec(1, (d - x,)), 101, guard=10**9)
+    assert r.generic_rank == 101
+    assert {s["field"] for s in r.to_dict()["rank_samples"]} == {"GF(101)"}
+    r = p_support(DModuleSpec(1, (d**2 + one,)), 103, guard=10**9)
+    assert r.annihilator == ("Xi1^2 + 1",) and r.generic_rank is None
+    assert "generic rank unavailable: no points found over F_(p^k), k <= 1" in r.notes
+    assert built and max(built) <= psupport.EXHAUSTIVE_POINT_LIMIT
 
 
 # rank_samples as (point, field, Jacobian rank, fiber dimension), pinned from
@@ -457,7 +480,7 @@ def test_fiber_dim_matches_the_rank_p2n_presentation():
                     evaluated.append({i: v for i, v in vals.items() if not K.is_zero(v)})
                 return len(B) - matrix_rank(evaluated, K, len(B))
 
-            ann = central_annihilator(I, tw, method="exact").ideal
+            ann = central_annihilator(I, method="exact").ideal
             support = ann.groebner_basis()
             for k in (1, 2, 3):
                 K = extension_field(p, k)
@@ -472,7 +495,7 @@ def test_fiber_dim_matches_the_rank_p2n_presentation():
                     assert fibre == reference(K, pt), ([str(g) for g in gens], p, pt)
                     fibre_is_nonzero.add(fibre > 0)
             if not ann.is_unit_ideal():
-                for s in generic_rank(I, tw, ann).samples:
+                for s in generic_rank(I, ann).samples:
                     K = extension_field(p, s.degree)
                     assert s.fiber_dim == reference(K, s.point)
     assert fibre_is_nonzero == {False, True}
@@ -617,8 +640,8 @@ def test_generic_rank_attempts_must_be_a_positive_int():
     ann = CIdeal.of([tw.twisted_ring.gens()[1]])
     for attempts in BAD_ATTEMPTS:
         with pytest.raises(ValueError, match="attempts must be a positive int"):
-            generic_rank(I, tw, ann, attempts=attempts)
-    assert len(generic_rank(I, tw, ann, attempts=2).samples) == 2
+            generic_rank(I, ann, attempts=attempts)
+    assert len(generic_rank(I, ann, attempts=2).samples) == 2
 
 
 def test_no_rank_option():

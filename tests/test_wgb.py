@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pweyl import LeftIdeal, WeylOp, buchberger, initial_weighted, left_groebner, left_nf
-from pweyl.errors import NonGlobalOrder, NotAField, ZeroInput
+from pweyl.errors import DimensionMismatch, NonGlobalOrder, NotAField, RingMismatch, ZeroInput
 from pweyl.mpoly import MPoly, PolyRing
 from pweyl.orders import BlockElimination, GrevLex, Lex, Weighted, monomial_divides, monomial_lcm
 from pweyl.rings import QQ, Zmod
@@ -111,6 +111,19 @@ def test_field_and_order_preconditions():
     x5, d5, one5 = gens_1var(F5)
     with pytest.raises(NonGlobalOrder):
         left_groebner([d5], Weighted((-1, 0)))
+
+
+def test_an_operator_of_another_algebra_is_rejected():
+    _, d, one = gens_1var(F5)
+    I = LeftIdeal.of([d - one])
+    with pytest.raises(RingMismatch):
+        I.normal_form(WeylOp.d(Zmod(7), 1, 0))
+    with pytest.raises(DimensionMismatch):
+        I.normal_form(WeylOp.d(F5, 2, 0))
+    with pytest.raises(RingMismatch):
+        LeftIdeal.of([d], ring=Zmod(7), n=2)
+    with pytest.raises(DimensionMismatch):
+        LeftIdeal.of([d], ring=F5, n=2)
 
 
 def test_initial_weighted_examples():
