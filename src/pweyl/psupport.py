@@ -8,13 +8,14 @@ canonical bracket, the middle-dimension verdict, conicality for the fiber
 dilation, and, on the exact route, the generic fiber rank from sampled
 points of the variety, where D/I is read on the simple module of rank p^n
 over each point (``center._simple_module_rows``).  The points are searched
-field by field and ranked by the Jacobian of the annihilator's basis as they
-are found; the search stops once ``attempts`` of them reach the Jacobian's
-rank ceiling min(len(basis), 2n), since no later point can displace them from
-the samples a full search would keep, and it never enters an extension field
-with more than ``EXHAUSTIVE_POINT_LIMIT`` elements.
-For comparison the characteristic-zero symbol ideal of the same presentation
-is available as well.
+field by field, coordinate by coordinate (past ``EXHAUSTIVE_POINT_LIMIT``
+points all but the first coordinate are drawn, and the first is solved for),
+and ranked by the Jacobian of the annihilator's basis as they are found; the
+search stops once ``attempts`` of them reach the Jacobian's rank ceiling
+min(len(basis), 2n), since no later point can displace them from the samples
+a full search would keep, and it never enters an extension field with more
+than ``EXHAUSTIVE_POINT_LIMIT`` elements.  For comparison the
+characteristic-zero symbol ideal of the same presentation is available too.
 """
 
 from collections import Counter
@@ -181,11 +182,14 @@ def _points_on_variety(basis, nvars, p, k, rng):
     cached per field element): an element that vanishes identically is
     dropped, a branch ends at the first element that becomes a nonzero
     constant, and once no element is left every completion of the branch
-    is a point.  Beyond ``EXHAUSTIVE_POINT_LIMIT`` points,
-    ``RANDOM_POINT_BUDGET`` points are drawn from ``rng`` instead and each
-    distinct one is tested by the same substitution along its one path.
-    The points are yielded as they are found, and ``rng`` is drawn from
-    only as far as the iterator is read.
+    is a point.  Beyond ``EXHAUSTIVE_POINT_LIMIT`` points, the outer
+    coordinates, all but the first, are drawn: ``rng.sample`` takes
+    ``RANDOM_POINT_BUDGET`` distinct indices below q^(nvars - 1), q = p^k
+    (all, if no more), read in base q with the lowest digit last; the same
+    substitutions fix them and the same search solves for the first, in at
+    most ``RANDOM_POINT_BUDGET`` * (q + nvars) substitutions.  The points
+    are yielded as found; ``rng`` is read once, when the iterator is first
+    read.
     """
     K = extension_field(p, k)
     elements = [K.element_from_index(i) for i in range(K.size)]
@@ -224,25 +228,23 @@ def _points_on_variety(basis, nvars, p, k, rng):
             if fixed is not None:
                 yield from search(fixed, (x,) + suffix)
 
-    def draw():
-        seen = set()
-        for _ in range(RANDOM_POINT_BUDGET):
-            pt = tuple(elements[rng.randrange(K.size)] for _ in range(nvars))
-            if pt in seen:
-                continue
-            seen.add(pt)
-            polys = start
-            for x in reversed(pt):
-                if not polys:
+    def points():
+        drawn = nvars - 1 if K.size**nvars > EXHAUSTIVE_POINT_LIMIT else 0
+        outer = range(K.size**drawn)
+        draws = rng.sample(outer, min(RANDOM_POINT_BUDGET, len(outer))) if drawn else outer
+        for i in draws:
+            polys, suffix = start, ()
+            for _ in range(drawn):
+                i, j = divmod(i, K.size)
+                polys = fix(polys, elements[j])
+                if polys is None:
                     break
-                polys = fix(polys, x)
-            if polys is not None:
-                yield pt
+                suffix = (elements[j],) + suffix
+            else:
+                yield from search(polys, suffix)
 
     start = [{e: embed(c) for e, c in g.terms.items()} for g in basis]
-    if K.size**nvars <= EXHAUSTIVE_POINT_LIMIT:
-        return K, search(start, ())
-    return K, draw()
+    return K, points()
 
 
 def _check_attempts(attempts):
@@ -267,9 +269,9 @@ def _choose_samples(basis, nvars, p, attempts, rng):
     ``min(len(basis), nvars)``.  Once ``attempts`` points reach that
     ceiling, the top rank is known and so are the first ``attempts`` points
     that have it: the search stops there, and the choice is the one a full
-    search of every field it reaches would make.  Where fewer points reach
-    the ceiling (a basis longer than the codimension, or a support singular
-    everywhere), every point of each field reached is ranked.
+    search of every field it reaches (with the same draws) would make.  Where
+    fewer points reach the ceiling (a basis longer than the codimension, or a
+    support singular everywhere), every point of each field reached is ranked.
     """
     jac = _sparse_entries([g.partial(v) for v in range(nvars)] for g in basis)
     ceiling = min(len(basis), nvars)
@@ -300,18 +302,14 @@ def _choose_samples(basis, nvars, p, attempts, rng):
 def generic_rank(ideal, annihilator, attempts=5, seed=0):
     """Modal fiber dimension of D/I over sampled points of the support.
 
-    The twist is the ideal's own.  Points are drawn over F_(p^k), k = 1..3
-    (``_choose_samples`` bounds the extensions), preferring those where the
-    Jacobian of the annihilator's basis reaches its maximal observed rank
-    (the smooth locus of the top-dimensional components); ``attempts``, a
-    positive int, caps the samples.  The points of each field come from
-    ``_points_on_variety``'s coordinate-by-coordinate search, last
-    coordinate outermost, which lists them in the same order as evaluating
-    the basis at every point, first coordinate fastest; the samples chosen,
-    and so the report, do not depend on the search.  No Jacobian ranks above
-    the ceiling min(len(basis), 2n), so the search stops as soon as
-    ``attempts`` points reach it (``_choose_samples``): those are the
-    samples a search of every point of each field would choose.
+    The twist is the ideal's own, and ``annihilator`` must lie in its
+    twisted ring (else ``RingMismatch``).  Points come over F_(p^k),
+    k = 1..3, from ``_points_on_variety`` through ``_choose_samples``, which
+    bounds the extensions, stops early, and prefers the points where the
+    Jacobian of the annihilator's basis reaches its top observed rank (the
+    smooth locus of the top-dimensional components); ``attempts``, a
+    positive int, caps the samples, and ``seed`` seeds the outer coordinates
+    drawn in fields past ``EXHAUSTIVE_POINT_LIMIT`` points.
 
     D is Azumaya over its centre Z = F_p[X, Xi] (Bezrukavnikov-Mirkovic-
     Rumynin): at a point (X, Xi) over K, D tensor K is End(V) for the
@@ -326,9 +324,11 @@ def generic_rank(ideal, annihilator, attempts=5, seed=0):
     go to the incremental ``linalg.rank``.
     """
     _check_attempts(attempts)
+    twist = _twist_of(ideal.ring, ideal.n)
+    if annihilator.ring != twist.twisted_ring:
+        raise RingMismatch(f"annihilator over {annihilator.ring}, not {twist.twisted_ring}")
     if annihilator.is_unit_ideal():
         raise EmptySupport("unit annihilator: the support is empty")
-    twist = _twist_of(ideal.ring, ideal.n)
     basis = annihilator.groebner_basis()
     module_rows = _simple_module_rows(ideal, twist)
     chosen = _choose_samples(basis, 2 * twist.n, twist.p, attempts, random.Random(seed))

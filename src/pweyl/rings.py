@@ -68,8 +68,9 @@ class Zmod:
 
     def from_fraction(self, q):
         q = Fraction(q)
-        den = q.denominator % self.modulus
-        return self.mul(q.numerator % self.modulus, self.inv(den))
+        if gcd(q.denominator, self.modulus) != 1:
+            raise NotUnit(f"denominator {q.denominator} is not a unit in Z/{self.modulus}")
+        return self.mul(q.numerator, pow(q.denominator, -1, self.modulus))
 
     def is_zero(self, a):
         return a == 0

@@ -1,6 +1,7 @@
 """Seeded random generators and brute-force oracles shared by the tests."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 
 from pweyl import CIdeal, MPoly, PolyRing, WeylOp
@@ -406,32 +407,61 @@ def reference_ladder(ideal, twist):
 
 
 def brute_force_points(basis, nvars, p, k, rng):
-    """``psupport._points_on_variety`` by evaluating every basis element at
-    every point of F_(p^k)^nvars (or at each distinct random draw beyond
-    ``EXHAUSTIVE_POINT_LIMIT``), in the same order and with the same draws."""
+    """``psupport._points_on_variety`` by evaluating every basis element, in
+    the same order and with the same draws: at every point of
+    F_(p^k)^nvars within ``EXHAUSTIVE_POINT_LIMIT``, and beyond it at every
+    completion of each draw of the outer coordinates (the same
+    ``rng.sample`` of indices, read in base q with the lowest digit for the
+    last coordinate).  A draw evaluates the outer coordinates once, leaving
+    each element a polynomial in the first coordinate, which is evaluated
+    from a table of powers at every field element where the elements before
+    it vanish."""
     K = extension_field(p, k)
     elements = [K.element_from_index(i) for i in range(K.size)]
-
-    def on_variety(pt):
-        value = evaluator(pt, K)
-        return all(K.is_zero(value(g.terms)) for g in basis)
-
     points = []
     if K.size**nvars <= EXHAUSTIVE_POINT_LIMIT:
         # reversed, so that the first coordinate varies fastest
         for pt in product(elements, repeat=nvars):
             pt = pt[::-1]
-            if on_variety(pt):
+            value = evaluator(pt, K)
+            if all(K.is_zero(value(g.terms)) for g in basis):
                 points.append(pt)
-    else:
-        seen = set()
-        for _ in range(RANDOM_POINT_BUDGET):
-            pt = tuple(elements[rng.randrange(K.size)] for _ in range(nvars))
-            if pt in seen:
-                continue
-            seen.add(pt)
-            if on_variety(pt):
-                points.append(pt)
+        return K, points
+
+    top = max((e[0] for g in basis for e in g.terms), default=0)
+    powers = {}
+    for x in elements:
+        powers[x] = [K.one()]
+        for _ in range(top):
+            powers[x].append(K.mul(powers[x][-1], x))
+
+    def roots(terms, candidates):
+        """The candidates where the polynomial with the degree -> coefficient
+        dict ``terms`` vanishes."""
+        if set(terms) <= {0}:
+            return candidates if not terms else []
+        found = []
+        for x in candidates:
+            row = powers[x]
+            if reduce(K.add, [K.mul(c, row[d]) for d, c in terms.items()]) == K.zero():
+                found.append(x)
+        return found
+
+    count = K.size ** (nvars - 1)
+    for i in rng.sample(range(count), min(RANDOM_POINT_BUDGET, count)):
+        digits = []
+        for _ in range(nvars - 1):
+            i, j = divmod(i, K.size)
+            digits.append(elements[j])
+        outer = tuple(digits[::-1])
+        value = evaluator((K.zero(),) + outer, K)
+        candidates = elements
+        for g in basis:
+            terms = {}
+            for e, c in g.terms.items():
+                terms[e[0]] = K.add(terms.get(e[0], K.zero()), value({(0,) + e[1:]: c}))
+            candidates = roots({d: c for d, c in terms.items() if not K.is_zero(c)}, candidates)
+        points.extend((x,) + outer for x in candidates)
     return K, points
 
 

@@ -1,5 +1,6 @@
 """Surface syntax and command-line contract."""
 
+from fractions import Fraction
 import json
 import random
 
@@ -57,6 +58,30 @@ def test_rational_literals():
     assert op == x.scale(Fraction(1, 2))
     f = parse_twisted("2/3*X1", 1, Zmod(5))
     assert f.terms[(1, 0)] == 4  # 2 * inv(3) = 2 * 2 = 4 mod 5
+
+
+@pytest.mark.parametrize("ring", [Zmod(3), Zmod(9)], ids=str)
+def test_a_literal_whose_denominator_is_no_unit_is_a_parse_error(ring):
+    # over Z/3 the zero denominator raised DivisionByZero past the parser
+    for parse, text in [(parse_weyl, "1/3*x1"), (parse_twisted, "1/3*X1")]:
+        with pytest.raises(ParseError, match="literal 1/3") as exc:
+            parse(text, 1, ring)
+        assert exc.value.position == 0
+    half = ring.from_fraction(Fraction(1, 2))
+    assert parse_weyl("1/2*x1", 1, ring) == WeylOp.x(ring, 1, 0).scale(half)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bracket", "-p", "3", "-n", "1", "1/3*X1", "Xi1"],
+        ["center-check", "-p", "3", "-n", "1", "1/3*x1"],
+    ],
+    ids=["bracket", "center-check"],
+)
+def test_cli_literal_whose_denominator_vanishes_is_exit_two(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("parse error: literal 1/3")
 
 
 def test_twisted_parse():

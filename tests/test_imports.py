@@ -5,8 +5,9 @@ imports nothing outside the standard library.
 No linter ships with the project, so this reads each module with ``ast``:
 a name an import binds must appear as a name elsewhere in the module.  The
 package's ``__init__`` re-exports what it imports and is skipped.  A
-module-level function or class of the package must be read somewhere in
-the package outside its own definition, or be exported by ``__init__``.
+module-level function, class or constant (a name a module-level assignment
+binds) of the package must be read somewhere in the package outside its own
+definition, or be exported by ``__init__``.
 """
 
 import ast
@@ -84,19 +85,34 @@ def names_read(node):
     return found
 
 
+def defined_names(node):
+    """The names a module-level statement defines: a function's or class's
+    own, or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [
+            sub.id
+            for target in targets
+            for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+        ]
+    return []
+
+
 def unread_definitions(sources, exported):
-    """(module, name) of every module-level function or class in ``sources``
-    (module name -> source) that no module reads outside the definition
-    itself and that ``exported`` does not hold."""
+    """(module, name) of every module-level function, class or constant in
+    ``sources`` (module name -> source) that no module reads outside the
+    definition itself and that ``exported`` does not hold."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     total = sum((names_read(tree) for tree in trees.values()), Counter())
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if node.name not in exported and total[node.name] == names_read(node)[node.name]:
-                unread.append((module, node.name))
+            for name in defined_names(node):
+                if name not in exported and total[name] == names_read(node)[name]:
+                    unread.append((module, name))
     return unread
 
 
@@ -107,6 +123,15 @@ def test_the_checker_sees_an_unread_definition():
         "b": "from a import used\n\nclass Local:\n    pass\n\nprint(Local, used)\n",
     }
     assert unread_definitions(sources, {"Exported"}) == [("a", "recursive")]
+
+
+def test_the_checker_sees_an_unread_constant():
+    sources = {
+        "a": "LIMIT = 10\nBUDGET: int = 200\nUNREAD, ALSO = 1, 2\nTABLE = {}\n"
+        "TABLE['k'] = LIMIT\nEXPORTED = 3\n",
+        "b": "import a\nfrom a import BUDGET\n\nLOCAL = 4\nprint(a.TABLE, BUDGET, LOCAL)\n",
+    }
+    assert unread_definitions(sources, {"EXPORTED"}) == [("a", "UNREAD"), ("a", "ALSO")]
 
 
 def test_every_package_definition_is_read_or_exported():

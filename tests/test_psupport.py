@@ -205,6 +205,18 @@ def test_generic_rank_values():
     assert rr2.value == 2
 
 
+def test_generic_rank_takes_an_annihilator_of_the_ideals_twisted_ring():
+    # an F_7 annihilator of an F_5 ideal gave rank 0 from F_7 points, and one
+    # in four variables a bare ValueError from the point search
+    I = LeftIdeal.of([parse_weyl("d1 - x1", 1, Zmod(5))])
+    for n, p in [(1, 7), (2, 5)]:
+        ann = CIdeal.of([parse_twisted("X1 - Xi1", n, Zmod(p))])
+        with pytest.raises(RingMismatch):
+            generic_rank(I, ann)
+    ann = CIdeal.of([parse_twisted("X1 - Xi1", 1, Zmod(5))])
+    assert generic_rank(I, ann).value == 5
+
+
 def test_generic_rank_empty_support():
     F3 = Zmod(3)
     tw = FrobeniusTwist(3, 1)
@@ -281,7 +293,8 @@ def test_rank_samples_over_gf_p2_for_p_above_7():
 
 
 def test_rank_search_builds_no_field_above_the_point_limit(monkeypatch):
-    # at p = 101 the line X1 = Xi1 has few random F_101 points, but GF(101^2)
+    # at p = 101, F_101^2 is past the exhaustive limit: Xi1 is drawn and X1
+    # solved for, so the line X1 = Xi1 gives a point per draw.  GF(101^2)
     # and GF(101^3) exceed the limit: only F_101 is searched, and a support
     # without F_p points names that degree in its note
     import pweyl.psupport as psupport
@@ -295,12 +308,29 @@ def test_rank_search_builds_no_field_above_the_point_limit(monkeypatch):
     monkeypatch.setattr(psupport, "extension_field", recording)
     (x,), (d,), one = qq_gens()
     r = p_support(DModuleSpec(1, (d - x,)), 101, guard=10**9)
-    assert r.generic_rank == 101
+    assert r.generic_rank == 101 and len(r.rank_samples) == 5
     assert {s["field"] for s in r.to_dict()["rank_samples"]} == {"GF(101)"}
     r = p_support(DModuleSpec(1, (d**2 + one,)), 103, guard=10**9)
     assert r.annihilator == ("Xi1^2 + 1",) and r.generic_rank is None
     assert "generic rank unavailable: no points found over F_(p^k), k <= 1" in r.notes
     assert built and max(built) <= psupport.EXHAUSTIVE_POINT_LIMIT
+
+
+def test_rank_past_the_point_limit_finds_points_at_every_seed():
+    # F_11^4 is past the exhaustive limit; whole random points hit the plane
+    # X1 = Xi1, Xi2 = 1 about once in 121 tries and left seeds 1, 2, 3, 6,
+    # 10 and 18 without a sample, while each draw of X2, Xi1, Xi2 with
+    # Xi2 = 1 now solves for X1
+    xs, ds, one = qq_gens(2)
+    spec = DModuleSpec(2, (ds[0] - xs[0], ds[1] - one))
+    r = p_support(spec, 11, guard=10**9)
+    assert r.annihilator == ("Xi2 - 1", "X1 - Xi1") and r.generic_rank == 121
+    assert len(r.rank_samples) == 5
+    I = specialize_mod_p(spec, 11)
+    ann = central_annihilator(I, 10**9).ideal
+    for seed in range(20):
+        rr = generic_rank(I, ann, seed=seed)
+        assert len(rr.samples) == 5 and rr.value == 121, seed
 
 
 # rank_samples as (point, field, Jacobian rank, fiber dimension), pinned from
@@ -314,11 +344,13 @@ RANK_SAMPLE_GOLDENS = [
         (("3", "3"), "GF(5)", 1, 5),
         (("4", "4"), "GF(5)", 1, 5),
     ]),
-    # random points over GF(11^2): the seeded RNG sequence is pinned too
+    # over GF(11^2), Xi1 drawn and X1 solved for: the seeded draw is pinned too
     ("d1^2 + 1", 1, 11, {"guard": 200}, [
-        (("(1 + 9*t)", "(8 + 7*t)"), "GF(11^2)", 1, 11),
-        (("(t)", "(3 + 4*t)"), "GF(11^2)", 1, 11),
-        (("(1 + 5*t)", "(8 + 7*t)"), "GF(11^2)", 1, 11),
+        (("0", "(3 + 4*t)"), "GF(11^2)", 1, 11),
+        (("1", "(3 + 4*t)"), "GF(11^2)", 1, 11),
+        (("2", "(3 + 4*t)"), "GF(11^2)", 1, 11),
+        (("3", "(3 + 4*t)"), "GF(11^2)", 1, 11),
+        (("4", "(3 + 4*t)"), "GF(11^2)", 1, 11),
     ]),
     # too few points over GF(2) and GF(2^2): the search reaches GF(2^3)
     ("x1^2*d1 + x1", 1, 2, {}, [
@@ -506,7 +538,7 @@ def test_fiber_dim_matches_the_rank_p2n_presentation():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_points_on_variety_matches_brute_force(p, nvars, k):
     # the same points in the same order, and the same draws from rng, as
-    # evaluating every element at every point (or at every random draw)
+    # evaluating every element at every point (or at every completion of a draw)
     rng = random.Random(1000 * p + 10 * nvars + k)
     R = PolyRing(Zmod(p), tuple(f"v{i}" for i in range(nvars)))
     for size in (0, 1, 2, 3):

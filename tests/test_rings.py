@@ -29,6 +29,16 @@ def test_non_unit_in_z9():
         Zmod(9).inv(3)
 
 
+def test_a_fraction_needs_a_unit_denominator():
+    # Z/3 raised DivisionByZero here, unlike Z/9 and GF(3^2)
+    for ring in (Zmod(3), Zmod(9), extension_field(3, 2)):
+        with pytest.raises(NotUnit):
+            ring.from_fraction(Fraction(1, 3))
+        with pytest.raises(NotUnit):
+            ring.from_fraction(Fraction(5, 6))
+    assert Zmod(9).from_fraction(Fraction(5, 2)) == 7
+
+
 def test_zero_inverse_rejected():
     for ring in ALL_RINGS:
         with pytest.raises(DivisionByZero):
