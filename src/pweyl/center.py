@@ -25,9 +25,18 @@ Each route reads its twist off the ideal's own algebra A_n(F_p)
   against X_i - x_i^p.  Each elimination finishes only the basis elements
   it keeps.  Certified; ``central_annihilator`` routes inputs with p^(2n)
   above a size guard away from it.
-* truncated: for rising degree d, compute by linear algebra the space of
-  central polynomials of degree <= d that the ideal's normal form kills,
-  and stop once the resulting ideal stabilises over a degree window.
+* truncated: for rising degree d, the ideal J_d of the central
+  polynomials of degree <= d that the ideal's normal form kills, by linear
+  algebra, up to a plateau certified in dimension.
+
+J_d lies in I cap Z, so krull_dim(J_d) >= s, the dimension of V(I cap Z).
+D/I has GK dimension d(gr_B(D/I)) for the Bernstein filtration (McConnell-
+Robson 8.6), the dimension of the grevlex leads of its reduced left basis,
+and that is s as D is module-finite over Z (Krause-Lenagan 5.5).  The first
+plateau J_d = J_(d-1) with krull_dim(J_d) <= s stops the ladder; a zero
+plateau counts only for I = 0.  That certifies the dimension, not the ideal.
+The plateau test reduces only the kernel vectors new at rung d modulo
+J_(d-1), which lies in J_d; only a rung that grows the ideal runs Buchberger.
 
 The truncated ladder does each reduction once, and keeps its results on
 the ideal for every later degree.  It normalises a central monomial X^e at
@@ -69,18 +78,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .cgb import CIdeal, _buchberger, _eliminate_onto, _reduced_ideal
+from .cgb import CIdeal, _buchberger, _eliminate_onto, _lead_dim, _reduced_ideal, krull_dim
 from .errors import RingMismatch
 from .linalg import _sparse_rows, _sub_scaled, rank as matrix_rank
 from .mpoly import MPoly, PolyRing, evaluator
 from .orders import BlockElimination, GrevLex, monomial_divides
 from .rings import Zmod, is_prime
 from .weyl import WeylOp, is_central
+from .wgb import left_groebner
 
 _GREVLEX = GrevLex()
 
 EXACT_GUARD = 64
-STABILITY_WINDOW = 2
 
 
 def twisted_names(n):
@@ -415,27 +424,21 @@ def truncated_kernel(ideal, twist, degree):
     return [z for j, z in echelon.kernel if j < len(monos)]
 
 
+def _support_dimension(ideal):
+    """s, the dimension of the p-support of D/I (module docstring); -1 if I = D."""
+    basis = ideal.groebner_basis() if ideal.order == _GREVLEX else left_groebner(ideal.gens)
+    return _lead_dim([g.leading()[0] for g in basis], 2 * ideal.n)
+
+
 def central_annihilator_truncated(ideal, twist=None):
-    """Degree-truncated central annihilator with a stabilisation certificate.
+    """Degree-truncated central annihilator, certified in dimension.
 
-    Returns the kernel ideal at the first degree d whose ideal equals the one
-    at d + STABILITY_WINDOW (status "stabilized(d)"), else the ideal at the
-    top degree D (status "truncated(D)").  Kernels grow monotonically with
-    the degree, so a window of equality certifies the plateau seen so far.
-
-    The top degree is the reduced-norm floor D = max(2p, m * p^(n-1)), m the
-    least total degree of the ideal's reduced left basis: the reduced norm
-    of a nonzero element of total degree m is a nonzero central element of
-    the ideal of twisted degree at most m * p^(n-1), so the ladder never
-    stops on a zero annihilator of a nonzero ideal.
-
-    The ladder is incremental: each central monomial is normalised once,
-    from its predecessor by a Frobenius shift, and its normal form is
-    reduced once into the ideal's kernel echelon, both reused at every later
-    degree.  A monomial that an earlier kernel lead divides is never
-    normalised, and the ideal at degree d is generated by the kernel vectors
-    with minimal leads that ``truncated_kernel`` returns (see the module
-    docstring).
+    The kernel ideal J_d of ``truncated_kernel(ideal, twist, d)`` at the first
+    plateau J_(d+1) = J_d of dimension at most s (``_support_dimension``),
+    status "stabilized(d)", else at the top degree D, status "truncated(D)"
+    (module docstring).  D = max(2p, m * p^(n-1)), m the least total degree
+    of the reduced left basis, bounds the twisted degree of the reduced norm
+    of a basis element of degree m, a nonzero central element of I.
 
     The route reads the twist off the ideal; ``twist``, kept for callers
     that still pass it, must be that twist or None.
@@ -445,20 +448,17 @@ def central_annihilator_truncated(ideal, twist=None):
         raise RingMismatch(f"{given} is not the twist of {ideal}")
     norm_degree = min((g.total_degree() for g in ideal.groebner_basis()), default=0)
     top = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
-    ring = twist.twisted_ring
-    candidates = {}
+    support, prev = _support_dimension(ideal), None
     for d in range(1, top + 1):
-        J = CIdeal.of(truncated_kernel(ideal, twist, d), ring=ring)
-        candidates[d] = J
-        back = d - STABILITY_WINDOW
-        # a nonzero left ideal always meets the centre (the reduced norm of
-        # any nonzero element lies in it), so a zero plateau is premature
-        if back < 1 or (candidates[back].is_zero_ideal() and ideal.groebner_basis()):
-            continue
-        # reduced bases are unique, so equal bases mean equal ideals
-        if candidates[back].groebner_basis() == J.groebner_basis():
-            return AnnihilatorResult(candidates[back], f"stabilized({back})")
-    return AnnihilatorResult(candidates[top], f"truncated({top})")
+        kernel = truncated_kernel(ideal, twist, d)
+        J = CIdeal.of(kernel, ring=twist.twisted_ring)
+        # the kernel at d - 1 is a prefix of the kernel at d
+        if prev is not None and all(prev.contains(z) for z in kernel[len(prev.gens) :]):
+            if krull_dim(prev) <= support:
+                return AnnihilatorResult(prev, f"stabilized({d - 1})")
+            J._cache.update(prev._cache)  # the same ideal: its basis carries over
+        prev = J
+    return AnnihilatorResult(prev, f"truncated({top})")
 
 
 def central_annihilator(ideal, guard=EXACT_GUARD, method="auto"):

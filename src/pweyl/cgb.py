@@ -408,23 +408,22 @@ def frobenius_root(ideal):
 
 
 def krull_dim(ideal):
-    """Krull dimension of ring/ideal: the largest variable subset S such that
-    no leading monomial of a grevlex basis is supported inside S.  Returns -1
-    for the unit ideal."""
-    if ideal.order == _GREVLEX:
-        basis = ideal.groebner_basis()
-    else:
-        basis = buchberger(list(ideal.gens), _GREVLEX)
-    if any(g.is_constant() and not g.is_zero() for g in basis):
+    """Krull dimension of ring/ideal by ``_lead_dim``; -1 for the unit ideal."""
+    basis = ideal.groebner_basis() if ideal.order == _GREVLEX else buchberger(ideal.gens)
+    return _lead_dim([g.leading()[0] for g in basis], ideal.ring.nvars)
+
+
+def _lead_dim(leads, nvars):
+    """The largest size of a set S of the ``nvars`` variables with no exponent
+    of ``leads`` supported inside S, -1 if one is 0: the Krull dimension,
+    over the leads of a degree-compatible basis."""
+    supports = [{i for i, e in enumerate(lead) if e} for lead in leads]
+    if set() in supports:
         return -1
-    nv = ideal.ring.nvars
-    supports = [frozenset(i for i, e in enumerate(g.leading()[0]) if e) for g in basis]
-    for size in range(nv, -1, -1):
-        for S in itertools.combinations(range(nv), size):
-            sset = set(S)
-            if not any(sup <= sset for sup in supports):
+    for size in range(nvars, -1, -1):
+        for S in itertools.combinations(range(nvars), size):
+            if not any(sup.issubset(S) for sup in supports):
                 return size
-    return 0
 
 
 # ---------------------------------------------------------------------------

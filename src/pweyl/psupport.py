@@ -29,6 +29,7 @@ from .center import (
     EXACT_GUARD,
     _fiber_dim,
     _simple_module_rows,
+    _support_dimension,
     _twist_of,
     central_annihilator,
 )
@@ -186,9 +187,11 @@ def _points_on_variety(basis, nvars, p, k, rng):
     coordinates, all but the first, are drawn: ``rng.sample`` takes
     ``RANDOM_POINT_BUDGET`` distinct indices below q^(nvars - 1), q = p^k
     (all, if no more), read in base q with the lowest digit last; the same
-    substitutions fix them and the same search solves for the first, in at
-    most ``RANDOM_POINT_BUDGET`` * (q + nvars) substitutions.  The points
-    are yielded as found; ``rng`` is read once, when the iterator is first
+    substitutions fix them and the same search solves for the first.  Draws
+    that leave the same system, as when the drawn coordinates occur in no
+    basis element, share one search: at most ``RANDOM_POINT_BUDGET`` *
+    nvars substitutions, plus q per distinct system.  The points come out
+    one draw at a time; ``rng`` is read once, when the iterator is first
     read.
     """
     K = extension_field(p, k)
@@ -230,9 +233,12 @@ def _points_on_variety(basis, nvars, p, k, rng):
 
     def points():
         drawn = nvars - 1 if K.size**nvars > EXHAUSTIVE_POINT_LIMIT else 0
+        if not drawn:
+            yield from search(start, ())
+            return
         outer = range(K.size**drawn)
-        draws = rng.sample(outer, min(RANDOM_POINT_BUDGET, len(outer))) if drawn else outer
-        for i in draws:
+        solved = {}  # substituted system -> its solutions in the first coordinate
+        for i in rng.sample(outer, min(RANDOM_POINT_BUDGET, len(outer))):
             polys, suffix = start, ()
             for _ in range(drawn):
                 i, j = divmod(i, K.size)
@@ -241,7 +247,11 @@ def _points_on_variety(basis, nvars, p, k, rng):
                     break
                 suffix = (elements[j],) + suffix
             else:
-                yield from search(polys, suffix)
+                key = tuple(frozenset(f.items()) for f in polys)
+                if key not in solved:
+                    solved[key] = [pt[0] for pt in search(polys, suffix)]
+                for x in solved[key]:
+                    yield (x,) + suffix
 
     start = [{e: embed(c) for e, c in g.terms.items()} for g in basis]
     return K, points()
@@ -434,7 +444,10 @@ def p_support(
     ``central_annihilator`` takes under ``method="auto"``.  The generic rank
     is computed whenever the exact route ran and ``compute_rank`` asks; it
     works on the simple module of rank p^n.  ``attempts`` caps the rank
-    samples; it must be a positive int, even when no rank is computed.
+    samples; it must be a positive int, even when no rank is computed.  A
+    truncated annihilator whose dimension exceeds the support dimension
+    (``center._support_dimension``), which only a ladder that reached its
+    top degree can return, is noted as not certified.
     """
     _check_attempts(attempts)
     ideal = specialize_mod_p(spec, p)
@@ -453,6 +466,13 @@ def p_support(
         notes.append("unit annihilator: empty support")
     else:
         dim = krull_dim(ann)
+        # the exact route's annihilator is I cap Z itself, certified
+        support = dim if exact_route else _support_dimension(ideal)
+        if dim > support:
+            notes.append(
+                f"annihilator dimension {dim} exceeds the support dimension {support}: "
+                "not certified"
+            )
         # brackets see the reduced structure only after p-th powers are rooted
         verdict = coisotropy_check(frobenius_root(ann), canonical_bracket)
         coisotropic = verdict.ok

@@ -5,19 +5,15 @@ from functools import reduce
 from itertools import combinations, product
 
 from pweyl import CIdeal, MPoly, PolyRing, WeylOp
-from pweyl.center import (
-    STABILITY_WINDOW,
-    _monomials_up_to,
-    _simple_module_rows,
-    _split_residues,
-)
-from pweyl.cgb import _eliminate_onto, _groebner, _shift_form, _shift_submul
+from pweyl.center import _monomials_up_to, _simple_module_rows, _split_residues
+from pweyl.cgb import _eliminate_onto, _groebner, _shift_form, _shift_submul, krull_dim
 from pweyl.errors import NoPointsFound
 from pweyl.linalg import _sparse_rows, rank as matrix_rank
 from pweyl.mpoly import evaluator
-from pweyl.orders import GrevLex, monomial_divides
+from pweyl.orders import GrevLex, Weighted, monomial_divides
 from pweyl.psupport import EXHAUSTIVE_POINT_LIMIT, RANDOM_POINT_BUDGET, _sparse_entries
 from pweyl.rings import GaloisField, Rationals, Zmod, extension_field
+from pweyl.wgb import LeftIdeal, initial_weighted
 
 
 def random_coeff(ring, rng, nonzero=False):
@@ -384,25 +380,41 @@ def minimal_leads(kernel):
     return kept
 
 
+def symbol_dimension(ideal):
+    """The dimension of the support of gr(D/I) for the order filtration (0 on
+    x, 1 on d), the Rees-module way: the left basis under the weights refined
+    by grevlex, its initial forms in F[x, xi], and ``krull_dim`` of the ideal
+    they generate.  The p-support of D/I has this dimension, so it checks the
+    ladder's gate, which reads the dimension off the grevlex leads instead."""
+    n = ideal.n
+    weighted = LeftIdeal.of(list(ideal.gens), Weighted((0,) * n + (1,) * n))
+    names = tuple(f"x{i + 1}" for i in range(n)) + tuple(f"xi{i + 1}" for i in range(n))
+    ring = PolyRing(ideal.ring, names)
+    symbols = [initial_weighted(g, ring) for g in weighted.groebner_basis()]
+    return krull_dim(CIdeal.of(symbols, ring=ring))
+
+
 def reference_ladder(ideal, twist):
     """``central_annihilator_truncated`` without its shortcuts: at each
     degree, the whole dense kernel over the direct normal forms of the
     embedded monomials, cut to its minimal leads, under the same ceiling and
-    window rule.  Returns (status, generators of the chosen ideal)."""
+    the same rule, the first plateau whose dimension is at most
+    ``symbol_dimension``, tested by comparing reduced bases.  Returns
+    (status, generators of the chosen ideal)."""
     R = twist.twisted_ring
     basis = ideal.groebner_basis()
     norm_degree = min((g.total_degree() for g in basis), default=0)
     top = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
+    support = symbol_dimension(ideal)
     nfs, candidates = [], {}
     for d in range(1, top + 1):
         monos = _monomials_up_to(2 * twist.n, d)
         nfs += [ideal.normal_form(twist.embed(MPoly(R, {e: 1}))) for e in monos[len(nfs) :]]
         candidates[d] = CIdeal.of(minimal_leads(dense_kernel(monos, nfs, R)), ring=R)
-        back = d - STABILITY_WINDOW
-        if back < 1 or (candidates[back].is_zero_ideal() and basis):
+        if d == 1 or krull_dim(candidates[d - 1]) > support:
             continue
-        if candidates[back].groebner_basis() == candidates[d].groebner_basis():
-            return f"stabilized({back})", candidates[back].gens
+        if candidates[d - 1].groebner_basis() == candidates[d].groebner_basis():
+            return f"stabilized({d - 1})", candidates[d - 1].gens
     return f"truncated({top})", candidates[top].gens
 
 

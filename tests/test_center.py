@@ -22,12 +22,13 @@ from pweyl.center import (
     _KernelEchelon,
     _monomials_up_to,
     _split_residues,
+    _support_dimension,
     truncated_kernel,
 )
 from pweyl.corpus import load_corpus
 from pweyl.errors import BadPrime, RingMismatch
 from pweyl.mpoly import MPoly, PolyRing
-from pweyl.orders import GrevLex, monomial_divides
+from pweyl.orders import GrevLex, Weighted, monomial_divides
 from pweyl.poisson import coisotropy_check
 from pweyl.psupport import specialize_mod_p
 from pweyl.rings import QQ, Zmod
@@ -43,6 +44,7 @@ from helpers import (
     recombine_residues,
     reduced_norms,
     reference_ladder,
+    symbol_dimension,
 )
 
 
@@ -176,8 +178,9 @@ def test_exact_annihilator_elements_lie_in_ideal():
 
 LEGENDRE_EXP = ("x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4", "d2 - 1")
 
-# n = 2 inputs on which the truncated route is wrong (it misses the second
-# generator), with their exact annihilators
+# n = 2 inputs with their exact annihilators; without the support-dimension
+# gate, the truncated route stopped on a plateau of dimension 3 that missed
+# the second generator
 EXACT_N2_PINS = [
     (LEGENDRE_EXP, 3, ("Xi2 - 1", "X1^2*Xi1^2 - X1*Xi1^2")),
     (LEGENDRE_EXP, 5, ("Xi2 - 1", "X1^2*Xi1^2 - X1*Xi1^2")),
@@ -196,6 +199,19 @@ def test_exact_annihilator_n2_pins(texts, p, basis):
     assert tuple(str(g) for g in res.ideal.gens) == basis
     for g in res.ideal.gens:
         assert I.contains(tw.embed(g))
+
+
+@pytest.mark.parametrize("texts, p, basis", EXACT_N2_PINS)
+def test_truncated_route_gives_the_exact_n2_pins(texts, p, basis):
+    # the plateau (Xi2 - 1) at degree 1 has dimension 3, above the support
+    # dimension 2 read off the left basis, so the ladder climbs on; a left
+    # ideal under a weight order has its grevlex leads computed for the gate
+    tw = FrobeniusTwist(p, 2)
+    gens = [parse_weyl(text, 2, tw.weyl_ring) for text in texts]
+    for I in (LeftIdeal.of(gens), LeftIdeal.of(gens, Weighted((0, 0, 1, 1)))):
+        res = central_annihilator(I, method="truncated")
+        assert res.status == "stabilized(4)"
+        assert tuple(str(g) for g in res.ideal.groebner_basis()) == basis
 
 
 @pytest.mark.parametrize(
@@ -289,6 +305,33 @@ def reduced_norm_cases():
     return cases
 
 
+def test_support_dimension_is_the_dimension_of_the_exact_annihilator():
+    # the ladder's gate reads dim Z/(I cap Z) off the grevlex leads of the
+    # left basis (the GK dimension of D/I); the symbol ideal of the order
+    # filtration gives it the Rees way; both equal the dimension of every
+    # exact annihilator: the reduced-norm cases, the n = 2 corpus rows, and
+    # random single operators and pairs at n = 2, p = 3
+    cases = reduced_norm_cases()
+    for entry in load_corpus():
+        for p in entry.primes if entry.n == 2 else ():
+            cases.append((FrobeniusTwist(p, 2), specialize_mod_p(entry.spec(), p)))
+    rng = random.Random(43)
+    tw = FrobeniusTwist(3, 2)
+    for ngens in (1, 1, 2) * 6:
+        gens = [
+            random_weylop(tw.weyl_ring, 2, rng, max_exp=1, max_terms=3, nonzero=True)
+            for _ in range(ngens)
+        ]
+        cases.append((tw, LeftIdeal.of(gens)))
+    dims = []
+    for tw, I in cases:
+        dim = cgb.krull_dim(central_annihilator_exact(I).ideal)
+        assert _support_dimension(I) == symbol_dimension(I) == dim, (I.gens, tw.p)
+        dims.append(dim)
+    assert len(cases) == 63
+    assert set(dims) == {-1, 1, 2, 3}
+
+
 def test_reduced_norms_lie_in_the_exact_annihilator():
     # Nrd(g), the determinant of g on the simple module, is a nonzero
     # polynomial in X and beta^p, and lies in D*g, so in I cap Z: an oracle
@@ -304,6 +347,23 @@ def test_reduced_norms_lie_in_the_exact_annihilator():
             assert all(b % p == 0 for e in norm.terms for b in e[n:]), label
             terms = {e[:n] + tuple(b // p for b in e[n:]): c for e, c in norm.terms.items()}
             assert J.contains(MPoly(tw.twisted_ring, terms)), label
+
+
+def test_reduced_norms_refute_the_ungated_plateau():
+    # Legendre times e^(x2) at p = 3: the reduced norms of the left basis lie
+    # in the ladder's annihilator, but not all in (Xi2 - 1), the plateau of
+    # dimension 3 that the ladder stopped on before its support-dimension gate
+    tw = FrobeniusTwist(3, 2)
+    R = tw.twisted_ring
+    I = LeftIdeal.of([parse_weyl(text, 2, tw.weyl_ring) for text in LEGENDRE_EXP])
+    J = central_annihilator_truncated(I).ideal
+    plateau = CIdeal.of([R.gen(3) - R.one()])
+    norms = [
+        MPoly(R, {e[:2] + tuple(b // 3 for b in e[2:]): c for e, c in norm.terms.items()})
+        for norm in reduced_norms(I, tw)
+    ]
+    assert all(J.contains(norm) for norm in norms)
+    assert not all(plateau.contains(norm) for norm in norms)
 
 
 def test_truncated_examples():
@@ -359,16 +419,25 @@ def test_exact_and_truncated_agree_on_random_operators():
     # on the default max_degree, whose reduced-norm floor m * p^(n-1) covers
     # the degree-7 annihilator of one n = 2 draw that 2p misses.  The n = 2,
     # p = 3 draws include x1*x2*d2 - x1*d1*d2 - x2, beyond the default guard.
+    # Then external products and pairs of one operator per variable at
+    # p = 3, where the ungated ladder stopped on a plateau of dimension 3,
+    # for example (X2 - Xi2) for x1^2*d1^2 - x1, d2 - x2.
     cases = ((1, (3, 5), 10, 2), (1, (7,), 6, 2), (2, (2,), 10, 1), (2, (3,), 10, 1))
     rng = random.Random(0)
+    inputs = []
     for n, primes, count, max_exp in cases:
         for _ in range(count):
             tw = FrobeniusTwist(rng.choice(primes), n)
             L = random_weylop(tw.weyl_ring, n, rng, max_exp=max_exp, max_terms=3, nonzero=True)
-            I = LeftIdeal.of([L])
-            exact = central_annihilator_exact(I)
-            trunc = central_annihilator_truncated(I)
-            assert exact.ideal.groebner_basis() == trunc.ideal.groebner_basis(), (str(L), tw.p)
+            inputs.append([L])
+    F = Zmod(3)
+    inputs += [[external_product(F, rng)] for _ in range(30)]
+    inputs += [list(one_variable_operators(F, rng)) for _ in range(30)]
+    for gens in inputs:
+        exact = central_annihilator_exact(LeftIdeal.of(gens))
+        trunc = central_annihilator_truncated(LeftIdeal.of(gens))
+        label = ([str(g) for g in gens], gens[0].ring)
+        assert exact.ideal.groebner_basis() == trunc.ideal.groebner_basis(), label
 
 
 def test_exact_annihilator_matches_the_rank_p2n_colon():
@@ -524,12 +593,19 @@ def test_kernel_echelon_matches_dense_nullspace():
             assert [z for _, z in echelon.kernel] == dense_kernel(monos, cols, R), p
 
 
-def external_product(F, rng):
-    """L1(x1, d1) * L2(x2, d2) for random L1 of order <= 2 and L2 of order <= 1."""
+def one_variable_operators(F, rng):
+    """L1(x1, d1) and L2(x2, d2) in A_2 for random L1 of order <= 2 and L2 of
+    order <= 1."""
     L1 = random_weylop(F, 1, rng, max_exp=2, max_terms=3, nonzero=True)
     L2 = random_weylop(F, 1, rng, max_exp=1, max_terms=3, nonzero=True)
     first = WeylOp(F, 2, {(a, 0, b, 0): c for (a, b), c in L1.terms.items()})
     second = WeylOp(F, 2, {(0, a, 0, b): c for (a, b), c in L2.terms.items()})
+    return first, second
+
+
+def external_product(F, rng):
+    """L1(x1, d1) * L2(x2, d2), the operators of ``one_variable_operators``."""
+    first, second = one_variable_operators(F, rng)
     return first * second
 
 
@@ -565,6 +641,38 @@ def test_pruned_ladder_matches_the_reference_ladder():
         assert res.ideal.groebner_basis() == CIdeal.of(want, ring=tw.twisted_ring).groebner_basis()
 
 
+@pytest.mark.parametrize(
+    "texts, status, columns, groebner_calls",
+    [
+        (("d1^2 - x1", "d2 - x2"), "stabilized(2)", 35, 2),
+        (("d1^3 - x1", "d2 - x2"), "stabilized(3)", 70, 2),
+        (LEGENDRE_EXP, "stabilized(4)", 126, 2),
+    ],
+)
+def test_ladder_stops_one_rung_past_its_plateau(
+    monkeypatch, texts, status, columns, groebner_calls
+):
+    # at p = 5 the ladder reaches degree d + 1 for stabilized(d), where a
+    # window of two rungs reached d + 2 (70 and 126 columns for the first
+    # two), and runs Buchberger once per distinct kernel ideal: a rung that
+    # adds nothing, as (X2 - Xi2) and (Xi2 - 1) stay from degree 1 to 2 and
+    # to 3, reuses the basis before it
+    calls = []
+    buchberger = cgb.buchberger
+
+    def counted(gens, order):
+        calls.append(gens)
+        return buchberger(gens, order)
+
+    monkeypatch.setattr(cgb, "buchberger", counted)
+    tw = FrobeniusTwist(5, 2)
+    I = LeftIdeal.of([parse_weyl(text, 2, tw.weyl_ring) for text in texts])
+    res = central_annihilator_truncated(I)
+    assert res.status == status
+    assert I._cache[("kernel_echelon", tw)].ncols == columns
+    assert len(calls) == groebner_calls
+
+
 def test_ladder_never_normalises_a_multiple_of_a_kernel_lead():
     # Xi1^2 - X1 and Xi2 - X2 are found at degrees 2 and 1; no monomial that
     # a lead divides properly reaches left_nf, and some are skipped
@@ -572,7 +680,7 @@ def test_ladder_never_normalises_a_multiple_of_a_kernel_lead():
     I = LeftIdeal.of([parse_weyl(text, 2, tw.weyl_ring) for text in ("d1^2 - x1", "d2 - x2")])
     res = central_annihilator_truncated(I)
     assert res.status == "stabilized(2)"
-    top = 4  # the ladder climbs to the window's end
+    top = 3  # the ladder climbs one rung past the plateau's degree
     leads = [z.leading(GrevLex())[0] for z in truncated_kernel(I, tw, top)]
     assert len(leads) == 2
     normalised = I._cache[("central_nf", tw)]

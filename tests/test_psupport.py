@@ -25,7 +25,7 @@ from pweyl import (
 from pweyl.errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch
 from pweyl.linalg import rank as matrix_rank
 from pweyl.mpoly import PolyRing, evaluator
-from pweyl.center import _fiber_dim, _simple_module_rows
+from pweyl.center import AnnihilatorResult, _fiber_dim, _simple_module_rows
 from pweyl.psupport import _choose_samples, _points_on_variety
 from pweyl.rings import QQ, Zmod, extension_field
 
@@ -576,6 +576,57 @@ def test_points_on_variety_hand_cases(texts, n, p, k, count):
         assert points == [pt[::-1] for pt in product(elements, repeat=2 * n)]
 
 
+@pytest.mark.parametrize("text, count", [("X1^2 - 3", 0), ("X1^2 - 2", 400)])
+def test_draws_that_leave_the_same_system_share_one_search(monkeypatch, text, count):
+    # GF(7^3)^2 is past the point limit, so Xi1 is drawn, and it occurs in
+    # no basis element: every draw leaves X1^2 - c, solved once.  That takes
+    # 3 * 343 multiplications (the powers x, x^2 and one product per field
+    # element), where a search per draw took 69286
+    import pweyl.psupport as psupport
+
+    class Counting:
+        def __init__(self, K):
+            self.K, self.muls = K, 0
+
+        def __getattr__(self, name):
+            return getattr(self.K, name)
+
+        def mul(self, a, b):
+            self.muls += 1
+            return self.K.mul(a, b)
+
+    monkeypatch.setattr(psupport, "extension_field", lambda p, k: Counting(extension_field(p, k)))
+    basis = [parse_twisted(text, 1, Zmod(7))]
+    ours, theirs = random.Random(0), random.Random(0)
+    K, points = _points_on_variety(basis, 2, 7, 3, ours)
+    points = list(points)
+    assert len(points) == count
+    assert points == brute_force_points(basis, 2, 7, 3, theirs)[1]
+    assert ours.getstate() == theirs.getstate()
+    assert K.muls == 3 * 343
+
+
+def test_uncertified_truncated_annihilator_is_noted(monkeypatch):
+    # a ladder that reaches its top degree above the support dimension says
+    # so; one that stops on a plateau keeps its notes
+    import pweyl.psupport as psupport
+
+    xs, ds, one = qq_gens(2)
+    spec = DModuleSpec(2, (ds[0] - one, ds[1]))
+    plain = p_support(spec, 3, compute_rank=False)
+    assert plain.annihilator_status == "stabilized(1)" and plain.dimension == 2
+    assert not any("not certified" in note for note in plain.notes)
+    R = FrobeniusTwist(3, 2).twisted_ring
+    top = AnnihilatorResult(CIdeal.of([R.gen(3)], ring=R), "truncated(6)")
+    monkeypatch.setattr(psupport, "central_annihilator", lambda ideal, guard, method: top)
+    r = p_support(spec, 3, compute_rank=False)
+    assert r.annihilator == ("Xi2",) and r.dimension == 3
+    assert r.notes == plain.notes[:2] + (
+        "annihilator dimension 3 exceeds the support dimension 2: not certified",
+        "generic rank not requested",
+    )
+
+
 def test_non_reduced_annihilator_is_not_lagrangian():
     # (x1^4, d1^4) at p = 2 has annihilator (X1^2, Xi1^2): its zero set is
     # the (X2, Xi2)-plane, which is symplectic, not Lagrangian
@@ -705,6 +756,8 @@ def test_truncated_ladder_reaches_the_reduced_norm_degree(text, annihilator):
     assert r.annihilator == annihilator
     assert r.annihilator_status == "truncated(9)"
     assert r.dimension == 3
+    # the support dimension of one operator is 3, so the dimension is certified
+    assert not any("not certified" in note for note in r.notes)
 
 
 @pytest.mark.parametrize(

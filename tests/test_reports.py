@@ -44,30 +44,40 @@ def test_json_report_matches_frozen_golden():
     assert buf.getvalue() == GOLDEN.read_text()
 
 
+LEGENDRE_EXP_ARGS = [
+    "--no-rank",
+    "--json",
+    "--seed",
+    "0",
+    "-n",
+    "2",
+    "-p",
+    "3",
+    "x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4",
+    "d2 - 1",
+]
+
+
 def test_exact_n2_report_matches_frozen_golden():
-    # Legendre times e^(x2) at p = 3 on the exact route, rank off: the
-    # truncated route misses its second generator
+    # Legendre times e^(x2) at p = 3 on the exact route, rank off
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = run(
-            [
-                "psupport",
-                "--method",
-                "exact",
-                "--no-rank",
-                "--json",
-                "--seed",
-                "0",
-                "-n",
-                "2",
-                "-p",
-                "3",
-                "x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4",
-                "d2 - 1",
-            ]
-        )
+        code = run(["psupport", "--method", "exact"] + LEGENDRE_EXP_ARGS)
     assert code == 0
     assert buf.getvalue() == GOLDEN_LEGENDRE.read_text()
+
+
+def test_default_route_agrees_with_the_exact_n2_golden():
+    # the same input on the default, truncated route: the ladder refuses
+    # the plateau (Xi2 - 1) of dimension 3 and climbs to the exact answer
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(["psupport"] + LEGENDRE_EXP_ARGS)
+    assert code == 0
+    got, want = json.loads(buf.getvalue()), json.loads(GOLDEN_LEGENDRE.read_text())
+    assert got["annihilator_status"] == "stabilized(4)"
+    for key in ("annihilator", "dimension", "lagrangian"):
+        assert got[key] == want[key], key
 
 
 @pytest.mark.parametrize("seed", ["0", "7"])
