@@ -40,12 +40,12 @@ J_(d-1), which lies in J_d; only a rung that grows the ideal runs Buchberger.
 
 The truncated ladder does each reduction once, and keeps its results on
 the ideal for every later degree.  It normalises a central monomial X^e at
-most once, and reduces each normal form once against one column echelon of
-the normal forms before it: the monomials of degree <= d come first in
-(degree, grevlex) order, so the kernel at degree d + 1 extends the one at
-d and no degree is eliminated from scratch.  The normal form of X^e comes
-from that of a predecessor X^(e - u_k), for any slot k with e_k > 0, by a
-Frobenius shift:
+most once, and adds each normal form once, as a column, to one
+``linalg.Echelon`` (the sparse elimination behind ``linalg.rank`` too): the
+monomials of degree <= d come first in (degree, grevlex) order, so the
+kernel at degree d + 1 extends the one at d and no degree is eliminated
+from scratch.  The normal form of X^e comes from that of a predecessor
+X^(e - u_k), for any slot k with e_k > 0, by a Frobenius shift:
 
     nf(X^e) = nf(shift_k(nf(X^(e - u_k)))),
 
@@ -73,14 +73,13 @@ cached.  The kernel vectors the ladder returns are thus exactly those
 whose lead no earlier kernel vector's lead divides.
 """
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .cgb import CIdeal, _buchberger, _eliminate_onto, _lead_dim, _reduced_ideal, krull_dim
 from .errors import RingMismatch
-from .linalg import _sparse_rows, _sub_scaled, rank as matrix_rank
+from .linalg import Echelon, _sparse_rows, rank as matrix_rank
 from .mpoly import MPoly, PolyRing, evaluator
 from .orders import BlockElimination, GrevLex, monomial_divides
 from .rings import Zmod, is_prime
@@ -335,15 +334,13 @@ def _shift_hits(terms, k, p, leads):
 
 
 class _KernelEchelon:
-    """Column echelon of the central normal forms, grown one column at a time.
+    """Kernel of the central normal forms, grown one column at a time.
 
-    Column j is nf(X^e) for the j-th monomial e in (degree, grevlex) order.
-    Each new column is reduced once against the pivot columns so far, which
-    carry the combination of original columns they stand for.  A column
-    that reduces to zero gives the kernel vector with 1 at its own column
-    and entries on earlier pivot columns only, which is the canonical
-    nullspace vector of that free column; any other column becomes a pivot
-    column, scaled to 1 at one of its remaining keys.
+    Column j is nf(X^e) for the j-th monomial e in (degree, grevlex) order,
+    added to one ``linalg.Echelon`` with the combination {j: 1}.  A column
+    that vanishes gives the kernel vector with 1 at its own column and
+    entries on earlier pivot columns only: the canonical nullspace vector of
+    that free column, whatever the order of the pivots.
 
     The ladder feeds it no normal form for a monomial that an earlier
     kernel lead divides: ``skip`` counts that column, which is free and
@@ -353,8 +350,7 @@ class _KernelEchelon:
     def __init__(self, ring):
         self.ring = ring
         self.ncols = 0
-        self.pivots = []  # (pivot key, reduced column, combination)
-        self.index = {}  # pivot key -> its place in self.pivots
+        self.echelon = Echelon(ring.coeffs)
         self.kernel = []  # (column index, kernel polynomial), by column
 
     def skip(self):
@@ -363,35 +359,10 @@ class _KernelEchelon:
 
     def extend(self, monos, nfs):
         """Append the columns nfs of the monomials monos[ncols:]."""
-        F = self.ring.coeffs
-        index = self.index
+        one = self.ring.coeffs.one()
         for j, nf in enumerate(nfs, start=self.ncols):
-            col = dict(nf.terms)
-            comb = {j: F.one()}
-            # pivot i is zero at the keys of pivots < i, so reducing by the
-            # pivots met, in increasing order, clears every pivot key
-            todo = [index[k] for k in col if k in index]
-            heapq.heapify(todo)
-            while todo:
-                i = heapq.heappop(todo)
-                key, pcol, pcomb = self.pivots[i]
-                c = col.get(key)
-                if c is None:
-                    continue
-                _sub_scaled(col, c, pcol, F)
-                _sub_scaled(comb, c, pcomb, F)
-                for k in pcol:
-                    later = index.get(k)
-                    if later is not None and later > i:
-                        heapq.heappush(todo, later)
-            if col:
-                key, c = next(iter(col.items()))
-                inv = F.inv(c)
-                col = {k: F.mul(inv, v) for k, v in col.items()}
-                comb = {k: F.mul(inv, v) for k, v in comb.items()}
-                index[key] = len(self.pivots)
-                self.pivots.append((key, col, comb))
-            else:
+            comb = self.echelon.add(nf.terms, {j: one})
+            if comb is not None:
                 terms = {monos[i]: comb[i] for i in sorted(comb)}
                 self.kernel.append((j, MPoly(self.ring, terms)))
         self.ncols += len(nfs)

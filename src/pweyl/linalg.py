@@ -1,7 +1,10 @@
-"""Sparse exact linear algebra over a field ring: the rank of a row list.
+"""Sparse exact linear algebra over a field ring: ``Echelon``, the package's
+one sparse elimination, behind both ``rank`` and the truncated ladder's
+kernel (``center._KernelEchelon``).
 
-A sparse vector is a dict {index: nonzero coefficient payload} of the given
-ring; absent indices are zero.  Everything is exact and deterministic.
+A sparse vector is a dict {key: nonzero coefficient payload} of the given
+ring, with comparable keys (column indices or exponent tuples); absent keys
+are zero.  Everything is exact and deterministic.
 """
 
 
@@ -30,27 +33,48 @@ def _sub_scaled(out, c, vec, F):
             out[k] = acc
 
 
-def rank(rows, ring, ncols):
-    """Rank over the field ``ring`` of sparse rows with columns in range(ncols).
+class Echelon:
+    """Sparse vectors over the field ``ring`` in echelon form, one ``add`` at a
+    time: each kept vector is a pivot, 1 at its lowest key and filed there.
 
-    Each row is reduced against a pivot map keyed by the lowest column of
-    the rows kept so far: while the row's lowest column has a pivot, that
-    pivot row is subtracted (it is 1 there and zero on every lower column,
-    so the row's lowest column only rises); a row left nonzero is scaled
-    to 1 at its lowest column and kept.  The rows are not modified, and
-    no row is read once the rank reaches ``ncols``.
+    ``add(vec, comb)`` reduces vec at its lowest key while a pivot sits there
+    (the pivot is zero on every lower key, so the lowest key only rises),
+    carrying the optional combination ``comb`` that vec stands for through
+    the same steps.  A vector left nonzero is scaled and kept, and None is
+    returned; a vanishing one returns its reduced combination.  Neither
+    argument is modified, and without ``comb`` no combination work is done.
     """
-    pivots = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            low = min(row)
-            pivot = pivots.get(low)
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.pivots = {}  # lowest key -> (vector, combination or None)
+
+    def add(self, vec, comb=None):
+        F, vec = self.ring, dict(vec)
+        comb = None if comb is None else dict(comb)
+        while vec:
+            low = min(vec)
+            pivot, c = self.pivots.get(low), vec[low]
             if pivot is None:
-                inv = ring.inv(row[low])
-                pivots[low] = {k: ring.mul(inv, v) for k, v in row.items()}
-                break
-            _sub_scaled(row, row[low], pivot, ring)
-        if len(pivots) == ncols:
+                inv = F.inv(c)
+                vec = {k: F.mul(inv, v) for k, v in vec.items()}
+                if comb is not None:
+                    comb = {k: F.mul(inv, v) for k, v in comb.items()}
+                self.pivots[low] = (vec, comb)
+                return None
+            _sub_scaled(vec, c, pivot[0], F)
+            if comb is not None:
+                _sub_scaled(comb, c, pivot[1], F)
+        return comb
+
+
+def rank(rows, ring, ncols):
+    """Rank over the field ``ring`` of sparse rows with columns in range(ncols),
+    the pivot count of one ``Echelon`` fed the rows in turn.  The rows are
+    not modified, and no row is read once the rank reaches ``ncols``."""
+    echelon = Echelon(ring)
+    for row in rows:
+        echelon.add(row)
+        if len(echelon.pivots) == ncols:
             break
-    return len(pivots)
+    return len(echelon.pivots)

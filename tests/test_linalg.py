@@ -1,13 +1,14 @@
-"""Sparse incremental rank against the dense row-echelon reference."""
+"""The one sparse echelon, ``linalg.Echelon``, and the rank built on it,
+against the dense row-echelon and nullspace references."""
 
 import random
 
 import pytest
 
-from pweyl.linalg import rank
+from pweyl.linalg import Echelon, rank
 from pweyl.rings import Zmod, extension_field
 
-from helpers import random_coeff, rref
+from helpers import nullspace, random_coeff, rref
 
 FIELDS = [Zmod(2), Zmod(3), Zmod(7)] + [
     extension_field(p, k) for p, k in ((2, 2), (3, 2), (2, 3), (3, 3))
@@ -85,3 +86,37 @@ def test_no_row_is_read_after_full_rank():
 
     assert rank(rows(), F, 3) == 3
     assert len(read) == 5
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@pytest.mark.parametrize("keyed", (False, True), ids=("int_keys", "tuple_keys"))
+def test_echelon_combination_is_the_dense_nullspace_vector(F, keyed):
+    # the columns of a random matrix, added in turn with the combination
+    # {j: 1}: each vanishing column j returns the canonical nullspace vector
+    # of free column j, on int keys and on exponent-tuple keys alike
+    rng = random.Random(20261019)
+    for _ in range(40):
+        rows, ncols = random_matrix(F, rng)
+        # tuple keys (i % 3, i // 3) put the rows in another order than i
+        keys = [(i % 3, i // 3) if keyed else i for i in range(len(rows))]
+        echelon, got = Echelon(F), []
+        for j in range(ncols):
+            col = {k: row[j] for k, row in zip(keys, rows) if not F.is_zero(row[j])}
+            comb = echelon.add(col, {j: F.one()})
+            if comb is not None:
+                got.append([comb.get(i, F.zero()) for i in range(ncols)])
+        assert got == nullspace(rows, F)
+
+
+def test_echelon_add_modifies_neither_argument():
+    # the second vector vanishes and the others are kept, with and without
+    # a combination
+    F = Zmod(5)
+    with_comb, without = Echelon(F), Echelon(F)
+    for j, vec in enumerate(({(0, 1): 2, (1, 0): 3}, {(0, 1): 4, (1, 0): 1}, {(1, 0): 3})):
+        comb = {j: 1}
+        before = (dict(vec), dict(comb))
+        assert (with_comb.add(vec, comb) is None) == (j != 1)
+        assert without.add(vec) is None
+        assert (vec, comb) == before
+    assert len(with_comb.pivots) == len(without.pivots) == 2

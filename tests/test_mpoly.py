@@ -32,6 +32,14 @@ def test_difference_of_squares_f3():
     assert f == MPoly(R, {(2, 0): 1, (0, 0): 2})
 
 
+def test_non_domain_product_drops_vanishing_coefficients():
+    # over Z/4, 2 * 2 = 0: the product must store no zero coefficient
+    R = PolyRing(Zmod(4), ("x", "y"))
+    x, y = R.gens()
+    product = x.scale(2) * y.scale(2)
+    assert product.is_zero() and product.terms == {}
+
+
 def test_char_two_square_kills_cross_term():
     R = twisted(2)
     X, Xi = R.gens()
