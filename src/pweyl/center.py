@@ -9,9 +9,10 @@ point of the center acts on the simple module with basis the x^s
 (``_simple_module_rows``, read by ``psupport.generic_rank``).  Both come
 from one split of an operator's exponents by residues mod p,
 ``_split_residues``, at the d slots for the first and at the x slots for
-the second; ``poisson.deformation_bracket`` splits at all 2n slots to read
-the coordinate of 1 over the center.  An exponent p*q + r at a split slot
-leaves r in the residue monomial and q in the coordinate.
+the second; the exact route splits again at one x slot at a time to reach
+the center, and ``poisson.deformation_bracket`` splits at all 2n slots to
+read the coordinate of 1 over the center.  An exponent p*q + r at a split
+slot leaves r in the residue monomial and q in the coordinate.
 
 The central annihilator of D/I is I itself, intersected with the center.
 Each route reads its twist off the ideal's own algebra A_n(F_p)
@@ -20,11 +21,13 @@ Each route reads its twist off the ideal's own algebra A_n(F_p)
 * exact: the x_i and d_i^p commute, so D is a free module of rank p^n over
   the polynomial ring A = F_p[x, Xi] on the d^r, 0 <= r_i < p.  Present I
   as the submodule of A^(p^n) spanned by d^r * (basis generator), split by
-  the d-exponents alone, eliminate onto the coordinate of d^0, which gives
-  I cap A, and contract that to the center by one block elimination of x
-  against X_i - x_i^p.  Each elimination finishes only the basis elements
-  it keeps.  Certified; ``central_annihilator`` routes inputs with p^(2n)
-  above a size guard away from it.
+  the d-exponents alone, and eliminate onto the coordinate of d^0, which
+  gives I cap A.  A is free of rank p on the x_1^s over the ring with x_1
+  replaced by X_1, and so on, so the same split and elimination, at one x
+  slot at a time, contract I cap A to the center.  Each elimination
+  finishes only the basis elements it keeps.  Certified;
+  ``central_annihilator`` routes inputs with p^(2n) above a size guard away
+  from it.
 * truncated: for rising degree d, the ideal J_d of the central
   polynomials of degree <= d that the ideal's normal form kills, by linear
   algebra, up to a plateau certified in dimension.
@@ -75,13 +78,13 @@ whose lead no earlier kernel vector's lead divides.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
-from .cgb import CIdeal, _buchberger, _eliminate_onto, _lead_dim, _reduced_ideal, krull_dim
+from .cgb import CIdeal, _eliminate_onto, _lead_dim, _reduced_ideal, krull_dim
 from .errors import RingMismatch
 from .linalg import Echelon, _sparse_rows, rank as matrix_rank
 from .mpoly import MPoly, PolyRing, evaluator
-from .orders import BlockElimination, GrevLex, monomial_divides
+from .orders import GrevLex, monomial_divides
 from .rings import Zmod, is_prime
 from .weyl import WeylOp, is_central
 from .wgb import left_groebner
@@ -173,60 +176,60 @@ def _twist_of(coeffs, n):
     return FrobeniusTwist(coeffs.modulus, n)
 
 
+def _eliminate_residues(elements, p, slots, F):
+    """The reduced grevlex basis of span(elements) cap B, for term dicts
+    ``elements`` over a ring free over B on the monomials with exponents
+    below p at ``slots``: each element split by its residues there
+    (``_split_residues``), eliminated onto residue 0 (``cgb._eliminate_onto``).
+    """
+    residues = list(product(range(p), repeat=len(slots)))
+    index = {r: i for i, r in enumerate(residues)}
+    vecs = []
+    for terms in elements:
+        parts = _split_residues(terms, p, slots)
+        vecs.append({(index[r], e): c for r, part in parts.items() for e, c in part.items()})
+    return _eliminate_onto(vecs, 0, F)
+
+
 def central_annihilator_exact(ideal):
     """I intersect Z by elimination over A = F_p[x, Xi]; certified generators.
 
     The x_i and Xi_i = d_i^p commute, and D is the free A-module on the
     d^r, 0 <= r_i < p; x^a d^b is x^a Xi^(b // p) at position b mod p.  The
-    left ideal I is the A-submodule N spanned by d^r * g over the residues
-    r and the reduced left basis g, so I cap A is N cap A*e_0, with e_0 the
-    position of d^0: one elimination onto that coordinate
-    (``cgb._eliminate_onto``) of the term dicts of the d^r * g.  Its
-    contraction to Z = F_p[X, Xi], X_i = x_i^p, is one block elimination of
-    x from it plus X_i - x_i^p, on (X, Xi, x), which finishes only the
-    x-free elements.  The result is the reduced grevlex basis, which is also
-    ``gens``.
+    left ideal I is the A-submodule spanned by d^r * g over the residues r
+    and the reduced left basis g, so I cap A is its intersection with the
+    coordinate of d^0: one residue elimination (``_eliminate_residues``) at
+    the d slots.  A is in turn free of rank p over F_p[X_1, x_2, .., x_n, Xi]
+    on the x_1^s, 0 <= s < p, and so on, so the contraction to
+    Z = F_p[X, Xi] is one residue elimination per variable, at slot i, of
+    the x_i^s * f over the basis f of the step before.  Each elimination
+    finishes only the elements on residue 0, and the last one gives the
+    reduced grevlex basis of I cap Z, which is also ``gens``.
     """
     twist = _twist_of(ideal.ring, ideal.n)
-    ring = twist.twisted_ring
-    basis = ideal.groebner_basis()
-    if not basis:
-        return AnnihilatorResult(CIdeal.of([], ring=ring), "exact")
     p, n, F = twist.p, twist.n, twist.weyl_ring
-    residues = list(product(range(p), repeat=n))
-    index = {r: i for i, r in enumerate(residues)}
-    vecs = []
-    for g in basis:
-        for r in residues:
-            dr_g = WeylOp.monomial(F, n, (0,) * n + r) * g
-            parts = _split_residues(dr_g.terms, p, range(n, 2 * n))
-            vecs.append({(index[s], e): c for s, terms in parts.items() for e, c in terms.items()})
-    # contract to Z: the x-free elements of (I cap A) + (X_i - x_i^p)
-    big = PolyRing(F, twisted_names(n) + tuple(f"x{i + 1}" for i in range(n)))
-    zeros = (0,) * n
-    gens = [
-        MPoly(big, {zeros + e[n:] + e[:n]: c for e, c in f.items()})
-        for f in _eliminate_onto(vecs, 0, F)
-    ]
+    d_powers = [WeylOp.monomial(F, n, (0,) * n + r) for r in product(range(p), repeat=n)]
+    products = [(dr * g).terms for g in ideal.groebner_basis() for dr in d_powers]
+    basis = _eliminate_residues(products, p, range(n, 2 * n), F)
     for i in range(n):
-        X, x = big.gen(i), big.gen(2 * n + i)
-        gens.append(X - x**p)
-    # the x-free elements of a reduced block-elimination basis are the
-    # reduced grevlex basis of the contraction, in grevlex order of leads
-    contracted = [
-        MPoly(ring, {e[: 2 * n]: c for e, c in f.terms.items()})
-        for f in _buchberger(gens, BlockElimination(2 * n), lambda e: not any(e[2 * n :]))
-    ]
-    return AnnihilatorResult(_reduced_ideal(contracted, ring), "exact")
+        products = [
+            {e[:i] + (e[i] + s,) + e[i + 1 :]: c for e, c in f.items()}
+            for f in basis
+            for s in range(p)
+        ]
+        basis = _eliminate_residues(products, p, (i,), F)
+    ring = twist.twisted_ring
+    return AnnihilatorResult(_reduced_ideal([MPoly(ring, f) for f in basis], ring), "exact")
 
 
-def _simple_module_rows(ideal, twist):
+def _simple_module_rows(ideal):
     """The reduced left basis acting on V = D / D(x^p - X, d - beta), its
     matrices stacked by rows, as sparse entry lists in (X, beta).
 
     V has the basis x^s, 0 <= s_i < p, and x^a d^b sends 1 to
     beta^b * X^(a // p) * x^(a mod p); column s of g is g * x^s applied to 1.
     """
+    twist = _twist_of(ideal.ring, ideal.n)
     p, n, F = twist.p, twist.n, twist.weyl_ring
     residues = list(product(range(p), repeat=n))
     index = {r: i for i, r in enumerate(residues)}
@@ -253,30 +256,16 @@ def _fiber_dim(module_rows, twist, K, pt):
 
 @lru_cache(maxsize=None)
 def _monomials_up_to(nvars, degree):
-    """Exponent tuples of total degree <= degree, in (degree, grevlex) order."""
-
-    def level(d):
-        out = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                out.append(tuple(prefix) + (remaining,))
-                return
-            for e in range(remaining + 1):
-                rec(prefix + [e], remaining - e, slots - 1)
-
-        rec([], d, nvars)
-        out.sort(key=_GREVLEX.key)
-        return out
-
-    monos = []
-    for d in range(degree + 1):
-        monos.extend(level(d))
-    return tuple(monos)
+    """Exponent tuples of total degree <= degree, in (degree, grevlex) order:
+    one per size-``degree`` multiset of the nvars slots and a slack slot."""
+    multisets = combinations_with_replacement(range(nvars + 1), degree)
+    monos = (tuple(map(m.count, range(nvars))) for m in multisets)
+    return tuple(sorted(monos, key=_GREVLEX.key))
 
 
-def _central_normal_forms(ideal, twist, monos):
-    """nf(embed(X^e)) for every e of monos, cached on the ideal.
+def _central_normal_forms(ideal, monos):
+    """nf(embed(X^e)) for every e of monos, cached on the ideal, a left
+    ideal of A_n(F_p).
 
     An uncached X^e is normalised from a predecessor X^(e - u_k) by the
     Frobenius shift (module docstring); every predecessor must be cached
@@ -288,15 +277,15 @@ def _central_normal_forms(ideal, twist, monos):
     divides one after it) and is cached without a call to ``normal_form``;
     any other is reduced.
     """
-    cache = ideal._cache.setdefault(("central_nf", twist), {})
-    p = twist.p
+    cache = ideal._cache.setdefault("central_nf", {})
+    p = ideal.ring.characteristic
     leads = [lead for (_, lead), _, _ in ideal._prepared_basis()]
     out = []
     for e in monos:
         nf = cache.get(e)
         if nf is None:
             if not any(e):
-                nf = ideal.normal_form(WeylOp.one(twist.weyl_ring, twist.n))
+                nf = ideal.normal_form(WeylOp.one(ideal.ring, ideal.n))
             else:
                 best = None
                 for k in reversed(range(len(e))):
@@ -368,7 +357,7 @@ class _KernelEchelon:
         self.ncols += len(nfs)
 
 
-def truncated_kernel(ideal, twist, degree):
+def truncated_kernel(ideal, degree):
     """The kernel vectors with minimal leads of {z central, deg <= degree :
     z acts as 0 on D/I}; they generate the ideal the whole kernel generates.
 
@@ -383,15 +372,16 @@ def truncated_kernel(ideal, twist, degree):
     vectors of the other free columns, so each vector's grevlex lead is its
     free column's monomial and no earlier returned lead divides it.
     """
-    monos = _monomials_up_to(2 * twist.n, degree)
-    echelon = ideal._cache.get(("kernel_echelon", twist))
+    monos = _monomials_up_to(2 * ideal.n, degree)
+    echelon = ideal._cache.get("kernel_echelon")
     if echelon is None:
-        echelon = ideal._cache[("kernel_echelon", twist)] = _KernelEchelon(twist.twisted_ring)
+        twist = _twist_of(ideal.ring, ideal.n)
+        echelon = ideal._cache["kernel_echelon"] = _KernelEchelon(twist.twisted_ring)
     for e in monos[echelon.ncols :]:
         if any(monomial_divides(monos[j], e) for j, _ in echelon.kernel):
             echelon.skip()
         else:
-            echelon.extend(monos, _central_normal_forms(ideal, twist, (e,)))
+            echelon.extend(monos, _central_normal_forms(ideal, (e,)))
     return [z for j, z in echelon.kernel if j < len(monos)]
 
 
@@ -404,7 +394,7 @@ def _support_dimension(ideal):
 def central_annihilator_truncated(ideal, twist=None):
     """Degree-truncated central annihilator, certified in dimension.
 
-    The kernel ideal J_d of ``truncated_kernel(ideal, twist, d)`` at the first
+    The kernel ideal J_d of ``truncated_kernel(ideal, d)`` at the first
     plateau J_(d+1) = J_d of dimension at most s (``_support_dimension``),
     status "stabilized(d)", else at the top degree D, status "truncated(D)"
     (module docstring).  D = max(2p, m * p^(n-1)), m the least total degree
@@ -421,7 +411,7 @@ def central_annihilator_truncated(ideal, twist=None):
     top = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
     support, prev = _support_dimension(ideal), None
     for d in range(1, top + 1):
-        kernel = truncated_kernel(ideal, twist, d)
+        kernel = truncated_kernel(ideal, d)
         J = CIdeal.of(kernel, ring=twist.twisted_ring)
         # the kernel at d - 1 is a prefix of the kernel at d
         if prev is not None and all(prev.contains(z) for z in kernel[len(prev.gens) :]):

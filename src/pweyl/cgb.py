@@ -1,7 +1,8 @@
 """The Groebner engine: one Buchberger loop and one reducer over field
 coefficients, for commutative ideals, the elimination of a submodule of a
-free module onto one coordinate (``_eliminate_onto``, the exact route's
-intersection I cap A) and, through ``wgb``, left ideals of the Weyl algebra.
+free module onto one coordinate (``_eliminate_onto``, every intersection of
+the exact route: I cap A and each step of its contraction to the centre)
+and, through ``wgb``, left ideals of the Weyl algebra.
 
 The engine works on term dicts keyed by (position, exponent tuple): ideals
 and Weyl operators use position 0 everywhere.  The algebras differ only in
@@ -239,12 +240,6 @@ def buchberger(gens, order=_GREVLEX):
     return _checked_basis(CIdeal, gens, order)
 
 
-def _buchberger(gens, order, finish=None):
-    """``buchberger`` limited to the reduced basis elements whose lead
-    exponents pass ``finish`` (see ``_groebner``)."""
-    return _checked_basis(CIdeal, gens, order, finish)
-
-
 class _Ideal:
     """The code ``CIdeal`` and ``wgb.LeftIdeal`` share.
 
@@ -366,7 +361,7 @@ def radical_member(f, ideal):
     tf = MPoly(big, {e + (1,): c for e, c in f.terms.items()})
     gens = [extend(g) for g in ideal.gens] + [one - tf]
     # the reduced basis is (1) exactly when it has a constant element
-    return bool(_buchberger(gens, BlockElimination(nv), lambda e: not any(e)))
+    return bool(_checked_basis(CIdeal, gens, BlockElimination(nv), lambda e: not any(e)))
 
 
 def _pth_root(f, p):

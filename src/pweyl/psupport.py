@@ -340,7 +340,7 @@ def generic_rank(ideal, annihilator, attempts=5, seed=0):
     if annihilator.is_unit_ideal():
         raise EmptySupport("unit annihilator: the support is empty")
     basis = annihilator.groebner_basis()
-    module_rows = _simple_module_rows(ideal, twist)
+    module_rows = _simple_module_rows(ideal)
     chosen = _choose_samples(basis, 2 * twist.n, twist.p, attempts, random.Random(seed))
 
     samples = []

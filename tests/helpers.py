@@ -259,7 +259,7 @@ def reduced_norms(ideal, twist):
     dim, n = twist.p**twist.n, twist.n
     names = twist.twisted_ring.names[:n] + tuple(f"b{i + 1}" for i in range(n))
     R = PolyRing(twist.weyl_ring, names)
-    rows = _simple_module_rows(ideal, twist)
+    rows = _simple_module_rows(ideal)
     norms = []
     for start in range(0, len(rows), dim):
         matrix = [[R.zero()] * dim for _ in range(dim)]

@@ -217,15 +217,15 @@ def test_truncated_route_gives_the_exact_n2_pins(texts, p, basis):
 @pytest.mark.parametrize(
     "texts, n, p, calls",
     [
-        (("d1 - x1",), 1, 11, 13),
-        (("x1*d1^2 + d1 - x1",), 1, 7, 14),
-        (LEGENDRE_EXP, 2, 5, 51),
+        (("d1 - x1",), 1, 11, 12),
+        (("x1*d1^2 + d1 - x1",), 1, 7, 12),
+        (LEGENDRE_EXP, 2, 5, 62),
     ],
 )
 def test_exact_route_finishes_only_the_elements_it_reads(monkeypatch, texts, n, p, calls):
-    # the elimination onto d^0 tail-reduces only the basis elements on that
-    # coordinate, and the contraction only the x-free ones; tail-reducing
-    # every element of both bases took 26, 31 and 90 reductions
+    # each residue elimination, onto d^0 and then onto x_i^0 for each i,
+    # tail-reduces only the basis elements on residue 0; tail-reducing every
+    # element of every basis took 32, 30 and 110 reductions
     tw = FrobeniusTwist(p, n)
     I = LeftIdeal.of([parse_weyl(text, n, tw.weyl_ring) for text in texts])
     I.groebner_basis()
@@ -396,7 +396,7 @@ def test_truncated_kernels_monotone():
     I = LeftIdeal.of([x * d - one])
     previous = None
     for deg in range(1, 5):
-        K = CIdeal.of(truncated_kernel(I, tw, deg), ring=tw.twisted_ring)
+        K = CIdeal.of(truncated_kernel(I, deg), ring=tw.twisted_ring)
         if previous is not None:
             assert all(K.contains(g) for g in previous.gens)
         previous = K
@@ -442,12 +442,17 @@ def test_exact_and_truncated_agree_on_random_operators():
 
 def test_exact_annihilator_matches_the_rank_p2n_colon():
     rng = random.Random(23)
-    for n, p in [(1, 2), (1, 3), (1, 5), (1, 7), (1, 11), (2, 2)]:
+    # the contraction to the centre takes one variable at a time, so n = 2
+    # and n = 3 run it in two and three steps; at n = 3, exponents up to 1,
+    # as exponents up to 3 - n would draw constants only
+    for n, p in [(1, 2), (1, 3), (1, 5), (1, 7), (1, 11), (2, 2), (2, 3), (3, 2)]:
         tw = FrobeniusTwist(p, n)
         for ngens in (1, 2):
             for _ in range(5):
                 gens = [
-                    random_weylop(tw.weyl_ring, n, rng, max_exp=3 - n, max_terms=3, nonzero=True)
+                    random_weylop(
+                        tw.weyl_ring, n, rng, max_exp=max(1, 3 - n), max_terms=3, nonzero=True
+                    )
                     for _ in range(ngens)
                 ]
                 want = rank_p2n_colon(LeftIdeal.of(gens), tw)
@@ -479,10 +484,10 @@ def test_ladder_normal_forms_by_frobenius_shift():
     for tw, gens in cases:
         n, p, R = tw.n, tw.p, tw.twisted_ring
         I = LeftIdeal.of(gens)
-        kernels = [truncated_kernel(I, tw, d) for d in range(4)]
+        kernels = [truncated_kernel(I, d) for d in range(4)]
         monos = _monomials_up_to(2 * n, 3)
         direct = [I.normal_form(tw.embed(MPoly(R, {e: 1}))) for e in monos]
-        assert _central_normal_forms(I, tw, monos) == direct, (gens, p)
+        assert _central_normal_forms(I, monos) == direct, (gens, p)
         for d in range(4):
             size = len(_monomials_up_to(2 * n, d))
             reference = dense_kernel(monos[:size], direct[:size], R)
@@ -563,7 +568,7 @@ def test_kernel_echelon_answers_degrees_in_any_order():
                 monos = _monomials_up_to(2 * n, d)
                 direct = [fresh.normal_form(tw.embed(MPoly(R, {e: 1}))) for e in monos]
                 want = minimal_leads(dense_kernel(monos, direct, R))
-                assert truncated_kernel(I, tw, d) == want, (gens, p, d)
+                assert truncated_kernel(I, d) == want, (gens, p, d)
 
 
 def test_kernel_echelon_matches_dense_nullspace():
@@ -669,7 +674,7 @@ def test_ladder_stops_one_rung_past_its_plateau(
     I = LeftIdeal.of([parse_weyl(text, 2, tw.weyl_ring) for text in texts])
     res = central_annihilator_truncated(I)
     assert res.status == status
-    assert I._cache[("kernel_echelon", tw)].ncols == columns
+    assert I._cache["kernel_echelon"].ncols == columns
     assert len(calls) == groebner_calls
 
 
@@ -681,9 +686,9 @@ def test_ladder_never_normalises_a_multiple_of_a_kernel_lead():
     res = central_annihilator_truncated(I)
     assert res.status == "stabilized(2)"
     top = 3  # the ladder climbs one rung past the plateau's degree
-    leads = [z.leading(GrevLex())[0] for z in truncated_kernel(I, tw, top)]
+    leads = [z.leading(GrevLex())[0] for z in truncated_kernel(I, top)]
     assert len(leads) == 2
-    normalised = I._cache[("central_nf", tw)]
+    normalised = I._cache["central_nf"]
     assert not [
         e for e in normalised for m in leads if m != e and monomial_divides(m, e)
     ]

@@ -276,6 +276,31 @@ def test_three_variable_tensor_at_guard_boundary():
     assert r.generic_rank == 8
 
 
+def test_three_variable_system_is_lagrangian_on_both_routes():
+    # a system that is no external product: at p = 3 the exact route, which
+    # contracts one variable at a time, and the truncated ladder give the
+    # same six-element basis, of dimension 3, coisotropic and Lagrangian
+    xs, ds, one = qq_gens(3)
+    x1d1, x2d2, x3d3 = (x * d for x, d in zip(xs, ds))
+    spec = DModuleSpec(3, (x1d1 - x2d2, x2d2 - x3d3, ds[0] * ds[1] * ds[2] - one))
+    basis = (
+        "X2*Xi2 - X3*Xi3",
+        "X1*Xi1 - X3*Xi3",
+        "Xi1*Xi2*Xi3 - 1",
+        "X3*Xi2*Xi3^2 - X1",
+        "X3*Xi1*Xi3^2 - X2",
+        "X3^2*Xi3^3 - X1*X2",
+    )
+    exact = p_support(spec, 3, method="exact")
+    truncated = p_support(spec, 3, method="truncated")
+    assert exact.annihilator_status == "exact"
+    assert truncated.annihilator_status == "stabilized(3)"
+    for r in (exact, truncated):
+        assert r.annihilator == basis
+        assert r.dimension == 3 and r.coisotropic and r.lagrangian and not r.conical
+    assert exact.generic_rank == 27
+
+
 def test_raised_guard_reaches_generic_rank():
     (x,), (d,), one = qq_gens()
     r = p_support(DModuleSpec(1, (d - x,)), 11, guard=200)
@@ -480,10 +505,11 @@ def test_rank_on_exact_route_builds_no_presentation_over_the_centre(monkeypatch)
     assert r.annihilator_status == "exact" and r.generic_rank is None
     r = p_support(spec, 2)
     assert r.annihilator_status == "exact" and r.generic_rank == 4
-    # the exact annihilator splits by the n d-exponents and the rank, which
-    # reads the fibres on the simple module of rank p^n, by the n
-    # x-exponents; neither splits by all 2n exponents over the centre
-    assert calls and set(calls) == {2}
+    # the exact annihilator splits by the n d-exponents, then by one
+    # x-exponent per contraction step, and the rank, which reads the fibres
+    # on the simple module of rank p^n, by the n x-exponents; nothing splits
+    # by all 2n exponents over the centre
+    assert set(calls) == {1, 2}
 
 
 def test_fiber_dim_matches_the_rank_p2n_presentation():
@@ -502,7 +528,7 @@ def test_fiber_dim_matches_the_rank_p2n_presentation():
             ]
             I = LeftIdeal.of(gens)
             B, columns = z_module_presentation(I, tw)
-            rows = _simple_module_rows(I, tw)
+            rows = _simple_module_rows(I)
 
             def reference(K, pt):
                 value = evaluator(pt, K)
