@@ -6,11 +6,13 @@ and, through ``wgb``, left ideals of the Weyl algebra.
 
 The engine works on term dicts keyed by (position, exponent tuple): ideals
 and Weyl operators use position 0 everywhere.  The algebras differ only in
-the product of a monomial with a basis element, which the caller supplies
-as ``submul``, and in whether the product criterion applies: it holds for
-ideals of the polynomial ring only.  Buchberger's chain criterion holds in
-every algebra of solvable type (Kandri-Rody and Weispfenning, J. Symb. Comp.
-1990), so it is applied to all of them.  Buchberger runs with the normal
+the product of a monomial with a basis element, ``submul``, and in whether
+the product criterion applies: it holds for ideals of the polynomial ring
+only.  Each element type names both (``mpoly.MPoly`` and ``weyl.WeylOp``
+carry ``_submul`` and ``_product_criterion``), and the checked entry and
+normal forms read them off the elements they are given.  Buchberger's chain
+criterion holds in every algebra of solvable type (Kandri-Rody and
+Weispfenning, J. Symb. Comp. 1990), so it is applied to all of them.  Buchberger runs with the normal
 selection strategy (smallest lcm degree first).  Output bases are reduced
 (monic, mutually tail-reduced, sorted by lead), hence unique for a given
 ideal and order.  A private caller that reads only some of the basis, say
@@ -18,19 +20,19 @@ the elements of an elimination basis whose lead lies in the eliminated
 part, passes a predicate on leads, and only the elements it selects are
 tail-reduced and returned (``_groebner``, ``_eliminate_onto``).
 
-``_Ideal`` is the one ideal layer of ``CIdeal`` and ``wgb.LeftIdeal``, each
-naming its algebra, and ``_checked_basis`` the one checked entry behind
-``buchberger`` and ``wgb.left_groebner`` (a field, a global order).
+``_Ideal`` is the one ideal layer of ``CIdeal`` and ``wgb.LeftIdeal``, and
+``_checked_basis`` the one checked entry behind ``buchberger`` and
+``wgb.left_groebner`` (a field, a global order).
 """
 
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from operator import add, le, sub
+from operator import le
 
 from .errors import NonGlobalOrder, NotAField, RingMismatch
-from .mpoly import MPoly, PolyRing
-from .orders import BlockElimination, GrevLex, monomial_lcm
+from .mpoly import MPoly, PolyRing, _shift_submul
+from .orders import GrevLex, monomial_lcm
 from .rings import Zmod
 
 _GREVLEX = GrevLex()
@@ -46,9 +48,9 @@ def _reduce(work, basis, R, desckey, submul):
     remainder, in which no term is divisible by a basis lead; ``work`` is
     emptied on the way.
 
-    ``basis`` holds (lead, 1/lc, form) triples; the first lead in basis order
-    that divides the leading term reduces it, by
-    ``submul(work, lt, lead, factor, form)``, which subtracts factor * m * g
+    ``basis`` holds (lead, 1/lc, g) triples, g a term dict; the first lead in
+    basis order that divides the leading term reduces it, by
+    ``submul(work, lt, lead, factor, g)``, which subtracts factor * m * g
     from ``work`` for the monomial m with m * lead = lt and returns the terms
     it created.  The leading term comes off a heap of ``desckey`` values
     (ascending desc keys run from the biggest term down), each computed once
@@ -64,9 +66,9 @@ def _reduce(work, basis, R, desckey, submul):
         if c is None:
             continue
         pos, e = lt
-        for lead, lc_inv, form in basis:
+        for lead, lc_inv, g in basis:
             if lead[0] == pos and all(map(le, lead[1], e)):
-                for t in submul(work, lt, lead, R.mul(c, lc_inv), form):
+                for t in submul(work, lt, lead, R.mul(c, lc_inv), g):
                     heapq.heappush(heap, (desckey(t), t))
                 break
         else:
@@ -74,25 +76,25 @@ def _reduce(work, basis, R, desckey, submul):
     return rem
 
 
-def _prepared(vecs, R, termkey, prepare):
-    """The (lead, 1/lc, form) triples of ``vecs``, sorted by lead: the basis
-    format of ``_reduce``, with ``prepare`` giving the form."""
+def _prepared(vecs, R, termkey):
+    """The (lead, 1/lc, g) triples of the term dicts g of ``vecs``, sorted by
+    lead: the basis format of ``_reduce``."""
     out = []
     for g in vecs:
         lead = max(g, key=termkey)
-        out.append((lead, R.inv(g[lead]), prepare(g)))
+        out.append((lead, R.inv(g[lead]), g))
     out.sort(key=lambda t: termkey(t[0]))
     return out
 
 
-def _groebner(vectors, R, termkey, desckey, submul, prepare, product_criterion, finish=None):
+def _groebner(vectors, R, termkey, desckey, submul, product_criterion, finish=None):
     """Reduced Groebner basis of the span of ``vectors`` (term dicts), as term
     dicts sorted by lead.
 
     ``termkey`` realises the term order and ``desckey`` its reverse (see
-    ``orders``), both on (position, exponents) terms; ``submul`` and
-    ``prepare`` give the algebra's product (see ``_reduce``).  Pairs whose
-    leads are coprime are skipped only under ``product_criterion``.
+    ``orders``), both on (position, exponents) terms; ``submul`` is the
+    algebra's product (see ``_reduce``).  Pairs whose leads are coprime are
+    skipped only under ``product_criterion``.
 
     ``finish``, a predicate on leads, limits the output to the elements of
     the reduced basis whose lead passes it, in the same order; only those are
@@ -109,7 +111,7 @@ def _groebner(vectors, R, termkey, desckey, submul, prepare, product_criterion, 
         j = len(G)
         G.append(g)
         leads.append(lead)
-        basis.append((lead, one, prepare(g)))
+        basis.append((lead, one, g))
         pos, lj = lead
         for i in range(j):
             if leads[i][0] == pos:
@@ -166,37 +168,6 @@ def _groebner(vectors, R, termkey, desckey, submul, prepare, product_criterion, 
     ]
 
 
-def _shift_form(g):
-    """The commutative form of a term dict is the dict itself."""
-    return g
-
-
-def _shift_submul(R):
-    """The commutative ``submul`` over R: x^shift times g is a shift of its
-    exponents."""
-    mul, rsub, neg, is_zero = R.mul, R.sub, R.neg, R.is_zero
-
-    def submul(work, lt, lead, factor, form):
-        shift = tuple(map(sub, lt[1], lead[1]))
-        new = []
-        for (pos, e), c in form.items():
-            t = (pos, tuple(map(add, e, shift)))
-            delta = mul(factor, c)
-            acc = work.get(t)
-            if acc is None:
-                work[t] = neg(delta)
-                new.append(t)
-            else:
-                acc = rsub(acc, delta)
-                if is_zero(acc):
-                    del work[t]
-                else:
-                    work[t] = acc
-        return new
-
-    return submul
-
-
 # ---------------------------------------------------------------------------
 # the ideal layer: commutative ideals here, Weyl left ideals in ``wgb``
 # ---------------------------------------------------------------------------
@@ -206,11 +177,11 @@ def _to_vec(f):
     return {(0, e): c for e, c in f.terms.items()}
 
 
-def _checked_basis(algebra, gens, order, finish=None):
-    """The reduced basis of the ideal of ``algebra`` (``CIdeal`` or
-    ``wgb.LeftIdeal``) generated by ``gens``, as elements like them; zeros
-    are dropped, the rest must share one ring over a field, ``order`` must
-    be global, and ``finish`` acts on lead exponents as in ``_groebner``."""
+def _checked_basis(gens, order, finish=None):
+    """The reduced basis of the ideal generated by ``gens`` (the left ideal,
+    for Weyl operators) in their algebra, as elements like them; zeros are
+    dropped, the rest must share one ring over a field, ``order`` must be
+    global, and ``finish`` acts on lead exponents as in ``_groebner``."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -227,9 +198,8 @@ def _checked_basis(algebra, gens, order, finish=None):
         R,
         lambda t: order.key(t[1]),
         lambda t: order.desc_key(t[1]),
-        algebra._submul(R),
-        algebra._form,
-        algebra._product_criterion,
+        first._submul(R),
+        first._product_criterion,
         None if finish is None else lambda lead: finish(lead[1]),
     )
     return [first._new({e: c for (_, e), c in g.items()}) for g in basis]
@@ -237,18 +207,18 @@ def _checked_basis(algebra, gens, order, finish=None):
 
 def buchberger(gens, order=_GREVLEX):
     """Reduced Groebner basis of the ideal generated by ``gens``."""
-    return _checked_basis(CIdeal, gens, order)
+    return _checked_basis(gens, order)
 
 
 class _Ideal:
     """The code ``CIdeal`` and ``wgb.LeftIdeal`` share.
 
     A subclass is a frozen dataclass with fields ``ring``, ``gens``,
-    ``order`` and ``_cache``.  It names its algebra for the engine
-    (``_submul``, ``_form``, ``_product_criterion``) and the ``_brackets``
-    of its printed basis, and defines ``_zero()``, whose ``_check`` admits
-    the elements of its ring; ``_basis()``, which calls the module function
-    for its bases, looked up at call time; and ``normal_form``.
+    ``order`` and ``_cache``.  It names the ``_brackets`` of its printed
+    basis, and defines ``_zero()``, whose ``_check`` admits the elements of
+    its ring; ``_basis()``, which calls the module function for its bases,
+    looked up at call time; and ``normal_form``.  The engine reads the
+    algebra's product off the elements (``mpoly.TermArithmetic``).
     """
 
     def __post_init__(self):
@@ -267,7 +237,6 @@ class _Ideal:
                 [_to_vec(g) for g in self.groebner_basis()],
                 self._zero()._coeffs,
                 lambda t: self.order.key(t[1]),
-                self._form,
             )
         return self._cache["prep"]
 
@@ -276,7 +245,7 @@ class _Ideal:
         reduced basis: no remaining term is divisible by a basis lead."""
         R, order = f._coeffs, self.order
         rem = _reduce(
-            _to_vec(f), self._prepared_basis(), R, lambda t: order.desc_key(t[1]), self._submul(R)
+            _to_vec(f), self._prepared_basis(), R, lambda t: order.desc_key(t[1]), f._submul(R)
         )
         return f._new({e: c for (_, e), c in rem.items()})
 
@@ -286,9 +255,6 @@ class _Ideal:
     def is_unit_ideal(self):
         basis = self.groebner_basis()
         return len(basis) == 1 and basis[0].total_degree() == 0
-
-    def is_zero_ideal(self):
-        return not self.groebner_basis()
 
     def __str__(self):
         inner = ", ".join(str(g) for g in self.groebner_basis()) or "0"
@@ -304,9 +270,6 @@ class CIdeal(_Ideal):
     order: object = field(default_factory=GrevLex)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    _submul = staticmethod(_shift_submul)
-    _form = staticmethod(_shift_form)
-    _product_criterion = True
     _brackets = "()"
 
     @classmethod
@@ -351,7 +314,6 @@ def radical_member(f, ideal):
     if ideal.contains(f):
         return True
     ring = ideal.ring
-    nv = ring.nvars
     big = PolyRing(ring.coeffs, ring.names + (_fresh_name(ring.names),))
 
     def extend(g):
@@ -361,7 +323,7 @@ def radical_member(f, ideal):
     tf = MPoly(big, {e + (1,): c for e, c in f.terms.items()})
     gens = [extend(g) for g in ideal.gens] + [one - tf]
     # the reduced basis is (1) exactly when it has a constant element
-    return bool(_checked_basis(CIdeal, gens, BlockElimination(nv), lambda e: not any(e)))
+    return bool(_checked_basis(gens, _GREVLEX, lambda e: not any(e)))
 
 
 def _pth_root(f, p):
@@ -443,7 +405,6 @@ def _eliminate_onto(vecs, k, R):
         lambda t: (t[0] != k, _GREVLEX.key(t[1]), -t[0]),
         lambda t: (t[0] == k, _GREVLEX.desc_key(t[1]), t[0]),
         _shift_submul(R),
-        _shift_form,
         False,
         lambda lead: lead[0] == k,
     )

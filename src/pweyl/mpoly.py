@@ -4,15 +4,21 @@ Terms are stored as a dict mapping exponent tuples to nonzero coefficient
 payloads.  Instances are immutable by convention: no method mutates ``terms``
 after construction, so values are safe to share and to use as dict keys.
 
-``TermArithmetic`` holds the linear arithmetic of such a term dict (sums,
-negation, scaling, powers, leading terms, degrees) once, for polynomials
-and for the Weyl operators of ``weyl``; each class keeps its own product.
+``TermArithmetic`` holds the arithmetic of such a term dict (sums,
+negation, scaling, products, powers, leading terms, degrees) once, for
+polynomials and for the Weyl operators of ``weyl``.  Each element type
+names its algebra's product once, as ``_submul`` in the form of the
+Groebner engine (``cgb._reduce``), and ``TermArithmetic.__mul__`` and the
+engine both read it there: ``_shift_submul`` here for polynomials,
+``weyl._weyl_submul`` for operators.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add, sub
 
 from .errors import RingMismatch
-from .orders import GrevLex, monomial_mul
+from .orders import GrevLex
 
 _GREVLEX = GrevLex()
 
@@ -50,15 +56,46 @@ class PolyRing:
         return [self.gen(i) for i in range(self.nvars)]
 
 
+@lru_cache(maxsize=None)
+def _shift_submul(R):
+    """The commutative product over R, in the ``submul`` form of the Groebner
+    engine (see ``cgb._reduce``): x^shift times g is a shift of its
+    exponents."""
+    mul, rsub, neg, is_zero = R.mul, R.sub, R.neg, R.is_zero
+
+    def submul(work, lt, lead, factor, g):
+        shift = tuple(map(sub, lt[1], lead[1]))
+        new = []
+        for (pos, e), c in g.items():
+            t = (pos, tuple(map(add, e, shift)))
+            delta = mul(factor, c)
+            acc = work.get(t)
+            if acc is None:
+                work[t] = neg(delta)
+                new.append(t)
+            else:
+                acc = rsub(acc, delta)
+                if is_zero(acc):
+                    del work[t]
+                else:
+                    work[t] = acc
+        return new
+
+    return submul
+
+
 class TermArithmetic:
-    """The linear arithmetic of a sparse term dict, shared by ``MPoly`` and
-    ``weyl.WeylOp``: sums, negation, scaling, powers, leading terms and
-    degrees.
+    """The arithmetic of a sparse term dict, shared by ``MPoly`` and
+    ``weyl.WeylOp``: sums, negation, scaling, products, powers, leading
+    terms and degrees.
 
     A subclass supplies ``terms``, the coefficient ring as ``_coeffs``, the
     constructor ``_new(terms)`` of a value like itself, its ``_one()``,
-    ``_check(other)`` and the ``_noun`` its errors name, plus its own
-    product, equality and hash.
+    ``_check(other)`` and the ``_noun`` its errors name, plus its equality
+    and hash.  It names its algebra for ``__mul__`` and the Groebner engine:
+    ``_submul``, the product in the engine's ``submul`` form, and
+    ``_product_criterion``, whether Buchberger's product criterion holds.
+    Operands that are not term arithmetic give ``NotImplemented``.
     """
 
     __slots__ = ()
@@ -81,6 +118,8 @@ class TermArithmetic:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
 
     def __add__(self, other):
+        if not isinstance(other, TermArithmetic):
+            return NotImplemented
         self._check(other)
         R = self._coeffs
         out = dict(self.terms)
@@ -98,7 +137,24 @@ class TermArithmetic:
         return self._new({e: R.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, TermArithmetic):
+            return NotImplemented
         return self + (-other)
+
+    def __mul__(self, other):
+        """Sum over the terms c*m of self of c * m * other, by ``_submul``
+        against the lead 1.  Over a ring with zero divisors a product of
+        nonzero coefficients can vanish; such zeros are dropped."""
+        if not isinstance(other, TermArithmetic):
+            return NotImplemented
+        self._check(other)
+        R = self._coeffs
+        submul, neg, is_zero = self._submul(R), R.neg, R.is_zero
+        g = {(0, e): c for e, c in other.terms.items()}
+        work = {}
+        for e, c in self.terms.items():
+            submul(work, (0, e), (0, (0,) * len(e)), neg(c), g)
+        return self._new({e: c for (_, e), c in work.items() if not is_zero(c)})
 
     def scale(self, c):
         R = self._coeffs
@@ -127,6 +183,8 @@ class MPoly(TermArithmetic):
 
     __slots__ = ("ring", "terms")
     _noun = "polynomial"
+    _submul = staticmethod(_shift_submul)
+    _product_criterion = True
 
     def __init__(self, ring, terms):
         self.ring = ring
@@ -142,28 +200,9 @@ class MPoly(TermArithmetic):
     def _one(self):
         return self.ring.one()
 
-    def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
-
     def _check(self, other):
         if self.ring != other.ring:
             raise RingMismatch(f"polynomial rings differ: {self.ring} vs {other.ring}")
-
-    def __mul__(self, other):
-        self._check(other)
-        R = self.ring.coeffs
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = monomial_mul(e1, e2)
-                c = R.mul(c1, c2)
-                acc = out.get(e)
-                c = R.add(acc, c) if acc is not None else c
-                if R.is_zero(c):
-                    out.pop(e, None)
-                else:
-                    out[e] = c
-        return MPoly(self.ring, out)
 
     def partial(self, i):
         """Formal partial derivative in variable i (exponent times coefficient)."""

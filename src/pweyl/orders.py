@@ -11,7 +11,7 @@ is written where it is used, in ``cgb._eliminate_onto``.
 """
 
 from dataclasses import dataclass, field
-from operator import add, le, neg
+from operator import le, neg
 
 
 def _grevlex_key(e):
@@ -97,7 +97,3 @@ def monomial_divides(u, v):
 
 def monomial_lcm(u, v):
     return tuple(map(max, u, v))
-
-
-def monomial_mul(u, v):
-    return tuple(map(add, u, v))

@@ -6,12 +6,12 @@ The Weyl algebra is of solvable type: for a global order on the joint
 reordering correction strictly lowers both sides of the exponent pair.
 Buchberger's algorithm therefore runs verbatim, with S-pairs and reductions
 built from left multiplication only, and the one engine of ``cgb`` runs it:
-operators enter it as term dicts at position 0, and the one Weyl product,
-``weyl._weyl_submul``, is the engine's ``submul``.  The engine's chain
-criterion holds in algebras of solvable type; the product criterion does not
-(the pair {d, x} with coprime leads reduces to 1), so it is off here.
-``LeftIdeal`` names that algebra and inherits the rest of the ideal layer
-(cached basis, normal forms, membership) from ``cgb``.
+operators enter it as term dicts at position 0, and the engine reads the
+one Weyl product, ``weyl._weyl_submul``, off them as ``WeylOp._submul``.
+The engine's chain criterion holds in algebras of solvable type; the product
+criterion does not (the pair {d, x} with coprime leads reduces to 1), so
+``WeylOp._product_criterion`` is off.  ``LeftIdeal`` inherits the ideal
+layer (cached basis, normal forms, membership) from ``cgb``.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +20,7 @@ from .cgb import _checked_basis, _Ideal
 from .errors import ZeroInput
 from .mpoly import MPoly, PolyRing
 from .orders import GrevLex
-from .weyl import WeylOp, _weyl_form, _weyl_submul
+from .weyl import WeylOp
 
 _GREVLEX = GrevLex()
 
@@ -34,7 +34,7 @@ def left_nf(f, ideal):
 
 def left_groebner(gens, order=_GREVLEX):
     """Reduced left Groebner basis of the left ideal generated by ``gens``."""
-    return _checked_basis(LeftIdeal, gens, order)
+    return _checked_basis(gens, order)
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,6 @@ class LeftIdeal(_Ideal):
     order: object = field(default_factory=GrevLex)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    _submul = staticmethod(_weyl_submul)
-    _form = staticmethod(_weyl_form)
-    _product_criterion = False
     _brackets = "<>"
 
     @classmethod

@@ -6,10 +6,10 @@ from itertools import combinations, product
 
 from pweyl import CIdeal, MPoly, PolyRing, WeylOp
 from pweyl.center import _monomials_up_to, _simple_module_rows, _split_residues
-from pweyl.cgb import _eliminate_onto, _groebner, _shift_form, _shift_submul, krull_dim
+from pweyl.cgb import _eliminate_onto, _groebner, krull_dim
 from pweyl.errors import NoPointsFound
 from pweyl.linalg import _sparse_rows, rank as matrix_rank
-from pweyl.mpoly import evaluator
+from pweyl.mpoly import _shift_submul, evaluator
 from pweyl.orders import GrevLex, Weighted, monomial_divides
 from pweyl.psupport import EXHAUSTIVE_POINT_LIMIT, RANDOM_POINT_BUDGET, _sparse_entries
 from pweyl.rings import GaloisField, Rationals, Zmod, extension_field
@@ -75,6 +75,24 @@ def random_mpoly(ring, rng, max_degree=3, max_terms=4, nonzero=False):
         f = sum((MPoly(ring, {e: c}) for e, c in items), ring.zero())
         if not (nonzero and f.is_zero()):
             return f
+
+
+def reference_product(f, g):
+    """f * g by the schoolbook double loop over the terms of both factors,
+    storing no zero coefficient: an oracle for ``MPoly.__mul__``."""
+    R = f.ring.coeffs
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = R.mul(c1, c2)
+            acc = out.get(e)
+            c = R.add(acc, c) if acc is not None else c
+            if R.is_zero(c):
+                out.pop(e, None)
+            else:
+                out[e] = c
+    return MPoly(f.ring, out)
 
 
 def random_weylop(ring, n, rng, max_exp=3, max_terms=4, nonzero=False):
@@ -209,7 +227,7 @@ def submodule_basis(columns, F, termkey, desckey):
     polynomials over the field F) under the module order given by
     ``termkey`` and its reverse ``desckey``."""
     vecs = [column_vec(col) for col in columns]
-    return _groebner(vecs, F, termkey, desckey, _shift_submul(F), _shift_form, False)
+    return _groebner(vecs, F, termkey, desckey, _shift_submul(F), False)
 
 
 def submodule_member(columns, F, termkey, desckey):

@@ -10,7 +10,7 @@ from pweyl.orders import BlockElimination, GrevLex, Lex, Weighted
 from pweyl.mpoly import MPoly, evaluator
 from pweyl.rings import QQ, Zmod, extension_field
 
-from helpers import random_coeff, random_monomial, random_mpoly
+from helpers import random_coeff, random_monomial, random_mpoly, reference_product
 
 
 def twisted(p, n=1):
@@ -73,6 +73,30 @@ def test_ring_mismatch_rejected():
         f + g
     with pytest.raises(RingMismatch):
         f * g
+
+
+def test_foreign_operands_raise_type_error():
+    a = twisted(3).gen(0)
+    for op in (lambda: a + 3, lambda: a - 1, lambda: a * 2, lambda: 2 * a):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [Zmod(7), Zmod(4), Zmod(9), extension_field(3, 2), QQ],
+    ids=["F7", "Z4", "Z9", "GF9", "QQ"],
+)
+def test_product_matches_the_schoolbook_reference(coeffs):
+    R = PolyRing(coeffs, ("a", "b", "c"))
+    rng = random.Random(17)
+    samples = [R.zero(), R.one(), R.constant(random_coeff(coeffs, rng, nonzero=True))]
+    samples += [random_mpoly(R, rng, max_terms=5) for _ in range(25)]
+    for f in samples:
+        for g in samples[:3] + [random_mpoly(R, rng, max_terms=5) for _ in range(3)]:
+            # dict equality: the reference stores no zero, so a zero stored
+            # by the product fails
+            assert (f * g).terms == reference_product(f, g).terms
 
 
 def test_no_zero_terms_stored():

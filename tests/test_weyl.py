@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from pweyl import WeylOp, is_central
+from pweyl import PolyRing, WeylOp, is_central
 from pweyl.errors import DimensionMismatch, RingMismatch
 from pweyl.rings import QQ, Zmod
 
@@ -193,6 +193,23 @@ def test_mismatch_errors():
         f * WeylOp.d(Zmod(5), 1, 0)
     with pytest.raises(DimensionMismatch):
         f * WeylOp.d(Zmod(3), 2, 0)
+
+
+def test_foreign_operands_raise_type_error():
+    x = WeylOp.x(Zmod(3), 1, 0)
+    for op in (lambda: x + 3, lambda: x - 1, lambda: x * 3, lambda: 3 * x):
+        with pytest.raises(TypeError):
+            op()
+    a = PolyRing(Zmod(3), ("a",)).gen(0)
+    for op in (lambda: x * a, lambda: a * x, lambda: x + a, lambda: a - x):
+        with pytest.raises(RingMismatch):
+            op()
+
+
+def test_weylop_binds_its_own_mul():
+    # bench/tracer.py wraps WeylOp.__dict__["__mul__"] to time the Weyl
+    # product, so the class must bind it rather than inherit it
+    assert "__mul__" in vars(WeylOp)
 
 
 def test_diff_order_additive_over_domain():
