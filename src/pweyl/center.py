@@ -87,7 +87,6 @@ from .mpoly import MPoly, PolyRing, evaluator
 from .orders import GrevLex, monomial_divides
 from .rings import Zmod, is_prime
 from .weyl import WeylOp, is_central
-from .wgb import left_groebner
 
 _GREVLEX = GrevLex()
 
@@ -279,7 +278,7 @@ def _central_normal_forms(ideal, monos):
     """
     cache = ideal._cache.setdefault("central_nf", {})
     p = ideal.ring.characteristic
-    leads = [lead for (_, lead), _, _ in ideal._prepared_basis()]
+    leads = [lead for (_, lead), _ in ideal._pairs()]
     out = []
     for e in monos:
         nf = cache.get(e)
@@ -386,9 +385,10 @@ def truncated_kernel(ideal, degree):
 
 
 def _support_dimension(ideal):
-    """s, the dimension of the p-support of D/I (module docstring); -1 if I = D."""
-    basis = ideal.groebner_basis() if ideal.order == _GREVLEX else left_groebner(ideal.gens)
-    return _lead_dim([g.leading()[0] for g in basis], 2 * ideal.n)
+    """s, the dimension of the p-support of D/I (module docstring), read by
+    ``cgb._lead_dim`` off the grevlex leads of the reduced left basis
+    (``_Ideal._grevlex_leads``); -1 if I = D."""
+    return _lead_dim(ideal._grevlex_leads(), 2 * ideal.n)
 
 
 def central_annihilator_truncated(ideal, twist=None):

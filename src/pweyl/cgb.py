@@ -15,14 +15,18 @@ criterion holds in every algebra of solvable type (Kandri-Rody and
 Weispfenning, J. Symb. Comp. 1990), so it is applied to all of them.  Buchberger runs with the normal
 selection strategy (smallest lcm degree first).  Output bases are reduced
 (monic, mutually tail-reduced, sorted by lead), hence unique for a given
-ideal and order.  A private caller that reads only some of the basis, say
-the elements of an elimination basis whose lead lies in the eliminated
-part, passes a predicate on leads, and only the elements it selects are
-tail-reduced and returned (``_groebner``, ``_eliminate_onto``).
+ideal and order.  A private caller that reads only some of the basis passes
+a predicate on leads, and only the elements it selects are tail-reduced and
+returned (``_groebner``): ``_eliminate_onto`` keeps the elements whose lead
+lies on the eliminated coordinate, and ``radical_member`` a constant lead.
 
-``_Ideal`` is the one ideal layer of ``CIdeal`` and ``wgb.LeftIdeal``, and
-``_checked_basis`` the one checked entry behind ``buchberger`` and
-``wgb.left_groebner`` (a field, a global order).
+A basis has one form below the public API: monic (lead, g) pairs, g a term
+dict.  ``_reduce`` reads them, ``_groebner`` grows its basis as them and
+returns the reduced basis sorted by lead, and ``_Ideal._pairs`` reads an
+ideal's cached reduced basis as them, as it is.  ``_Ideal`` is the one
+ideal layer of ``CIdeal`` and ``wgb.LeftIdeal``, and ``_checked_basis`` the
+one checked entry behind ``buchberger`` and ``wgb.left_groebner`` (a field,
+a global order).
 """
 
 import heapq
@@ -43,19 +47,21 @@ _GREVLEX = GrevLex()
 # ---------------------------------------------------------------------------
 
 
-def _reduce(work, basis, R, desckey, submul):
+def _reduce(work, basis, desckey, submul):
     """Fully reduce the term dict ``work`` against ``basis`` and return the
     remainder, in which no term is divisible by a basis lead; ``work`` is
     emptied on the way.
 
-    ``basis`` holds (lead, 1/lc, g) triples, g a term dict; the first lead in
-    basis order that divides the leading term reduces it, by
-    ``submul(work, lt, lead, factor, g)``, which subtracts factor * m * g
-    from ``work`` for the monomial m with m * lead = lt and returns the terms
-    it created.  The leading term comes off a heap of ``desckey`` values
-    (ascending desc keys run from the biggest term down), each computed once
-    when its term appears; an entry whose term has left ``work`` since it was
-    pushed is stale, because a reduction only brings in smaller terms.
+    ``basis`` holds (lead, g) pairs, g a monic term dict (g[lead] is one),
+    so no coefficient is inverted here; the first lead in basis order that
+    divides the leading term c * lt reduces it, by
+    ``submul(work, lt, lead, c, g)``, which subtracts c * m * g from
+    ``work`` for the monomial m with m * lead = lt and returns the terms it
+    created.  The leading term comes off a heap of
+    ``desckey`` values (ascending desc keys run from the biggest term down),
+    each computed once when its term appears; an entry whose term has left
+    ``work`` since it was pushed is stale, because a reduction only brings in
+    smaller terms.
     """
     heap = [(desckey(t), t) for t in work]
     heapq.heapify(heap)
@@ -66,9 +72,9 @@ def _reduce(work, basis, R, desckey, submul):
         if c is None:
             continue
         pos, e = lt
-        for lead, lc_inv, g in basis:
+        for lead, g in basis:
             if lead[0] == pos and all(map(le, lead[1], e)):
-                for t in submul(work, lt, lead, R.mul(c, lc_inv), g):
+                for t in submul(work, lt, lead, c, g):
                     heapq.heappush(heap, (desckey(t), t))
                 break
         else:
@@ -76,42 +82,30 @@ def _reduce(work, basis, R, desckey, submul):
     return rem
 
 
-def _prepared(vecs, R, termkey):
-    """The (lead, 1/lc, g) triples of the term dicts g of ``vecs``, sorted by
-    lead: the basis format of ``_reduce``."""
-    out = []
-    for g in vecs:
-        lead = max(g, key=termkey)
-        out.append((lead, R.inv(g[lead]), g))
-    out.sort(key=lambda t: termkey(t[0]))
-    return out
-
-
 def _groebner(vectors, R, termkey, desckey, submul, product_criterion, finish=None):
-    """Reduced Groebner basis of the span of ``vectors`` (term dicts), as term
-    dicts sorted by lead.
+    """Reduced Groebner basis of the span of ``vectors`` (term dicts), as
+    monic term dicts sorted by lead.
 
     ``termkey`` realises the term order and ``desckey`` its reverse (see
     ``orders``), both on (position, exponents) terms; ``submul`` is the
     algebra's product (see ``_reduce``).  Pairs whose leads are coprime are
-    skipped only under ``product_criterion``.
+    skipped only under ``product_criterion``.  The basis grows as the
+    ``_reduce`` pairs of its monic elements.
 
     ``finish``, a predicate on leads, limits the output to the elements of
     the reduced basis whose lead passes it, in the same order; only those are
     tail-reduced.  Every element passes by default.
     """
     one = R.one()
-    G, leads, basis = [], [], []
+    leads, basis = [], []
     heap = []
 
     def admit(vec):
         lead = max(vec, key=termkey)
         lc_inv = R.inv(vec[lead])
-        g = {t: R.mul(lc_inv, c) for t, c in vec.items()}
-        j = len(G)
-        G.append(g)
+        j = len(basis)
         leads.append(lead)
-        basis.append((lead, one, g))
+        basis.append((lead, {t: R.mul(lc_inv, c) for t, c in vec.items()}))
         pos, lj = lead
         for i in range(j):
             if leads[i][0] == pos:
@@ -135,36 +129,35 @@ def _groebner(vectors, R, termkey, desckey, submul, product_criterion, finish=No
         # smaller degree, so the normal strategy has treated them already.
         # k = i or j gives the lcm itself.
         if any(
-            leads[k][0] == pos
-            and all(map(le, leads[k][1], lcm))
-            and monomial_lcm(li, leads[k][1]) != lcm
-            and monomial_lcm(lj, leads[k][1]) != lcm
-            for k in range(len(G))
+            lk[0] == pos
+            and all(map(le, lk[1], lcm))
+            and monomial_lcm(li, lk[1]) != lcm
+            and monomial_lcm(lj, lk[1]) != lcm
+            for lk in leads
         ):
             continue
         lt = (pos, lcm)
         s = {}
-        submul(s, lt, leads[j], one, basis[j][2])
-        submul(s, lt, leads[i], R.neg(one), basis[i][2])
-        h = _reduce(s, basis, R, desckey, submul)
+        submul(s, lt, leads[j], one, basis[j][1])
+        submul(s, lt, leads[i], R.neg(one), basis[i][1])
+        h = _reduce(s, basis, desckey, submul)
         if h:
             admit(h)
 
     # minimalize: drop elements whose lead is divisible by another lead
-    keep = []
-    for i in sorted(range(len(G)), key=lambda i: termkey(leads[i])):
-        pos, li = leads[i]
-        if not any(leads[k][0] == pos and all(map(le, leads[k][1], li)) for k in keep):
-            keep.append(i)
+    minimal = []
+    for lead, g in sorted(basis, key=lambda pair: termkey(pair[0])):
+        pos, li = lead
+        if not any(lk[0] == pos and all(map(le, lk[1], li)) for lk, _ in minimal):
+            minimal.append((lead, g))
 
     # tail-reduce each finished element against the others: the remainder is
     # the reduced basis element with its lead, which the reduction leaves
-    # untouched, so the result stays sorted by lead like ``keep``
-    minimal = [basis[i] for i in keep]
+    # untouched, so the result stays sorted by lead like ``minimal``
     return [
-        _reduce(dict(G[i]), minimal[:k] + minimal[k + 1 :], R, desckey, submul)
-        for k, i in enumerate(keep)
-        if finish is None or finish(leads[i])
+        _reduce(dict(g), minimal[:k] + minimal[k + 1 :], desckey, submul)
+        for k, (lead, g) in enumerate(minimal)
+        if finish is None or finish(lead)
     ]
 
 
@@ -177,11 +170,11 @@ def _to_vec(f):
     return {(0, e): c for e, c in f.terms.items()}
 
 
-def _checked_basis(gens, order, finish=None):
+def _checked_basis(gens, order):
     """The reduced basis of the ideal generated by ``gens`` (the left ideal,
-    for Weyl operators) in their algebra, as elements like them; zeros are
-    dropped, the rest must share one ring over a field, ``order`` must be
-    global, and ``finish`` acts on lead exponents as in ``_groebner``."""
+    for Weyl operators) in their algebra, as elements like them, monic and
+    sorted by lead; zeros are dropped, the rest must share one ring over a
+    field, and ``order`` must be global."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -200,7 +193,6 @@ def _checked_basis(gens, order, finish=None):
         lambda t: order.desc_key(t[1]),
         first._submul(R),
         first._product_criterion,
-        None if finish is None else lambda lead: finish(lead[1]),
     )
     return [first._new({e: c for (_, e), c in g.items()}) for g in basis]
 
@@ -218,7 +210,8 @@ class _Ideal:
     basis, and defines ``_zero()``, whose ``_check`` admits the elements of
     its ring; ``_basis()``, which calls the module function for its bases,
     looked up at call time; and ``normal_form``.  The engine reads the
-    algebra's product off the elements (``mpoly.TermArithmetic``).
+    algebra's product off the elements (``mpoly.TermArithmetic``), and
+    reads the cached basis as its own (lead, g) pairs (``_pairs``).
     """
 
     def __post_init__(self):
@@ -231,22 +224,29 @@ class _Ideal:
             self._cache["basis"] = tuple(self._basis())
         return self._cache["basis"]
 
-    def _prepared_basis(self):
-        if "prep" not in self._cache:
-            self._cache["prep"] = _prepared(
-                [_to_vec(g) for g in self.groebner_basis()],
-                self._zero()._coeffs,
-                lambda t: self.order.key(t[1]),
-            )
-        return self._cache["prep"]
+    def _pairs(self):
+        """The cached reduced basis as the (lead, g) pairs of ``_reduce``;
+        it is monic and sorted by lead already, so each element is read as
+        it is."""
+        if "pairs" not in self._cache:
+            self._cache["pairs"] = [
+                ((0, g.leading(self.order)[0]), _to_vec(g)) for g in self.groebner_basis()
+            ]
+        return self._cache["pairs"]
+
+    def _grevlex_leads(self):
+        """The lead exponents of the ideal's reduced grevlex basis, which the
+        dimension reads take: off ``_pairs()`` under grevlex, else from a
+        grevlex basis of the generators, computed for the call."""
+        if self.order == _GREVLEX:
+            return [lead for (_, lead), _ in self._pairs()]
+        return [g.leading()[0] for g in _checked_basis(self.gens, _GREVLEX)]
 
     def _nf(self, f):
         """The normal form of f, an element of the ideal's ring, against the
         reduced basis: no remaining term is divisible by a basis lead."""
         R, order = f._coeffs, self.order
-        rem = _reduce(
-            _to_vec(f), self._prepared_basis(), R, lambda t: order.desc_key(t[1]), f._submul(R)
-        )
+        rem = _reduce(_to_vec(f), self._pairs(), lambda t: order.desc_key(t[1]), f._submul(R))
         return f._new({e: c for (_, e), c in rem.items()})
 
     def contains(self, f):
@@ -299,31 +299,30 @@ def _reduced_ideal(basis, ring):
     return ideal
 
 
-def _fresh_name(names):
-    t = "t"
-    while t in names:
-        t += "t"
-    return t
-
-
 def radical_member(f, ideal):
     """Membership in the radical via the extra-variable trick:
-    f lies in rad(I) iff 1 lies in I + (1 - t*f)."""
-    if f.is_zero():
+    f lies in rad(I) iff 1 lies in I + (1 - t*f), decided by the engine under
+    grevlex with t in one extra exponent slot (no ring is built), fed the
+    ideal's cached basis and 1 - t*f, and finishing only a constant lead."""
+    if f.is_zero() or ideal.contains(f):
         return True
-    if ideal.contains(f):
-        return True
-    ring = ideal.ring
-    big = PolyRing(ring.coeffs, ring.names + (_fresh_name(ring.names),))
-
-    def extend(g):
-        return MPoly(big, {e + (0,): c for e, c in g.terms.items()})
-
-    one = big.one()
-    tf = MPoly(big, {e + (1,): c for e, c in f.terms.items()})
-    gens = [extend(g) for g in ideal.gens] + [one - tf]
+    R = f._coeffs
+    if not R.is_field:
+        raise NotAField(f"Groebner bases need field coefficients, got {R}")
+    one_tf = {(0, e + (1,)): R.neg(c) for e, c in f.terms.items()}
+    one_tf[(0, (0,) * (ideal.ring.nvars + 1))] = R.one()
+    vecs = [{(0, e + (0,)): c for e, c in g.terms.items()} for g in ideal.groebner_basis()]
     # the reduced basis is (1) exactly when it has a constant element
-    return bool(_checked_basis(gens, _GREVLEX, lambda e: not any(e)))
+    constants = _groebner(
+        vecs + [one_tf],
+        R,
+        lambda t: _GREVLEX.key(t[1]),
+        lambda t: _GREVLEX.desc_key(t[1]),
+        f._submul(R),
+        f._product_criterion,
+        lambda lead: not any(lead[1]),
+    )
+    return bool(constants)
 
 
 def _pth_root(f, p):
@@ -365,9 +364,9 @@ def frobenius_root(ideal):
 
 
 def krull_dim(ideal):
-    """Krull dimension of ring/ideal by ``_lead_dim``; -1 for the unit ideal."""
-    basis = ideal.groebner_basis() if ideal.order == _GREVLEX else buchberger(ideal.gens)
-    return _lead_dim([g.leading()[0] for g in basis], ideal.ring.nvars)
+    """Krull dimension of ring/ideal by ``_lead_dim`` on the ideal's grevlex
+    leads (``_Ideal._grevlex_leads``); -1 for the unit ideal."""
+    return _lead_dim(ideal._grevlex_leads(), ideal.ring.nvars)
 
 
 def _lead_dim(leads, nvars):

@@ -36,13 +36,11 @@ from .center import (
 from .errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch, ZeroInput
 from .linalg import _sparse_rows, rank as matrix_rank
 from .mpoly import MPoly, PolyRing, evaluator
-from .orders import GrevLex, Weighted
+from .orders import Weighted
 from .poisson import canonical_bracket, coisotropy_check
 from .rings import QQ, Zmod, extension_field, is_prime
 from .weyl import WeylOp
 from .wgb import LeftIdeal, initial_weighted
-
-_GREVLEX = GrevLex()
 
 EXHAUSTIVE_POINT_LIMIT = 10_000
 RANDOM_POINT_BUDGET = 200

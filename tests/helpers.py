@@ -293,6 +293,18 @@ def ideal_equal(I, J):
     return all(J.contains(g) for g in I.gens) and all(I.contains(g) for g in J.gens)
 
 
+def assert_engine_pairs(ideal):
+    """The ideal's ``_pairs()`` are its reduced basis, in order, as the
+    engine's (lead, g) pairs: g monic at its lead, the lead the element's own
+    under the ideal's order."""
+    pairs, basis = ideal._pairs(), ideal.groebner_basis()
+    assert len(pairs) == len(basis)
+    for (lead, vec), g in zip(pairs, basis):
+        assert vec == {(0, e): c for e, c in g.terms.items()}
+        assert vec[lead] == g._coeffs.one()
+        assert lead == (0, g.leading(ideal.order)[0])
+
+
 def radical_member_bruteforce(f, ideal, bound):
     """f in rad(I) iff some power f^k, k <= bound, normal-forms to zero."""
     power = f

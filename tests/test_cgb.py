@@ -7,19 +7,14 @@ import random
 import pytest
 
 from pweyl import CIdeal, buchberger, frobenius_root, krull_dim, radical_member
-from pweyl.cgb import (
-    _checked_basis,
-    _eliminate_onto,
-    _groebner,
-    _prepared,
-    _reduce,
-)
+from pweyl.cgb import _eliminate_onto, _groebner, _reduce
 from pweyl.errors import NonGlobalOrder, NotAField, RingMismatch
 from pweyl.mpoly import MPoly, PolyRing, _shift_submul
 from pweyl.orders import BlockElimination, GrevLex, Lex, Weighted
 from pweyl.rings import QQ, Zmod, extension_field
 
 from helpers import (
+    assert_engine_pairs,
     assert_reduced_module_basis,
     colon_by_tag,
     column_vec,
@@ -111,24 +106,33 @@ def test_radical_membership_examples():
 
 
 def test_radical_vs_bruteforce_random():
-    R = ring2()
-    rng = random.Random(41)
-    for _ in range(40):
-        gens = [random_mpoly(R, rng, max_degree=2, nonzero=True) for _ in range(rng.randrange(1, 3))]
-        I = CIdeal.of(gens)
-        f = random_mpoly(R, rng, max_degree=2)
-        bound = 2 * len(gens) * max(2, max(g.total_degree() for g in gens))
-        assert radical_member(f, I) == radical_member_bruteforce(f, I, bound)
+    # the engine reads the cached basis in the ideal's own order, and the
+    # extra slot for t is no variable of the ring, whatever its names
+    for names, order in itertools.product(
+        [("x", "xi"), ("t", "tt")], [GrevLex(), Lex(), Weighted((1, 2))]
+    ):
+        R = PolyRing(F5, names)
+        rng = random.Random(41)
+        for _ in range(40):
+            k = rng.randrange(1, 3)
+            gens = [random_mpoly(R, rng, max_degree=2, nonzero=True) for _ in range(k)]
+            I = CIdeal.of(gens, order)
+            f = random_mpoly(R, rng, max_degree=2)
+            bound = 2 * len(gens) * max(2, max(g.total_degree() for g in gens))
+            assert radical_member(f, I) == radical_member_bruteforce(f, I, bound), order
 
 
 def test_krull_dim_examples():
+    # the dimension reads grevlex leads whatever the ideal's own order
     R = ring2()
     x, xi = R.gens()
-    assert krull_dim(CIdeal.of([xi])) == 1
-    assert krull_dim(CIdeal.of([], ring=R)) == 2
-    assert krull_dim(CIdeal.of([R.one()])) == -1
-    assert krull_dim(CIdeal.of([x * xi - R.one()])) == 1
-    assert krull_dim(CIdeal.of([x, xi])) == 0
+    for order in (GrevLex(), Lex(), Weighted((1, 2))):
+        assert krull_dim(CIdeal.of([xi], order)) == 1
+        assert krull_dim(CIdeal.of([], order, ring=R)) == 2
+        assert krull_dim(CIdeal.of([R.one()], order)) == -1
+        assert krull_dim(CIdeal.of([x * xi - R.one()], order)) == 1
+        assert krull_dim(CIdeal.of([x, xi], order)) == 0
+        assert krull_dim(CIdeal.of([x**2 * xi - xi**3 + x], order)) == 1
 
 
 def test_krull_dim_random_hypersurface():
@@ -141,6 +145,13 @@ def test_krull_dim_random_hypersurface():
             if f.total_degree() == 0:
                 continue
             assert krull_dim(CIdeal.of([f])) == nvars - 1
+    # two generators, under a non-grevlex order too
+    R = ring2()
+    for _ in range(10):
+        gens = [random_mpoly(R, rng, max_degree=2, nonzero=True) for _ in range(2)]
+        want = krull_dim(CIdeal.of(gens))
+        for order in (Lex(), Weighted((1, 2))):
+            assert krull_dim(CIdeal.of(gens, order)) == want
 
 
 def test_reduced_basis_unique_under_permutation():
@@ -168,6 +179,9 @@ def test_not_a_field_rejected():
     x, xi = R.gens()
     with pytest.raises(NotAField):
         buchberger([x + xi])
+    # the zero ideal has an empty basis, so the engine sees the ring only here
+    with pytest.raises(NotAField):
+        radical_member(x, CIdeal.of([], ring=R))
 
 
 def test_a_non_global_order_is_rejected():
@@ -320,12 +334,19 @@ def test_finishing_selects_from_the_reduced_basis(p):
     S = PolyRing(Zmod(p), ("a", "b", "c", "t"))
     for _ in range(8):
         gens = [random_mpoly(S, rng, max_degree=2, nonzero=True) for _ in range(3)]
+        vecs = [{(0, e): c for e, c in g.terms.items()} for g in gens]
         for split in (1, 2, 3):
             order = BlockElimination(split)
+            keys = (lambda t: order.key(t[1]), lambda t: order.desc_key(t[1]))
+            args = (vecs, F, *keys, _shift_submul(F), True)
             full = buchberger(gens, order)
             for finish in (lambda e: not any(e[split:]), lambda e: not any(e)):
-                want = [g for g in full if finish(g.leading(order)[0])]
-                assert _checked_basis(gens, order, finish) == want
+                want = [
+                    {(0, e): c for e, c in g.terms.items()}
+                    for g in full
+                    if finish(g.leading(order)[0])
+                ]
+                assert _groebner(*args, lambda lead: finish(lead[1])) == want
 
 
 @pytest.mark.parametrize(
@@ -337,6 +358,7 @@ def test_ideal_normal_form_matches_max_reference(order):
     termkey = lambda t: order.key(t[1])
     for _ in range(15):
         I = CIdeal.of([random_mpoly(R, rng, nonzero=True) for _ in range(2)], order)
+        assert_engine_pairs(I)
         f = random_mpoly(R, rng, max_degree=5, max_terms=6)
         basis = [{(0, e): c for e, c in g.terms.items()} for g in I.groebner_basis()]
         expected = reference_nf({(0, e): c for e, c in f.terms.items()}, basis, termkey, F5)
@@ -359,8 +381,9 @@ def test_module_normal_form_matches_max_reference(base):
         basis = submodule_basis(cols, F5, termkey, desckey)
         v = column_vec([random_mpoly(R, rng, max_degree=4, max_terms=4) for _ in range(rank)])
         expected = reference_nf(v, basis, termkey, F5)
-        prepared = _prepared(basis, F5, termkey)
-        assert _reduce(dict(v), prepared, F5, desckey, _shift_submul(F5)) == expected
+        # the reduced basis is monic and sorted by lead: the pairs of _reduce
+        pairs = [(max(g, key=termkey), g) for g in basis]
+        assert _reduce(dict(v), pairs, desckey, _shift_submul(F5)) == expected
 
 
 def test_frobenius_root():

@@ -6,8 +6,10 @@ No linter ships with the project, so this reads each module with ``ast``:
 a name an import binds must appear as a name elsewhere in the module.  The
 package's ``__init__`` re-exports what it imports and is skipped.  A
 module-level function, class or constant (a name a module-level assignment
-binds) of the package must be read somewhere in the package outside its own
-definition, or be exported by ``__init__``.
+binds) of the package must be read outside its own definition, or be
+exported by ``__init__``: a public name anywhere in the package, a private
+one (a leading underscore) in its own module or through a from-import of
+it by another module.
 """
 
 import ast
@@ -101,28 +103,55 @@ def defined_names(node):
     return []
 
 
+def imported_from(trees):
+    """(module, name) -> how often another module of ``trees`` takes ``name``
+    from ``module`` by a from-import."""
+    found = Counter()
+    for importer, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.split(".")[-1]
+                if source != importer:
+                    found.update((source, alias.name) for alias in node.names)
+    return found
+
+
 def unread_definitions(sources, exported):
     """(module, name) of every module-level function, class or constant in
-    ``sources`` (module name -> source) that no module reads outside the
-    definition itself and that ``exported`` does not hold."""
+    ``sources`` (module name -> source) that ``exported`` does not hold and
+    that is not read outside the definition itself: anywhere, for a public
+    name; in its own module or by a from-import of another, for a private
+    one, so that a private name of the same spelling elsewhere does not hide
+    it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     total = sum((names_read(tree) for tree in trees.values()), Counter())
+    imports = imported_from(trees)
     unread = []
     for module, tree in trees.items():
+        own = names_read(tree)
         for node in tree.body:
             for name in defined_names(node):
-                if name not in exported and total[name] == names_read(node)[name]:
+                if name.startswith("_"):
+                    reads = own[name] + imports[module, name]
+                else:
+                    reads = total[name]
+                if name not in exported and reads == names_read(node)[name]:
                     unread.append((module, name))
     return unread
 
 
 def test_the_checker_sees_an_unread_definition():
+    # _KEY in c is read in d only as d's own _KEY, which does not count;
+    # _helper is read by a from-import, _local in its own module
     sources = {
         "a": "def used():\n    pass\n\ndef recursive():\n    return recursive()\n\n"
         "class Exported:\n    pass\n",
         "b": "from a import used\n\nclass Local:\n    pass\n\nprint(Local, used)\n",
+        "c": "_KEY = 1\n\ndef _helper():\n    pass\n\ndef _local():\n    pass\n\n"
+        "print(_local)\n",
+        "d": "from .c import _helper\n\n_KEY = 2\n\nprint(_KEY, _helper)\n",
     }
-    assert unread_definitions(sources, {"Exported"}) == [("a", "recursive")]
+    assert unread_definitions(sources, {"Exported"}) == [("a", "recursive"), ("c", "_KEY")]
 
 
 def test_the_checker_sees_an_unread_constant():

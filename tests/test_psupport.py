@@ -25,7 +25,7 @@ from pweyl import (
 from pweyl.errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch
 from pweyl.linalg import rank as matrix_rank
 from pweyl.mpoly import PolyRing, evaluator
-from pweyl.center import AnnihilatorResult, _fiber_dim, _simple_module_rows
+from pweyl.center import AnnihilatorResult, _fiber_dim, _simple_module_rows, _support_dimension
 from pweyl.psupport import _choose_samples, _points_on_variety
 from pweyl.rings import QQ, Zmod, extension_field
 
@@ -279,7 +279,8 @@ def test_three_variable_tensor_at_guard_boundary():
 def test_three_variable_system_is_lagrangian_on_both_routes():
     # a system that is no external product: at p = 3 the exact route, which
     # contracts one variable at a time, and the truncated ladder give the
-    # same six-element basis, of dimension 3, coisotropic and Lagrangian
+    # same six-element basis, of dimension 3, coisotropic and Lagrangian;
+    # the ladder's gate reads the same dimension off the left basis
     xs, ds, one = qq_gens(3)
     x1d1, x2d2, x3d3 = (x * d for x, d in zip(xs, ds))
     spec = DModuleSpec(3, (x1d1 - x2d2, x2d2 - x3d3, ds[0] * ds[1] * ds[2] - one))
@@ -299,6 +300,7 @@ def test_three_variable_system_is_lagrangian_on_both_routes():
         assert r.annihilator == basis
         assert r.dimension == 3 and r.coisotropic and r.lagrangian and not r.conical
     assert exact.generic_rank == 27
+    assert _support_dimension(specialize_mod_p(spec, 3)) == 3
 
 
 def test_raised_guard_reaches_generic_rank():

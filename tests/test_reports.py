@@ -20,6 +20,7 @@ from helpers import random_mpoly
 GOLDEN = Path(__file__).parent / "data" / "golden_report_exponential_p3.json"
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus_seed0.json"
 GOLDEN_LEGENDRE = Path(__file__).parent / "data" / "golden_report_legendre_exp_p3.json"
+GOLDEN_TORUS_N3 = Path(__file__).parent / "data" / "golden_report_torus_n3_p3.json"
 
 
 def test_json_report_matches_frozen_golden():
@@ -78,6 +79,20 @@ def test_default_route_agrees_with_the_exact_n2_golden():
     assert got["annihilator_status"] == "stabilized(4)"
     for key in ("annihilator", "dimension", "lagrangian"):
         assert got[key] == want[key], key
+
+
+def test_exact_n3_report_matches_frozen_golden():
+    # x1*d1 - x2*d2, x2*d2 - x3*d3, d1*d2*d3 - 1 at p = 3 on the exact route,
+    # rank on: the 729 points of F_3^6 are searched exhaustively, so the
+    # rank samples do not depend on the seed
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(
+            ["psupport", "--method", "exact", "--json", "--seed", "0", "--name", "torus-n3"]
+            + ["-n", "3", "-p", "3", "x1*d1 - x2*d2", "x2*d2 - x3*d3", "d1*d2*d3 - 1"]
+        )
+    assert code == 0
+    assert buf.getvalue() == GOLDEN_TORUS_N3.read_text()
 
 
 @pytest.mark.parametrize("seed", ["0", "7"])

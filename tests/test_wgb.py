@@ -11,7 +11,7 @@ from pweyl.mpoly import MPoly, PolyRing
 from pweyl.orders import BlockElimination, GrevLex, Lex, Weighted, monomial_divides, monomial_lcm
 from pweyl.rings import QQ, Zmod
 
-from helpers import random_coeff, random_weylop
+from helpers import assert_engine_pairs, random_coeff, random_weylop
 
 F5 = Zmod(5)
 
@@ -180,10 +180,12 @@ def test_left_nf_matches_max_reference(order2, order1):
         g = random_weylop(F5, 2, rng, max_exp=2, max_terms=3, nonzero=True)
         f = random_weylop(F5, 2, rng, max_exp=3, max_terms=6)
         I = LeftIdeal.of([g], order2)
+        assert_engine_pairs(I)
         assert left_nf(f, I) == reference_left_nf(f, I.groebner_basis(), order2)
         gens = [random_weylop(F5, 1, rng, max_exp=2, max_terms=3, nonzero=True) for _ in range(2)]
         f = random_weylop(F5, 1, rng, max_exp=4, max_terms=6)
         I = LeftIdeal.of(gens, order1)
+        assert_engine_pairs(I)
         assert left_nf(f, I) == reference_left_nf(f, I.groebner_basis(), order1)
 
 
