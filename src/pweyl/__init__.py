@@ -42,12 +42,7 @@ from .errors import (
     ZeroInput,
 )
 from .mpoly import MPoly, PolyRing
-from .orders import (
-    BlockElimination,
-    GrevLex,
-    Lex,
-    Weighted,
-)
+from .orders import GrevLex, Weighted
 from .parser import parse_operator, parse_twisted, parse_weyl
 from .poisson import (
     canonical_bracket,

@@ -84,11 +84,9 @@ from .cgb import CIdeal, _eliminate_onto, _lead_dim, _reduced_ideal, krull_dim
 from .errors import RingMismatch
 from .linalg import Echelon, _sparse_rows, rank as matrix_rank
 from .mpoly import MPoly, PolyRing, evaluator
-from .orders import GrevLex, monomial_divides
+from .orders import GREVLEX, monomial_divides
 from .rings import Zmod, is_prime
 from .weyl import WeylOp, is_central
-
-_GREVLEX = GrevLex()
 
 EXACT_GUARD = 64
 
@@ -259,7 +257,7 @@ def _monomials_up_to(nvars, degree):
     one per size-``degree`` multiset of the nvars slots and a slack slot."""
     multisets = combinations_with_replacement(range(nvars + 1), degree)
     monos = (tuple(map(m.count, range(nvars))) for m in multisets)
-    return tuple(sorted(monos, key=_GREVLEX.key))
+    return tuple(sorted(monos, key=GREVLEX.key))
 
 
 def _central_normal_forms(ideal, monos):

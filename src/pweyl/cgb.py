@@ -36,10 +36,8 @@ from operator import le
 
 from .errors import NonGlobalOrder, NotAField, RingMismatch
 from .mpoly import MPoly, PolyRing, _shift_submul
-from .orders import GrevLex, monomial_lcm
+from .orders import GREVLEX, monomial_lcm
 from .rings import Zmod
-
-_GREVLEX = GrevLex()
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +195,7 @@ def _checked_basis(gens, order):
     return [first._new({e: c for (_, e), c in g.items()}) for g in basis]
 
 
-def buchberger(gens, order=_GREVLEX):
+def buchberger(gens, order=GREVLEX):
     """Reduced Groebner basis of the ideal generated by ``gens``."""
     return _checked_basis(gens, order)
 
@@ -238,9 +236,9 @@ class _Ideal:
         """The lead exponents of the ideal's reduced grevlex basis, which the
         dimension reads take: off ``_pairs()`` under grevlex, else from a
         grevlex basis of the generators, computed for the call."""
-        if self.order == _GREVLEX:
+        if self.order == GREVLEX:
             return [lead for (_, lead), _ in self._pairs()]
-        return [g.leading()[0] for g in _checked_basis(self.gens, _GREVLEX)]
+        return [g.leading()[0] for g in _checked_basis(self.gens, GREVLEX)]
 
     def _nf(self, f):
         """The normal form of f, an element of the ideal's ring, against the
@@ -267,13 +265,13 @@ class CIdeal(_Ideal):
 
     ring: PolyRing
     gens: tuple
-    order: object = field(default_factory=GrevLex)
+    order: object = GREVLEX
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     _brackets = "()"
 
     @classmethod
-    def of(cls, gens, order=_GREVLEX, ring=None):
+    def of(cls, gens, order=GREVLEX, ring=None):
         gens = tuple(gens)
         if ring is None and not gens:
             raise ValueError("empty generator list needs an explicit ring")
@@ -316,8 +314,8 @@ def radical_member(f, ideal):
     constants = _groebner(
         vecs + [one_tf],
         R,
-        lambda t: _GREVLEX.key(t[1]),
-        lambda t: _GREVLEX.desc_key(t[1]),
+        lambda t: GREVLEX.key(t[1]),
+        lambda t: GREVLEX.desc_key(t[1]),
         f._submul(R),
         f._product_criterion,
         lambda lead: not any(lead[1]),
@@ -401,8 +399,8 @@ def _eliminate_onto(vecs, k, R):
     basis = _groebner(
         vecs,
         R,
-        lambda t: (t[0] != k, _GREVLEX.key(t[1]), -t[0]),
-        lambda t: (t[0] == k, _GREVLEX.desc_key(t[1]), t[0]),
+        lambda t: (t[0] != k, GREVLEX.key(t[1]), -t[0]),
+        lambda t: (t[0] == k, GREVLEX.desc_key(t[1]), t[0]),
         _shift_submul(R),
         False,
         lambda lead: lead[0] == k,

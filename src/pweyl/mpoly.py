@@ -18,9 +18,7 @@ from functools import lru_cache
 from operator import add, sub
 
 from .errors import RingMismatch
-from .orders import GrevLex
-
-_GREVLEX = GrevLex()
+from .orders import GREVLEX
 
 
 @dataclass(frozen=True)
@@ -107,15 +105,16 @@ class TermArithmetic:
         """Maximum term degree; -1 for zero."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def leading(self, order=_GREVLEX):
+    def leading(self, order=GREVLEX):
         """(exponent, coefficient) of the largest term; ValueError on zero."""
         if not self.terms:
             raise ValueError(f"zero {self._noun} has no leading term")
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
 
-    def sorted_terms(self, order=_GREVLEX, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
+    def sorted_terms(self):
+        """The (exponent, coefficient) pairs, largest under grevlex first."""
+        return sorted(self.terms.items(), key=lambda t: GREVLEX.key(t[0]), reverse=True)
 
     def __add__(self, other):
         if not isinstance(other, TermArithmetic):

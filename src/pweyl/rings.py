@@ -307,10 +307,10 @@ def _conway_polynomial(p, k):
 def extension_field(p, k):
     """GF(p^k) for k in 1..3, modulo the Conway polynomial; the degree-1
     extension is Z/p itself."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if k == 1:
         return Zmod(p)
     if k not in (2, 3):
         raise ValueError(f"extension degree {k} outside 1..3")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     return GaloisField(p, k, _conway_polynomial(p, k))

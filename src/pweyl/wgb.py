@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 from .cgb import _checked_basis, _Ideal
 from .errors import ZeroInput
 from .mpoly import MPoly, PolyRing
-from .orders import GrevLex
+from .orders import GREVLEX
 from .weyl import WeylOp
-
-_GREVLEX = GrevLex()
 
 
 def left_nf(f, ideal):
@@ -32,7 +30,7 @@ def left_nf(f, ideal):
     return ideal._nf(f)
 
 
-def left_groebner(gens, order=_GREVLEX):
+def left_groebner(gens, order=GREVLEX):
     """Reduced left Groebner basis of the left ideal generated by ``gens``."""
     return _checked_basis(gens, order)
 
@@ -44,13 +42,13 @@ class LeftIdeal(_Ideal):
     ring: object
     n: int
     gens: tuple
-    order: object = field(default_factory=GrevLex)
+    order: object = GREVLEX
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     _brackets = "<>"
 
     @classmethod
-    def of(cls, gens, order=_GREVLEX, ring=None, n=None):
+    def of(cls, gens, order=GREVLEX, ring=None, n=None):
         gens = tuple(g for g in gens if not g.is_zero())
         if (ring is None or n is None) and not gens:
             raise ValueError("empty generator list needs explicit ring and n")

@@ -33,7 +33,7 @@ from pweyl.cli import run
 from pweyl.corpus import load_corpus
 from pweyl.errors import ParseError
 from pweyl.mpoly import MPoly, PolyRing
-from pweyl.orders import GrevLex
+from pweyl.orders import GREVLEX
 from pweyl.rings import QQ, Zmod
 
 from helpers import (
@@ -45,8 +45,6 @@ from helpers import (
     recombine_residues,
     submodule_member,
 )
-
-GREVLEX = GrevLex()
 
 
 @contextmanager

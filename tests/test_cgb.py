@@ -10,7 +10,7 @@ from pweyl import CIdeal, buchberger, frobenius_root, krull_dim, radical_member
 from pweyl.cgb import _eliminate_onto, _groebner, _reduce
 from pweyl.errors import NonGlobalOrder, NotAField, RingMismatch
 from pweyl.mpoly import MPoly, PolyRing, _shift_submul
-from pweyl.orders import BlockElimination, GrevLex, Lex, Weighted
+from pweyl.orders import GREVLEX, GrevLex, Weighted
 from pweyl.rings import QQ, Zmod, extension_field
 
 from helpers import (
@@ -28,7 +28,6 @@ from helpers import (
 )
 
 F5 = Zmod(5)
-GREVLEX = GrevLex()
 
 # position over term: lower positions dominate, ties by grevlex
 POT_KEY = lambda t: (-t[0], GREVLEX.key(t[1]))
@@ -52,11 +51,12 @@ def test_unit_combination_collapses():
 
 
 def test_lex_example_by_hand():
-    # generators x*xi - 1 and xi^2 - x under lex with xi > x reduce to
-    # {xi - x^2, x^3 - 1}: one S-polynomial then back-substitution
+    # generators x*xi - 1 and xi^2 - x under lex with xi > x, which the
+    # weights (1, 0) give in two variables, reduce to {xi - x^2, x^3 - 1}:
+    # one S-polynomial then back-substitution
     R = PolyRing(QQ, ("xi", "x"))
     xi, x = R.gens()
-    basis = buchberger([xi * x - R.one(), xi**2 - x], Lex())
+    basis = buchberger([xi * x - R.one(), xi**2 - x], Weighted((1, 0)))
     assert basis == [x**3 - R.one(), xi - x**2]
 
 
@@ -69,7 +69,7 @@ def test_normal_form_examples():
     assert CIdeal.of([xi]).normal_form(x * xi).is_zero()
     R2 = PolyRing(QQ, ("xi", "x"))
     xi2, x2 = R2.gens()
-    I = CIdeal.of([xi2 * x2 - R2.one(), xi2**2 - x2], Lex())
+    I = CIdeal.of([xi2 * x2 - R2.one(), xi2**2 - x2], Weighted((1, 0)))
     assert I.normal_form(x2**3) == R2.one()
 
 
@@ -109,7 +109,7 @@ def test_radical_vs_bruteforce_random():
     # the engine reads the cached basis in the ideal's own order, and the
     # extra slot for t is no variable of the ring, whatever its names
     for names, order in itertools.product(
-        [("x", "xi"), ("t", "tt")], [GrevLex(), Lex(), Weighted((1, 2))]
+        [("x", "xi"), ("t", "tt")], [GrevLex(), Weighted((1, 0)), Weighted((1, 2))]
     ):
         R = PolyRing(F5, names)
         rng = random.Random(41)
@@ -126,7 +126,7 @@ def test_krull_dim_examples():
     # the dimension reads grevlex leads whatever the ideal's own order
     R = ring2()
     x, xi = R.gens()
-    for order in (GrevLex(), Lex(), Weighted((1, 2))):
+    for order in (GrevLex(), Weighted((1, 0)), Weighted((1, 2))):
         assert krull_dim(CIdeal.of([xi], order)) == 1
         assert krull_dim(CIdeal.of([], order, ring=R)) == 2
         assert krull_dim(CIdeal.of([R.one()], order)) == -1
@@ -150,7 +150,7 @@ def test_krull_dim_random_hypersurface():
     for _ in range(10):
         gens = [random_mpoly(R, rng, max_degree=2, nonzero=True) for _ in range(2)]
         want = krull_dim(CIdeal.of(gens))
-        for order in (Lex(), Weighted((1, 2))):
+        for order in (Weighted((1, 0)), Weighted((1, 2))):
             assert krull_dim(CIdeal.of(gens, order)) == want
 
 
@@ -299,9 +299,8 @@ def test_eliminate_onto_the_first_coordinate_vs_exhaustive_search():
 def test_finishing_selects_from_the_reduced_basis(p):
     # a finish predicate returns exactly the elements of the full reduced
     # basis whose lead passes it, in the same order: for elimination onto
-    # each position of random submodules, and for block eliminations of
-    # random ideals
-    grevlex = GrevLex()
+    # each position of random submodules, and for random ideals under
+    # weights 0 on a head block and 1 on the tail, which eliminate the tail
     R = PolyRing(Zmod(p), ("x", "xi"))
     F = R.coeffs
     rng = random.Random(300 + p)
@@ -314,12 +313,12 @@ def test_finishing_selects_from_the_reduced_basis(p):
             if vec:
                 vecs.append(vec)
         for k in range(rank):
-            termkey = lambda t: (t[0] != k, grevlex.key(t[1]), -t[0])
+            termkey = lambda t: (t[0] != k, GREVLEX.key(t[1]), -t[0])
             args = (
                 vecs,
                 F,
                 termkey,
-                lambda t: (t[0] == k, grevlex.desc_key(t[1]), t[0]),
+                lambda t: (t[0] == k, GREVLEX.desc_key(t[1]), t[0]),
                 _shift_submul(F),
                 False,
             )
@@ -336,7 +335,7 @@ def test_finishing_selects_from_the_reduced_basis(p):
         gens = [random_mpoly(S, rng, max_degree=2, nonzero=True) for _ in range(3)]
         vecs = [{(0, e): c for e, c in g.terms.items()} for g in gens]
         for split in (1, 2, 3):
-            order = BlockElimination(split)
+            order = Weighted((0,) * split + (1,) * (4 - split))
             keys = (lambda t: order.key(t[1]), lambda t: order.desc_key(t[1]))
             args = (vecs, F, *keys, _shift_submul(F), True)
             full = buchberger(gens, order)
@@ -350,7 +349,7 @@ def test_finishing_selects_from_the_reduced_basis(p):
 
 
 @pytest.mark.parametrize(
-    "order", [Lex(), GrevLex(), BlockElimination(1), Weighted((1, 2))], ids=repr
+    "order", [Weighted((1, 0)), GrevLex(), Weighted((0, 1)), Weighted((1, 2))], ids=repr
 )
 def test_ideal_normal_form_matches_max_reference(order):
     R = ring2()
@@ -365,7 +364,7 @@ def test_ideal_normal_form_matches_max_reference(order):
         assert I.normal_form(f) == MPoly(R, {e: c for (_, e), c in expected.items()})
 
 
-@pytest.mark.parametrize("base", [GrevLex(), Lex()], ids=repr)
+@pytest.mark.parametrize("base", [GrevLex(), Weighted((1, 0))], ids=repr)
 def test_module_normal_form_matches_max_reference(base):
     R = ring2()
     rng = random.Random(103)
@@ -416,7 +415,7 @@ def test_frobenius_root_rejects_coefficients_other_than_f_p():
         frobenius_root(CIdeal.of([f]))
 
 
-@pytest.mark.parametrize("order", [GrevLex(), Lex()], ids=repr)
+@pytest.mark.parametrize("order", [GrevLex(), Weighted((3, 2, 1))], ids=repr)
 def test_ideal_basis_certificate(order):
     # the product and chain criteria skip S-pairs; a pair they needed would
     # leave an S-polynomial that does not reduce to zero.  Binomial ideals
@@ -434,7 +433,7 @@ def test_ideal_basis_certificate(order):
         assert_reduced_module_basis(basis, termkey, F5)
 
 
-@pytest.mark.parametrize("base", [GrevLex(), Lex()], ids=repr)
+@pytest.mark.parametrize("base", [GrevLex(), Weighted((1, 0))], ids=repr)
 def test_submodule_basis_certificate(base):
     R = ring2()
     rng = random.Random(113)

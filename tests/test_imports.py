@@ -1,15 +1,15 @@
 """Every import in the package, the tests and the benchmark is used, every
-function and class the package defines is used or exported, and the package
-imports nothing outside the standard library.
+function, class and constant the package defines is read by the package,
+and the package imports nothing outside the standard library.
 
 No linter ships with the project, so this reads each module with ``ast``:
 a name an import binds must appear as a name elsewhere in the module.  The
 package's ``__init__`` re-exports what it imports and is skipped.  A
 module-level function, class or constant (a name a module-level assignment
-binds) of the package must be read outside its own definition, or be
-exported by ``__init__``: a public name anywhere in the package, a private
-one (a leading underscore) in its own module or through a from-import of
-it by another module.
+binds) of the package must be read outside its own definition: a public
+name anywhere in the package, a private one (a leading underscore) in its
+own module or through a from-import of it by another module.  An export
+by ``__init__`` is no reader.
 """
 
 import ast
@@ -116,13 +116,12 @@ def imported_from(trees):
     return found
 
 
-def unread_definitions(sources, exported):
+def unread_definitions(sources):
     """(module, name) of every module-level function, class or constant in
-    ``sources`` (module name -> source) that ``exported`` does not hold and
-    that is not read outside the definition itself: anywhere, for a public
-    name; in its own module or by a from-import of another, for a private
-    one, so that a private name of the same spelling elsewhere does not hide
-    it."""
+    ``sources`` (module name -> source) that is not read outside the
+    definition itself: anywhere, for a public name; in its own module or by
+    a from-import of another, for a private one, so that a private name of
+    the same spelling elsewhere does not hide it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     total = sum((names_read(tree) for tree in trees.values()), Counter())
     imports = imported_from(trees)
@@ -135,7 +134,7 @@ def unread_definitions(sources, exported):
                     reads = own[name] + imports[module, name]
                 else:
                     reads = total[name]
-                if name not in exported and reads == names_read(node)[name]:
+                if reads == names_read(node)[name]:
                     unread.append((module, name))
     return unread
 
@@ -151,7 +150,7 @@ def test_the_checker_sees_an_unread_definition():
         "print(_local)\n",
         "d": "from .c import _helper\n\n_KEY = 2\n\nprint(_KEY, _helper)\n",
     }
-    assert unread_definitions(sources, {"Exported"}) == [("a", "recursive"), ("c", "_KEY")]
+    assert unread_definitions(sources) == [("a", "recursive"), ("a", "Exported"), ("c", "_KEY")]
 
 
 def test_the_checker_sees_an_unread_constant():
@@ -160,21 +159,14 @@ def test_the_checker_sees_an_unread_constant():
         "TABLE['k'] = LIMIT\nEXPORTED = 3\n",
         "b": "import a\nfrom a import BUDGET\n\nLOCAL = 4\nprint(a.TABLE, BUDGET, LOCAL)\n",
     }
-    assert unread_definitions(sources, {"EXPORTED"}) == [("a", "UNREAD"), ("a", "ALSO")]
+    assert unread_definitions(sources) == [("a", "UNREAD"), ("a", "ALSO"), ("a", "EXPORTED")]
 
 
-def test_every_package_definition_is_read_or_exported():
+def test_every_package_definition_is_read():
     package = ROOT / "src/pweyl"
-    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
-    exported = {
-        alias.asname or alias.name
-        for node in ast.walk(init)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
     sources = {
         path.stem: path.read_text(encoding="utf-8")
         for path in package.rglob("*.py")
         if path.name != "__init__.py"
     }
-    assert unread_definitions(sources, exported) == []
+    assert unread_definitions(sources) == []

@@ -21,6 +21,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_report_exponential_p3.json"
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus_seed0.json"
 GOLDEN_LEGENDRE = Path(__file__).parent / "data" / "golden_report_legendre_exp_p3.json"
 GOLDEN_TORUS_N3 = Path(__file__).parent / "data" / "golden_report_torus_n3_p3.json"
+GOLDEN_CHARVAR_TORUS_N3 = Path(__file__).parent / "data" / "golden_charvar_torus_n3.json"
 
 
 def test_json_report_matches_frozen_golden():
@@ -93,6 +94,20 @@ def test_exact_n3_report_matches_frozen_golden():
         )
     assert code == 0
     assert buf.getvalue() == GOLDEN_TORUS_N3.read_text()
+
+
+def test_charvar_n3_matches_frozen_golden():
+    # the same system over Q: its symbol ideal has six elements, computed
+    # under the (0 on x, 1 on d) weight order, whose grevlex tie-break
+    # decides which basis is printed
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(
+            ["charvar", "--json", "-n", "3"]
+            + ["x1*d1 - x2*d2", "x2*d2 - x3*d3", "d1*d2*d3 - 1"]
+        )
+    assert code == 0
+    assert buf.getvalue() == GOLDEN_CHARVAR_TORUS_N3.read_text()
 
 
 @pytest.mark.parametrize("seed", ["0", "7"])

@@ -122,6 +122,13 @@ def test_extension_moduli_are_conway_polynomials():
         extension_field(3, 4)
 
 
+def test_extension_field_of_a_composite_is_rejected():
+    # Z/4 is no field, whatever the degree asked for
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError):
+            extension_field(4, k)
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (3, 3), (5, 2), (11, 2)])
 def test_extension_field_enumeration(p, k):
     K = extension_field(p, k)
