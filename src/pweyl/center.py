@@ -385,8 +385,8 @@ def truncated_kernel(ideal, degree):
 def _support_dimension(ideal):
     """s, the dimension of the p-support of D/I (module docstring), read by
     ``cgb._lead_dim`` off the grevlex leads of the reduced left basis
-    (``_Ideal._grevlex_leads``); -1 if I = D."""
-    return _lead_dim(ideal._grevlex_leads(), 2 * ideal.n)
+    (``_Ideal._pairs``); -1 if I = D."""
+    return _lead_dim([lead for (_, lead), _ in ideal._pairs()], 2 * ideal.n)
 
 
 def central_annihilator_truncated(ideal, twist=None):

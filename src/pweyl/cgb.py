@@ -24,9 +24,9 @@ A basis has one form below the public API: monic (lead, g) pairs, g a term
 dict.  ``_reduce`` reads them, ``_groebner`` grows its basis as them and
 returns the reduced basis sorted by lead, and ``_Ideal._pairs`` reads an
 ideal's cached reduced basis as them, as it is.  ``_Ideal`` is the one
-ideal layer of ``CIdeal`` and ``wgb.LeftIdeal``, and ``_checked_basis`` the
-one checked entry behind ``buchberger`` and ``wgb.left_groebner`` (a field,
-a global order).
+ideal layer of ``CIdeal`` and ``wgb.LeftIdeal``, both grevlex, and
+``_checked_basis`` the one checked entry behind ``buchberger`` (grevlex) and
+``wgb.left_groebner`` (a field, a global order).
 """
 
 import heapq
@@ -195,21 +195,21 @@ def _checked_basis(gens, order):
     return [first._new({e: c for (_, e), c in g.items()}) for g in basis]
 
 
-def buchberger(gens, order=GREVLEX):
-    """Reduced Groebner basis of the ideal generated by ``gens``."""
-    return _checked_basis(gens, order)
+def buchberger(gens):
+    """Reduced grevlex Groebner basis of the ideal generated by ``gens``."""
+    return _checked_basis(gens, GREVLEX)
 
 
 class _Ideal:
     """The code ``CIdeal`` and ``wgb.LeftIdeal`` share.
 
-    A subclass is a frozen dataclass with fields ``ring``, ``gens``,
-    ``order`` and ``_cache``.  It names the ``_brackets`` of its printed
-    basis, and defines ``_zero()``, whose ``_check`` admits the elements of
-    its ring; ``_basis()``, which calls the module function for its bases,
-    looked up at call time; and ``normal_form``.  The engine reads the
-    algebra's product off the elements (``mpoly.TermArithmetic``), and
-    reads the cached basis as its own (lead, g) pairs (``_pairs``).
+    A subclass is a frozen dataclass with fields ``ring``, ``gens`` and
+    ``_cache``, and its order is grevlex.  It names the ``_brackets`` of its
+    printed basis, and defines ``_zero()``, whose ``_check`` admits the
+    elements of its ring; ``_basis()``, which calls the module function for
+    its bases, looked up at call time; and ``normal_form``.  The engine
+    reads the algebra's product off the elements (``mpoly.TermArithmetic``),
+    and reads the cached basis as its own (lead, g) pairs (``_pairs``).
     """
 
     def __post_init__(self):
@@ -228,23 +228,15 @@ class _Ideal:
         it is."""
         if "pairs" not in self._cache:
             self._cache["pairs"] = [
-                ((0, g.leading(self.order)[0]), _to_vec(g)) for g in self.groebner_basis()
+                ((0, g.leading()[0]), _to_vec(g)) for g in self.groebner_basis()
             ]
         return self._cache["pairs"]
-
-    def _grevlex_leads(self):
-        """The lead exponents of the ideal's reduced grevlex basis, which the
-        dimension reads take: off ``_pairs()`` under grevlex, else from a
-        grevlex basis of the generators, computed for the call."""
-        if self.order == GREVLEX:
-            return [lead for (_, lead), _ in self._pairs()]
-        return [g.leading()[0] for g in _checked_basis(self.gens, GREVLEX)]
 
     def _nf(self, f):
         """The normal form of f, an element of the ideal's ring, against the
         reduced basis: no remaining term is divisible by a basis lead."""
-        R, order = f._coeffs, self.order
-        rem = _reduce(_to_vec(f), self._pairs(), lambda t: order.desc_key(t[1]), f._submul(R))
+        desckey = lambda t: GREVLEX.desc_key(t[1])
+        rem = _reduce(_to_vec(f), self._pairs(), desckey, f._submul(f._coeffs))
         return f._new({e: c for (_, e), c in rem.items()})
 
     def contains(self, f):
@@ -261,28 +253,27 @@ class _Ideal:
 
 @dataclass(frozen=True)
 class CIdeal(_Ideal):
-    """A commutative ideal with a lazily computed reduced Groebner basis."""
+    """A commutative ideal with a lazily computed reduced grevlex basis."""
 
     ring: PolyRing
     gens: tuple
-    order: object = GREVLEX
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     _brackets = "()"
 
     @classmethod
-    def of(cls, gens, order=GREVLEX, ring=None):
+    def of(cls, gens, *, ring=None):
         gens = tuple(gens)
         if ring is None and not gens:
             raise ValueError("empty generator list needs an explicit ring")
         ring = gens[0].ring if ring is None else ring
-        return cls(ring, tuple(g for g in gens if not g.is_zero()), order)
+        return cls(ring, tuple(g for g in gens if not g.is_zero()))
 
     def _zero(self):
         return self.ring.zero()
 
     def _basis(self):
-        return buchberger(list(self.gens), self.order)
+        return buchberger(list(self.gens))
 
     def normal_form(self, f):
         self._zero()._check(f)
@@ -290,7 +281,7 @@ class CIdeal(_Ideal):
 
 
 def _reduced_ideal(basis, ring):
-    """The grevlex ideal generated by ``basis``, which must already be its
+    """The ideal generated by ``basis``, which must already be its
     reduced grevlex basis sorted by lead; that basis is cached as it is."""
     ideal = CIdeal.of(basis, ring=ring)
     ideal._cache["basis"] = ideal.gens
@@ -363,8 +354,8 @@ def frobenius_root(ideal):
 
 def krull_dim(ideal):
     """Krull dimension of ring/ideal by ``_lead_dim`` on the ideal's grevlex
-    leads (``_Ideal._grevlex_leads``); -1 for the unit ideal."""
-    return _lead_dim(ideal._grevlex_leads(), ideal.ring.nvars)
+    leads, read off ``_Ideal._pairs``; -1 for the unit ideal."""
+    return _lead_dim([lead for (_, lead), _ in ideal._pairs()], ideal.ring.nvars)
 
 
 def _lead_dim(leads, nvars):

@@ -105,11 +105,11 @@ class TermArithmetic:
         """Maximum term degree; -1 for zero."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def leading(self, order=GREVLEX):
-        """(exponent, coefficient) of the largest term; ValueError on zero."""
+    def leading(self):
+        """(exponent, coefficient) of the largest grevlex term; ValueError on zero."""
         if not self.terms:
             raise ValueError(f"zero {self._noun} has no leading term")
-        e = max(self.terms, key=order.key)
+        e = max(self.terms, key=GREVLEX.key)
         return e, self.terms[e]
 
     def sorted_terms(self):

@@ -1,10 +1,11 @@
 """The two monomial orders on exponent tuples: grevlex, and weights then
 grevlex.
 
-Grevlex is the order of I, of I cap Z on both routes and of every dimension
-read; ``GREVLEX`` is its one instance.  The weight order with 0 on each x_i
-and 1 on each d_i gives the symbol ideal of
-``psupport.characteristic_variety``.
+Grevlex is the order of every ideal (``CIdeal``, ``LeftIdeal``), of I cap Z
+on both routes and of every dimension read; ``GREVLEX`` is its one instance.
+The weight order with 0 on each x_i and 1 on each d_i gives the symbol ideal
+of ``psupport.characteristic_variety``, through ``wgb.left_groebner``, the
+one entry that takes an order.
 
 Every order exposes ``key(exponents) -> sortable`` such that the usual tuple
 comparison of keys realises the order (bigger key = bigger monomial), and

@@ -29,6 +29,14 @@ _DIGITS = set("0123456789")
 _LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
+def _int(digits, pos):
+    """int(digits), or ParseError past Python's cap on integer-string digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number of {len(digits)} digits is too long", pos) from None
+
+
 def _tokenize(text):
     tokens = []
     i = 0
@@ -45,7 +53,7 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("num", int(text[i:j]), i))
+            tokens.append(("num", _int(text[i:j], i), i))
             i = j
             continue
         if ch in _LETTERS:
@@ -88,27 +96,29 @@ class _Parser:
         return tok
 
     def parse(self):
-        node = self.expr()
+        # one recursion per nesting level (parentheses, exponent towers); the
+        # tree is shallower, so _evaluate stays within what the descent reached
+        try:
+            node = self.expr()
+        except RecursionError:
+            raise ParseError("expression nests too deeply", self.peek()[2]) from None
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing {tok[0]!r}", tok[2])
         return node
 
     def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+        return self.chain(self.term, ("+", "-"))
 
     def term(self):
-        node = self.factor()
-        while self.peek()[0] == "*":
-            self.advance()
-            rhs = self.factor()
-            node = ("mul", node, rhs)
-        return node
+        return self.chain(self.factor, ("*",))
+
+    def chain(self, operand, ops):
+        """operand (op operand)*: one node, which _evaluate folds in a loop."""
+        node, rest = operand(), []
+        while self.peek()[0] in ops:
+            rest.append((self.advance()[0], operand()))
+        return ("chain", node, rest) if rest else node
 
     def factor(self):
         negate = False
@@ -156,7 +166,7 @@ class _Parser:
                 raise ParseError(f"unknown symbol {letters!r}", pos)
             if not digits:
                 raise ParseError(f"variable {letters!r} needs an index", pos)
-            index = int(digits)
+            index = _int(digits, pos)
             if not 1 <= index <= self.n:
                 raise IndexOutOfRange(
                     f"index {index} outside 1..{self.n} for {letters}{digits}", pos
@@ -212,13 +222,11 @@ def _evaluate(node, builder):
         return -_evaluate(node[1], builder)
     if tag == "pow":
         return _evaluate(node[1], builder) ** node[2]
-    lhs = _evaluate(node[1], builder)
-    rhs = _evaluate(node[2], builder)
-    if tag == "add":
-        return lhs + rhs
-    if tag == "sub":
-        return lhs - rhs
-    return lhs * rhs
+    acc = _evaluate(node[1], builder)
+    for op, rhs in node[2]:
+        rhs = _evaluate(rhs, builder)
+        acc = acc + rhs if op == "+" else acc - rhs if op == "-" else acc * rhs
+    return acc
 
 
 def parse_operator(text, n, coeff_ring=QQ, expect=None):

@@ -65,8 +65,9 @@ def deformation_bracket(f, g):
 CoisotropyVerdict = namedtuple("CoisotropyVerdict", "ok pair bracket_value")
 
 
-def coisotropy_check(ideal, bracket=canonical_bracket):
-    """Whether {g_i, g_j} lies in rad(ideal) for all generator pairs.
+def coisotropy_check(ideal):
+    """Whether the canonical bracket {g_i, g_j} lies in rad(ideal) for all
+    generator pairs.
 
     By the Leibniz rule this certifies {J, J} inside rad(J) for the ideal J
     generated by the supplied generators.  On failure the offending pair and
@@ -75,7 +76,7 @@ def coisotropy_check(ideal, bracket=canonical_bracket):
     gens = list(ideal.gens)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            val = bracket(gens[i], gens[j])
+            val = canonical_bracket(gens[i], gens[j])
             if val.is_zero():
                 continue
             if not radical_member(val, ideal):

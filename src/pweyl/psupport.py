@@ -35,12 +35,12 @@ from .center import (
 )
 from .errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch, ZeroInput
 from .linalg import _sparse_rows, rank as matrix_rank
-from .mpoly import MPoly, PolyRing, evaluator
+from .mpoly import MPoly, evaluator
 from .orders import Weighted
-from .poisson import canonical_bracket, coisotropy_check
+from .poisson import coisotropy_check
 from .rings import QQ, Zmod, extension_field, is_prime
 from .weyl import WeylOp
-from .wgb import LeftIdeal, initial_weighted
+from .wgb import LeftIdeal, initial_weighted, left_groebner
 
 EXHAUSTIVE_POINT_LIMIT = 10_000
 RANDOM_POINT_BUDGET = 200
@@ -374,13 +374,8 @@ def characteristic_variety(spec):
     if spec.ring != QQ:
         raise RingMismatch("characteristic variety expects rational coefficients")
     n = spec.n
-    weights = (0,) * n + (1,) * n
-    ideal = LeftIdeal.of(list(spec.generators), Weighted(weights))
-    names = tuple(f"x{i + 1}" for i in range(n)) + tuple(f"xi{i + 1}" for i in range(n))
-    ring = PolyRing(QQ, names)
-    symbols = [initial_weighted(g, ring) for g in ideal.groebner_basis()]
-    C = CIdeal.of(symbols, ring=ring)
-    C.groebner_basis()
+    basis = left_groebner(list(spec.generators), Weighted((0,) * n + (1,) * n))
+    C = CIdeal.of([initial_weighted(g) for g in basis])
     dim = krull_dim(C)
     return CharVariety(C, dim, dim == n)
 
@@ -472,7 +467,7 @@ def p_support(
                 "not certified"
             )
         # brackets see the reduced structure only after p-th powers are rooted
-        verdict = coisotropy_check(frobenius_root(ann), canonical_bracket)
+        verdict = coisotropy_check(frobenius_root(ann))
         coisotropic = verdict.ok
         if not verdict.ok:
             witness = {

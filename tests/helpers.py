@@ -6,14 +6,14 @@ from itertools import combinations, product
 
 from pweyl import CIdeal, MPoly, PolyRing, WeylOp
 from pweyl.center import _monomials_up_to, _simple_module_rows, _split_residues
-from pweyl.cgb import _eliminate_onto, _groebner, krull_dim
+from pweyl.cgb import _eliminate_onto, _groebner, _reduce, krull_dim
 from pweyl.errors import NoPointsFound
 from pweyl.linalg import _sparse_rows, rank as matrix_rank
 from pweyl.mpoly import _shift_submul, evaluator
-from pweyl.orders import GrevLex, Weighted, monomial_divides
+from pweyl.orders import Weighted, monomial_divides
 from pweyl.psupport import EXHAUSTIVE_POINT_LIMIT, RANDOM_POINT_BUDGET, _sparse_entries
 from pweyl.rings import GaloisField, Rationals, Zmod, extension_field
-from pweyl.wgb import LeftIdeal, initial_weighted
+from pweyl.wgb import initial_weighted, left_groebner
 
 
 def random_coeff(ring, rng, nonzero=False):
@@ -296,13 +296,25 @@ def ideal_equal(I, J):
 def assert_engine_pairs(ideal):
     """The ideal's ``_pairs()`` are its reduced basis, in order, as the
     engine's (lead, g) pairs: g monic at its lead, the lead the element's own
-    under the ideal's order."""
+    under grevlex."""
     pairs, basis = ideal._pairs(), ideal.groebner_basis()
     assert len(pairs) == len(basis)
     for (lead, vec), g in zip(pairs, basis):
         assert vec == {(0, e): c for e, c in g.terms.items()}
         assert vec[lead] == g._coeffs.one()
-        assert lead == (0, g.leading(ideal.order)[0])
+        assert lead == (0, g.leading()[0])
+
+
+def engine_nf(f, basis, order):
+    """The normal form of f against a reduced ``basis`` (commutative or left)
+    under ``order``, by the engine's reducer on its (lead, g) pairs."""
+    pairs = [
+        ((0, max(g.terms, key=order.key)), {(0, e): c for e, c in g.terms.items()})
+        for g in basis
+    ]
+    work = {(0, e): c for e, c in f.terms.items()}
+    rem = _reduce(work, pairs, lambda t: order.desc_key(t[1]), f._submul(f._coeffs))
+    return f._new({e: c for (_, e), c in rem.items()})
 
 
 def radical_member_bruteforce(f, ideal, bound):
@@ -403,7 +415,7 @@ def minimal_leads(kernel):
     """
     kept, leads = [], []
     for z in kernel:
-        lead = z.leading(GrevLex())[0]
+        lead = z.leading()[0]
         if not any(monomial_divides(m, lead) for m in leads):
             kept.append(z)
             leads.append(lead)
@@ -417,11 +429,10 @@ def symbol_dimension(ideal):
     they generate.  The p-support of D/I has this dimension, so it checks the
     ladder's gate, which reads the dimension off the grevlex leads instead."""
     n = ideal.n
-    weighted = LeftIdeal.of(list(ideal.gens), Weighted((0,) * n + (1,) * n))
+    basis = left_groebner(list(ideal.gens), Weighted((0,) * n + (1,) * n))
     names = tuple(f"x{i + 1}" for i in range(n)) + tuple(f"xi{i + 1}" for i in range(n))
     ring = PolyRing(ideal.ring, names)
-    symbols = [initial_weighted(g, ring) for g in weighted.groebner_basis()]
-    return krull_dim(CIdeal.of(symbols, ring=ring))
+    return krull_dim(CIdeal.of([initial_weighted(g) for g in basis], ring=ring))
 
 
 def reference_ladder(ideal, twist):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 import json
 import random
+import sys
 
 import pytest
 
@@ -121,6 +122,54 @@ def test_parser_fuzz_never_crashes():
             parse_operator(text, 2, QQ)
         except ParseError:
             pass
+
+
+def test_long_sums_and_products_parse():
+    # a sum or product is one node folded in a loop; a left-deep chain of
+    # 1000 terms exhausted the recursion limit
+    assert str(parse_weyl(" + ".join(["x1"] * 2000), 1)) == "2000*x1"
+    assert str(parse_weyl("*".join(["d1"] * 2000), 1)) == "d1^2000"
+
+
+def test_exponent_limit():
+    x = WeylOp.x(QQ, 1, 0)
+    assert parse_weyl("x1^4096", 1) == x**4096
+    assert parse_weyl("x1^2^12", 1) == x**4096
+    for text in ("x1^4097", "x1^2^13", "9^9^9^9"):
+        with pytest.raises(ParseError, match="the limit 4096"):
+            parse_weyl(text, 1)
+
+
+# Python's cap on the digits of an integer string (3.11, and backports)
+_DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+HOSTILE = {
+    "nested-parentheses": "(" * 400 + "x1" + ")" * 400,
+    "exponent-tower": "x1^" + "1^" * 1000 + "1",
+    "long-literal": pytest.param(
+        "1" * 5000,
+        marks=pytest.mark.skipif(not 0 < _DIGIT_CAP < 5000, reason="no cap on int digits"),
+    ),
+    "long-index": "x" + "1" * 5000,
+}
+
+
+@pytest.mark.parametrize("text", HOSTILE.values(), ids=HOSTILE)
+def test_hostile_input_is_a_parse_error(tmp_path, capsys, text):
+    # deep nesting and numbers past the digit cap raised RecursionError and
+    # ValueError past the parser, the CLI and the corpus loader
+    with pytest.raises(ParseError):
+        parse_weyl(text, 1)
+    assert run(["psupport", "--prime", "3", "--vars", "1", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    entry = {"name": "probe", "n": 1, "generators": [text], "primes": [3]}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"schema": "pweyl-corpus-v1", "entries": [entry]}))
+    assert run(["corpus", "--run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert "entry 0 ('probe')" in err
 
 
 # ---------------------------------------------------------------------------

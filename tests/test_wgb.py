@@ -8,12 +8,18 @@ import pytest
 from pweyl import LeftIdeal, WeylOp, buchberger, initial_weighted, left_groebner, left_nf
 from pweyl.errors import DimensionMismatch, NonGlobalOrder, NotAField, RingMismatch, ZeroInput
 from pweyl.mpoly import MPoly, PolyRing
-from pweyl.orders import GrevLex, Weighted, monomial_divides, monomial_lcm
+from pweyl.orders import GREVLEX, GrevLex, Weighted, monomial_divides, monomial_lcm
 from pweyl.rings import QQ, Zmod
 
-from helpers import assert_engine_pairs, random_coeff, random_weylop
+from helpers import assert_engine_pairs, engine_nf, random_coeff, random_weylop
 
 F5 = Zmod(5)
+
+
+def leading(f, order):
+    """(exponent, coefficient) of the largest term of f under ``order``."""
+    e = max(f.terms, key=order.key)
+    return e, f.terms[e]
 
 
 def gens_1var(ring):
@@ -92,13 +98,12 @@ def test_commutative_inputs_agree_with_cgb():
 def test_leading_exponent_multiplicative():
     # the solvable-type axiom behind termination
     rng = random.Random(89)
-    order = GrevLex()
     for _ in range(40):
         f = random_weylop(F5, 1, rng, max_exp=3, nonzero=True)
         g = random_weylop(F5, 1, rng, max_exp=3, nonzero=True)
-        lf, _ = f.leading(order)
-        lg, _ = g.leading(order)
-        lfg, _ = (f * g).leading(order)
+        lf, _ = f.leading()
+        lg, _ = g.leading()
+        lfg, _ = (f * g).leading()
         assert lfg == tuple(a + b for a, b in zip(lf, lg))
 
 
@@ -126,6 +131,15 @@ def test_an_operator_of_another_algebra_is_rejected():
         LeftIdeal.of([d], ring=F5, n=2)
 
 
+def test_left_ideal_of_takes_ring_and_n_by_keyword():
+    # an order where the ring was fails at the call, not inside the engine
+    _, d, _ = gens_1var(F5)
+    with pytest.raises(TypeError):
+        LeftIdeal.of([d], Weighted((0, 1)))
+    with pytest.raises(TypeError):
+        LeftIdeal.of([d], F5, 1)
+
+
 def test_initial_weighted_examples():
     x, d, one = gens_1var(QQ)
     assert str(initial_weighted(d - one)) == "xi1"
@@ -146,7 +160,7 @@ def reference_left_nf(f, basis, order):
     """Left normal form by the textbook loop: the leading term by ``max``,
     the basis element with the smallest dividing lead, the full product."""
     R, n = f.ring, f.n
-    prepared = sorted(((g.leading(order), g) for g in basis), key=lambda t: order.key(t[0][0]))
+    prepared = sorted(((leading(g, order), g) for g in basis), key=lambda t: order.key(t[0][0]))
     rem = {}
     while not f.is_zero():
         lt = max(f.terms, key=order.key)
@@ -174,24 +188,30 @@ def reference_left_nf(f, basis, order):
 )
 def test_left_nf_matches_max_reference(order2, order1):
     # against the basis of a principal ideal of A_2 and of a two-generator
-    # ideal of A_1 under the same kind of order
+    # ideal of A_1 under the same kind of order; a LeftIdeal's own normal
+    # form under grevlex
+    def check(gens, f, order):
+        basis = left_groebner(gens, order)
+        want = reference_left_nf(f, basis, order)
+        assert engine_nf(f, basis, order) == want
+        if order == GREVLEX:
+            I = LeftIdeal.of(gens)
+            assert_engine_pairs(I)
+            assert left_nf(f, I) == want
+
     rng = random.Random(97)
     for _ in range(15):
         g = random_weylop(F5, 2, rng, max_exp=2, max_terms=3, nonzero=True)
         f = random_weylop(F5, 2, rng, max_exp=3, max_terms=6)
-        I = LeftIdeal.of([g], order2)
-        assert_engine_pairs(I)
-        assert left_nf(f, I) == reference_left_nf(f, I.groebner_basis(), order2)
+        check([g], f, order2)
         gens = [random_weylop(F5, 1, rng, max_exp=2, max_terms=3, nonzero=True) for _ in range(2)]
         f = random_weylop(F5, 1, rng, max_exp=4, max_terms=6)
-        I = LeftIdeal.of(gens, order1)
-        assert_engine_pairs(I)
-        assert left_nf(f, I) == reference_left_nf(f, I.groebner_basis(), order1)
+        check(gens, f, order1)
 
 
 def weyl_s_polynomial(f, g, order):
     """m_f * f - m_g * g with monic multipliers that lift both leads to their lcm."""
-    (lf, cf), (lg, cg) = f.leading(order), g.leading(order)
+    (lf, cf), (lg, cg) = leading(f, order), leading(g, order)
     lcm = monomial_lcm(lf, lg)
     R, n = f.ring, f.n
     mf = WeylOp.monomial(R, n, tuple(a - b for a, b in zip(lcm, lf)), R.inv(cf))
@@ -202,7 +222,7 @@ def weyl_s_polynomial(f, g, order):
 def assert_reduced_left_basis(basis, order):
     """Monic, no term divisible by another element's lead, and every
     S-polynomial reduces to zero by the textbook reference."""
-    leads = [g.leading(order) for g in basis]
+    leads = [leading(g, order) for g in basis]
     for i, g in enumerate(basis):
         assert leads[i][1] == g.ring.one()
         for k, (lead, _) in enumerate(leads):
