@@ -37,7 +37,15 @@ D/I has GK dimension d(gr_B(D/I)) for the Bernstein filtration (McConnell-
 Robson 8.6), the dimension of the grevlex leads of its reduced left basis,
 and that is s as D is module-finite over Z (Krause-Lenagan 5.5).  The first
 plateau J_d = J_(d-1) with krull_dim(J_d) <= s stops the ladder; a zero
-plateau counts only for I = 0.  That certifies the dimension, not the ideal.
+plateau counts only for I = 0.  That certifies the dimension, not the ideal,
+except for a principal I = Dg, told by a one-element reduced left basis.
+Then D/I is the cokernel of right multiplication by g, an injective Z-linear
+map G of D, free of rank p^(2n) over the UFD Z.  A central z kills it iff
+z * adj(G) / det(G) is integral, so I cap Z = (h) is principal, and every
+element of it of degree <= deg h is a scalar multiple of h.  The first rung
+with a nonzero kernel has exactly h, and the ladder stops there with
+J_d = I cap Z: at rung 1 for the unit ideal, and by the top degree always,
+since the reduced norm of g lies in I cap Z.
 The plateau test reduces only the kernel vectors new at rung d modulo
 J_(d-1), which lies in J_d; only a rung that grows the ideal runs Buchberger.
 
@@ -395,9 +403,11 @@ def central_annihilator_truncated(ideal, twist=None):
     The kernel ideal J_d of ``truncated_kernel(ideal, d)`` at the first
     plateau J_(d+1) = J_d of dimension at most s (``_support_dimension``),
     status "stabilized(d)", else at the top degree D, status "truncated(D)"
-    (module docstring).  D = max(2p, m * p^(n-1)), m the least total degree
-    of the reduced left basis, bounds the twisted degree of the reduced norm
-    of a basis element of degree m, a nonzero central element of I.
+    (module docstring).  For a one-element reduced left basis, J_d at the
+    first nonzero kernel is I cap Z itself, status "stabilized(d)".
+    D = max(2p, m * p^(n-1)), m the least total degree of the reduced left
+    basis, bounds the twisted degree of the reduced norm of a basis element
+    of degree m, a nonzero central element of I.
 
     The route reads the twist off the ideal; ``twist``, kept for callers
     that still pass it, must be that twist or None.
@@ -407,10 +417,13 @@ def central_annihilator_truncated(ideal, twist=None):
         raise RingMismatch(f"{given} is not the twist of {ideal}")
     norm_degree = min((g.total_degree() for g in ideal.groebner_basis()), default=0)
     top = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
+    principal = len(ideal.groebner_basis()) == 1
     support, prev = _support_dimension(ideal), None
     for d in range(1, top + 1):
         kernel = truncated_kernel(ideal, d)
         J = CIdeal.of(kernel, ring=twist.twisted_ring)
+        if principal and kernel:  # J = I cap Z (module docstring)
+            return AnnihilatorResult(J, f"stabilized({d})")
         # the kernel at d - 1 is a prefix of the kernel at d
         if prev is not None and all(prev.contains(z) for z in kernel[len(prev.gens) :]):
             if krull_dim(prev) <= support:

@@ -12,7 +12,14 @@ only.  Each element type names both (``mpoly.MPoly`` and ``weyl.WeylOp``
 carry ``_submul`` and ``_product_criterion``), and the checked entry and
 normal forms read them off the elements they are given.  Buchberger's chain
 criterion holds in every algebra of solvable type (Kandri-Rody and
-Weispfenning, J. Symb. Comp. 1990), so it is applied to all of them.  Buchberger runs with the normal
+Weispfenning, J. Symb. Comp. 1990), so it is applied to all of them, once,
+when an element is admitted (Gebauer and Moeller's update): the new lead
+drops the pending pairs it makes redundant, pairs only with the elements at
+its position that still form pairs, keeps one new pair for each lcm that no
+other new pair's lcm properly divides (none with coprime leads, under the
+product criterion), and retires from pair-forming the elements whose lead it
+divides.  Pending pairs and pair-forming elements are kept per position, so
+an admission scans its own position only.  Buchberger runs with the normal
 selection strategy (smallest lcm degree first).  Output bases are reduced
 (monic, mutually tail-reduced, sorted by lead), hence unique for a given
 ideal and order.  A private caller that reads only some of the basis passes
@@ -86,29 +93,64 @@ def _groebner(vectors, R, termkey, desckey, submul, product_criterion, finish=No
 
     ``termkey`` realises the term order and ``desckey`` its reverse (see
     ``orders``), both on (position, exponents) terms; ``submul`` is the
-    algebra's product (see ``_reduce``).  Pairs whose leads are coprime are
-    skipped only under ``product_criterion``.  The basis grows as the
-    ``_reduce`` pairs of its monic elements.
+    algebra's product (see ``_reduce``).  The basis grows as the ``_reduce``
+    pairs of its monic elements, and the pair criteria are applied once, as
+    each element is admitted (``admit``); pairs whose leads are coprime are
+    dropped only under ``product_criterion``.
 
     ``finish``, a predicate on leads, limits the output to the elements of
     the reduced basis whose lead passes it, in the same order; only those are
     tail-reduced.  Every element passes by default.
     """
     one = R.one()
-    leads, basis = [], []
-    heap = []
+    basis, leads, heap = [], [], []  # leads[i] is the exponent of basis[i]'s lead
+    active = {}  # position -> indices of the elements that still form pairs
+    live = {}  # position -> {(i, j): lcm} of the pairs not yet discarded
 
     def admit(vec):
+        # Gebauer and Moeller's update (J. Symb. Comp. 6, 1988).  A pair is
+        # redundant when a third lead divides its lcm and the lcms of that
+        # lead with each of the pair's are proper divisors of it: its
+        # S-polynomial is then a combination of theirs (the chain criterion).
+        # First B_k: the new lead k drops the live pairs at its position
+        # that it is such a third lead for.  Then the new pairs (i, k): one
+        # is dropped when the lcm of another divides its own, properly (M)
+        # or equally (F).  Taken by degree, coprime ones first, each is
+        # tested against the lcms kept so far; coprime ones are dropped after
+        # M and F, under the product criterion only.  An element whose lead
+        # k divides forms no more pairs, though it still reduces.
         lead = max(vec, key=termkey)
         lc_inv = R.inv(vec[lead])
-        j = len(basis)
-        leads.append(lead)
+        k = len(basis)
         basis.append((lead, {t: R.mul(lc_inv, c) for t, c in vec.items()}))
-        pos, lj = lead
-        for i in range(j):
-            if leads[i][0] == pos:
-                lcm = monomial_lcm(leads[i][1], lj)
-                heapq.heappush(heap, (sum(lcm), termkey((pos, lcm)), i, j))
+        pos, lk = lead
+        leads.append(lk)
+        olds = active.get(pos)
+        if olds is None:
+            active[pos], live[pos] = [k], {}
+            return
+        pairs = live[pos]
+        for ij in [
+            (i, j)
+            for (i, j), lcm in pairs.items()
+            if all(map(le, lk, lcm))
+            and monomial_lcm(leads[i], lk) != lcm
+            and monomial_lcm(leads[j], lk) != lcm
+        ]:
+            del pairs[ij]
+        new = []
+        for i in olds:
+            lcm = monomial_lcm(leads[i], lk)
+            coprime = product_criterion and not any(map(min, leads[i], lk))
+            new.append((sum(lcm), not coprime, lcm, i))
+        kept = []
+        for degree, not_coprime, lcm, i in sorted(new):
+            if not any(all(map(le, other, lcm)) for other in kept):
+                kept.append(lcm)
+                if not_coprime:
+                    pairs[i, k] = lcm
+                    heapq.heappush(heap, (degree, termkey((pos, lcm)), i, k))
+        active[pos] = [i for i in olds if not all(map(le, lk, leads[i]))] + [k]
 
     for v in vectors:
         if v:
@@ -116,28 +158,14 @@ def _groebner(vectors, R, termkey, desckey, submul, product_criterion, finish=No
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        (pos, li), lj = leads[i], leads[j][1]
-        lcm = monomial_lcm(li, lj)
-        if product_criterion and not any(map(min, li, lj)):
+        (lead_i, g_i), (lead_j, g_j) = basis[i], basis[j]
+        lcm = live[lead_i[0]].pop((i, j), None)
+        if lcm is None:  # dropped by B_k after it was queued
             continue
-        # chain criterion (Gebauer and Moeller's B_k): the pair is redundant
-        # if a third lead divides its lcm and the lcms of that lead with i
-        # and with j are proper divisors of it.  The S-polynomial is then a
-        # combination of the S-polynomials of those two pairs, which have a
-        # smaller degree, so the normal strategy has treated them already.
-        # k = i or j gives the lcm itself.
-        if any(
-            lk[0] == pos
-            and all(map(le, lk[1], lcm))
-            and monomial_lcm(li, lk[1]) != lcm
-            and monomial_lcm(lj, lk[1]) != lcm
-            for lk in leads
-        ):
-            continue
-        lt = (pos, lcm)
+        lt = (lead_i[0], lcm)
         s = {}
-        submul(s, lt, leads[j], one, basis[j][1])
-        submul(s, lt, leads[i], R.neg(one), basis[i][1])
+        submul(s, lt, lead_j, one, g_j)
+        submul(s, lt, lead_i, R.neg(one), g_i)
         h = _reduce(s, basis, desckey, submul)
         if h:
             admit(h)

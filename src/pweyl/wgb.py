@@ -8,8 +8,9 @@ Buchberger's algorithm therefore runs verbatim, with S-pairs and reductions
 built from left multiplication only, and the one engine of ``cgb`` runs it:
 operators enter it as term dicts at position 0, and the engine reads the
 one Weyl product, ``weyl._weyl_submul``, off them as ``WeylOp._submul``.
-The engine's chain criterion holds in algebras of solvable type; the product
-criterion does not (the pair {d, x} with coprime leads reduces to 1), so
+The engine's chain criterion, which its pair update on admission rests on,
+holds in algebras of solvable type; the product criterion does not (the
+pair {d, x} with coprime leads reduces to 1), so
 ``WeylOp._product_criterion`` is off.  ``LeftIdeal`` inherits the grevlex
 ideal layer (cached basis, normal forms, membership) from ``cgb``.
 """

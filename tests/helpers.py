@@ -222,6 +222,58 @@ def assert_reduced_module_basis(vecs, termkey, R):
         assert not reference_nf(s, vecs, termkey, R)
 
 
+def reference_groebner(vectors, R, termkey, submul):
+    """The reduced Groebner basis of the span of ``vectors`` by Buchberger's
+    algorithm with no criterion: every pair of elements whose leads share a
+    position, the new ones included, is reduced by the textbook loop (the
+    leading term by ``max``, the first dividing lead).  ``submul`` is the
+    algebra's product in the engine's form.  Returns monic term dicts sorted
+    by lead, the form of ``cgb._groebner``'s output."""
+
+    def nf(vec, basis):
+        work, rem = dict(vec), {}
+        while work:
+            lt = max(work, key=termkey)
+            for lead, g in basis:
+                if lead[0] == lt[0] and monomial_divides(lead[1], lt[1]):
+                    submul(work, lt, lead, work[lt], g)
+                    break
+            else:
+                rem[lt] = work.pop(lt)
+        return rem
+
+    def monic(vec):
+        lead = max(vec, key=termkey)
+        inv = R.inv(vec[lead])
+        return lead, {t: R.mul(inv, c) for t, c in vec.items()}
+
+    def lcm(i, j):
+        (pos, li), (pj, lj) = basis[i][0], basis[j][0]
+        return (pos, tuple(map(max, li, lj))) if pos == pj else None
+
+    basis = [monic(v) for v in vectors if v]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j) if lcm(i, j)]
+    while pairs:
+        # the smallest lcm first, by degree: taking the newest pair instead
+        # ran for minutes on some small inputs
+        i, j = min(pairs, key=lambda ij: (sum(lcm(*ij)[1]), termkey(lcm(*ij))))
+        pairs.remove((i, j))
+        lt = lcm(i, j)
+        s = {}
+        submul(s, lt, basis[i][0], R.one(), basis[i][1])
+        submul(s, lt, basis[j][0], R.neg(R.one()), basis[j][1])
+        h = nf(s, basis)
+        if h:
+            basis.append(monic(h))
+            k = len(basis) - 1
+            pairs += [(i, k) for i in range(k) if lcm(i, k)]
+    minimal = []
+    for lead, g in sorted(basis, key=lambda pair: termkey(pair[0])):
+        if not any(m[0] == lead[0] and monomial_divides(m[1], lead[1]) for m, _ in minimal):
+            minimal.append((lead, g))
+    return [nf(g, minimal[:k] + minimal[k + 1 :]) for k, (_, g) in enumerate(minimal)]
+
+
 def submodule_basis(columns, F, termkey, desckey):
     """The engine's reduced basis of the span of ``columns`` (tuples of
     polynomials over the field F) under the module order given by
@@ -439,7 +491,8 @@ def reference_ladder(ideal, twist):
     """``central_annihilator_truncated`` without its shortcuts: at each
     degree, the whole dense kernel over the direct normal forms of the
     embedded monomials, cut to its minimal leads, under the same ceiling and
-    the same rule, the first plateau whose dimension is at most
+    the same rules: for a one-element reduced left basis, the first nonzero
+    kernel; else the first plateau whose dimension is at most
     ``symbol_dimension``, tested by comparing reduced bases.  Returns
     (status, generators of the chosen ideal)."""
     R = twist.twisted_ring
@@ -452,6 +505,8 @@ def reference_ladder(ideal, twist):
         monos = _monomials_up_to(2 * twist.n, d)
         nfs += [ideal.normal_form(twist.embed(MPoly(R, {e: 1}))) for e in monos[len(nfs) :]]
         candidates[d] = CIdeal.of(minimal_leads(dense_kernel(monos, nfs, R)), ring=R)
+        if len(basis) == 1 and candidates[d].gens:
+            return f"stabilized({d})", candidates[d].gens
         if d == 1 or krull_dim(candidates[d - 1]) > support:
             continue
         if candidates[d - 1].groebner_basis() == candidates[d].groebner_basis():

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from pweyl import CIdeal, buchberger, frobenius_root, krull_dim, radical_member
-from pweyl.cgb import _checked_basis, _eliminate_onto, _groebner, _reduce
+from pweyl import CIdeal, WeylOp, buchberger, frobenius_root, krull_dim, parse_weyl, radical_member
+from pweyl.cgb import _checked_basis, _eliminate_onto, _groebner, _reduce, _to_vec
 from pweyl.errors import NonGlobalOrder, NotAField, RingMismatch
 from pweyl.mpoly import MPoly, PolyRing, _shift_submul
 from pweyl.orders import GREVLEX, GrevLex, Weighted
@@ -23,6 +23,8 @@ from helpers import (
     radical_member_bruteforce,
     random_monomial,
     random_mpoly,
+    random_weylop,
+    reference_groebner,
     reference_nf,
     submodule_basis,
     submodule_member,
@@ -288,6 +290,69 @@ def test_eliminate_onto_the_first_coordinate_vs_exhaustive_search():
         ideal = CIdeal.of(onto, ring=R)
         for z in monos:
             assert ideal.contains(z) == in_module((z,) + tail), str(z)
+
+
+def engine_inputs(mode, rng):
+    """Random inputs of the engine in one of its three modes, as
+    (vectors, R, termkey, desckey, submul, product_criterion): commutative
+    ideals, Weyl left ideals, and eliminations of submodules of a free
+    module onto one position, as ``_eliminate_onto`` orders them."""
+    grevlex = (lambda t: GREVLEX.key(t[1]), lambda t: GREVLEX.desc_key(t[1]))
+    F = Zmod(rng.choice((2, 3, 5, 7)))
+    if mode == "ideal":
+        R = PolyRing(F, ("a", "b", "c"))
+        # homogeneous generators, which rarely give the unit ideal
+        gens = []
+        for _ in range(rng.randrange(2, 4)):
+            degree = rng.randrange(2, 5)
+            monos = [sorted(rng.choices(range(3), k=degree)) for _ in range(3)]
+            terms = {tuple(map(m.count, range(3))): rng.randrange(1, F.modulus) for m in monos}
+            gens.append(MPoly(R, terms))
+        return [_to_vec(g) for g in gens], F, *grevlex, _shift_submul(F), True
+    if mode == "left":
+        n = rng.choice((1, 2))
+        gens = [
+            random_weylop(F, n, rng, max_exp=2, max_terms=3, nonzero=True)
+            for _ in range(rng.randrange(1, 4))
+        ]
+        # random generators mostly give the unit ideal; a common right
+        # factor keeps the ideal inside a proper one
+        if rng.random() < 0.5:
+            g = random_weylop(F, n, rng, max_exp=1, max_terms=2, nonzero=True)
+            gens = [f * g for f in gens]
+        return [_to_vec(g) for g in gens], F, *grevlex, WeylOp.zero(F, n)._submul(F), False
+    R = PolyRing(F, ("x", "xi"))
+    rank, k = rng.randrange(2, 6), rng.randrange(2)
+    vecs = []
+    for _ in range(rng.randrange(2, 6)):
+        col = [random_mpoly(R, rng, max_degree=2, max_terms=3) for _ in range(rank)]
+        vecs.append(column_vec(col))
+    termkey = lambda t: (t[0] != k, GREVLEX.key(t[1]), -t[0])
+    desckey = lambda t: (t[0] == k, GREVLEX.desc_key(t[1]), t[0])
+    return vecs, F, termkey, desckey, _shift_submul(F), False
+
+
+@pytest.mark.parametrize("mode", ["ideal", "left", "module"])
+def test_engine_matches_the_criterion_free_reference(mode):
+    # the pair criteria, applied as each element is admitted, drop only
+    # pairs that the reduced basis does not need: it equals the one that
+    # reduces every pair, with the product criterion on for ideals only
+    rng = random.Random({"ideal": 41, "left": 43, "module": 47}[mode])
+    for _ in range(25):
+        vecs, F, termkey, desckey, submul, product = engine_inputs(mode, rng)
+        want = reference_groebner(vecs, F, termkey, submul)
+        assert _groebner(vecs, F, termkey, desckey, submul, product) == want, vecs
+
+
+def test_engine_closes_the_unit_left_ideal_like_the_reference():
+    # d1^3 - x2 and d2^2 - x1 generate A_2 at p = 5
+    F = Zmod(5)
+    gens = [parse_weyl(text, 2, F) for text in ("d1^3 - x2", "d2^2 - x1")]
+    vecs, submul = [_to_vec(g) for g in gens], gens[0]._submul(F)
+    termkey = lambda t: GREVLEX.key(t[1])
+    want = reference_groebner(vecs, F, termkey, submul)
+    assert want == [{(0, (0, 0, 0, 0)): 1}]
+    assert _groebner(vecs, F, termkey, lambda t: GREVLEX.desc_key(t[1]), submul, False) == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -778,11 +778,13 @@ CUBIC_N2_ANNIHILATOR = (
 def test_truncated_ladder_reaches_the_reduced_norm_degree(text, annihilator):
     # both operators have total degree 3, so the reduced norm has twisted
     # degree <= 3 * p^(n-1) = 9 at p = 3: the default ladder runs to 9, past
-    # the 2p = 6 where it used to stop on the zero annihilator (dimension 4)
+    # the 2p = 6 where it used to stop on the zero annihilator (dimension 4);
+    # for one operator the generator of I cap Z, here of degree 9, ends the
+    # ladder and is certified
     spec = DModuleSpec(2, (parse_weyl(text, 2, QQ),), text)
     r = p_support(spec, 3, compute_rank=False)
     assert r.annihilator == annihilator
-    assert r.annihilator_status == "truncated(9)"
+    assert r.annihilator_status == "stabilized(9)"
     assert r.dimension == 3
     # the support dimension of one operator is 3, so the dimension is certified
     assert not any("not certified" in note for note in r.notes)
@@ -792,7 +794,7 @@ def test_truncated_ladder_reaches_the_reduced_norm_degree(text, annihilator):
     "text, n, p, annihilator",
     [
         ("x1*x2*d2 - x1*d1*d2 - x2", 2, 3, CUBIC_N2_ANNIHILATOR),
-        # the ladder reports this one uncertified, as truncated(21)
+        # the truncated route finds this generator only at its top degree, 21
         ("x2*d1*d2 + d1 - 3", 2, 7, ("X2^7*Xi1^7*Xi2^7 + 3*Xi1^6 - 3",)),
         ("x1^2*d1 - 1", 1, 11, ("X1^2*Xi1 - 1",)),
         ("x1*d1^2 + d1 - x1", 1, 11, ("X1*Xi1^2 - X1",)),
