@@ -85,7 +85,7 @@ whose lead no earlier kernel vector's lead divides.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 
 from .cgb import CIdeal, _eliminate_onto, _lead_dim, _reduced_ideal, krull_dim
@@ -94,7 +94,7 @@ from .linalg import Echelon, _sparse_rows, rank as matrix_rank
 from .mpoly import MPoly, PolyRing, evaluator
 from .orders import GREVLEX, monomial_divides
 from .rings import Zmod, is_prime
-from .weyl import WeylOp, is_central
+from .weyl import WeylOp, _weyl_submul, is_central
 
 EXACT_GUARD = 64
 
@@ -150,7 +150,7 @@ class FrobeniusTwist:
     def weyl_ring(self):
         return Zmod(self.p)
 
-    @property
+    @cached_property
     def twisted_ring(self):
         return PolyRing(Zmod(self.p), twisted_names(self.n))
 
@@ -204,8 +204,11 @@ def central_annihilator_exact(ideal):
     left ideal I is the A-submodule spanned by d^r * g over the residues r
     and the reduced left basis g, so I cap A is its intersection with the
     coordinate of d^0: one residue elimination (``_eliminate_residues``) at
-    the d slots.  A is in turn free of rank p over F_p[X_1, x_2, .., x_n, Xi]
-    on the x_1^s, 0 <= s < p, and so on, so the contraction to
+    the d slots.  Each d^r * g is built as a term dict by the Weyl product
+    in the engine's form (``weyl._weyl_submul``) from g's engine pairs
+    (``_Ideal._pairs``), with no operator built.  A is in turn free of rank
+    p over F_p[X_1, x_2, .., x_n, Xi] on the x_1^s, 0 <= s < p, and so on,
+    so the contraction to
     Z = F_p[X, Xi] is one residue elimination per variable, at slot i, of
     the x_i^s * f over the basis f of the step before.  Each elimination
     finishes only the elements on residue 0, and the last one gives the
@@ -213,8 +216,15 @@ def central_annihilator_exact(ideal):
     """
     twist = _twist_of(ideal.ring, ideal.n)
     p, n, F = twist.p, twist.n, twist.weyl_ring
-    d_powers = [WeylOp.monomial(F, n, (0,) * n + r) for r in product(range(p), repeat=n)]
-    products = [(dr * g).terms for g in ideal.groebner_basis() for dr in d_powers]
+    # submul subtracts factor * d^r * g; from an empty dict with factor -1
+    # it leaves d^r * g, as in TermArithmetic.__mul__
+    submul, minus_one, lead_one = _weyl_submul(F), F.neg(F.one()), (0, (0,) * (2 * n))
+    products = []
+    for _, g in ideal._pairs().get(0, ()):
+        for r in product(range(p), repeat=n):
+            work = {}
+            submul(work, (0, (0,) * n + r), lead_one, minus_one, g)
+            products.append({e: c for (_, e), c in work.items()})
     basis = _eliminate_residues(products, p, range(n, 2 * n), F)
     for i in range(n):
         products = [
@@ -284,7 +294,7 @@ def _central_normal_forms(ideal, monos):
     """
     cache = ideal._cache.setdefault("central_nf", {})
     p = ideal.ring.characteristic
-    leads = [lead for (_, lead), _ in ideal._pairs()]
+    leads = ideal._leads()
     out = []
     for e in monos:
         nf = cache.get(e)
@@ -393,8 +403,8 @@ def truncated_kernel(ideal, degree):
 def _support_dimension(ideal):
     """s, the dimension of the p-support of D/I (module docstring), read by
     ``cgb._lead_dim`` off the grevlex leads of the reduced left basis
-    (``_Ideal._pairs``); -1 if I = D."""
-    return _lead_dim([lead for (_, lead), _ in ideal._pairs()], 2 * ideal.n)
+    (``_Ideal._leads``); -1 if I = D."""
+    return _lead_dim(ideal._leads(), 2 * ideal.n)
 
 
 def central_annihilator_truncated(ideal, twist=None):

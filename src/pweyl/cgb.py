@@ -20,17 +20,21 @@ other new pair's lcm properly divides (none with coprime leads, under the
 product criterion), and retires from pair-forming the elements whose lead it
 divides.  Pending pairs and pair-forming elements are kept per position, so
 an admission scans its own position only.  Buchberger runs with the normal
-selection strategy (smallest lcm degree first).  Output bases are reduced
-(monic, mutually tail-reduced, sorted by lead), hence unique for a given
-ideal and order.  A private caller that reads only some of the basis passes
-a predicate on leads, and only the elements it selects are tail-reduced and
+selection strategy (smallest lcm degree first).  The reducer pops terms from
+the top down, so a remainder's first key is its lead, and an admitted
+S-polynomial's lead is read there.  Output bases are reduced (monic,
+mutually tail-reduced, sorted by lead), hence unique for a given ideal and
+order.  A private caller that reads only some of the basis passes a
+predicate on leads, and only the elements it selects are tail-reduced and
 returned (``_groebner``): ``_eliminate_onto`` keeps the elements whose lead
 lies on the eliminated coordinate, and ``radical_member`` a constant lead.
 
-A basis has one form below the public API: monic (lead, g) pairs, g a term
-dict.  ``_reduce`` reads them, ``_groebner`` grows its basis as them and
-returns the reduced basis sorted by lead, and ``_Ideal._pairs`` reads an
-ideal's cached reduced basis as them, as it is.  ``_Ideal`` is the one
+A basis has one form below the public API: a dict from each position to its
+monic (lead, g) pairs, g a term dict, so a reduction reads only the leads at
+its term's position.  ``_reduce`` reads it, ``_groebner`` grows its basis in
+it (admission order within a position) and reduces the tails of the finished
+elements against it (lead order), and ``_Ideal._pairs`` reads an ideal's
+cached reduced basis in it, at position 0, as it is.  ``_Ideal`` is the one
 ideal layer of ``CIdeal`` and ``wgb.LeftIdeal``, both grevlex, and
 ``_checked_basis`` the one checked entry behind ``buchberger`` (grevlex) and
 ``wgb.left_groebner`` (a field, a global order).
@@ -57,16 +61,18 @@ def _reduce(work, basis, desckey, submul):
     remainder, in which no term is divisible by a basis lead; ``work`` is
     emptied on the way.
 
-    ``basis`` holds (lead, g) pairs, g a monic term dict (g[lead] is one),
-    so no coefficient is inverted here; the first lead in basis order that
-    divides the leading term c * lt reduces it, by
+    ``basis`` maps each position to its (lead, g) pairs, g a monic term dict
+    (g[lead] is one), so no coefficient is inverted here; only the list at
+    the leading term's position is read, and its first lead that divides
+    the leading term c * lt reduces it, by
     ``submul(work, lt, lead, c, g)``, which subtracts c * m * g from
     ``work`` for the monomial m with m * lead = lt and returns the terms it
     created.  The leading term comes off a heap of
     ``desckey`` values (ascending desc keys run from the biggest term down),
     each computed once when its term appears; an entry whose term has left
     ``work`` since it was pushed is stale, because a reduction only brings in
-    smaller terms.
+    smaller terms.  Terms leave in descending order, so the remainder's
+    first key is its lead.
     """
     heap = [(desckey(t), t) for t in work]
     heapq.heapify(heap)
@@ -76,9 +82,9 @@ def _reduce(work, basis, desckey, submul):
         c = work.get(lt)
         if c is None:
             continue
-        pos, e = lt
-        for lead, g in basis:
-            if lead[0] == pos and all(map(le, lead[1], e)):
+        e = lt[1]
+        for lead, g in basis.get(lt[0], ()):
+            if all(map(le, lead[1], e)):
                 for t in submul(work, lt, lead, c, g):
                     heapq.heappush(heap, (desckey(t), t))
                 break
@@ -94,20 +100,26 @@ def _groebner(vectors, R, termkey, desckey, submul, product_criterion, finish=No
     ``termkey`` realises the term order and ``desckey`` its reverse (see
     ``orders``), both on (position, exponents) terms; ``submul`` is the
     algebra's product (see ``_reduce``).  The basis grows as the ``_reduce``
-    pairs of its monic elements, and the pair criteria are applied once, as
-    each element is admitted (``admit``); pairs whose leads are coprime are
-    dropped only under ``product_criterion``.
+    pairs of its monic elements, listed per position in admission order,
+    and the pair criteria are applied once, as each element is admitted
+    (``admit``); pairs whose leads are coprime are dropped only under
+    ``product_criterion``.  The lead of an input vector is its largest term,
+    and that of a reduced S-polynomial its remainder's first key.
 
+    The finished basis is minimalized per position, and each element's tail
+    is reduced against the minimal lists of every position: a lead divides
+    no term below it, so an element's own lead stays in its list.
     ``finish``, a predicate on leads, limits the output to the elements of
     the reduced basis whose lead passes it, in the same order; only those are
     tail-reduced.  Every element passes by default.
     """
     one = R.one()
     basis, leads, heap = [], [], []  # leads[i] is the exponent of basis[i]'s lead
+    reducers = {}  # position -> the (lead, g) pairs there, in admission order
     active = {}  # position -> indices of the elements that still form pairs
     live = {}  # position -> {(i, j): lcm} of the pairs not yet discarded
 
-    def admit(vec):
+    def admit(lead, vec):
         # Gebauer and Moeller's update (J. Symb. Comp. 6, 1988).  A pair is
         # redundant when a third lead divides its lcm and the lcms of that
         # lead with each of the pair's are proper divisors of it: its
@@ -119,16 +131,19 @@ def _groebner(vectors, R, termkey, desckey, submul, product_criterion, finish=No
         # tested against the lcms kept so far; coprime ones are dropped after
         # M and F, under the product criterion only.  An element whose lead
         # k divides forms no more pairs, though it still reduces.
-        lead = max(vec, key=termkey)
-        lc_inv = R.inv(vec[lead])
+        lc = vec[lead]
+        if lc != one:
+            lc_inv = R.inv(lc)
+            vec = {t: R.mul(lc_inv, c) for t, c in vec.items()}
         k = len(basis)
-        basis.append((lead, {t: R.mul(lc_inv, c) for t, c in vec.items()}))
+        basis.append((lead, vec))
         pos, lk = lead
         leads.append(lk)
         olds = active.get(pos)
         if olds is None:
-            active[pos], live[pos] = [k], {}
+            reducers[pos], active[pos], live[pos] = [(lead, vec)], [k], {}
             return
+        reducers[pos].append((lead, vec))
         pairs = live[pos]
         for ij in [
             (i, j)
@@ -154,7 +169,7 @@ def _groebner(vectors, R, termkey, desckey, submul, product_criterion, finish=No
 
     for v in vectors:
         if v:
-            admit(v)
+            admit(max(v, key=termkey), v)
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
@@ -166,25 +181,29 @@ def _groebner(vectors, R, termkey, desckey, submul, product_criterion, finish=No
         s = {}
         submul(s, lt, lead_j, one, g_j)
         submul(s, lt, lead_i, R.neg(one), g_i)
-        h = _reduce(s, basis, desckey, submul)
+        h = _reduce(s, reducers, desckey, submul)
         if h:
-            admit(h)
+            admit(next(iter(h)), h)
 
-    # minimalize: drop elements whose lead is divisible by another lead
-    minimal = []
+    # minimalize per position: drop elements whose lead is divisible by
+    # another lead there; ``minimal`` keeps the survivors sorted by lead
+    minimal, reducers = [], {}
     for lead, g in sorted(basis, key=lambda pair: termkey(pair[0])):
-        pos, li = lead
-        if not any(lk[0] == pos and all(map(le, lk[1], li)) for lk, _ in minimal):
+        same = reducers.setdefault(lead[0], [])
+        if not any(all(map(le, lk, lead[1])) for (_, lk), _ in same):
+            same.append((lead, g))
             minimal.append((lead, g))
 
-    # tail-reduce each finished element against the others: the remainder is
-    # the reduced basis element with its lead, which the reduction leaves
-    # untouched, so the result stays sorted by lead like ``minimal``
-    return [
-        _reduce(dict(g), minimal[:k] + minimal[k + 1 :], desckey, submul)
-        for k, (lead, g) in enumerate(minimal)
-        if finish is None or finish(lead)
-    ]
+    # tail-reduce each finished element: the lead, then the remainder of its
+    # tail, is the reduced basis element, so the result stays sorted by lead
+    out = []
+    for lead, g in minimal:
+        if finish is None or finish(lead):
+            tail = dict(g)
+            h = {lead: tail.pop(lead)}
+            h.update(_reduce(tail, reducers, desckey, submul))
+            out.append(h)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +256,7 @@ class _Ideal:
     elements of its ring; ``_basis()``, which calls the module function for
     its bases, looked up at call time; and ``normal_form``.  The engine
     reads the algebra's product off the elements (``mpoly.TermArithmetic``),
-    and reads the cached basis as its own (lead, g) pairs (``_pairs``).
+    and reads the cached basis in its own per-position form (``_pairs``).
     """
 
     def __post_init__(self):
@@ -251,14 +270,18 @@ class _Ideal:
         return self._cache["basis"]
 
     def _pairs(self):
-        """The cached reduced basis as the (lead, g) pairs of ``_reduce``;
-        it is monic and sorted by lead already, so each element is read as
-        it is."""
+        """The cached reduced basis in the form of ``_reduce``: its (lead, g)
+        pairs at position 0, and no position for the zero ideal.  The basis
+        is monic and sorted by lead already, so each element is read as it
+        is."""
         if "pairs" not in self._cache:
-            self._cache["pairs"] = [
-                ((0, g.leading()[0]), _to_vec(g)) for g in self.groebner_basis()
-            ]
+            pairs = [((0, g.leading()[0]), _to_vec(g)) for g in self.groebner_basis()]
+            self._cache["pairs"] = {0: pairs} if pairs else {}
         return self._cache["pairs"]
+
+    def _leads(self):
+        """The exponents of the reduced basis's leads, in lead order."""
+        return [lead for (_, lead), _ in self._pairs().get(0, ())]
 
     def _nf(self, f):
         """The normal form of f, an element of the ideal's ring, against the
@@ -382,8 +405,8 @@ def frobenius_root(ideal):
 
 def krull_dim(ideal):
     """Krull dimension of ring/ideal by ``_lead_dim`` on the ideal's grevlex
-    leads, read off ``_Ideal._pairs``; -1 for the unit ideal."""
-    return _lead_dim([lead for (_, lead), _ in ideal._pairs()], ideal.ring.nvars)
+    leads (``_Ideal._leads``); -1 for the unit ideal."""
+    return _lead_dim(ideal._leads(), ideal.ring.nvars)
 
 
 def _lead_dim(leads, nvars):

@@ -347,9 +347,11 @@ def ideal_equal(I, J):
 
 def assert_engine_pairs(ideal):
     """The ideal's ``_pairs()`` are its reduced basis, in order, as the
-    engine's (lead, g) pairs: g monic at its lead, the lead the element's own
-    under grevlex."""
-    pairs, basis = ideal._pairs(), ideal.groebner_basis()
+    engine's (lead, g) pairs at position 0 (no position for the zero ideal):
+    g monic at its lead, the lead the element's own under grevlex."""
+    by_position, basis = ideal._pairs(), ideal.groebner_basis()
+    assert set(by_position) == ({0} if basis else set())
+    pairs = by_position.get(0, [])
     assert len(pairs) == len(basis)
     for (lead, vec), g in zip(pairs, basis):
         assert vec == {(0, e): c for e, c in g.terms.items()}
@@ -357,13 +359,26 @@ def assert_engine_pairs(ideal):
         assert lead == (0, g.leading()[0])
 
 
+def position_lists(basis, termkey):
+    """Monic term dicts sorted by lead, the output of ``cgb._groebner``, in
+    the engine's basis form: each position's (lead, g) pairs in lead order."""
+    lists = {}
+    for g in basis:
+        lead = max(g, key=termkey)
+        lists.setdefault(lead[0], []).append((lead, g))
+    return lists
+
+
 def engine_nf(f, basis, order):
     """The normal form of f against a reduced ``basis`` (commutative or left)
-    under ``order``, by the engine's reducer on its (lead, g) pairs."""
-    pairs = [
-        ((0, max(g.terms, key=order.key)), {(0, e): c for e, c in g.terms.items()})
-        for g in basis
-    ]
+    under ``order``, by the engine's reducer on its (lead, g) pairs, all at
+    position 0."""
+    pairs = {
+        0: [
+            ((0, max(g.terms, key=order.key)), {(0, e): c for e, c in g.terms.items()})
+            for g in basis
+        ]
+    }
     work = {(0, e): c for e, c in f.terms.items()}
     rem = _reduce(work, pairs, lambda t: order.desc_key(t[1]), f._submul(f._coeffs))
     return f._new({e: c for (_, e), c in rem.items()})

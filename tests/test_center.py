@@ -239,6 +239,43 @@ def test_exact_route_finishes_only_the_elements_it_reads(monkeypatch, texts, n, 
     assert len(count) == calls
 
 
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (1, 7), (2, 3), (2, 5)])
+def test_exact_route_eliminates_the_products_d_r_times_g(monkeypatch, n, p):
+    # the first residue elimination gets d^r * g for each g of the reduced
+    # left basis and each residue r, in that order; the route builds them
+    # with the Weyl product directly, and they equal the operator products
+    import pweyl.center as center
+
+    F, rng = Zmod(p), random.Random(10 * p + n)
+    d_powers = [WeylOp.monomial(F, n, (0,) * n + r) for r in product(range(p), repeat=n)]
+    seen = []
+
+    def capture(elements, *args):
+        seen.append(elements)
+        raise _Captured
+
+    monkeypatch.setattr(center, "_eliminate_residues", capture)
+    ideals = [LeftIdeal.of([], ring=F, n=n)]
+    for _ in range(10):
+        ideals.append(LeftIdeal.of([random_weylop(F, n, rng, max_exp=3, nonzero=True)]))
+    for I in ideals:
+        seen.clear()
+        with pytest.raises(_Captured):
+            central_annihilator_exact(I)
+        assert seen == [[(dr * g).terms for g in I.groebner_basis() for dr in d_powers]]
+
+
+def test_twisted_ring_is_built_once_per_twist():
+    tw = FrobeniusTwist(5, 2)
+    assert tw.twisted_ring is tw.twisted_ring
+    assert tw.twisted_ring == PolyRing(Zmod(5), ("X1", "X2", "Xi1", "Xi2"))
+    assert tw == FrobeniusTwist(5, 2) and hash(tw) == hash(FrobeniusTwist(5, 2))
+
+
 @pytest.mark.parametrize(
     "route", [central_annihilator, central_annihilator_exact, central_annihilator_truncated]
 )

@@ -20,6 +20,7 @@ from helpers import (
     column_vec,
     engine_nf,
     ideal_equal,
+    position_lists,
     radical_member_bruteforce,
     random_monomial,
     random_mpoly,
@@ -344,6 +345,30 @@ def test_engine_matches_the_criterion_free_reference(mode):
         assert _groebner(vecs, F, termkey, desckey, submul, product) == want, vecs
 
 
+@pytest.mark.parametrize("mode", ["ideal", "left", "module"])
+def test_reduce_remainders_run_from_their_lead_down(mode):
+    # _reduce pops terms in descending order, so a remainder's first key is
+    # its lead: the engine reads the lead of a reduced S-polynomial there.
+    # Random vectors over the terms of the inputs, shifted, are reduced
+    # against the per-position lists of the reduced basis.
+    rng = random.Random({"ideal": 61, "left": 67, "module": 71}[mode])
+    remainders = 0
+    for _ in range(20):
+        vecs, F, termkey, desckey, submul, product = engine_inputs(mode, rng)
+        basis = position_lists(_groebner(vecs, F, termkey, desckey, submul, product), termkey)
+        pool = sorted({t for v in vecs for t in v})
+        for _ in range(5):
+            shift = tuple(rng.randrange(3) for _ in pool[0][1])
+            work = {
+                (pos, tuple(map(sum, zip(e, shift)))): rng.randrange(1, F.modulus)
+                for pos, e in rng.sample(pool, min(len(pool), 4))
+            }
+            rem = _reduce(work, basis, desckey, submul)
+            assert list(rem) == sorted(rem, key=termkey, reverse=True)
+            remainders += bool(rem)
+    assert remainders >= 20
+
+
 def test_engine_closes_the_unit_left_ideal_like_the_reference():
     # d1^3 - x2 and d2^2 - x1 generate A_2 at p = 5
     F = Zmod(5)
@@ -445,8 +470,7 @@ def test_module_normal_form_matches_max_reference(base):
         basis = submodule_basis(cols, F5, termkey, desckey)
         v = column_vec([random_mpoly(R, rng, max_degree=4, max_terms=4) for _ in range(rank)])
         expected = reference_nf(v, basis, termkey, F5)
-        # the reduced basis is monic and sorted by lead: the pairs of _reduce
-        pairs = [(max(g, key=termkey), g) for g in basis]
+        pairs = position_lists(basis, termkey)
         assert _reduce(dict(v), pairs, desckey, _shift_submul(F5)) == expected
 
 
