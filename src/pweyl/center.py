@@ -90,8 +90,8 @@ from itertools import combinations_with_replacement, product
 
 from .cgb import CIdeal, _eliminate_onto, _lead_dim, _reduced_ideal, krull_dim
 from .errors import RingMismatch
-from .linalg import Echelon, _sparse_rows, rank as matrix_rank
-from .mpoly import MPoly, PolyRing, evaluator
+from .linalg import Echelon, rank as matrix_rank
+from .mpoly import MPoly, PolyRing
 from .orders import GREVLEX, monomial_divides
 from .rings import Zmod, is_prime
 from .weyl import WeylOp, _weyl_submul, is_central
@@ -237,12 +237,31 @@ def central_annihilator_exact(ideal):
     return AnnihilatorResult(_reduced_ideal([MPoly(ring, f) for f in basis], ring), "exact")
 
 
+def _times_x(terms, i, n, F):
+    """The operator with the term dict ``terms`` times x_i on the right, by
+    (x^a d^b) * x_i = x^(a + e_i) d^b + b_i * x^a d^(b - e_i)."""
+    out = {}
+    for key, c in terms.items():
+        up = key[:i] + (key[i] + 1,) + key[i + 1 :]
+        out[up] = F.add(out[up], c) if up in out else c
+        b = F.from_int(key[n + i])
+        if not F.is_zero(b):
+            down = key[: n + i] + (key[n + i] - 1,) + key[n + i + 1 :]
+            v = F.mul(c, b)
+            out[down] = F.add(out[down], v) if down in out else v
+    return {e: c for e, c in out.items() if not F.is_zero(c)}
+
+
 def _simple_module_rows(ideal):
     """The reduced left basis acting on V = D / D(x^p - X, d - beta), its
-    matrices stacked by rows, as sparse entry lists in (X, beta).
+    matrices stacked by rows, as sparse entry lists (column, terms) in
+    (X, beta), the columns ascending.
 
     V has the basis x^s, 0 <= s_i < p, and x^a d^b sends 1 to
     beta^b * X^(a // p) * x^(a mod p); column s of g is g * x^s applied to 1.
+    The residues s come with the last slot fastest, so g * x^(s - e_i), i
+    the last nonzero slot of s, comes before g * x^s, which is one right
+    multiplication by x_i of it (``_times_x``).
     """
     twist = _twist_of(ideal.ring, ideal.n)
     p, n, F = twist.p, twist.n, twist.weyl_ring
@@ -251,21 +270,40 @@ def _simple_module_rows(ideal):
     rows = []
     for g in ideal.groebner_basis():
         cells = [{} for _ in residues]  # row -> column -> terms
+        products = []  # g * x^s, by column
         for col, s in enumerate(residues):
-            g_xs = g * WeylOp.monomial(F, n, s + (0,) * n)
-            for r, terms in _split_residues(g_xs.terms, p, range(n)).items():
+            if any(s):
+                i = max(j for j in range(n) if s[j])
+                # s - e_i is p^(n - 1 - i) columns back
+                products.append(_times_x(products[col - p ** (n - 1 - i)], i, n, F))
+            else:
+                products.append(g.terms)
+            for r, terms in _split_residues(products[col], p, range(n)).items():
                 cells[index[r]][col] = terms
         rows.extend(list(row.items()) for row in cells)
     return rows
 
 
+def _pth_root(K, a):
+    """The p-th root of a in the finite field K, a^(|K| / p), Frobenius
+    being bijective on K; by square-and-multiply."""
+    e, out = K.size // K.characteristic, None
+    while True:
+        if e & 1:
+            out = a if out is None else K.mul(out, a)
+        e >>= 1
+        if not e:
+            return out
+        a = K.mul(a, a)
+
+
 def _fiber_dim(module_rows, twist, K, pt):
-    """p^n * (p^n - rank) of the module rows at the point pt over K, with
-    beta = Xi^(|K| / p) (see ``psupport.generic_rank``)."""
+    """p^n * (p^n - rank) of the module rows, compiled as
+    ``mpoly.CompiledRows``, at the point pt over K, with beta the p-th root
+    of Xi (``_pth_root``; see ``psupport.generic_rank``)."""
     n, dim_v = twist.n, twist.p**twist.n
-    root = {(K.size // twist.p,): 1}
-    beta = tuple(evaluator((xi,), K)(root) for xi in pt[n:])
-    rows = _sparse_rows(module_rows, evaluator(pt[:n] + beta, K), K)
+    beta = tuple(_pth_root(K, xi) for xi in pt[n:])
+    rows = module_rows.at(pt[:n] + beta, K)
     return dim_v * (dim_v - matrix_rank(rows, K, dim_v))
 
 

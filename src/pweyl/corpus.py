@@ -171,6 +171,7 @@ def run_corpus(path=None, primes=None, seed=0, attempts=5):
                     )
                 )
                 continue
-            mism = tuple(_compare(expected, report.to_dict()))
-            results.append(CorpusRun(entry.name, p, not mism, report.to_dict(), mism))
+            got = report.to_dict()
+            mism = tuple(_compare(expected, got))
+            results.append(CorpusRun(entry.name, p, not mism, got, mism))
     return results

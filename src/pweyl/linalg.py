@@ -1,25 +1,12 @@
 """Sparse exact linear algebra over a field ring: ``Echelon``, the package's
 one sparse elimination, behind both ``rank`` and the truncated ladder's
-kernel (``center._KernelEchelon``).
+kernel (``center._KernelEchelon``).  The generic rank feeds ``rank`` the
+rows that ``mpoly.CompiledRows`` evaluates at each sampled point.
 
 A sparse vector is a dict {key: nonzero coefficient payload} of the given
 ring, with comparable keys (column indices or exponent tuples); absent keys
 are zero.  Everything is exact and deterministic.
 """
-
-
-def _sparse_rows(entries, value, K):
-    """Rows {index: nonzero value} of sparse entry lists, each entry an
-    (index, terms) pair evaluated by ``value`` (``mpoly.evaluator``)."""
-    rows = []
-    for row_entries in entries:
-        row = {}
-        for i, terms in row_entries:
-            v = value(terms)
-            if not K.is_zero(v):
-                row[i] = v
-        rows.append(row)
-    return rows
 
 
 def _sub_scaled(out, c, vec, F):
@@ -42,7 +29,9 @@ class Echelon:
     carrying the optional combination ``comb`` that vec stands for through
     the same steps.  A vector left nonzero is scaled and kept, and None is
     returned; a vanishing one returns its reduced combination.  Neither
-    argument is modified, and without ``comb`` no combination work is done.
+    argument is modified: both are copied only when a pivot first reduces
+    them, a kept vector is scaled into a new dict, and a zero vec returns
+    ``comb`` itself.  Without ``comb`` no combination work is done.
     """
 
     def __init__(self, ring):
@@ -50,8 +39,7 @@ class Echelon:
         self.pivots = {}  # lowest key -> (vector, combination or None)
 
     def add(self, vec, comb=None):
-        F, vec = self.ring, dict(vec)
-        comb = None if comb is None else dict(comb)
+        F, owned = self.ring, False
         while vec:
             low = min(vec)
             pivot, c = self.pivots.get(low), vec[low]
@@ -62,6 +50,9 @@ class Echelon:
                     comb = {k: F.mul(inv, v) for k, v in comb.items()}
                 self.pivots[low] = (vec, comb)
                 return None
+            if not owned:  # the first reduction copies what it reduces
+                vec, owned = dict(vec), True
+                comb = None if comb is None else dict(comb)
             _sub_scaled(vec, c, pivot[0], F)
             if comb is not None:
                 _sub_scaled(comb, c, pivot[1], F)

@@ -11,6 +11,9 @@ names its algebra's product once, as ``_submul`` in the form of the
 Groebner engine (``cgb._reduce``), and ``TermArithmetic.__mul__`` and the
 engine both read it there: ``_shift_submul`` here for polynomials,
 ``weyl._weyl_submul`` for operators.
+
+``CompiledRows`` evaluates sparse rows of polynomials at many points, the
+work that does not depend on the point done once.
 """
 
 from dataclasses import dataclass
@@ -242,33 +245,76 @@ class MPoly(TermArithmetic):
         return f"MPoly({self})"
 
 
-def evaluator(point, target):
-    """The evaluation at ``point``, whose coordinates lie in the ring ``target``.
+class CompiledRows:
+    """Sparse rows of polynomials, compiled once for evaluation at many points.
 
-    Returns a function from a polynomial's terms (exponent -> coefficient)
-    to its value.  Coefficients are embedded through target.from_base, so
-    an F_p polynomial can be evaluated at a point over GF(p^k).  Each
-    distinct monomial is evaluated once per point: its value is cached by
-    exponent tuple, for every polynomial the function is applied to.
+    ``rows`` is a list of rows, each a list of (column, terms) pairs, terms a
+    polynomial's exponent -> coefficient dict over the field ``ring``; the
+    points lie in extensions of it.  The compiled form lists the distinct
+    monomials once, each by its (coordinate, exponent) factors, and holds
+    the entries as (row, column, terms), the terms as (monomial index,
+    coefficient) pairs.  ``at`` evaluates them all at one point.
     """
-    monomials = {}
-    zero, one = target.zero(), target.one()
-    add, mul, embed = target.add, target.mul, target.from_base
 
-    def value(terms):
-        acc = zero
-        for e, c in terms.items():
-            m = monomials.get(e)
-            if m is None:
-                m = one
-                for x, k in zip(point, e):
-                    for _ in range(k):
-                        m = mul(m, x)
-                monomials[e] = m
-            acc = add(acc, mul(embed(c), m))
-        return acc
+    def __init__(self, rows, ring):
+        index = {}
+        self.entries = []
+        for i, row in enumerate(rows):
+            for col, terms in row:
+                if terms:
+                    terms = [(index.setdefault(e, len(index)), c) for e, c in terms.items()]
+                    self.entries.append((i, col, terms))
+        self.nrows, self.ring = len(rows), ring
+        # each monomial as (j, k, rest): its first factor x_j^k and the
+        # others, the constant as x_0^0
+        self.monomials = []
+        for e in index:
+            factors = [(j, k) for j, k in enumerate(e) if k] or [(0, 0)]
+            self.monomials.append(factors[0] + (factors[1:],))
+        # the highest exponent of each coordinate, for its table of powers
+        self.tops = tuple(map(max, zip(*index)))
+        # field -> its entries, with embedded coefficients, and arithmetic
+        self._fields = {}
 
-    return value
+    def at(self, point, K):
+        """The rows at ``point``, whose coordinates lie in the field K, as
+        dicts {column: nonzero value}.
+
+        The coefficients are embedded by ``K.from_base`` once per field
+        other than ``ring``.  Per point, each coordinate's powers are tabled
+        up to its top exponent, each distinct monomial is one product of
+        those, and each entry is summed in one loop over its terms; an entry
+        that sums to zero is dropped.
+        """
+        state = self._fields.get(K)
+        if state is None:
+            entries = self.entries
+            if K != self.ring:
+                embed = K.from_base
+                entries = [(i, col, [(m, embed(c)) for m, c in terms]) for i, col, terms in entries]
+            state = self._fields[K] = (entries, K.one(), K.add, K.mul, K.is_zero)
+        entries, one, add, mul, is_zero = state
+        powers = []
+        for x, top in zip(point, self.tops):
+            row = [one, x]
+            for _ in range(top - 1):
+                row.append(mul(row[-1], x))
+            powers.append(row)
+        values = []
+        for j, k, rest in self.monomials:
+            v = powers[j][k]
+            for j, k in rest:
+                v = mul(v, powers[j][k])
+            values.append(v)
+        rows = [{} for _ in range(self.nrows)]
+        for i, col, terms in entries:
+            acc = None
+            for m, c in terms:
+                v = mul(c, values[m])
+                acc = v if acc is None else add(acc, v)
+            if not is_zero(acc):
+                rows[i][col] = acc
+        return rows
 
 
 def format_terms(coeff_ring, names, sorted_items, symmetric=True):

@@ -7,7 +7,10 @@ ideal in the twisted cotangent ring: dimension, coisotropy under the
 canonical bracket, the middle-dimension verdict, conicality for the fiber
 dilation, and, on the exact route, the generic fiber rank from sampled
 points of the variety, where D/I is read on the simple module of rank p^n
-over each point (``center._simple_module_rows``).  The points are searched
+over each point (``center._simple_module_rows``).  The module rows and the
+Jacobian of the annihilator's basis are compiled once per rank
+(``mpoly.CompiledRows``), so a point costs only the work that depends on it:
+one evaluation of each, and their ranks.  The points are searched
 field by field, coordinate by coordinate (past ``EXHAUSTIVE_POINT_LIMIT``
 points all but the first coordinate are drawn, and the first is solved for),
 and ranked by the Jacobian of the annihilator's basis as they are found; the
@@ -34,8 +37,8 @@ from .center import (
     central_annihilator,
 )
 from .errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch, ZeroInput
-from .linalg import _sparse_rows, rank as matrix_rank
-from .mpoly import MPoly, evaluator
+from .linalg import rank as matrix_rank
+from .mpoly import CompiledRows, MPoly
 from .orders import Weighted
 from .poisson import coisotropy_check
 from .rings import QQ, Zmod, extension_field, is_prime
@@ -162,12 +165,6 @@ class RankResult:
     agreement: bool
 
 
-def _sparse_entries(vectors):
-    """Each vector of polynomials as the list of its nonzero entries
-    (index, terms), terms the polynomial's exponent -> coefficient dict."""
-    return [[(i, f.terms) for i, f in enumerate(vec) if f.terms] for vec in vectors]
-
-
 def _points_on_variety(basis, nvars, p, k, rng):
     """F_(p^k) and an iterator over its rational points where every basis
     element vanishes.
@@ -281,7 +278,7 @@ def _choose_samples(basis, nvars, p, attempts, rng):
     fewer points reach the ceiling (a basis longer than the codimension, or a
     support singular everywhere), every point of each field reached is ranked.
     """
-    jac = _sparse_entries([g.partial(v) for v in range(nvars)] for g in basis)
+    jac = CompiledRows([[(v, g.partial(v).terms) for v in range(nvars)] for g in basis], Zmod(p))
     ceiling = min(len(basis), nvars)
     ranked = []
     at_ceiling = 0
@@ -289,7 +286,7 @@ def _choose_samples(basis, nvars, p, attempts, rng):
     for k in degrees:
         K, points = _points_on_variety(basis, nvars, p, k, rng)
         for pt in points:
-            rows = _sparse_rows(jac, evaluator(pt, K), K)
+            rows = jac.at(pt, K)
             jr = matrix_rank(rows, K, nvars) if rows else 0
             ranked.append((jr, k, K, pt))
             if jr == ceiling:
@@ -327,9 +324,13 @@ def generic_rank(ideal, annihilator, attempts=5, seed=0):
     common kernel W of the reduced left basis on V, so the fiber of D/I has
     dimension p^n * dim W = p^n * (p^n - rank), the rank of the basis's
     matrices on V with their rows stacked.  Those rows are built once per
-    call, from the p^n products g * x^s; at each point every distinct
-    monomial is evaluated once, and the evaluated rows, as sparse dicts,
-    go to the incremental ``linalg.rank``.
+    call, from the p^n products g * x^s, each one right multiplication by an
+    x_i of an earlier one, and compiled once (``mpoly.CompiledRows``), as
+    are the Jacobian entries.  At each point beta is one square-and-multiply
+    per coordinate (``center._pth_root``), every distinct monomial is one
+    product of per-coordinate powers, the entries are summed in one loop,
+    and the nonzero ones, as sparse rows, go to the incremental
+    ``linalg.rank``.
     """
     _check_attempts(attempts)
     twist = _twist_of(ideal.ring, ideal.n)
@@ -338,7 +339,7 @@ def generic_rank(ideal, annihilator, attempts=5, seed=0):
     if annihilator.is_unit_ideal():
         raise EmptySupport("unit annihilator: the support is empty")
     basis = annihilator.groebner_basis()
-    module_rows = _simple_module_rows(ideal)
+    module_rows = CompiledRows(_simple_module_rows(ideal), ideal.ring)
     chosen = _choose_samples(basis, 2 * twist.n, twist.p, attempts, random.Random(seed))
 
     samples = []

@@ -8,10 +8,10 @@ from pweyl import CIdeal, MPoly, PolyRing, WeylOp
 from pweyl.center import _monomials_up_to, _simple_module_rows, _split_residues
 from pweyl.cgb import _eliminate_onto, _groebner, _reduce, krull_dim
 from pweyl.errors import NoPointsFound
-from pweyl.linalg import _sparse_rows, rank as matrix_rank
-from pweyl.mpoly import _shift_submul, evaluator
+from pweyl.linalg import rank as matrix_rank
+from pweyl.mpoly import _shift_submul
 from pweyl.orders import Weighted, monomial_divides
-from pweyl.psupport import EXHAUSTIVE_POINT_LIMIT, RANDOM_POINT_BUDGET, _sparse_entries
+from pweyl.psupport import EXHAUSTIVE_POINT_LIMIT, RANDOM_POINT_BUDGET
 from pweyl.rings import GaloisField, Rationals, Zmod, extension_field
 from pweyl.wgb import initial_weighted, left_groebner
 
@@ -104,6 +104,21 @@ def random_weylop(ring, n, rng, max_exp=3, max_terms=4, nonzero=False):
         f = sum((WeylOp(ring, n, {e: c}) for e, c in items), WeylOp.zero(ring, n))
         if not (nonzero and f.is_zero()):
             return f
+
+
+def evaluate(terms, point, K):
+    """The value at ``point`` over the field K of the polynomial with the term
+    dict ``terms`` over F_p, term by term: each coefficient embedded by
+    ``K.from_base`` and multiplied by every coordinate as often as its
+    exponent says.  The oracle for ``mpoly.CompiledRows``."""
+    acc = K.zero()
+    for e, c in terms.items():
+        term = K.from_base(c)
+        for x, k in zip(point, e):
+            for _ in range(k):
+                term = K.mul(term, x)
+        acc = K.add(acc, term)
+    return acc
 
 
 def recombine_residues(parts, p, slots):
@@ -546,8 +561,7 @@ def brute_force_points(basis, nvars, p, k, rng):
         # reversed, so that the first coordinate varies fastest
         for pt in product(elements, repeat=nvars):
             pt = pt[::-1]
-            value = evaluator(pt, K)
-            if all(K.is_zero(value(g.terms)) for g in basis):
+            if all(K.is_zero(evaluate(g.terms, pt, K)) for g in basis):
                 points.append(pt)
         return K, points
 
@@ -577,12 +591,12 @@ def brute_force_points(basis, nvars, p, k, rng):
             i, j = divmod(i, K.size)
             digits.append(elements[j])
         outer = tuple(digits[::-1])
-        value = evaluator((K.zero(),) + outer, K)
         candidates = elements
         for g in basis:
             terms = {}
             for e, c in g.terms.items():
-                terms[e[0]] = K.add(terms.get(e[0], K.zero()), value({(0,) + e[1:]: c}))
+                value = evaluate({(0,) + e[1:]: c}, (K.zero(),) + outer, K)
+                terms[e[0]] = K.add(terms.get(e[0], K.zero()), value)
             candidates = roots({d: c for d, c in terms.items() if not K.is_zero(c)}, candidates)
         points.extend((x,) + outer for x in candidates)
     return K, points
@@ -592,10 +606,11 @@ def reference_samples(basis, nvars, p, attempts, rng):
     """``psupport._choose_samples`` without the early stop: every point of
     each field reached (from ``brute_force_points``) is ranked, and the
     first ``attempts`` points of the top Jacobian rank are chosen."""
-    jac = _sparse_entries([g.partial(v) for v in range(nvars)] for g in basis)
+    jac = [[g.partial(v) for v in range(nvars)] for g in basis]
 
     def jacobian_rank(K, pt):
-        rows = _sparse_rows(jac, evaluator(pt, K), K)
+        rows = [{v: evaluate(f.terms, pt, K) for v, f in enumerate(row)} for row in jac]
+        rows = [{v: x for v, x in row.items() if not K.is_zero(x)} for row in rows]
         return matrix_rank(rows, K, nvars) if rows else 0
 
     # extend the field until enough points attain the maximal observed

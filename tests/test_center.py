@@ -21,6 +21,7 @@ from pweyl.center import (
     _central_normal_forms,
     _KernelEchelon,
     _monomials_up_to,
+    _simple_module_rows,
     _split_residues,
     _support_dimension,
     truncated_kernel,
@@ -267,6 +268,43 @@ def test_exact_route_eliminates_the_products_d_r_times_g(monkeypatch, n, p):
         with pytest.raises(_Captured):
             central_annihilator_exact(I)
         assert seen == [[(dr * g).terms for g in I.groebner_basis() for dr in d_powers]]
+
+
+def reference_module_rows(ideal):
+    """``center._simple_module_rows`` by the general product: column s of a
+    basis element g is g * x^s, split by the residues of its x-exponents
+    into its rows, the columns ascending in each."""
+    p, n, F = ideal.ring.characteristic, ideal.n, ideal.ring
+    residues = list(product(range(p), repeat=n))
+    rows = []
+    for g in ideal.groebner_basis():
+        cells = {r: [] for r in residues}
+        for col, s in enumerate(residues):
+            g_xs = g * WeylOp.monomial(F, n, s + (0,) * n)
+            for r, terms in _split_residues(g_xs.terms, p, range(n)).items():
+                cells[r].append((col, terms))
+        rows.extend(cells[r] for r in residues)
+    return rows
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (1, 3), (1, 5), (1, 7), (2, 2), (2, 3), (3, 2)])
+def test_simple_module_rows_are_the_products_g_times_x_s(n, p):
+    # the rows build g * x^s from g * x^(s - e_i) by one right
+    # multiplication by x_i; they equal the general products, split, on six
+    # ideals of one to three generators that are not the unit ideal (whose
+    # one row is the identity)
+    F, rng = Zmod(p), random.Random(100 * p + n)
+    tested = 0
+    while tested < 6:
+        gens = [
+            random_weylop(F, n, rng, max_exp=4 - n, max_terms=3, nonzero=True)
+            for _ in range(rng.randrange(1, 4))
+        ]
+        I = LeftIdeal.of(gens)
+        if I.is_unit_ideal():
+            continue
+        assert _simple_module_rows(I) == reference_module_rows(I), [str(g) for g in gens]
+        tested += 1
 
 
 def test_twisted_ring_is_built_once_per_twist():

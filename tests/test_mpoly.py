@@ -7,10 +7,10 @@ import pytest
 from pweyl import PolyRing
 from pweyl.errors import RingMismatch
 from pweyl.orders import GrevLex, Weighted
-from pweyl.mpoly import MPoly, evaluator
+from pweyl.mpoly import CompiledRows, MPoly
 from pweyl.rings import QQ, Zmod, extension_field
 
-from helpers import random_coeff, random_monomial, random_mpoly, reference_product
+from helpers import evaluate, random_coeff, random_monomial, random_mpoly, reference_product
 
 
 def twisted(p, n=1):
@@ -212,20 +212,32 @@ def test_format_round_numbers():
     assert str(R.zero()) == "0"
 
 
+def values_at(polys, point, K):
+    """The value of each polynomial at ``point`` over K, by one
+    ``CompiledRows`` with a one-entry row per polynomial; a row that drops
+    its entry reads zero."""
+    ring = polys[0].ring.coeffs
+    rows = CompiledRows([[(0, f.terms)] for f in polys], ring).at(point, K)
+    return [row.get(0, K.zero()) for row in rows]
+
+
 @pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 2), (2, 3)])
 def test_evaluator_is_a_ring_homomorphism(p, k):
-    # evaluation at a point respects sums and products; one evaluator
+    # evaluation at a point respects sums and products; one compilation
     # serves every polynomial at its point, sharing monomial values
     R = twisted(p, 2)
     K = extension_field(p, k)
     rng = random.Random(p * 10 + k)
     for _ in range(20):
         f, g = random_mpoly(R, rng), random_mpoly(R, rng)
-        value = evaluator(tuple(random_coeff(K, rng) for _ in range(4)), K)
-        assert value((f + g).terms) == K.add(value(f.terms), value(g.terms))
-        assert value((f * g).terms) == K.mul(value(f.terms), value(g.terms))
-        assert value(R.one().terms) == K.one()
-        assert value(R.zero().terms) == K.zero()
+        point = tuple(random_coeff(K, rng) for _ in range(4))
+        total, vf, vg, prod, one, zero = values_at(
+            [f + g, f, g, f * g, R.one(), R.zero()], point, K
+        )
+        assert total == K.add(vf, vg)
+        assert prod == K.mul(vf, vg)
+        assert one == K.one()
+        assert zero == K.zero()
 
 
 def test_evaluator_at_a_point():
@@ -233,4 +245,40 @@ def test_evaluator_at_a_point():
     X, Xi = R.gens()
     f = X**2 * Xi + R.constant(3) * Xi**3 - R.one()
     # 4 * 2 + 3 * 8 - 1 = 31 = 1 mod 5
-    assert evaluator((2, 2), Zmod(5))(f.terms) == 1
+    assert values_at([f], (2, 2), Zmod(5)) == [1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_compiled_rows_match_term_by_term_evaluation(p):
+    # random sparse rows of polynomials over F_p in four variables, at
+    # random points of GF(p^k), k = 1..3, one compilation serving all three
+    # fields; an entry f * (X_j^q - X_j), q = p^k, vanishes at every point
+    # of GF(q) and must be dropped, as must every entry that sums to zero
+    R = twisted(p, 2)
+    rng = random.Random(p)
+    fields = [extension_field(p, k) for k in (1, 2, 3)]
+    dropped = 0
+    for _ in range(10):
+        rows = []
+        for _ in range(rng.randrange(1, 5)):
+            cols = rng.sample(range(6), rng.randrange(6))
+            row = []
+            for col in cols:
+                f = random_mpoly(R, rng)
+                if rng.random() < 0.3:
+                    j, q = rng.randrange(4), p ** rng.randrange(1, 4)
+                    Xj = R.gen(j)
+                    f = f * (Xj**q - Xj)
+                row.append((col, f))
+            rows.append(row)
+        compiled = CompiledRows([[(col, f.terms) for col, f in row] for row in rows], R.coeffs)
+        for K in fields:
+            for _ in range(4):
+                point = tuple(random_coeff(K, rng) for _ in range(4))
+                want = []
+                for row in rows:
+                    values = {col: evaluate(f.terms, point, K) for col, f in row}
+                    want.append({col: v for col, v in values.items() if not K.is_zero(v)})
+                    dropped += len(values) - len(want[-1])
+                assert compiled.at(point, K) == want
+    assert dropped  # some entries did sum to zero

@@ -24,13 +24,14 @@ from pweyl import (
 )
 from pweyl.errors import BadPrime, EmptySupport, NoPointsFound, RingMismatch
 from pweyl.linalg import rank as matrix_rank
-from pweyl.mpoly import PolyRing, evaluator
+from pweyl.mpoly import CompiledRows, PolyRing
 from pweyl.center import AnnihilatorResult, _fiber_dim, _simple_module_rows, _support_dimension
 from pweyl.psupport import _choose_samples, _points_on_variety
 from pweyl.rings import QQ, Zmod, extension_field
 
 from helpers import (
     brute_force_points,
+    evaluate,
     random_mpoly,
     random_weylop,
     reference_samples,
@@ -530,13 +531,12 @@ def test_fiber_dim_matches_the_rank_p2n_presentation():
             ]
             I = LeftIdeal.of(gens)
             B, columns = z_module_presentation(I, tw)
-            rows = _simple_module_rows(I)
+            rows = CompiledRows(_simple_module_rows(I), tw.weyl_ring)
 
             def reference(K, pt):
-                value = evaluator(pt, K)
                 evaluated = []
                 for col in columns:
-                    vals = {i: value(f.terms) for i, f in enumerate(col)}
+                    vals = {i: evaluate(f.terms, pt, K) for i, f in enumerate(col)}
                     evaluated.append({i: v for i, v in vals.items() if not K.is_zero(v)})
                 return len(B) - matrix_rank(evaluated, K, len(B))
 

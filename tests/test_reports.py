@@ -22,6 +22,7 @@ GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus_seed0.json"
 GOLDEN_LEGENDRE = Path(__file__).parent / "data" / "golden_report_legendre_exp_p3.json"
 GOLDEN_TORUS_N3 = Path(__file__).parent / "data" / "golden_report_torus_n3_p3.json"
 GOLDEN_CHARVAR_TORUS_N3 = Path(__file__).parent / "data" / "golden_charvar_torus_n3.json"
+GOLDEN_RANK_GF121 = Path(__file__).parent / "data" / "golden_report_rank_gf121_p11.json"
 
 
 def test_json_report_matches_frozen_golden():
@@ -108,6 +109,20 @@ def test_charvar_n3_matches_frozen_golden():
         )
     assert code == 0
     assert buf.getvalue() == GOLDEN_CHARVAR_TORUS_N3.read_text()
+
+
+def test_rank_over_gf121_matches_frozen_golden():
+    # d1^2 + 1 at p = 11: F_11 has no square root of -1, so the rank samples
+    # come from GF(11^2), each fibre read from 11 x 11 module rows, past
+    # every field and prime the corpus reaches
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(
+            ["psupport", "--method", "exact", "--json", "--seed", "0", "-n", "1", "-p", "11"]
+            + ["d1^2 + 1"]
+        )
+    assert code == 0
+    assert buf.getvalue() == GOLDEN_RANK_GF121.read_text()
 
 
 @pytest.mark.parametrize("seed", ["0", "7"])
