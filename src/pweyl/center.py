@@ -49,14 +49,17 @@ since the reduced norm of g lies in I cap Z.
 The plateau test reduces only the kernel vectors new at rung d modulo
 J_(d-1), which lies in J_d; only a rung that grows the ideal runs Buchberger.
 
-The truncated ladder does each reduction once, and keeps its results on
-the ideal for every later degree.  It normalises a central monomial X^e at
-most once, and adds each normal form once, as a column, to one
-``linalg.Echelon`` (the sparse elimination behind ``linalg.rank`` too): the
-monomials of degree <= d come first in (degree, grevlex) order, so the
-kernel at degree d + 1 extends the one at d and no degree is eliminated
-from scratch.  The normal form of X^e comes from that of a predecessor
-X^(e - u_k), for any slot k with e_k > 0, by a Frobenius shift:
+The truncated ladder does each reduction once, and keeps one state on the
+ideal for every later degree: the normal form of each column's monomial,
+one ``linalg.Echelon`` (the sparse elimination behind ``linalg.rank`` too)
+and the kernel found so far (``truncated_kernel``).  It normalises a
+central monomial X^e at most once, and adds each normal form once, as a
+column carrying the combination {X^e: 1}, so that a vanishing column's
+combination is its kernel vector.  The monomials of degree <= d come first
+in (degree, grevlex) order, so the kernel at degree d + 1 extends the one
+at d and no degree is eliminated from scratch.  The normal form of X^e
+comes from that of a predecessor X^(e - u_k), for any slot k with e_k > 0,
+by a Frobenius shift (``_central_normal_form``):
 
     nf(X^e) = nf(shift_k(nf(X^(e - u_k)))),
 
@@ -316,98 +319,36 @@ def _monomials_up_to(nvars, degree):
     return tuple(sorted(monos, key=GREVLEX.key))
 
 
-def _central_normal_forms(ideal, monos):
-    """nf(embed(X^e)) for every e of monos, cached on the ideal, a left
-    ideal of A_n(F_p).
+def _central_normal_form(ideal, e):
+    """nf(embed(X^e)) for the ideal, a left ideal of A_n(F_p), by the
+    Frobenius shift of a predecessor X^(e - u_k) (module docstring) whose
+    normal form the ladder holds already.
 
-    An uncached X^e is normalised from a predecessor X^(e - u_k) by the
-    Frobenius shift (module docstring); every predecessor must be cached
-    already or come earlier in ``monos``.  Of the slots k with e_k > 0, the
-    one taken leaves the fewest shifted terms on a basis lead: the slots are
-    scanned from the last down, the scan stops at the first shift with none,
-    and a tie keeps the later slot.  A shift with no term on a lead is
-    already the normal form (no lead divided a term before the shift, nor
-    divides one after it) and is cached without a call to ``normal_form``;
-    any other is reduced.
+    Each candidate slot k with e_k > 0 is shifted once, and the shift whose
+    terms a basis lead divides least often is kept: the slots are scanned
+    from the last down, the scan stops at the first shift with none, and a
+    tie keeps the later slot.  No lead divides a term before the shift, so
+    only the leads positive at slot k can divide one after it, and a shift
+    with none is already the normal form; any other is reduced.
     """
-    cache = ideal._cache.setdefault("central_nf", {})
-    p = ideal.ring.characteristic
+    if not any(e):
+        return ideal.normal_form(WeylOp.one(ideal.ring, ideal.n))
+    nfs, p, best = ideal._cache["ladder"][0], ideal.ring.characteristic, None
     leads = ideal._leads()
-    out = []
-    for e in monos:
-        nf = cache.get(e)
-        if nf is None:
-            if not any(e):
-                nf = ideal.normal_form(WeylOp.one(ideal.ring, ideal.n))
-            else:
-                best = None
-                for k in reversed(range(len(e))):
-                    if not e[k]:
-                        continue
-                    prev = cache[e[:k] + (e[k] - 1,) + e[k + 1 :]]
-                    hits = _shift_hits(prev.terms, k, p, leads)
-                    if best is None or hits < best[0]:
-                        best = (hits, k, prev)
-                    if not hits:
-                        break
-                hits, k, prev = best
-                shifted = WeylOp(
-                    prev.ring,
-                    prev.n,
-                    {key[:k] + (key[k] + p,) + key[k + 1 :]: c for key, c in prev.terms.items()},
-                )
-                nf = ideal.normal_form(shifted) if hits else shifted
-            cache[e] = nf
-        out.append(nf)
-    return out
-
-
-def _shift_hits(terms, k, p, leads):
-    """How many of ``terms``, a normal form, some lead in ``leads`` divides
-    once p is added at slot k.  No lead divides a term of a normal form, so
-    only the leads positive at slot k can divide a shifted term."""
-    leads = [lead for lead in leads if lead[k]]
-    hits = 0
-    for key in terms:
-        shifted = key[:k] + (key[k] + p,) + key[k + 1 :]
-        if any(monomial_divides(lead, shifted) for lead in leads):
-            hits += 1
-    return hits
-
-
-class _KernelEchelon:
-    """Kernel of the central normal forms, grown one column at a time.
-
-    Column j is nf(X^e) for the j-th monomial e in (degree, grevlex) order,
-    added to one ``linalg.Echelon`` with the combination {j: 1}.  A column
-    that vanishes gives the kernel vector with 1 at its own column and
-    entries on earlier pivot columns only: the canonical nullspace vector of
-    that free column, whatever the order of the pivots.
-
-    The ladder feeds it no normal form for a monomial that an earlier
-    kernel lead divides: ``skip`` counts that column, which is free and
-    never a pivot (module docstring), and records no kernel vector for it.
-    """
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.ncols = 0
-        self.echelon = Echelon(ring.coeffs)
-        self.kernel = []  # (column index, kernel polynomial), by column
-
-    def skip(self):
-        """Append a free column without its normal form or kernel vector."""
-        self.ncols += 1
-
-    def extend(self, monos, nfs):
-        """Append the columns nfs of the monomials monos[ncols:]."""
-        one = self.ring.coeffs.one()
-        for j, nf in enumerate(nfs, start=self.ncols):
-            comb = self.echelon.add(nf.terms, {j: one})
-            if comb is not None:
-                terms = {monos[i]: comb[i] for i in sorted(comb)}
-                self.kernel.append((j, MPoly(self.ring, terms)))
-        self.ncols += len(nfs)
+    for k in reversed(range(len(e))):
+        if not e[k]:
+            continue
+        at_k = [lead for lead in leads if lead[k]]
+        prev = nfs[e[:k] + (e[k] - 1,) + e[k + 1 :]].terms
+        shifted = {key[:k] + (key[k] + p,) + key[k + 1 :]: c for key, c in prev.items()}
+        hits = sum(any(monomial_divides(lead, key) for lead in at_k) for key in shifted)
+        if best is None or hits < best[0]:
+            best = (hits, shifted)
+        if not hits:
+            break
+    hits, shifted = best
+    nf = WeylOp(ideal.ring, ideal.n, shifted)
+    return ideal.normal_form(nf) if hits else nf
 
 
 def truncated_kernel(ideal, degree):
@@ -417,25 +358,31 @@ def truncated_kernel(ideal, degree):
     left_nf is linear over F_p, so the kernel is the space of relations
     among the normal forms of the embedded monomials.  The columns are the
     monomials in (degree, grevlex) order, and the ones of degree <= d are a
-    prefix of the ones of degree <= d + 1; one column echelon per ideal,
-    cached like the normal forms, reduces each column once, whatever
-    sequence of degrees is asked for.  A monomial that an earlier kernel
-    vector's lead divides is counted as a column but never normalised (see
-    the module docstring).  The vectors returned are the canonical nullspace
-    vectors of the other free columns, so each vector's grevlex lead is its
-    free column's monomial and no earlier returned lead divides it.
+    prefix of the ones of degree <= d + 1.  The ladder's one state, cached
+    on the ideal, is (nfs, echelon, kernel): the normal form of each column
+    so far by its monomial, None for a skipped one; the ``linalg.Echelon``
+    of the normal forms, each added once with the combination {X^e: 1}; and
+    the (lead, vector) pairs of the kernel, in column order.  A column left
+    nonzero is a pivot, and a vanishing one's combination is the terms of
+    its kernel vector, with lead X^e and every other term on an earlier
+    column: the canonical nullspace vector of that free column.  Any
+    sequence of degrees asked for reduces each column once.  A monomial
+    that an earlier kernel lead divides is a column never normalised, with
+    no vector kept (module docstring), so no returned lead divides a later
+    one.
     """
-    monos = _monomials_up_to(2 * ideal.n, degree)
-    echelon = ideal._cache.get("kernel_echelon")
-    if echelon is None:
-        twist = _twist_of(ideal.ring, ideal.n)
-        echelon = ideal._cache["kernel_echelon"] = _KernelEchelon(twist.twisted_ring)
-    for e in monos[echelon.ncols :]:
-        if any(monomial_divides(monos[j], e) for j, _ in echelon.kernel):
-            echelon.skip()
-        else:
-            echelon.extend(monos, _central_normal_forms(ideal, (e,)))
-    return [z for j, z in echelon.kernel if j < len(monos)]
+    ring = _twist_of(ideal.ring, ideal.n).twisted_ring
+    nfs, echelon, kernel = ideal._cache.setdefault("ladder", ({}, Echelon(ring.coeffs), []))
+    one = ring.coeffs.one()
+    for e in _monomials_up_to(2 * ideal.n, degree)[len(nfs) :]:
+        if any(monomial_divides(lead, e) for lead, _ in kernel):
+            nfs[e] = None
+            continue
+        nf = nfs[e] = _central_normal_form(ideal, e)
+        comb = echelon.add(nf.terms, {e: one})
+        if comb is not None:
+            kernel.append((e, MPoly(ring, comb)))
+    return [z for lead, z in kernel if sum(lead) <= degree]
 
 
 def _support_dimension(ideal):

@@ -3,8 +3,8 @@
 A corpus file is JSON: {"schema": "pweyl-corpus-v1", "entries": [...]} where
 each entry carries a name, the variable count n, generator expressions in
 the surface syntax, the primes to run, and optional per-prime golden
-sub-reports under "expected" (keys are primes as strings, values either
-{"bad_prime": true} or a subset of the report fields to compare).
+sub-reports under "expected" (keys are primes in plain decimal, values
+either {"bad_prime": true} or a subset of the report fields to compare).
 """
 
 import json
@@ -65,10 +65,16 @@ def _entry(rec, where):
     )
     require(
         isinstance(expected, dict)
-        and all(k.isdecimal() and isinstance(v, dict) for k, v in expected.items()),
-        "expected must map primes, written as strings, to objects",
+        and all(
+            k.isdecimal() and str(int(k)) == k and is_prime(int(k)) and isinstance(v, dict)
+            for k, v in expected.items()
+        ),
+        "expected must map primes, written in plain decimal, to objects",
         expected,
     )
+    for k, golden in expected.items():
+        unknown = sorted(set(golden) - {"bad_prime", *_COMPARED_FIELDS})
+        require(not unknown, f"expected[{k!r}] has fields that are never compared", unknown)
     operators = []
     for text in gens:
         try:

@@ -1,6 +1,7 @@
 """Sparse exact linear algebra over a field ring: ``Echelon``, the package's
 one sparse elimination, behind both ``rank`` and the truncated ladder's
-kernel (``center._KernelEchelon``).  The generic rank feeds ``rank`` the
+kernel (``center.truncated_kernel``, which adds each central normal form
+with its monomial as the combination).  The generic rank feeds ``rank`` the
 rows that ``mpoly.CompiledRows`` evaluates at each sampled point.
 
 A sparse vector is a dict {key: nonzero coefficient payload} of the given

@@ -631,3 +631,59 @@ def reference_samples(basis, nvars, p, attempts, rng):
     top = max(r for r, _, _, _ in ranked)
     preferred = [item for item in ranked if item[0] == top]
     return preferred[:attempts]
+
+
+def symplectic_images(n, rng):
+    """A random automorphism phi of A_n, as the image (slot, sign) of each
+    of the 2n slots x_1..x_n, d_1..d_n: a random permutation t of the
+    variables, and at a random set of them the Fourier swap, so that x_i,
+    d_i go to x_t(i), d_t(i), or to d_t(i), -x_t(i).  Both keep [d_i, x_i] =
+    1.  x_i^p and d_i^p go to the p-th powers of their images, and (-1)^p =
+    -1 in F_p, so the same table read on X_1..X_n, Xi_1..Xi_n is phi_Z, the
+    map phi induces on the centre (``center_image``)."""
+    targets = rng.sample(range(n), n)
+    images = [None] * (2 * n)
+    for i, t in enumerate(targets):
+        if rng.random() < 0.5:  # Fourier: x_i -> d_t, d_i -> -x_t
+            images[i], images[n + i] = (n + t, 1), (t, -1)
+        else:
+            images[i], images[n + i] = (t, 1), (n + t, 1)
+    return images
+
+
+def inverse_images(images):
+    """The table of the inverse map: a sign is its own inverse."""
+    out = [None] * len(images)
+    for i, (j, sign) in enumerate(images):
+        out[j] = (i, sign)
+    return out
+
+
+def weyl_image(images, L):
+    """phi(L) for the table ``images`` (``symplectic_images``): each
+    normal-ordered term c * x^a d^b of L goes to c * phi(x)^a * phi(d)^b,
+    multiplied out in A_n."""
+    F, n = L.ring, L.n
+    gens = [WeylOp._gen(F, n, j).scale(F.from_int(sign)) for j, sign in images]
+    out = WeylOp.zero(F, n)
+    for key, c in L.terms.items():
+        term = WeylOp.constant(F, n, c)
+        for g, k in zip(gens, key):
+            term = term * g**k
+        out = out + term
+    return out
+
+
+def center_image(images, f):
+    """phi_Z(f) for the table ``images`` read on the variables of f: the
+    variable at slot i goes to sign * the variable at its slot j."""
+    R = f.ring.coeffs
+    out = {}
+    for e, c in f.terms.items():
+        key = [0] * len(e)
+        for (j, sign), k in zip(images, e):
+            key[j] = k
+            if sign < 0 and k % 2:
+                c = R.neg(c)
+        out[tuple(key)] = c
+    return MPoly(f.ring, out)

@@ -18,8 +18,6 @@ from pweyl import (
 )
 from pweyl import cgb
 from pweyl.center import (
-    _central_normal_forms,
-    _KernelEchelon,
     _monomials_up_to,
     _simple_module_rows,
     _split_residues,
@@ -36,8 +34,10 @@ from pweyl.rings import QQ, Zmod
 
 from helpers import (
     berkowitz_det,
+    center_image,
     dense_kernel,
     ideal_equal,
+    inverse_images,
     minimal_leads,
     random_mpoly,
     random_weylop,
@@ -46,6 +46,8 @@ from helpers import (
     reduced_norms,
     reference_ladder,
     symbol_dimension,
+    symplectic_images,
+    weyl_image,
 )
 
 
@@ -560,7 +562,11 @@ def test_ladder_normal_forms_by_frobenius_shift():
         kernels = [truncated_kernel(I, d) for d in range(4)]
         monos = _monomials_up_to(2 * n, 3)
         direct = [I.normal_form(tw.embed(MPoly(R, {e: 1}))) for e in monos]
-        assert _central_normal_forms(I, monos) == direct, (gens, p)
+        # every column is kept, in order, with its normal form unless a
+        # kernel lead divides it
+        nfs = I._cache["ladder"][0]
+        assert list(nfs) == list(monos), (gens, p)
+        assert all(nf is None or nf == want for nf, want in zip(nfs.values(), direct)), (gens, p)
         for d in range(4):
             size = len(_monomials_up_to(2 * n, d))
             reference = dense_kernel(monos[:size], direct[:size], R)
@@ -646,33 +652,6 @@ def test_kernel_echelon_answers_degrees_in_any_order():
                 assert truncated_kernel(I, d) == want, (gens, p, d)
 
 
-def test_kernel_echelon_matches_dense_nullspace():
-    # denser columns than ladder normal forms usually give, many of them
-    # combinations of earlier ones, fed to the echelon in uneven batches
-    rng = random.Random(13)
-    for p in (2, 3, 5):
-        R = FrobeniusTwist(p, 1).twisted_ring
-        monos = _monomials_up_to(2, 5)
-        keys = [(i, j) for i in range(3) for j in range(3)]
-        for _ in range(10):
-            cols = []
-            for _ in monos:
-                if cols and rng.random() < 0.5:
-                    col = R.zero()
-                    for c in rng.sample(cols, min(3, len(cols))):
-                        col = col + c.scale(rng.randrange(p))
-                else:
-                    col = MPoly(R, {k: rng.randrange(1, p) for k in rng.sample(keys, rng.randrange(6))})
-                cols.append(col)
-            echelon = _KernelEchelon(R)
-            start = 0
-            while start < len(monos):
-                stop = min(len(monos), start + rng.randrange(1, 8))
-                echelon.extend(monos, cols[start:stop])
-                start = stop
-            assert [z for _, z in echelon.kernel] == dense_kernel(monos, cols, R), p
-
-
 def one_variable_operators(F, rng):
     """L1(x1, d1) and L2(x2, d2) in A_2 for random L1 of order <= 2 and L2 of
     order <= 1."""
@@ -743,6 +722,51 @@ def test_principal_ladder_stops_at_the_exact_generator(n, p, max_exp, max_terms)
         assert res.ideal.groebner_basis() == exact, str(L)
 
 
+def support_verdicts(J, n):
+    """The report's dimension, coisotropy and Lagrangian verdicts for the
+    annihilator J (``psupport.p_support``)."""
+    if J.is_unit_ideal():
+        return -1, True, False
+    dim, ok = cgb.krull_dim(J), coisotropy_check(cgb.frobenius_root(J)).ok
+    return dim, ok, dim == n and ok
+
+
+@pytest.mark.parametrize(
+    "n, p, max_exp, max_terms",
+    # the draw sizes of test_principal_ladder_stops_at_the_exact_generator,
+    # and at p = 2 those of p = 3
+    [(1, 2, 3, 4), (1, 3, 3, 4), (1, 5, 3, 4), (2, 2, 2, 3), (2, 3, 2, 3), (2, 5, 1, 2)],
+)
+def test_routes_commute_with_symplectic_automorphisms(n, p, max_exp, max_terms):
+    # phi, permutations of the variables and Fourier swaps x_i -> d_i,
+    # d_i -> -x_i, maps I cap Z to phi_Z(I cap Z): the exact route on phi(I),
+    # mapped back by phi_Z^-1, is the exact route on I, with the same
+    # verdicts; the truncated route on phi(I) finds the same dimension, and
+    # for a one-element reduced left basis the same ideal
+    rng = random.Random(1000 * n + p)
+    tw = FrobeniusTwist(p, n)
+    R = tw.twisted_ring
+    for _ in range(12):
+        gens = [
+            random_weylop(tw.weyl_ring, n, rng, max_exp=max_exp, max_terms=max_terms, nonzero=True)
+            for _ in range(rng.randrange(1, 4))
+        ]
+        images = symplectic_images(n, rng)
+        back = inverse_images(images)
+        moved = LeftIdeal.of([weyl_image(images, g) for g in gens])
+        label = ([str(g) for g in gens], images)
+        want = central_annihilator_exact(LeftIdeal.of(gens)).ideal
+        got = central_annihilator_exact(moved).ideal
+        got = CIdeal.of([center_image(back, g) for g in got.gens], ring=R)
+        assert got.groebner_basis() == want.groebner_basis(), label
+        assert support_verdicts(got, n) == support_verdicts(want, n), label
+        trunc = central_annihilator_truncated(moved).ideal
+        assert support_verdicts(trunc, n)[0] == support_verdicts(want, n)[0], label
+        if len(moved.groebner_basis()) == 1:
+            trunc = CIdeal.of([center_image(back, g) for g in trunc.gens], ring=R)
+            assert trunc.groebner_basis() == want.groebner_basis(), label
+
+
 @pytest.mark.parametrize(
     "texts, status, columns, groebner_calls",
     [
@@ -771,7 +795,7 @@ def test_ladder_stops_one_rung_past_its_plateau(
     I = LeftIdeal.of([parse_weyl(text, 2, tw.weyl_ring) for text in texts])
     res = central_annihilator_truncated(I)
     assert res.status == status
-    assert I._cache["kernel_echelon"].ncols == columns
+    assert len(I._cache["ladder"][0]) == columns
     assert len(calls) == groebner_calls
 
 
@@ -785,7 +809,7 @@ def test_ladder_never_normalises_a_multiple_of_a_kernel_lead():
     top = 3  # the ladder climbs one rung past the plateau's degree
     leads = [z.leading()[0] for z in truncated_kernel(I, top)]
     assert len(leads) == 2
-    normalised = I._cache["central_nf"]
+    normalised = [e for e, nf in I._cache["ladder"][0].items() if nf is not None]
     assert not [
         e for e in normalised for m in leads if m != e and monomial_divides(m, e)
     ]

@@ -284,6 +284,9 @@ BAD_ENTRY_FIELDS = {
     "generators-string": ("generators", "d1 - 1"),
     "no-generators": ("generators", []),
     "expected-string": ("expected", {"3": "x"}),
+    "expected-unknown-field": ("expected", {"3": {"annihilatr": ["Xi1 + 1"]}}),
+    "expected-prime-4": ("expected", {"4": {"dimension": 1}}),
+    "expected-leading-zero": ("expected", {"3": {"dimension": 1}, "03": {"dimension": 2}}),
     "zero-generator": ("generators", ["d1 - d1"]),
 }
 

@@ -23,6 +23,12 @@ GOLDEN_LEGENDRE = Path(__file__).parent / "data" / "golden_report_legendre_exp_p
 GOLDEN_TORUS_N3 = Path(__file__).parent / "data" / "golden_report_torus_n3_p3.json"
 GOLDEN_CHARVAR_TORUS_N3 = Path(__file__).parent / "data" / "golden_charvar_torus_n3.json"
 GOLDEN_RANK_GF121 = Path(__file__).parent / "data" / "golden_report_rank_gf121_p11.json"
+GOLDEN_TRUNCATED_PLATEAU = (
+    Path(__file__).parent / "data" / "golden_report_truncated_plateau_p5.json"
+)
+GOLDEN_TRUNCATED_PRINCIPAL = (
+    Path(__file__).parent / "data" / "golden_report_truncated_principal_p7.json"
+)
 
 
 def test_json_report_matches_frozen_golden():
@@ -123,6 +129,27 @@ def test_rank_over_gf121_matches_frozen_golden():
         )
     assert code == 0
     assert buf.getvalue() == GOLDEN_RANK_GF121.read_text()
+
+
+@pytest.mark.parametrize(
+    "prime, generators, golden",
+    [
+        # stabilized(2) on the plateau, with monomials skipped
+        ("5", ["d1^2 - x1", "d2 - x2"], GOLDEN_TRUNCATED_PLATEAU),
+        # stabilized(21): one generator, so the first nonzero kernel ends the ladder
+        ("7", ["x2*d1*d2 + d1 - 3"], GOLDEN_TRUNCATED_PRINCIPAL),
+    ],
+    ids=["plateau", "principal"],
+)
+def test_truncated_route_report_matches_frozen_golden(prime, generators, golden):
+    # whole reports of the default, truncated route at n = 2, notes included
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(
+            ["psupport", "--no-rank", "--json", "--seed", "0", "-n", "2", "-p", prime] + generators
+        )
+    assert code == 0
+    assert buf.getvalue() == golden.read_text()
 
 
 @pytest.mark.parametrize("seed", ["0", "7"])
