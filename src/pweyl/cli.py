@@ -26,7 +26,11 @@ def _prime(text):
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:  # past the bound where primality is decided
+        raise argparse.ArgumentTypeError(str(exc))
+    if not prime:
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
 

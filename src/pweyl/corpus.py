@@ -49,6 +49,12 @@ def _entry(rec, where):
         if not ok:
             raise PweylError(f"{where}: {rule}, got {value!r}")
 
+    def prime(q):
+        try:
+            return is_prime(q)
+        except ValueError as exc:  # past the bound where primality is decided
+            raise PweylError(f"{where}: {exc}") from exc
+
     name, n, gens = rec.get("name"), rec.get("n"), rec.get("generators")
     primes, expected = rec.get("primes", list(DEFAULT_PRIMES)), rec.get("expected", {})
     require(isinstance(name, str), "name must be a string", name)
@@ -59,14 +65,14 @@ def _entry(rec, where):
         gens,
     )
     require(
-        isinstance(primes, list) and all(_is_int(q) and is_prime(q) for q in primes),
+        isinstance(primes, list) and all(_is_int(q) and prime(q) for q in primes),
         "primes must be a list of primes",
         primes,
     )
     require(
         isinstance(expected, dict)
         and all(
-            k.isdecimal() and str(int(k)) == k and is_prime(int(k)) and isinstance(v, dict)
+            k.isdecimal() and str(int(k)) == k and prime(int(k)) and isinstance(v, dict)
             for k, v in expected.items()
         ),
         "expected must map primes, written in plain decimal, to objects",

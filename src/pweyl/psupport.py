@@ -146,12 +146,12 @@ class RankSample:
     jacobian_rank: int
     fiber_dim: int
 
-    def to_dict(self, field_ring):
+    def to_dict(self, field, formatted):
+        """The report entry: ``field`` is the label of the sample's field and
+        ``formatted`` maps each coordinate to its string."""
         return {
-            "point": [field_ring.format_value(c) for c in self.point],
-            "field": f"GF({field_ring.characteristic}^{self.degree})"
-            if self.degree > 1
-            else f"GF({field_ring.characteristic})",
+            "point": [formatted[c] for c in self.point],
+            "field": field,
             "jacobian_rank": self.jacobian_rank,
             "fiber_dim": self.fiber_dim,
         }
@@ -173,7 +173,8 @@ def _points_on_variety(basis, nvars, p, k, rng):
     outermost and the first innermost, each running over the field in
     ``element_from_index`` order, so the points come out in the order of
     enumerating all of F_(p^k)^nvars with the first coordinate varying
-    fastest.  Fixing a coordinate substitutes its value into every
+    fastest; the elements come as the one sequence the field keeps
+    (``K.elements()``).  Fixing a coordinate substitutes its value into every
     remaining element (coefficients embedded once by ``from_base``, powers
     cached per field element): an element that vanishes identically is
     dropped, a branch ends at the first element that becomes a nonzero
@@ -190,7 +191,7 @@ def _points_on_variety(basis, nvars, p, k, rng):
     read.
     """
     K = extension_field(p, k)
-    elements = [K.element_from_index(i) for i in range(K.size)]
+    elements = K.elements()
     one, add, mul, embed, is_zero = K.one(), K.add, K.mul, K.from_base, K.is_zero
     powers = {}
 
@@ -330,7 +331,8 @@ def generic_rank(ideal, annihilator, attempts=5, seed=0):
     per coordinate (``center._pth_root``), every distinct monomial is one
     product of per-coordinate powers, the entries are summed in one loop,
     and the nonzero ones, as sparse rows, go to the incremental
-    ``linalg.rank``.
+    ``linalg.rank``.  Each field's label is built once, and each distinct
+    coordinate is formatted once per field, for the report's sample dicts.
     """
     _check_attempts(attempts)
     twist = _twist_of(ideal.ring, ideal.n)
@@ -344,10 +346,17 @@ def generic_rank(ideal, annihilator, attempts=5, seed=0):
 
     samples = []
     dicts = []
+    fields = {}  # k -> the label of F_(p^k) and {coordinate: its string}
     for jr, k, K, pt in chosen:
         s = RankSample(pt, k, jr, _fiber_dim(module_rows, twist, K, pt))
+        if k not in fields:
+            fields[k] = (f"GF({twist.p}^{k})" if k > 1 else f"GF({twist.p})", {})
+        label, formatted = fields[k]
+        for c in pt:
+            if c not in formatted:
+                formatted[c] = K.format_value(c)
         samples.append(s)
-        dicts.append(s.to_dict(K))
+        dicts.append(s.to_dict(label, formatted))
     counts = Counter(s.fiber_dim for s in samples)
     best = max(counts.values())
     modal = min(v for v, c in counts.items() if c == best)

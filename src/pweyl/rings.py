@@ -1,21 +1,21 @@
 """Exact coefficient rings: Z/m (m a prime or prime square), GF(p^k), and Q.
 
 A ring object is an immutable, hashable description of the arithmetic; the
-element payloads are plain Python values (int for Z/m, tuple of int for
-GF(p^k), fractions.Fraction for Q).  Containers (polynomials, operators)
-carry the ring and refuse to mix payloads from different rings.
+element payloads are plain Python values (int for Z/m and for GF(p^k),
+fractions.Fraction for Q).  Containers (polynomials, operators) carry the
+ring and refuse to mix payloads from different rings.
 
 GF(p^k) is F_p[t]/(modulus) with a primitive modulus (a Conway polynomial
-from ``extension_field``): every nonzero element is a power of t, so one
-cached table of those powers and their logarithms gives products, inverses
-and the primitivity test (Zech logarithms).
+from ``extension_field``): every nonzero element is a power of t, and is
+stored by its logarithm, so products and inverses are int arithmetic and a
+sum is one lookup in the Zech table of 1 + t^d (Zech logarithms).
 
 Canonical representatives: Z/m values always live in [0, m); rationals are
 Fraction instances, hence always in lowest terms with positive denominator;
-GF(p^k) values are coefficient tuples of length k with entries in [0, p).
+GF(p^k) values are ints in [0, p^k), 0 for zero and 1 + i for t^i.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -23,15 +23,37 @@ from math import gcd
 
 from .errors import DivisionByZero, NotUnit
 
+# the first 13 primes: a composite below _MILLER_RABIN_BOUND is a strong
+# pseudoprime to at most some of them (Sorenson and Webster 2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
 
 def is_prime(n):
+    """Whether the int n is prime, exactly: deterministic Miller-Rabin with
+    the first 13 primes as witnesses.  An n with a factor among them is
+    answered by that factor; any other n at or above ``_MILLER_RABIN_BOUND``
+    (about 3.3e24), where the witnesses no longer decide, raises ValueError."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for w in _WITNESSES:
+        if n % w == 0:
+            return n == w
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: at or above {_MILLER_RABIN_BOUND}")
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -40,14 +62,12 @@ class Zmod:
     """The ring Z/m with values stored as integers in [0, m)."""
 
     modulus: int
+    is_field: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-
-    @property
-    def is_field(self):
-        return is_prime(self.modulus)
+        object.__setattr__(self, "is_field", is_prime(self.modulus))
 
     @property
     def characteristic(self):
@@ -95,6 +115,10 @@ class Zmod:
             raise NotUnit(f"{a} is not a unit in Z/{self.modulus}")
         return pow(a, -1, self.modulus)
 
+    def elements(self):
+        """Every element, in ``element_from_index`` order."""
+        return range(self.modulus)
+
     def element_from_index(self, i):
         return i % self.modulus
 
@@ -111,12 +135,17 @@ class Zmod:
 
 @dataclass(frozen=True)
 class GaloisField:
-    """GF(p^k) as F_p[t]/(modulus); elements are coefficient tuples of length k.
+    """GF(p^k) as F_p[t]/(modulus); each element is one int in [0, q), q = p^k:
+    0 for zero and 1 + i for t^i, 0 <= i < q - 1.
 
     The modulus must be primitive: t must generate the multiplicative group.
-    Products and inverses then read one table of the powers 1, t, ..., t^(q-2)
-    (q = p^k) and its inverse, the logarithm of each nonzero element; the
-    table is built once per modulus and shared by every instance.
+    A product then adds logarithms mod q - 1 and an inverse negates one;
+    -1 is t^((q - 1) / 2), so a negation shifts by that (at p = 2 it is the
+    identity); and t^i + t^j = t^i * (1 + t^(j - i)) is one lookup in the
+    Zech table of 1 + t^d.  Only ``element_from_index`` and
+    ``format_value`` convert to and from coefficient tuples.  The tables
+    are built once per modulus and shared by every instance
+    (``_zech_tables``).
     """
 
     p: int
@@ -128,11 +157,15 @@ class GaloisField:
             raise ValueError(f"{self.p} is not prime")
         if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        exp, log = _power_table(self.p, self.modulus)
-        if len(exp) != self.size - 1:
+        if not _t_is_primitive(self.p, self.modulus):
             raise ValueError(f"t is not primitive modulo {self.modulus} over F_{self.p}")
-        object.__setattr__(self, "_exp", exp)
-        object.__setattr__(self, "_log", log)
+        coeffs, elements, zech = _zech_tables(self.p, self.modulus)
+        order = len(zech)
+        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_zech", zech)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_half", order // 2 if self.p > 2 else 0)
 
     @property
     def is_field(self):
@@ -147,13 +180,13 @@ class GaloisField:
         return self.p**self.k
 
     def zero(self):
-        return (0,) * self.k
+        return 0
 
     def one(self):
-        return (1,) + (0,) * (self.k - 1)
+        return 1
 
     def from_int(self, c):
-        return (c % self.p,) + (0,) * (self.k - 1)
+        return self._elements[c % self.p]
 
     def from_fraction(self, q):
         q = Fraction(q)
@@ -167,36 +200,42 @@ class GaloisField:
         return self.from_int(a)
 
     def is_zero(self, a):
-        return all(c == 0 for c in a)
+        return not a
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        if not a:
+            return b
+        if not b:
+            return a
+        # a list of q - 1 entries reads b - a in (1 - q, q - 1) mod q - 1
+        z = self._zech[b - a]
+        return (a + z - 2) % self._order + 1 if z else 0
 
     def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return (a + self._half - 1) % self._order + 1 if a else 0
 
     def mul(self, a, b):
-        if not (any(a) and any(b)):
-            return self.zero()
-        return self._exp[(self._log[a] + self._log[b]) % len(self._exp)]
+        return (a + b - 2) % self._order + 1 if a and b else 0
 
     def inv(self, a):
-        if self.is_zero(a):
+        if not a:
             raise DivisionByZero(f"cannot invert 0 in GF({self.p}^{self.k})")
-        return self._exp[-self._log[a]]
+        return (1 - a) % self._order + 1
+
+    def elements(self):
+        """Every element, in ``element_from_index`` order."""
+        return self._elements
 
     def element_from_index(self, i):
-        i %= self.size
-        digits = []
-        for _ in range(self.k):
-            digits.append(i % self.p)
-            i //= self.p
-        return tuple(digits)
+        """The element whose coefficients are the base-p digits of i mod q,
+        the lowest digit the constant one."""
+        return self._elements[i % self.size]
 
     def format_value(self, a, symmetric=False):
+        a = self._coeffs[a]
         if all(c == 0 for c in a[1:]):
             return str(a[0])
         parts = []
@@ -279,6 +318,27 @@ def _power_table(p, modulus):
         # a*t: shift up one degree, then reduce t^k by the monic modulus
         a = tuple((low - a[-1] * m) % p for low, m in zip((0,) + a[:-1], modulus))
     return tuple(log), log
+
+
+@lru_cache(maxsize=None)
+def _zech_tables(p, modulus):
+    """The int form of GF(p^k) = F_p[t]/(modulus), for a primitive modulus:
+    the coefficient tuple of each int (``_power_table`` with zero in front),
+    the int of each index (its base-p digits, lowest first, as the
+    coefficients), and the Zech table, the int of 1 + t^d for each
+    0 <= d < p^k - 1."""
+    powers, log = _power_table(p, modulus)
+    k = len(modulus) - 1
+    coeffs = ((0,) * k,) + powers
+    # product() runs the last digit fastest, so each digits tuple is reversed
+    elements = tuple(
+        1 + log[digits[::-1]] if any(digits) else 0 for digits in product(range(p), repeat=k)
+    )
+    zech = []
+    for a in powers:
+        a = ((a[0] + 1) % p,) + a[1:]
+        zech.append(1 + log[a] if any(a) else 0)
+    return coeffs, elements, tuple(zech)
 
 
 def _t_is_primitive(p, modulus):

@@ -1,7 +1,7 @@
 """Seeded random generators and brute-force oracles shared by the tests."""
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
 
 from pweyl import CIdeal, MPoly, PolyRing, WeylOp
@@ -22,7 +22,7 @@ def random_coeff(ring, rng, nonzero=False):
         return rng.randrange(lo, ring.modulus)
     if isinstance(ring, GaloisField):
         while True:
-            v = tuple(rng.randrange(ring.p) for _ in range(ring.k))
+            v = from_coefficients(ring, [rng.randrange(ring.p) for _ in range(ring.k)])
             if not (nonzero and ring.is_zero(v)):
                 return v
     if isinstance(ring, Rationals):
@@ -33,18 +33,38 @@ def random_coeff(ring, rng, nonzero=False):
     raise TypeError(f"no generator for {ring}")
 
 
+@lru_cache(maxsize=None)
+def _indices(K):
+    return {K.element_from_index(i): i for i in range(K.size)}
+
+
+def coefficients(K, a):
+    """The coefficients of a in GF(p^k) = F_p[t]/(modulus), lowest degree
+    first: the base-p digits, lowest first, of its index under
+    ``element_from_index``."""
+    i = _indices(K)[a]
+    return tuple(i // K.p**j % K.p for j in range(K.k))
+
+
+def from_coefficients(K, coeffs):
+    """The element of GF(p^k) with the given coefficients, lowest degree
+    first, by ``element_from_index`` at the index with those base-p digits."""
+    return K.element_from_index(sum(c * K.p**j for j, c in enumerate(coeffs)))
+
+
 def schoolbook_mul(K, a, b):
-    """The product in GF(p^k) = F_p[t]/(modulus) by the schoolbook rule, then
-    reduction by the monic modulus from the top degree down."""
+    """The product in GF(p^k) = F_p[t]/(modulus) of the coefficients of a
+    and b by the schoolbook rule, then reduction by the monic modulus from
+    the top degree down."""
     prod = [0] * (2 * K.k - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
+    for i, x in enumerate(coefficients(K, a)):
+        for j, y in enumerate(coefficients(K, b)):
             prod[i + j] = (prod[i + j] + x * y) % K.p
     for d in range(len(prod) - 1, K.k - 1, -1):
         c, prod[d] = prod[d], 0
         for j in range(K.k):
             prod[d - K.k + j] = (prod[d - K.k + j] - c * K.modulus[j]) % K.p
-    return tuple(prod[: K.k])
+    return from_coefficients(K, prod[: K.k])
 
 
 def fermat_inv(K, a):

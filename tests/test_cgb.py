@@ -499,7 +499,8 @@ def test_frobenius_root_rejects_coefficients_other_than_f_p():
         frobenius_root(CIdeal.of([X**2]))
     K = extension_field(2, 2)
     S = PolyRing(K, ("X",))
-    f = MPoly(S, {(2,): K.one(), (0,): (0, 1)})
+    t = K.element_from_index(2)  # the index with base-2 digits (0, 1)
+    f = MPoly(S, {(2,): K.one(), (0,): t})
     with pytest.raises(RingMismatch):
         frobenius_root(CIdeal.of([f]))
 

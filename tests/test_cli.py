@@ -4,6 +4,7 @@ from fractions import Fraction
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -302,6 +303,26 @@ def test_cli_corpus_bad_entry_is_one_error_line(tmp_path, capsys, field, value):
     assert str(path) in err and "entry 0 ('probe')" in err and field in err
     with pytest.raises(PweylError, match="corpus.json"):
         load_corpus(path)
+
+
+def test_corpus_with_a_large_prime_loads_promptly(tmp_path, capsys):
+    # trial division up to the square root took minutes on 10^18 + 3; a
+    # prime past the bound where primality is decided exactly is refused
+    entry = {"name": "probe", "n": 1, "generators": ["d1 - 1"], "primes": [10**18 + 3]}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"schema": "pweyl-corpus-v1", "entries": [entry]}))
+    start = time.perf_counter()
+    (loaded,) = load_corpus(path)
+    assert time.perf_counter() - start < 5
+    assert loaded.primes == (10**18 + 3,)
+    entry["primes"] = [2**89 - 1]
+    path.write_text(json.dumps({"schema": "pweyl-corpus-v1", "entries": [entry]}))
+    with pytest.raises(PweylError, match="entry 0 .* at or above 3317044064679887385961981"):
+        load_corpus(path)
+    assert run(["corpus", "--run", str(path)]) == 1
+    assert run(["corpus", "--primes", str(2**89 - 1)]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "3317044064679887385961981" in err
 
 
 def test_cli_corpus_bad_generator_is_a_parse_error_before_any_report(tmp_path, capsys, monkeypatch):

@@ -23,6 +23,8 @@ GOLDEN_LEGENDRE = Path(__file__).parent / "data" / "golden_report_legendre_exp_p
 GOLDEN_TORUS_N3 = Path(__file__).parent / "data" / "golden_report_torus_n3_p3.json"
 GOLDEN_CHARVAR_TORUS_N3 = Path(__file__).parent / "data" / "golden_charvar_torus_n3.json"
 GOLDEN_RANK_GF121 = Path(__file__).parent / "data" / "golden_report_rank_gf121_p11.json"
+GOLDEN_RANK_GF8 = Path(__file__).parent / "data" / "golden_report_rank_gf8_p2.json"
+GOLDEN_RANK_GF27 = Path(__file__).parent / "data" / "golden_report_rank_gf27_p3.json"
 GOLDEN_TRUNCATED_PLATEAU = (
     Path(__file__).parent / "data" / "golden_report_truncated_plateau_p5.json"
 )
@@ -129,6 +131,28 @@ def test_rank_over_gf121_matches_frozen_golden():
         )
     assert code == 0
     assert buf.getvalue() == GOLDEN_RANK_GF121.read_text()
+
+
+@pytest.mark.parametrize(
+    "prime, generator, golden",
+    [
+        # t^3 + t + 1 is the Conway polynomial of GF(2^3): every sample lies
+        # there, where -1 = 1, and one has the coordinate (t^2)
+        ("2", "d1^3 + d1 + 1", GOLDEN_RANK_GF8),
+        # t^3 - t - 1 has no root in F_3, so every sample lies in GF(3^3)
+        ("3", "d1^3 - d1 - 1", GOLDEN_RANK_GF27),
+    ],
+    ids=["gf8", "gf27"],
+)
+def test_rank_over_cubic_extensions_matches_frozen_golden(prime, generator, golden):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(
+            ["psupport", "--method", "exact", "--json", "--seed", "0", "-n", "1", "-p", prime]
+            + [generator]
+        )
+    assert code == 0
+    assert buf.getvalue() == golden.read_text()
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from pweyl.errors import DivisionByZero, NotUnit
 from pweyl.rings import QQ, GaloisField, Zmod, extension_field, is_prime
 
-from helpers import fermat_inv, random_coeff, schoolbook_mul
+from helpers import coefficients, fermat_inv, random_coeff, schoolbook_mul
 
 ALL_RINGS = [Zmod(5), Zmod(9), Zmod(49), extension_field(3, 2), extension_field(2, 3), QQ]
 
@@ -174,17 +174,105 @@ def test_non_primitive_modulus_rejected(p, k, modulus):
 def test_power_table_shared_by_every_instance():
     K, L = extension_field(3, 2), extension_field(3, 2)
     assert K == L and K is not L
-    assert K._exp is L._exp and K._log is L._log
+    assert K._coeffs is L._coeffs and K._elements is L._elements and K._zech is L._zech
 
 
 def test_extension_field_embeds_prime_field():
     K = extension_field(3, 2)
-    assert K.from_base(2) == (2, 0)
+    assert coefficients(K, K.from_base(2)) == (2, 0)
     assert K.add(K.from_base(2), K.from_base(2)) == K.from_base(1)
+
+
+def tuple_mul(K, a, b):
+    """The product of two coefficient tuples modulo the modulus of K, by
+    reducing the schoolbook product from the top degree down."""
+    prod = [0] * (2 * K.k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % K.p
+    for d in range(len(prod) - 1, K.k - 1, -1):
+        c, prod[d] = prod[d], 0
+        for j in range(K.k):
+            prod[d - K.k + j] = (prod[d - K.k + j] - c * K.modulus[j]) % K.p
+    return tuple(prod[: K.k])
+
+
+def printed(c):
+    """A coefficient tuple, lowest degree first, as reports print it."""
+    if not any(c[1:]):
+        return str(c[0])
+    terms = [str(c[0])] if c[0] else []
+    for j, x in enumerate(c[1:], start=1):
+        power = "t" if j == 1 else f"t^{j}"
+        if x:
+            terms.append(power if x == 1 else f"{x}*{power}")
+    return "(" + " + ".join(terms) + ")"
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_every_operation_matches_coefficient_tuples(p, k):
+    # every pair of GF(p^k) against coefficient-tuple arithmetic modulo the
+    # Conway polynomial; the element with coefficient tuple c is the one at
+    # the index whose base-p digits, lowest first, are c
+    K = extension_field(p, k)
+    tuples = [tuple(i // p**j % p for j in range(k)) for i in range(K.size)]
+    elements = [K.element_from_index(i) for i in range(K.size)]
+    assert len(set(elements)) == K.size
+    assert list(K.elements()) == elements
+    of = dict(zip(tuples, elements))
+    # the order is pinned to the printed coefficients, and the payload of
+    # t^j, j < k, is 1 + j, t^j being the index p^j
+    for c, a in of.items():
+        assert K.format_value(a) == printed(c), c
+    assert [K.element_from_index(p**j) for j in range(k)] == list(range(1, k + 1))
+    assert K.element_from_index(0) == K.zero() == 0
+    for c, a in of.items():
+        assert K.neg(a) == of[tuple(-x % p for x in c)], c
+        if any(c):
+            assert of[tuple_mul(K, c, tuples[elements.index(K.inv(a))])] == K.one(), c
+        else:
+            with pytest.raises(DivisionByZero):
+                K.inv(a)
+        for d, b in of.items():
+            assert K.add(a, b) == of[tuple((x + y) % p for x, y in zip(c, d))], (c, d)
+            assert K.sub(a, b) == of[tuple((x - y) % p for x, y in zip(c, d))], (c, d)
+            assert K.mul(a, b) == of[tuple_mul(K, c, d)], (c, d)
 
 
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    sieve = [False, False] + [True] * (10**5 - 2)
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(range(d * d, 10**5, d))
+    assert [is_prime(n) for n in range(10**5)] == sieve
+
+
+def test_is_prime_is_exact_on_large_numbers():
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**61 - 1)
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+    assert 151 * 751 * 28351 == 3215031751
+    # the least strong pseudoprime to the first 12 primes, caught by 41
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime((10**18 + 3) * (10**6 + 3))
+    # past the bound below which the 13 witnesses decide, no verdict is guessed
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError, match="at or above"):
+        is_prime(2**89 - 1)
+    # a small factor still decides exactly, whatever the size
+    assert not is_prime(2 * (2**89 - 1))
+
+
+def test_zmod_knows_whether_it_is_a_field():
+    assert Zmod(7).is_field and not Zmod(9).is_field and Zmod(10**18 + 3).is_field
+    assert Zmod(9) == Zmod(9) and hash(Zmod(9)) == hash(Zmod(9))
+    assert repr(Zmod(9)) == "Zmod(modulus=9)"
 
 
 def test_symmetric_formatting():
