@@ -32,6 +32,27 @@ Each route reads its twist off the ideal's own algebra A_n(F_p)
   polynomials of degree <= d that the ideal's normal form kills, by linear
   algebra, up to a plateau certified in dimension.
 
+Two facts let the exact route and the fibres do less elimination:
+
+* External products.  When the reduced left basis splits into blocks on
+  disjoint sets of variable pairs (x_i, d_i) (``_blocks``), D/I is the
+  external product of the D_k/I_k, I_k generated by block k in its own
+  n_k pairs, times D_free on the pairs no block touches.  Then
+  I cap Z = sum_k (I_k cap Z_k) * Z, and the fibre dimensions multiply:
+  over a field, Z_1/Ann(M_1) tensor Z_2/Ann(M_2) embeds in
+  End(M_1) tensor End(M_2), which embeds in End(M_1 tensor M_2), and the
+  fibre of M_1 tensor M_2 at (P_1, P_2) is the tensor product of the
+  fibres, each free pair giving D_1 over its centre, of rank p^2.  So each
+  block is eliminated at its own n_k, over sum_k p^(n_k) positions rather
+  than p^n, and its fibre read on its own simple module of rank p^(n_k)
+  (``_fiber_reader``).  The union of the blocks' reduced bases, in
+  disjoint variables, sorted by lead, is the reduced basis of I cap Z.
+* Central contraction steps.  When every slot-i exponent of the basis f
+  of the step before is divisible by p, each f lies in the ring B with x_i
+  replaced by X_i; as A = sum_s x_i^s * B is direct, the span of the
+  x_i^s * f is the direct sum of the x_i^s * (f), whose part on residue 0
+  is (f).  So that step eliminates the basis alone, not its p copies.
+
 J_d lies in I cap Z, so krull_dim(J_d) >= s, the dimension of V(I cap Z).
 D/I has GK dimension d(gr_B(D/I)) for the Bernstein filtration (McConnell-
 Robson 8.6), the dimension of the grevlex leads of its reduced left basis,
@@ -90,14 +111,16 @@ whose lead no earlier kernel vector's lead divides.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
+from operator import itemgetter
 
 from .cgb import CIdeal, _eliminate_onto, _lead_dim, _reduced_ideal, krull_dim
 from .errors import RingMismatch
 from .linalg import Echelon, rank as matrix_rank
-from .mpoly import MPoly, PolyRing
+from .mpoly import CompiledRows, MPoly, PolyRing
 from .orders import GREVLEX, monomial_divides
 from .rings import Zmod, is_prime
 from .weyl import WeylOp, _weyl_submul, is_central
+from .wgb import LeftIdeal
 
 EXACT_GUARD = 64
 
@@ -199,24 +222,61 @@ def _eliminate_residues(elements, p, slots, F):
     return _eliminate_onto(vecs, 0, F)
 
 
-def central_annihilator_exact(ideal):
-    """I intersect Z by elimination over A = F_p[x, Xi]; certified generators.
+def _blocks(ideal):
+    """The reduced left basis of an external product split into its
+    factors, as (at, sub-ideal) pairs; None for an ideal that is not one.
 
-    The x_i and Xi_i = d_i^p commute, and D is the free A-module on the
-    d^r, 0 <= r_i < p; x^a d^b is x^a Xi^(b // p) at position b mod p.  The
-    left ideal I is the A-submodule spanned by d^r * g over the residues r
-    and the reduced left basis g, so I cap A is its intersection with the
-    coordinate of d^0: one residue elimination (``_eliminate_residues``) at
-    the d slots.  Each d^r * g is built as a term dict by the Weyl product
-    in the engine's form (``weyl._weyl_submul``) from g's engine pairs
-    (``_Ideal._pairs``), with no operator built.  A is in turn free of rank
-    p over F_p[X_1, x_2, .., x_n, Xi] on the x_1^s, 0 <= s < p, and so on,
-    so the contraction to
-    Z = F_p[X, Xi] is one residue elimination per variable, at slot i, of
-    the x_i^s * f over the basis f of the step before.  Each elimination
-    finishes only the elements on residue 0, and the last one gives the
-    reduced grevlex basis of I cap Z, which is also ``gens``.
+    Each basis element touches the variable pairs (x_i, d_i) at which one of
+    its exponents is nonzero, and elements that touch a common pair join one
+    block.  A block's n_k pairs are those its elements touch, ascending, and
+    ``at`` lists their exponent slots in the whole ideal, the x slots then
+    the d slots, which are also their coordinates in the twisted ring.  Its
+    sub-ideal is the left ideal of A_(n_k)(F_p) that its elements generate,
+    read at those slots.  Leads of other blocks divide no term of a block,
+    so a block's elements are the sub-ideal's reduced basis, cached as they
+    are.  The blocks come in the order of their smallest pair; a pair that
+    no element touches is in none.  None when one block covers all n pairs,
+    and for the zero and the unit ideal, which go to the whole-ideal code as
+    they are.  Computed once per ideal, and cached on it.
     """
+    cache = ideal._cache
+    if "blocks" not in cache:
+        cache["blocks"] = None
+        n, basis = ideal.n, ideal.groebner_basis()
+        if n > 1 and basis and basis[0].total_degree() > 0:
+            groups = []  # (slots touched, basis indices), on disjoint slots
+            for index, g in enumerate(basis):
+                touched = {i for e in g.terms for i in range(n) if e[i] or e[n + i]}
+                joined = [grp for grp in groups if grp[0] & touched]
+                for grp in joined:
+                    groups.remove(grp)
+                    touched |= grp[0]
+                groups.append((touched, sorted(sum((grp[1] for grp in joined), [index]))))
+            if len(groups) > 1 or len(groups[0][0]) < n:
+                cache["blocks"] = tuple(
+                    _block(ideal, tuple(sorted(touched)), [basis[j] for j in members])
+                    for touched, members in sorted(groups, key=lambda grp: min(grp[0]))
+                )
+    return cache["blocks"]
+
+
+def _block(ideal, slots, members):
+    """The (at, sub-ideal) pair of ``_blocks`` for the basis elements
+    ``members``, in basis order, each read at the variable pairs ``slots``."""
+    at, F = slots + tuple(ideal.n + v for v in slots), ideal.ring
+    gens = tuple(
+        WeylOp(F, len(slots), {tuple(e[j] for j in at): c for e, c in g.terms.items()})
+        for g in members
+    )
+    sub = LeftIdeal(F, len(slots), gens)
+    sub._cache["basis"] = gens
+    return at, sub
+
+
+def _exact_basis(ideal):
+    """The reduced grevlex basis of I cap Z for the left ideal I, as term
+    dicts in the twisted coordinates, lead first: the elimination of
+    ``central_annihilator_exact`` on the ideal as a whole."""
     twist = _twist_of(ideal.ring, ideal.n)
     p, n, F = twist.p, twist.n, twist.weyl_ring
     # submul subtracts factor * d^r * g; from an empty dict with factor -1
@@ -230,13 +290,59 @@ def central_annihilator_exact(ideal):
             products.append({e: c for (_, e), c in work.items()})
     basis = _eliminate_residues(products, p, range(n, 2 * n), F)
     for i in range(n):
-        products = [
-            {e[:i] + (e[i] + s,) + e[i + 1 :]: c for e, c in f.items()}
-            for f in basis
-            for s in range(p)
-        ]
+        if any(e[i] % p for f in basis for e in f):
+            products = [
+                {e[:i] + (e[i] + s,) + e[i + 1 :]: c for e, c in f.items()}
+                for f in basis
+                for s in range(p)
+            ]
+        else:  # a central step: the x_i^s * f span the sum of the x_i^s * (f)
+            products = basis
         basis = _eliminate_residues(products, p, (i,), F)
-    ring = twist.twisted_ring
+    return basis
+
+
+def central_annihilator_exact(ideal):
+    """I intersect Z by elimination over A = F_p[x, Xi]; certified generators.
+
+    The x_i and Xi_i = d_i^p commute, and D is the free A-module on the
+    d^r, 0 <= r_i < p; x^a d^b is x^a Xi^(b // p) at position b mod p.  The
+    left ideal I is the A-submodule spanned by d^r * g over the residues r
+    and the reduced left basis g, so I cap A is its intersection with the
+    coordinate of d^0: one residue elimination (``_eliminate_residues``) at
+    the d slots.  Each d^r * g is built as a term dict by the Weyl product
+    in the engine's form (``weyl._weyl_submul``) from g's engine pairs
+    (``_Ideal._pairs``), with no operator built.  A is in turn free of rank
+    p over F_p[X_1, x_2, .., x_n, Xi] on the x_1^s, 0 <= s < p, and so on,
+    so the contraction to Z = F_p[X, Xi] is one residue elimination per
+    variable, at slot i, of the x_i^s * f over the basis f of the step
+    before; a basis with every slot-i exponent divisible by p is eliminated
+    alone (module docstring).  Each elimination finishes only the elements
+    on residue 0, and the last one gives the reduced grevlex basis of
+    I cap Z, which is also ``gens``.
+
+    An external product (``_blocks``) is eliminated block by block, each at
+    its own number of variables, and the union of the blocks' bases, mapped
+    into the twisted ring and sorted by lead, is the reduced basis of
+    I cap Z (module docstring).  No block gives 1: the unit ideal is never
+    split, and a block's ideal lies in I.
+    """
+    twist = _twist_of(ideal.ring, ideal.n)
+    ring, blocks = twist.twisted_ring, _blocks(ideal)
+    if blocks is None:
+        basis = _exact_basis(ideal)
+    else:
+        basis = []
+        for at, sub in blocks:
+            for f in _exact_basis(sub):
+                g = {}
+                for e, c in f.items():
+                    full = [0] * (2 * twist.n)
+                    for j, v in zip(at, e):
+                        full[j] = v
+                    g[tuple(full)] = c
+                basis.append(g)
+        basis.sort(key=lambda f: GREVLEX.key(next(iter(f))))
     return AnnihilatorResult(_reduced_ideal([MPoly(ring, f) for f in basis], ring), "exact")
 
 
@@ -308,6 +414,39 @@ def _fiber_dim(module_rows, twist, K, pt):
     beta = tuple(_pth_root(K, xi) for xi in pt[n:])
     rows = module_rows.at(pt[:n] + beta, K)
     return dim_v * (dim_v - matrix_rank(rows, K, dim_v))
+
+
+def _fiber_reader(ideal):
+    """The fibre dimension of D/I as a function of (K, pt), pt a point of
+    the centre over the finite field K, for ``psupport.generic_rank``.
+
+    Each block of ``_blocks`` (or the whole ideal, if it is no external
+    product) has its module rows (``_simple_module_rows``) compiled once,
+    as ``mpoly.CompiledRows``, and is read at its own coordinates by
+    ``_fiber_dim``; the fibre of an external product is the product of its
+    blocks' fibres, times p^2 for each variable pair that no block touches
+    (module docstring).
+    """
+    twist = _twist_of(ideal.ring, ideal.n)
+    blocks = _blocks(ideal) or [(tuple(range(2 * twist.n)), ideal)]  # whole point
+    free = twist.p ** (2 * twist.n - sum(len(at) for at, _ in blocks))
+    # at has 2 * n_k >= 2 slots, so itemgetter(*at) returns a tuple
+    factors = [
+        (
+            itemgetter(*at),
+            _twist_of(sub.ring, sub.n),
+            CompiledRows(_simple_module_rows(sub), sub.ring),
+        )
+        for at, sub in blocks
+    ]
+
+    def fiber(K, pt):
+        dim = free
+        for coordinates, tw, rows in factors:
+            dim *= _fiber_dim(rows, tw, K, coordinates(pt))
+        return dim
+
+    return fiber
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,8 @@ ideal in the twisted cotangent ring: dimension, coisotropy under the
 canonical bracket, the middle-dimension verdict, conicality for the fiber
 dilation, and, on the exact route, the generic fiber rank from sampled
 points of the variety, where D/I is read on the simple module of rank p^n
-over each point (``center._simple_module_rows``).  The module rows and the
+over each point (``center._simple_module_rows``), an external product one
+factor at a time (``center._fiber_reader``).  The module rows and the
 Jacobian of the annihilator's basis are compiled once per rank
 (``mpoly.CompiledRows``), so a point costs only the work that depends on it:
 one evaluation of each, and their ranks.  The points are searched
@@ -30,8 +31,7 @@ import random
 from .cgb import CIdeal, frobenius_root, krull_dim, radical_member
 from .center import (
     EXACT_GUARD,
-    _fiber_dim,
-    _simple_module_rows,
+    _fiber_reader,
     _support_dimension,
     _twist_of,
     central_annihilator,
@@ -324,8 +324,12 @@ def generic_rank(ideal, annihilator, attempts=5, seed=0):
     K.  The image of I is the left ideal of the endomorphisms that kill the
     common kernel W of the reduced left basis on V, so the fiber of D/I has
     dimension p^n * dim W = p^n * (p^n - rank), the rank of the basis's
-    matrices on V with their rows stacked.  Those rows are built once per
-    call, from the p^n products g * x^s, each one right multiplication by an
+    matrices on V with their rows stacked.  The samples are chosen on the
+    whole annihilator, but an external product is read one block at a time
+    (``center._fiber_reader``): its fibre is the product of the blocks'
+    fibres, each on its own simple module at its own coordinates, times p^2
+    for each variable pair that no block touches.  The rows are built once
+    per call, from the products g * x^s, each one right multiplication by an
     x_i of an earlier one, and compiled once (``mpoly.CompiledRows``), as
     are the Jacobian entries.  At each point beta is one square-and-multiply
     per coordinate (``center._pth_root``), every distinct monomial is one
@@ -341,14 +345,14 @@ def generic_rank(ideal, annihilator, attempts=5, seed=0):
     if annihilator.is_unit_ideal():
         raise EmptySupport("unit annihilator: the support is empty")
     basis = annihilator.groebner_basis()
-    module_rows = CompiledRows(_simple_module_rows(ideal), ideal.ring)
+    fiber = _fiber_reader(ideal)
     chosen = _choose_samples(basis, 2 * twist.n, twist.p, attempts, random.Random(seed))
 
     samples = []
     dicts = []
     fields = {}  # k -> the label of F_(p^k) and {coordinate: its string}
     for jr, k, K, pt in chosen:
-        s = RankSample(pt, k, jr, _fiber_dim(module_rows, twist, K, pt))
+        s = RankSample(pt, k, jr, fiber(K, pt))
         if k not in fields:
             fields[k] = (f"GF({twist.p}^{k})" if k > 1 else f"GF({twist.p})", {})
         label, formatted = fields[k]

@@ -18,6 +18,7 @@ from pweyl import (
 )
 from pweyl import cgb
 from pweyl.center import (
+    _blocks,
     _monomials_up_to,
     _simple_module_rows,
     _split_residues,
@@ -25,12 +26,12 @@ from pweyl.center import (
     truncated_kernel,
 )
 from pweyl.corpus import load_corpus
-from pweyl.errors import BadPrime, RingMismatch
-from pweyl.mpoly import MPoly, PolyRing
+from pweyl.errors import BadPrime, NoPointsFound, RingMismatch
+from pweyl.mpoly import CompiledRows, MPoly, PolyRing
 from pweyl.orders import monomial_divides
 from pweyl.poisson import coisotropy_check
-from pweyl.psupport import specialize_mod_p
-from pweyl.rings import QQ, Zmod
+from pweyl.psupport import generic_rank, specialize_mod_p
+from pweyl.rings import QQ, Zmod, extension_field
 
 from helpers import (
     berkowitz_det,
@@ -220,13 +221,15 @@ def test_truncated_route_gives_the_exact_n2_pins(texts, p, basis):
     [
         (("d1 - x1",), 1, 11, 12),
         (("x1*d1^2 + d1 - x1",), 1, 7, 10),
-        (LEGENDRE_EXP, 2, 5, 59),
+        (LEGENDRE_EXP, 2, 5, 13),
     ],
 )
 def test_exact_route_finishes_only_the_elements_it_reads(monkeypatch, texts, n, p, calls):
     # each residue elimination, onto d^0 and then onto x_i^0 for each i,
     # tail-reduces only the basis elements on residue 0; tail-reducing every
-    # element of every basis takes 32, 28 and 107 reductions
+    # element of every basis takes 144, 115 and 80 reductions.  Legendre ⊠
+    # e^(x2) is eliminated one factor at a time, at n = 1; the whole ideal,
+    # eliminated at n = 2, takes 59
     tw = FrobeniusTwist(p, n)
     I = LeftIdeal.of([parse_weyl(text, n, tw.weyl_ring) for text in texts])
     I.groebner_basis()
@@ -250,11 +253,12 @@ class _Captured(Exception):
 def test_exact_route_eliminates_the_products_d_r_times_g(monkeypatch, n, p):
     # the first residue elimination gets d^r * g for each g of the reduced
     # left basis and each residue r, in that order; the route builds them
-    # with the Weyl product directly, and they equal the operator products
+    # with the Weyl product directly, and they equal the operator products.
+    # An operator that touches one variable pair only is eliminated as its
+    # first block, at n = 1
     import pweyl.center as center
 
     F, rng = Zmod(p), random.Random(10 * p + n)
-    d_powers = [WeylOp.monomial(F, n, (0,) * n + r) for r in product(range(p), repeat=n)]
     seen = []
 
     def capture(elements, *args):
@@ -269,7 +273,126 @@ def test_exact_route_eliminates_the_products_d_r_times_g(monkeypatch, n, p):
         seen.clear()
         with pytest.raises(_Captured):
             central_annihilator_exact(I)
-        assert seen == [[(dr * g).terms for g in I.groebner_basis() for dr in d_powers]]
+        J = I if _blocks(I) is None else _blocks(I)[0][1]
+        d_powers = [WeylOp.monomial(F, J.n, (0,) * J.n + r) for r in product(range(p), repeat=J.n)]
+        assert seen == [[(dr * g).terms for g in J.groebner_basis() for dr in d_powers]]
+
+
+def shifted_copies(basis, i, shifts):
+    """The x_i^s * f for f in ``basis`` and s in ``shifts``, as term dicts."""
+    return [
+        {e[:i] + (e[i] + s,) + e[i + 1 :]: c for e, c in f.items()} for f in basis for s in shifts
+    ]
+
+
+def split_at(elements, p, i):
+    """The elements split by their residues at slot i, as the vectors of
+    ``center._eliminate_residues``: residue r at position r."""
+    return [
+        {(r, e): c for (r,), part in _split_residues(f, p, (i,)).items() for e, c in part.items()}
+        for f in elements
+    ]
+
+
+@pytest.mark.parametrize(
+    "texts, n, p, central",
+    [
+        (("d1 - x1",), 1, 5, [True]),
+        (("d1^3 - x1",), 1, 7, [True]),
+        (("x1*d1 - 1/3",), 1, 5, [False]),
+        (("x1^2*d1 - 1",), 1, 5, [True]),
+        (("x1*d1^2 + d1 - x1",), 1, 7, [True]),
+        (("d1*d2 - 1", "x1*d1 - x2*d2"), 2, 3, [True, True]),
+        (("x2*d1*d2 + d1 - 3",), 2, 3, [True, False]),
+        (("x1*d1 - x2*d2", "x2*d2 - x3*d3", "d1*d2*d3 - 1"), 3, 2, [True, True, True]),
+    ],
+)
+def test_central_contraction_steps_eliminate_the_basis_alone(monkeypatch, texts, n, p, central):
+    # the contraction step at slot i gets the basis f of the step before
+    # alone when every slot-i exponent of it is divisible by p (a central
+    # step), and its p copies x_i^s * f otherwise; either way it returns the
+    # elimination of the p copies
+    import pweyl.center as center
+
+    tw = FrobeniusTwist(p, n)
+    I = LeftIdeal.of([parse_weyl(text, n, tw.weyl_ring) for text in texts])
+    eliminate, seen = center._eliminate_onto, []
+
+    def capture(vecs, k, R):
+        out = eliminate(vecs, k, R)
+        seen.append((vecs, out))
+        return out
+
+    monkeypatch.setattr(center, "_eliminate_onto", capture)
+    central_annihilator_exact(I)
+    assert len(seen) == n + 1
+    for i in range(n):
+        basis, (vecs, out) = seen[i][1], seen[i + 1]
+        assert central[i] == (not any(e[i] % p for f in basis for e in f))
+        assert vecs == split_at(shifted_copies(basis, i, (0,) if central[i] else range(p)), p, i)
+        assert out == eliminate(split_at(shifted_copies(basis, i, range(p)), p, i), 0, tw.weyl_ring)
+
+
+def in_pair(L, n, i):
+    """The operator L of A_1 as an operator of A_n in the variable pair i."""
+    terms = {}
+    for (a, b), c in L.terms.items():
+        e = [0] * (2 * n)
+        e[i], e[n + i] = a, b
+        terms[tuple(e)] = c
+    return WeylOp(L.ring, n, terms)
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (3, 2)])
+def test_external_products_split_into_their_factors(n, p):
+    # I = I_1 + .. + I_k, each I_k generated in one variable pair (n_k = 1),
+    # some pairs untouched, with the one-variable draw sizes of
+    # test_principal_ladder_stops_at_the_exact_generator.  The exact route,
+    # block by block, gives the elimination of the whole ideal at n, and the
+    # fibre, the product of the blocks' fibres times p^2 for each untouched
+    # pair, the whole ideal's fibre: at every sample of generic_rank and at
+    # random points over GF(p) and GF(p^2)
+    import pweyl.center as center
+
+    rng = random.Random(100 * n + p)
+    tw = FrobeniusTwist(p, n)
+    F = tw.weyl_ring
+    ideals = [LeftIdeal.of([parse_weyl("d1 - x1", n, F)])]
+    for _ in range(8):
+        pairs = rng.sample(range(n), rng.randrange(1, n + 1))
+        ideals.append(
+            LeftIdeal.of(
+                [
+                    in_pair(random_weylop(F, 1, rng, max_exp=3, max_terms=4, nonzero=True), n, i)
+                    for i in pairs
+                    for _ in range(rng.randrange(1, 3))
+                ]
+            )
+        )
+    for I in ideals:
+        label = str(I)
+        assert (_blocks(I) is None) == I.is_unit_ideal(), label
+        ann = central_annihilator_exact(I).ideal
+        whole = [MPoly(tw.twisted_ring, f) for f in center._exact_basis(I)]
+        assert [g.terms for g in ann.groebner_basis()] == [g.terms for g in whole], label
+        rows = CompiledRows(_simple_module_rows(I), F)
+        fiber = center._fiber_reader(I)
+        points = []
+        if not ann.is_unit_ideal():
+            try:
+                samples = generic_rank(I, ann).samples
+            except NoPointsFound:
+                samples = ()
+            points += [(extension_field(p, s.degree), s.point, s.fiber_dim) for s in samples]
+        for k in (1, 2):
+            K = extension_field(p, k)
+            points += [
+                (K, tuple(rng.choice(K.elements()) for _ in range(2 * n)), None) for _ in range(4)
+            ]
+        for K, pt, sampled in points:
+            want = center._fiber_dim(rows, tw, K, pt)
+            assert fiber(K, pt) == want, (label, pt)
+            assert sampled in (None, want), (label, pt)
 
 
 def reference_module_rows(ideal):

@@ -503,16 +503,22 @@ def test_rank_on_exact_route_builds_no_presentation_over_the_centre(monkeypatch)
 
     monkeypatch.setattr(center, "_split_residues", counting)
     xs, ds, one = qq_gens(2)
-    spec = DModuleSpec(2, (ds[0] - xs[0], ds[1] - one))
-    r = p_support(spec, 2, compute_rank=False)
-    assert r.annihilator_status == "exact" and r.generic_rank is None
-    r = p_support(spec, 2)
-    assert r.annihilator_status == "exact" and r.generic_rank == 4
     # the exact annihilator splits by the n d-exponents, then by one
     # x-exponent per contraction step, and the rank, which reads the fibres
     # on the simple module of rank p^n, by the n x-exponents; nothing splits
-    # by all 2n exponents over the centre
-    assert set(calls) == {1, 2}
+    # by all 2n exponents over the centre.  An external product is read one
+    # factor at a time, each at n = 1, so nothing splits by two slots
+    for gens, rank, slots in [
+        ((ds[0] * ds[1] - one, xs[0] * ds[0] - xs[1] * ds[1]), 4, {1, 2}),
+        ((ds[0] - xs[0], ds[1] - one), 4, {1}),
+    ]:
+        spec = DModuleSpec(2, gens)
+        calls.clear()
+        r = p_support(spec, 2, compute_rank=False)
+        assert r.annihilator_status == "exact" and r.generic_rank is None
+        r = p_support(spec, 2)
+        assert r.annihilator_status == "exact" and r.generic_rank == rank
+        assert set(calls) == slots
 
 
 def test_fiber_dim_matches_the_rank_p2n_presentation():

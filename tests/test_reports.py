@@ -28,6 +28,8 @@ GOLDEN_RANK_GF27 = Path(__file__).parent / "data" / "golden_report_rank_gf27_p3.
 GOLDEN_TRUNCATED_PLATEAU = (
     Path(__file__).parent / "data" / "golden_report_truncated_plateau_p5.json"
 )
+GOLDEN_PRODUCT_LEGENDRE = Path(__file__).parent / "data" / "golden_report_legendre_exp_p7.json"
+GOLDEN_PRODUCT_UNTOUCHED = Path(__file__).parent / "data" / "golden_report_untouched_x2_p5.json"
 GOLDEN_TRUNCATED_PRINCIPAL = (
     Path(__file__).parent / "data" / "golden_report_truncated_principal_p7.json"
 )
@@ -150,6 +152,30 @@ def test_rank_over_cubic_extensions_matches_frozen_golden(prime, generator, gold
         code = run(
             ["psupport", "--method", "exact", "--json", "--seed", "0", "-n", "1", "-p", prime]
             + [generator]
+        )
+    assert code == 0
+    assert buf.getvalue() == golden.read_text()
+
+
+@pytest.mark.parametrize(
+    "prime, generators, golden",
+    [
+        # Legendre times e^(x2) at p = 7, rank on: two blocks, each eliminated
+        # and read on its own simple module at n = 1
+        ("7", ["x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4", "d2 - 1"], GOLDEN_PRODUCT_LEGENDRE),
+        # d1 - x1 at n = 2: one block at n = 1, and the untouched pair
+        # (x2, d2) multiplies each fibre by p^2, to 125
+        ("5", ["d1 - x1"], GOLDEN_PRODUCT_UNTOUCHED),
+    ],
+    ids=["legendre-exp", "untouched"],
+)
+def test_external_product_report_matches_frozen_golden(prime, generators, golden):
+    # whole reports of the exact route on external products, rank on
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(
+            ["psupport", "--method", "exact", "--json", "--seed", "0", "-n", "2", "-p", prime]
+            + generators
         )
     assert code == 0
     assert buf.getvalue() == golden.read_text()
