@@ -67,6 +67,22 @@ element of it of degree <= deg h is a scalar multiple of h.  The first rung
 with a nonzero kernel has exactly h, and the ladder stops there with
 J_d = I cap Z: at rung 1 for the unit ideal, and by the top degree always,
 since the reduced norm of g lies in I cap Z.
+
+The same stop holds block by block.  When every block of an external
+product (``_blocks``) has a one-element basis, each I_k cap Z_k = (h_k), so
+I cap Z = sum_k (h_k) * Z.  The h_k lie in disjoint variables, so they are
+the reduced basis of I cap Z, and every element of I cap Z has a lead that
+some lead(h_k) of no greater degree divides.  The kernel vectors kept at
+rung d are thus the h_k of degree <= d: the kept vector v at lead(h_k) has
+every other term on a pivot column, which no kernel lead divides, and
+h_k's other terms are not divisible by any lead(h_j), so v - h_k, an
+element of I cap Z, would have a lead that no lead(h_j) divides.  The first
+rung whose kernel has one vector per block, d = max deg h_k, has
+J_d = I cap Z, and the ladder stops there, the h_k in column order its
+reduced basis.  No rung before it can stop on a plateau: an ideal missing
+some h_k has dimension above s.  At the top degree D with more than one
+block the stop gives way, and the ladder ends as it always has, with
+J_D = I cap Z reported "truncated(D)".
 The plateau test reduces only the kernel vectors new at rung d modulo
 J_(d-1), which lies in J_d; only a rung that grows the ideal runs Buchberger.
 
@@ -93,7 +109,17 @@ the one whose shift leaves the fewest terms on a basis lead, the last slot
 on a tie.  No basis lead divides a term of nf(X^(e - u_k)), so after the
 shift only a lead positive at slot k can divide one, and a shift with no
 term on a lead is a normal form already: it is kept without a reduction.
-Only nf(1) is normalised directly.
+A shift that lands on a lead is not built when nf(X_k), the normal form
+of column u_k, is not z_k = embed(X_k) itself; the ladder reduces
+
+    nf(X^e) = nf(nf(X^(e - u_k)) * nf(X_k))
+
+instead.  z_k is central and I is a left ideal, so X^e = z_k * X^(e - u_k)
+is congruent to z_k * nf(X^(e - u_k)) = nf(X^(e - u_k)) * z_k, and that to
+the product, as their difference nf(X^(e - u_k)) * (z_k - nf(X_k)) lies in
+I.  (The other order is congruent too: I * q lies in I when q = c - a for
+a central c and a in I, as b * q = c * b - b * a for b in I.)  Only nf(1)
+is normalised directly.
 
 The ladder never normalises a monomial X^e that the lead X^m of an earlier
 kernel vector u divides.  X^(e - m) * u lies in I cap Z with lead X^e and
@@ -111,7 +137,7 @@ whose lead no earlier kernel vector's lead divides.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
-from operator import itemgetter
+from operator import itemgetter, le
 
 from .cgb import CIdeal, _eliminate_onto, _lead_dim, _reduced_ideal, krull_dim
 from .errors import RingMismatch
@@ -458,34 +484,59 @@ def _monomials_up_to(nvars, degree):
     return tuple(sorted(monos, key=GREVLEX.key))
 
 
+def _ladder(ideal):
+    """The ladder's one state on the ideal (``truncated_kernel``), made on
+    first use: (nfs, echelon, kernel, lowered), lowered[k] holding each
+    basis lead positive at slot k with p taken off there, at least 0."""
+    cache = ideal._cache
+    if "ladder" not in cache:
+        p, leads = ideal.ring.characteristic, ideal._leads()
+        lowered = [
+            [lead[:k] + (max(lead[k] - p, 0),) + lead[k + 1 :] for lead in leads if lead[k]]
+            for k in range(2 * ideal.n)
+        ]
+        ring = _twist_of(ideal.ring, ideal.n).twisted_ring
+        cache["ladder"] = ({}, Echelon(ring.coeffs), [], lowered)
+    return cache["ladder"]
+
+
 def _central_normal_form(ideal, e):
     """nf(embed(X^e)) for the ideal, a left ideal of A_n(F_p), by the
     Frobenius shift of a predecessor X^(e - u_k) (module docstring) whose
     normal form the ladder holds already.
 
-    Each candidate slot k with e_k > 0 is shifted once, and the shift whose
-    terms a basis lead divides least often is kept: the slots are scanned
-    from the last down, the scan stops at the first shift with none, and a
-    tie keeps the later slot.  No lead divides a term before the shift, so
-    only the leads positive at slot k can divide one after it, and a shift
-    with none is already the normal form; any other is reduced.
+    The candidate slots k with e_k > 0 are scanned from the last down, and
+    the one whose shift leaves the fewest terms on a basis lead is kept; the
+    scan stops at the first shift with none, and a tie keeps the later slot.
+    No lead divides a term before the shift, so only the leads positive at
+    slot k can divide one after it, and a lead divides key + p * u_k iff its
+    lowered form (``_ladder``) divides key: the terms are counted without
+    building a shift, and only the kept one is built.  A shift with no term
+    on a lead is already the normal form.  Any other is reduced, unless
+    nf(X_k) is not z_k itself: then nf(X^(e - u_k)) * nf(X_k) is reduced,
+    which is congruent to X^e because z_k is central and I a left ideal.
     """
     if not any(e):
         return ideal.normal_form(WeylOp.one(ideal.ring, ideal.n))
-    nfs, p, best = ideal._cache["ladder"][0], ideal.ring.characteristic, None
-    leads = ideal._leads()
+    nfs, _, _, lowered = _ladder(ideal)
+    best = None  # (hits, slot, predecessor's normal form)
     for k in reversed(range(len(e))):
         if not e[k]:
             continue
-        at_k = [lead for lead in leads if lead[k]]
-        prev = nfs[e[:k] + (e[k] - 1,) + e[k + 1 :]].terms
-        shifted = {key[:k] + (key[k] + p,) + key[k + 1 :]: c for key, c in prev.items()}
-        hits = sum(any(monomial_divides(lead, key) for lead in at_k) for key in shifted)
+        prev = nfs[e[:k] + (e[k] - 1,) + e[k + 1 :]]
+        hits = sum(any(all(map(le, low, key)) for low in lowered[k]) for key in prev.terms)
         if best is None or hits < best[0]:
-            best = (hits, shifted)
+            best = (hits, k, prev)
         if not hits:
             break
-    hits, shifted = best
+    hits, k, prev = best
+    p = ideal.ring.characteristic
+    if hits:
+        unit = tuple(int(i == k) for i in range(len(e)))
+        lift = nfs.get(unit)  # nf(X_k), not yet there for e = u_k
+        if lift is not None and lift.terms.keys() != {tuple(p * u for u in unit)}:
+            return ideal.normal_form(prev * lift)
+    shifted = {key[:k] + (key[k] + p,) + key[k + 1 :]: c for key, c in prev.terms.items()}
     nf = WeylOp(ideal.ring, ideal.n, shifted)
     return ideal.normal_form(nf) if hits else nf
 
@@ -498,20 +549,20 @@ def truncated_kernel(ideal, degree):
     among the normal forms of the embedded monomials.  The columns are the
     monomials in (degree, grevlex) order, and the ones of degree <= d are a
     prefix of the ones of degree <= d + 1.  The ladder's one state, cached
-    on the ideal, is (nfs, echelon, kernel): the normal form of each column
-    so far by its monomial, None for a skipped one; the ``linalg.Echelon``
-    of the normal forms, each added once with the combination {X^e: 1}; and
-    the (lead, vector) pairs of the kernel, in column order.  A column left
-    nonzero is a pivot, and a vanishing one's combination is the terms of
-    its kernel vector, with lead X^e and every other term on an earlier
-    column: the canonical nullspace vector of that free column.  Any
-    sequence of degrees asked for reduces each column once.  A monomial
-    that an earlier kernel lead divides is a column never normalised, with
-    no vector kept (module docstring), so no returned lead divides a later
-    one.
+    on the ideal (``_ladder``), holds the normal form of each column so far
+    by its monomial, None for a skipped one; the ``linalg.Echelon`` of the
+    normal forms, each added once with the combination {X^e: 1}; the
+    (lead, vector) pairs of the kernel, in column order; and the basis
+    leads the Frobenius shifts read.  A column left nonzero is a pivot, and
+    a vanishing one's combination is the terms of its kernel vector, with
+    lead X^e and every other term on an earlier column: the canonical
+    nullspace vector of that free column.  Any sequence of degrees asked
+    for reduces each column once.  A monomial that an earlier kernel lead
+    divides is a column never normalised, with no vector kept (module
+    docstring), so no returned lead divides a later one.
     """
     ring = _twist_of(ideal.ring, ideal.n).twisted_ring
-    nfs, echelon, kernel = ideal._cache.setdefault("ladder", ({}, Echelon(ring.coeffs), []))
+    nfs, echelon, kernel, _ = _ladder(ideal)
     one = ring.coeffs.one()
     for e in _monomials_up_to(2 * ideal.n, degree)[len(nfs) :]:
         if any(monomial_divides(lead, e) for lead, _ in kernel):
@@ -537,8 +588,11 @@ def central_annihilator_truncated(ideal, twist=None):
     The kernel ideal J_d of ``truncated_kernel(ideal, d)`` at the first
     plateau J_(d+1) = J_d of dimension at most s (``_support_dimension``),
     status "stabilized(d)", else at the top degree D, status "truncated(D)"
-    (module docstring).  For a one-element reduced left basis, J_d at the
-    first nonzero kernel is I cap Z itself, status "stabilized(d)".
+    (module docstring).  When every block of ``_blocks`` (the whole ideal,
+    for one that is no external product) has a one-element reduced basis,
+    J_d at the first rung whose kernel has one vector per block is I cap Z
+    itself, its reduced basis that kernel, status "stabilized(d)"; at d = D
+    with more than one block the status stays "truncated(D)".
     D = max(2p, m * p^(n-1)), m the least total degree of the reduced left
     basis, bounds the twisted degree of the reduced norm of a basis element
     of degree m, a nonzero central element of I.
@@ -551,13 +605,15 @@ def central_annihilator_truncated(ideal, twist=None):
         raise RingMismatch(f"{given} is not the twist of {ideal}")
     norm_degree = min((g.total_degree() for g in ideal.groebner_basis()), default=0)
     top = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
-    principal = len(ideal.groebner_basis()) == 1
+    blocks = _blocks(ideal) or [(None, ideal)]
+    principal = all(len(sub.groebner_basis()) == 1 for _, sub in blocks)
     support, prev = _support_dimension(ideal), None
     for d in range(1, top + 1):
         kernel = truncated_kernel(ideal, d)
+        # the kernel is the blocks' generators: J = I cap Z (module docstring)
+        if principal and len(kernel) == len(blocks) and (d < top or len(blocks) == 1):
+            return AnnihilatorResult(_reduced_ideal(kernel, twist.twisted_ring), f"stabilized({d})")
         J = CIdeal.of(kernel, ring=twist.twisted_ring)
-        if principal and kernel:  # J = I cap Z (module docstring)
-            return AnnihilatorResult(J, f"stabilized({d})")
         # the kernel at d - 1 is a prefix of the kernel at d
         if prev is not None and all(prev.contains(z) for z in kernel[len(prev.gens) :]):
             if krull_dim(prev) <= support:

@@ -660,12 +660,20 @@ def test_exact_annihilator_matches_the_rank_p2n_colon():
                 assert list(want) == buchberger(list(want))
 
 
-def test_ladder_normal_forms_by_frobenius_shift():
+def test_ladder_normal_forms_by_frobenius_shift(monkeypatch):
     # the cached normal forms of the embedded monomials, reached by Frobenius
     # shifts of their predecessors, equal the direct normal forms, and the
     # kernels equal the minimal leads of a per-degree reference built from
     # the direct ones; besides random inputs, two fixed ones at p = 7: basis
     # leads that cover every slot, and one lead that leaves three slots free
+    reduced = []
+    normal_form = LeftIdeal.normal_form
+
+    def recorded(self, f):
+        reduced.append(f)
+        return normal_form(self, f)
+
+    monkeypatch.setattr(LeftIdeal, "normal_form", recorded)
     rng = random.Random(5)
     cases = []
     for n, p in product((1, 2), (2, 3, 5)):
@@ -682,7 +690,9 @@ def test_ladder_normal_forms_by_frobenius_shift():
     for tw, gens in cases:
         n, p, R = tw.n, tw.p, tw.twisted_ring
         I = LeftIdeal.of(gens)
+        reduced.clear()
         kernels = [truncated_kernel(I, d) for d in range(4)]
+        ladder_reduced = list(reduced)
         monos = _monomials_up_to(2 * n, 3)
         direct = [I.normal_form(tw.embed(MPoly(R, {e: 1}))) for e in monos]
         # every column is kept, in order, with its normal form unless a
@@ -700,6 +710,15 @@ def test_ladder_normal_forms_by_frobenius_shift():
             minimal = CIdeal.of(kernels[d], ring=R)
             assert minimal.groebner_basis() == whole.groebner_basis()
             assert coisotropy_check(minimal) == coisotropy_check(whole)
+    # the last input: the shift of nf(Xi1) at slot d1 lands on the lead d1^2,
+    # and nf(Xi1) is not d1^7, so the column Xi1^2 reduces
+    # nf(Xi1) * nf(Xi1), and its shift is never built
+    xi1 = tw.embed(MPoly(R, {(0, 0, 1, 0): 1}))
+    lift = nfs[(0, 0, 1, 0)]
+    shifted = {(a, b, c + tw.p, d): v for (a, b, c, d), v in lift.terms.items()}
+    assert lift != xi1
+    assert lift * lift in ladder_reduced
+    assert WeylOp(tw.weyl_ring, 2, shifted) not in ladder_reduced
 
 
 @pytest.mark.parametrize(
@@ -775,14 +794,19 @@ def test_kernel_echelon_answers_degrees_in_any_order():
                 assert truncated_kernel(I, d) == want, (gens, p, d)
 
 
+def on_pair(L, i):
+    """The operator L of A_1 in the variable pair (x_i, d_i) of A_2."""
+    if i == 0:
+        return WeylOp(L.ring, 2, {(a, 0, b, 0): c for (a, b), c in L.terms.items()})
+    return WeylOp(L.ring, 2, {(0, a, 0, b): c for (a, b), c in L.terms.items()})
+
+
 def one_variable_operators(F, rng):
     """L1(x1, d1) and L2(x2, d2) in A_2 for random L1 of order <= 2 and L2 of
     order <= 1."""
     L1 = random_weylop(F, 1, rng, max_exp=2, max_terms=3, nonzero=True)
     L2 = random_weylop(F, 1, rng, max_exp=1, max_terms=3, nonzero=True)
-    first = WeylOp(F, 2, {(a, 0, b, 0): c for (a, b), c in L1.terms.items()})
-    second = WeylOp(F, 2, {(0, a, 0, b): c for (a, b), c in L2.terms.items()})
-    return first, second
+    return on_pair(L1, 0), on_pair(L2, 1)
 
 
 def external_product(F, rng):
@@ -792,9 +816,10 @@ def external_product(F, rng):
 
 
 def test_pruned_ladder_matches_the_reference_ladder():
-    # the ladder that never normalises a multiple of a kernel lead picks the
-    # status and generators of a ladder that eliminates the whole dense
-    # kernel at every degree, on random inputs and on external products
+    # the ladder that never normalises a multiple of a kernel lead, and stops
+    # an external product at its blocks' generators, picks the status and
+    # generators of a ladder that eliminates the whole dense kernel at every
+    # degree and stops on a plateau, on random inputs and external products
     rng = random.Random(31)
     cases = []
     for _ in range(12):
@@ -811,10 +836,32 @@ def test_pruned_ladder_matches_the_reference_ladder():
     for _ in range(8):
         tw = FrobeniusTwist(rng.choice((3, 5)), 2)
         cases.append((tw, [external_product(tw.weyl_ring, rng)]))
-    # Legendre times e^(x2), where the ladder stops on a plateau
+    # external products at n = 2 of one operator per variable pair, one
+    # block each, where the ladder stops at the rung whose kernel is the
+    # blocks' generators; then two operators on the first pair, drawn until
+    # their basis has more than one element, where that stop must not fire
+    wide = 0
+    for p, per_pair, order in [(2, 1, 1), (3, 1, 1), (5, 1, 1), (2, 2, 2), (3, 2, 2)]:
+        tw = FrobeniusTwist(p, 2)
+        draw = lambda: random_weylop(tw.weyl_ring, 1, rng, max_exp=order, max_terms=3, nonzero=True)
+        for _ in range(6):
+            first = [draw() for _ in range(per_pair)]
+            while len(LeftIdeal.of(first).groebner_basis()) < per_pair:
+                first = [draw() for _ in range(per_pair)]
+            gens = [on_pair(L, 0) for L in first] + [on_pair(draw(), 1)]
+            blocks = _blocks(LeftIdeal.of(gens)) or ()
+            wide += any(len(sub.groebner_basis()) > 1 for _, sub in blocks)
+            cases.append((tw, gens))
+    assert wide >= 6
+    # Legendre times e^(x2), two one-element blocks
     tw = FrobeniusTwist(5, 2)
     legendre = ("x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4", "d2 - 1")
     cases.append((tw, [parse_weyl(text, 2, tw.weyl_ring) for text in legendre]))
+    # two one-element blocks whose generators the kernel holds first at the
+    # top degree 6, where the ladder ends with truncated(6)
+    tw = FrobeniusTwist(3, 2)
+    top = ("d2", "x1^3*d1^3 - x1*d1^3 - d1^2 - x1")
+    cases.append((tw, [parse_weyl(text, 2, tw.weyl_ring) for text in top]))
     for tw, gens in cases:
         res = central_annihilator_truncated(LeftIdeal.of(gens))
         status, want = reference_ladder(LeftIdeal.of(gens), tw)
@@ -893,19 +940,23 @@ def test_routes_commute_with_symplectic_automorphisms(n, p, max_exp, max_terms):
 @pytest.mark.parametrize(
     "texts, status, columns, groebner_calls",
     [
-        (("d1^2 - x1", "d2 - x2"), "stabilized(2)", 35, 2),
-        (("d1^3 - x1", "d2 - x2"), "stabilized(3)", 70, 2),
-        (LEGENDRE_EXP, "stabilized(4)", 126, 2),
+        (("d1^2 - x1", "d2 - x2"), "stabilized(2)", 15, 0),
+        (("d1^3 - x1", "d2 - x2"), "stabilized(3)", 35, 1),
+        (LEGENDRE_EXP, "stabilized(4)", 70, 1),
+        (("d1*d2 - 1", "x1*d1 - x2*d2"), "stabilized(2)", 35, 2),
     ],
+    ids=["airy-pair", "cubic-pair", "legendre-exp", "torus"],
 )
-def test_ladder_stops_one_rung_past_its_plateau(
+def test_ladder_stops_where_its_answer_is_certified(
     monkeypatch, texts, status, columns, groebner_calls
 ):
-    # at p = 5 the ladder reaches degree d + 1 for stabilized(d), where a
-    # window of two rungs reached d + 2 (70 and 126 columns for the first
-    # two), and runs Buchberger once per distinct kernel ideal: a rung that
-    # adds nothing, as (X2 - Xi2) and (Xi2 - 1) stay from degree 1 to 2 and
-    # to 3, reuses the basis before it
+    # at p = 5 an external product of one-element blocks stops at the rung
+    # where the kernel is the blocks' generators, degree d for
+    # stabilized(d), where the plateau test reached d + 1 (35, 70 and 126
+    # columns, two Buchberger calls each); the torus pair is no product and
+    # still reaches d + 1.  Buchberger runs once per distinct kernel ideal
+    # the plateau test reads: a rung that adds nothing, as (X2 - Xi2) and
+    # (Xi2 - 1) stay from degree 1 to 2 and to 3, reuses the basis before it
     calls = []
     buchberger = cgb.buchberger
 
@@ -929,7 +980,7 @@ def test_ladder_never_normalises_a_multiple_of_a_kernel_lead():
     I = LeftIdeal.of([parse_weyl(text, 2, tw.weyl_ring) for text in ("d1^2 - x1", "d2 - x2")])
     res = central_annihilator_truncated(I)
     assert res.status == "stabilized(2)"
-    top = 3  # the ladder climbs one rung past the plateau's degree
+    top = 3  # one rung past the degree the ladder stops at
     leads = [z.leading()[0] for z in truncated_kernel(I, top)]
     assert len(leads) == 2
     normalised = [e for e, nf in I._cache["ladder"][0].items() if nf is not None]

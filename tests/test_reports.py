@@ -33,6 +33,11 @@ GOLDEN_PRODUCT_UNTOUCHED = Path(__file__).parent / "data" / "golden_report_untou
 GOLDEN_TRUNCATED_PRINCIPAL = (
     Path(__file__).parent / "data" / "golden_report_truncated_principal_p7.json"
 )
+GOLDEN_TRUNCATED_TORUS = Path(__file__).parent / "data" / "golden_report_truncated_torus_p5.json"
+GOLDEN_TRUNCATED_TOP = Path(__file__).parent / "data" / "golden_report_truncated_top_p3.json"
+GOLDEN_TRUNCATED_LEGENDRE = (
+    Path(__file__).parent / "data" / "golden_report_truncated_legendre_exp_p11.json"
+)
 
 
 def test_json_report_matches_frozen_golden():
@@ -188,8 +193,16 @@ def test_external_product_report_matches_frozen_golden(prime, generators, golden
         ("5", ["d1^2 - x1", "d2 - x2"], GOLDEN_TRUNCATED_PLATEAU),
         # stabilized(21): one generator, so the first nonzero kernel ends the ladder
         ("7", ["x2*d1*d2 + d1 - 3"], GOLDEN_TRUNCATED_PRINCIPAL),
+        # stabilized(2) on the plateau: no external product
+        ("5", ["d1*d2 - 1", "x1*d1 - x2*d2"], GOLDEN_TRUNCATED_TORUS),
+        # truncated(6): two one-element blocks, both generators first in the
+        # kernel at the top degree, where the ladder ends
+        ("3", ["d2", "x1^3*d1^3 - x1*d1^3 - d1^2 - x1"], GOLDEN_TRUNCATED_TOP),
+        # stabilized(4): Legendre times e^(x2), two one-element blocks whose
+        # generators end the ladder
+        ("11", ["x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4", "d2 - 1"], GOLDEN_TRUNCATED_LEGENDRE),
     ],
-    ids=["plateau", "principal"],
+    ids=["plateau", "principal", "torus", "top-degree", "legendre-exp"],
 )
 def test_truncated_route_report_matches_frozen_golden(prime, generators, golden):
     # whole reports of the default, truncated route at n = 2, notes included
