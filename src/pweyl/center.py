@@ -121,17 +121,28 @@ I.  (The other order is congruent too: I * q lies in I when q = c - a for
 a central c and a in I, as b * q = c * b - b * a for b in I.)  Only nf(1)
 is normalised directly.
 
-The ladder never normalises a monomial X^e that the lead X^m of an earlier
-kernel vector u divides.  X^(e - m) * u lies in I cap Z with lead X^e and
-every other term on an earlier column, so X^e is a free column, never a
-pivot, and skipping it changes no later column's reduction.  Its kernel
-vector is not kept either: it is a monomial multiple of u modulo smaller
-leads, so the ideal and its reduced basis are unchanged, and by the same
-expansion and the Leibniz rule so is the coisotropy witness, the first
-generator pair whose bracket leaves the radical.  The predecessor of a
-kept monomial divides it, so it is kept too and its normal form is
-cached.  The kernel vectors the ladder returns are thus exactly those
-whose lead no earlier kernel vector's lead divides.
+The ladder never normalises a monomial X^e that the lead X^m of an element
+u of an ideal generated by earlier kernel vectors divides: the lead of an
+earlier kernel vector, and, at rung d >= 2 of an ideal that the principal
+stop does not end, a lead of the reduced basis of J_(d-1), which the
+plateau test of rung d reads anyway (FGLM's rule: a monomial of the leading
+ideal is never a new independent column; Faugere, Gianni, Lazard and Mora,
+J. Symb. Comp. 16, 1993).  X^(e - m) * u lies in I cap Z with lead X^e and
+every other term on an earlier column (grevlex refines degree), so X^e is a
+free column, never a pivot, and skipping it changes no later column's
+reduction.  Its kernel vector is not kept either: it is X^(e - m) * u plus
+kernel vectors with smaller leads, all in the ideal of the kernel vectors
+kept before it, so the ideal and its reduced basis are unchanged.  By the
+Leibniz rule so is the coisotropy witness, the first generator pair whose
+bracket leaves the radical: when v = sum a_i * g_i over earlier
+generators, {v, w} = sum a_i * {g_i, w} + sum g_i * {a_i, w}, so a pair
+with v fails only if a pair with some g_i fails, and that pair comes first.
+The predecessor of a kept monomial divides it, so it is kept too and its
+normal form is cached.  The kernel vectors the ladder returns are thus
+those whose lead neither an earlier kernel vector's lead nor a lead of the
+last J_(d-1) it read divides.  Such a vector is no element of J_(d-1), so
+at rung d a plateau is a rung with no new kernel vector; the plateau test
+still reduces each new vector, and the first fails at once.
 """
 
 from dataclasses import dataclass
@@ -486,8 +497,10 @@ def _monomials_up_to(nvars, degree):
 
 def _ladder(ideal):
     """The ladder's one state on the ideal (``truncated_kernel``), made on
-    first use: (nfs, echelon, kernel, lowered), lowered[k] holding each
-    basis lead positive at slot k with p taken off there, at least 0."""
+    first use: (nfs, echelon, kernel, lowered, decided), lowered[k] holding
+    each basis lead positive at slot k with p taken off there, at least 0,
+    and decided the leads of the reduced basis of the last kernel ideal
+    J_(d-1) that ``central_annihilator_truncated`` read, empty until then."""
     cache = ideal._cache
     if "ladder" not in cache:
         p, leads = ideal.ring.characteristic, ideal._leads()
@@ -496,7 +509,7 @@ def _ladder(ideal):
             for k in range(2 * ideal.n)
         ]
         ring = _twist_of(ideal.ring, ideal.n).twisted_ring
-        cache["ladder"] = ({}, Echelon(ring.coeffs), [], lowered)
+        cache["ladder"] = ({}, Echelon(ring.coeffs), [], lowered, [])
     return cache["ladder"]
 
 
@@ -518,7 +531,7 @@ def _central_normal_form(ideal, e):
     """
     if not any(e):
         return ideal.normal_form(WeylOp.one(ideal.ring, ideal.n))
-    nfs, _, _, lowered = _ladder(ideal)
+    nfs, _, _, lowered, _ = _ladder(ideal)
     best = None  # (hits, slot, predecessor's normal form)
     for k in reversed(range(len(e))):
         if not e[k]:
@@ -558,14 +571,18 @@ def truncated_kernel(ideal, degree):
     lead X^e and every other term on an earlier column: the canonical
     nullspace vector of that free column.  Any sequence of degrees asked
     for reduces each column once.  A monomial that an earlier kernel lead
-    divides is a column never normalised, with no vector kept (module
-    docstring), so no returned lead divides a later one.
+    divides, or a lead of the last J_(d-1) that
+    ``central_annihilator_truncated`` read (``_ladder``), is a column never
+    normalised, with no vector kept (module docstring), so no returned lead
+    divides a later one.
     """
     ring = _twist_of(ideal.ring, ideal.n).twisted_ring
-    nfs, echelon, kernel, _ = _ladder(ideal)
+    nfs, echelon, kernel, _, decided = _ladder(ideal)
     one = ring.coeffs.one()
     for e in _monomials_up_to(2 * ideal.n, degree)[len(nfs) :]:
-        if any(monomial_divides(lead, e) for lead, _ in kernel):
+        if any(monomial_divides(m, e) for m in decided) or any(
+            monomial_divides(lead, e) for lead, _ in kernel
+        ):
             nfs[e] = None
             continue
         nf = nfs[e] = _central_normal_form(ideal, e)
@@ -592,7 +609,11 @@ def central_annihilator_truncated(ideal, twist=None):
     for one that is no external product) has a one-element reduced basis,
     J_d at the first rung whose kernel has one vector per block is I cap Z
     itself, its reduced basis that kernel, status "stabilized(d)"; at d = D
-    with more than one block the status stays "truncated(D)".
+    with more than one block the status stays "truncated(D)".  For any
+    other ideal, the leads of J_(d-1)'s reduced basis, which the plateau
+    test of rung d >= 2 reads, go on the ladder's state before that rung's
+    kernel, which skips the columns they divide; an ideal that the
+    principal stop may end reads no basis before its stop.
     D = max(2p, m * p^(n-1)), m the least total degree of the reduced left
     basis, bounds the twisted degree of the reduced norm of a basis element
     of degree m, a nonzero central element of I.
@@ -607,8 +628,12 @@ def central_annihilator_truncated(ideal, twist=None):
     top = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
     blocks = _blocks(ideal) or [(None, ideal)]
     principal = all(len(sub.groebner_basis()) == 1 for _, sub in blocks)
-    support, prev = _support_dimension(ideal), None
+    support, prev, decided = _support_dimension(ideal), None, _ladder(ideal)[4]
     for d in range(1, top + 1):
+        if prev is not None and not principal:
+            # J_(d-1)'s leads decide more columns (module docstring); the
+            # plateau test below reads its basis at this rung anyway
+            decided[:] = prev._leads()
         kernel = truncated_kernel(ideal, d)
         # the kernel is the blocks' generators: J = I cap Z (module docstring)
         if principal and len(kernel) == len(blocks) and (d < top or len(blocks) == 1):

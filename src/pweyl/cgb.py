@@ -38,6 +38,14 @@ cached reduced basis in it, at position 0, as it is.  ``_Ideal`` is the one
 ideal layer of ``CIdeal`` and ``wgb.LeftIdeal``, both grevlex, and
 ``_checked_basis`` the one checked entry behind ``buchberger`` (grevlex) and
 ``wgb.left_groebner`` (a field, a global order).
+
+Radical membership reads the leads first.  f lies in rad(I) iff its normal
+form r does, and r^k in I gives lead(r)^k in LT(I), as grevlex is
+multiplicative and the polynomial ring a domain, so some lead of the
+reduced basis divides lead(r)^k and has its support inside that of lead(r)
+(LT(rad I) lies in rad(LT I); Cox, Little and O'Shea, Ideals, Varieties,
+and Algorithms).  When no lead does, r is no member, and no engine runs;
+only the other cases run the extra-variable trick, on r.
 """
 
 import heapq
@@ -340,16 +348,30 @@ def _reduced_ideal(basis, ring):
 
 
 def radical_member(f, ideal):
-    """Membership in the radical via the extra-variable trick:
-    f lies in rad(I) iff 1 lies in I + (1 - t*f), decided by the engine under
+    """Membership in the radical, decided on r = nf(f), which lies in rad(I)
+    iff f does: True when r = 0, and False, with no engine run, when no lead
+    of the ideal's cached reduced basis has its support inside that of
+    lead(r) (the lead certificate).  That is exact: grevlex is
+    multiplicative and the polynomial ring a domain, so r^k in I gives
+    lead(r)^k in LT(I), and some basis lead divides lead(r)^k, whose support
+    is that of lead(r).  Any other r goes to the extra-variable trick:
+    r lies in rad(I) iff 1 lies in I + (1 - t*r), decided by the engine under
     grevlex with t in one extra exponent slot (no ring is built), fed the
-    ideal's cached basis and 1 - t*f, and finishing only a constant lead."""
-    if f.is_zero() or ideal.contains(f):
+    ideal's cached basis and 1 - t*r, and finishing only a constant lead."""
+    if f.is_zero():
         return True
-    R = f._coeffs
+    r = ideal.normal_form(f)
+    if r.is_zero():
+        return True
+    R = r._coeffs
     if not R.is_field:
         raise NotAField(f"Groebner bases need field coefficients, got {R}")
-    one_tf = {(0, e + (1,)): R.neg(c) for e, c in f.terms.items()}
+    # the slots outside the support of lead(r): a lead positive at one of
+    # them has its support outside that of lead(r)
+    outside = [i for i, x in enumerate(r.leading()[0]) if not x]
+    if all(any(m[i] for i in outside) for m in ideal._leads()):
+        return False
+    one_tf = {(0, e + (1,)): R.neg(c) for e, c in r.terms.items()}
     one_tf[(0, (0,) * (ideal.ring.nvars + 1))] = R.one()
     vecs = [{(0, e + (0,)): c for e, c in g.terms.items()} for g in ideal.groebner_basis()]
     # the reduced basis is (1) exactly when it has a constant element
@@ -358,8 +380,8 @@ def radical_member(f, ideal):
         R,
         lambda t: GREVLEX.key(t[1]),
         lambda t: GREVLEX.desc_key(t[1]),
-        f._submul(R),
-        f._product_criterion,
+        r._submul(R),
+        r._product_criterion,
         lambda lead: not any(lead[1]),
     )
     return bool(constants)

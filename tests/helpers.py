@@ -7,10 +7,10 @@ from itertools import combinations, product
 from pweyl import CIdeal, MPoly, PolyRing, WeylOp
 from pweyl.center import _monomials_up_to, _simple_module_rows, _split_residues
 from pweyl.cgb import _eliminate_onto, _groebner, _reduce, krull_dim
-from pweyl.errors import NoPointsFound
+from pweyl.errors import NoPointsFound, NotAField
 from pweyl.linalg import rank as matrix_rank
 from pweyl.mpoly import _shift_submul
-from pweyl.orders import Weighted, monomial_divides
+from pweyl.orders import GREVLEX, Weighted, monomial_divides
 from pweyl.psupport import EXHAUSTIVE_POINT_LIMIT, RANDOM_POINT_BUDGET
 from pweyl.rings import GaloisField, Rationals, Zmod, extension_field
 from pweyl.wgb import initial_weighted, left_groebner
@@ -429,6 +429,30 @@ def radical_member_bruteforce(f, ideal, bound):
     return False
 
 
+def radical_member_rabinowitsch(f, ideal):
+    """``cgb.radical_member`` without its lead certificate: f lies in rad(I)
+    iff 1 lies in I + (1 - t*f), decided by the engine under grevlex with t
+    in one extra exponent slot, for every f outside I."""
+    if f.is_zero() or ideal.contains(f):
+        return True
+    R = f._coeffs
+    if not R.is_field:
+        raise NotAField(f"Groebner bases need field coefficients, got {R}")
+    one_tf = {(0, e + (1,)): R.neg(c) for e, c in f.terms.items()}
+    one_tf[(0, (0,) * (ideal.ring.nvars + 1))] = R.one()
+    vecs = [{(0, e + (0,)): c for e, c in g.terms.items()} for g in ideal.groebner_basis()]
+    constants = _groebner(
+        vecs + [one_tf],
+        R,
+        lambda t: GREVLEX.key(t[1]),
+        lambda t: GREVLEX.desc_key(t[1]),
+        f._submul(R),
+        f._product_criterion,
+        lambda lead: not any(lead[1]),
+    )
+    return bool(constants)
+
+
 def naive_d_pow_x_pow(m, k):
     """d^m x^k in one variable over the integers by repeated product-rule swaps.
 
@@ -654,37 +678,61 @@ def reference_samples(basis, nvars, p, attempts, rng):
 
 
 def symplectic_images(n, rng):
-    """A random automorphism phi of A_n, as the image (slot, sign) of each
-    of the 2n slots x_1..x_n, d_1..d_n: a random permutation t of the
-    variables, and at a random set of them the Fourier swap, so that x_i,
-    d_i go to x_t(i), d_t(i), or to d_t(i), -x_t(i).  Both keep [d_i, x_i] =
-    1.  x_i^p and d_i^p go to the p-th powers of their images, and (-1)^p =
-    -1 in F_p, so the same table read on X_1..X_n, Xi_1..Xi_n is phi_Z, the
-    map phi induces on the centre (``center_image``)."""
+    """A random automorphism phi of A_n, as the image {slot: coefficient}
+    of each of the 2n slots x_1..x_n, d_1..d_n: a random permutation t of
+    the variables, and at a random set of them the Fourier swap, so that
+    x_i, d_i go to x_t(i), d_t(i), or to d_t(i), -x_t(i).  Both keep
+    [d_i, x_i] = 1.  x_i^p and d_i^p go to the p-th powers of their images,
+    and (-1)^p = -1 in F_p, so the same table read on X_1..X_n,
+    Xi_1..Xi_n is phi_Z, the map phi induces on the centre
+    (``center_image``)."""
     targets = rng.sample(range(n), n)
     images = [None] * (2 * n)
     for i, t in enumerate(targets):
         if rng.random() < 0.5:  # Fourier: x_i -> d_t, d_i -> -x_t
-            images[i], images[n + i] = (n + t, 1), (t, -1)
+            images[i], images[n + i] = {n + t: 1}, {t: -1}
         else:
-            images[i], images[n + i] = (t, 1), (n + t, 1)
+            images[i], images[n + i] = {t: 1}, {n + t: 1}
     return images
 
 
 def inverse_images(images):
-    """The table of the inverse map: a sign is its own inverse."""
+    """The table of the inverse of a ``symplectic_images`` map: a sign is
+    its own inverse."""
     out = [None] * len(images)
-    for i, (j, sign) in enumerate(images):
-        out[j] = (i, sign)
+    for i, image in enumerate(images):
+        ((j, sign),) = image.items()
+        out[j] = {i: sign}
     return out
 
 
+def elementary_images(n, i, j, c):
+    """The automorphism x -> A x, d -> A^(-T) d of A_n for the elementary
+    matrix A = 1 + c * E_ij, i != j, as a table like ``symplectic_images``:
+    x_i goes to x_i + c * x_j and d_j to d_j - c * d_i, and every other
+    slot stays.  [d_j - c * d_i, x_i + c * x_j] = c - c = 0 and the other
+    brackets are those of A_n.  The p-th powers are X_i + c^p * X_j and
+    Xi_j + (-c)^p * Xi_i, and c^p = c in F_p, so the same table read on the
+    centre is phi_Z: X -> A X, Xi -> A^(-T) Xi.  The inverse is
+    ``elementary_images(n, i, j, -c)``."""
+    images = [{slot: 1} for slot in range(2 * n)]
+    images[i][j] = c
+    images[n + j][n + i] = -c
+    return images
+
+
 def weyl_image(images, L):
-    """phi(L) for the table ``images`` (``symplectic_images``): each
-    normal-ordered term c * x^a d^b of L goes to c * phi(x)^a * phi(d)^b,
-    multiplied out in A_n."""
+    """phi(L) for the table ``images`` (``symplectic_images``,
+    ``elementary_images``): each normal-ordered term c * x^a d^b of L goes
+    to c * phi(x)^a * phi(d)^b, multiplied out in A_n."""
     F, n = L.ring, L.n
-    gens = [WeylOp._gen(F, n, j).scale(F.from_int(sign)) for j, sign in images]
+    gens = [
+        sum(
+            (WeylOp._gen(F, n, j).scale(F.from_int(a)) for j, a in image.items()),
+            WeylOp.zero(F, n),
+        )
+        for image in images
+    ]
     out = WeylOp.zero(F, n)
     for key, c in L.terms.items():
         term = WeylOp.constant(F, n, c)
@@ -696,14 +744,18 @@ def weyl_image(images, L):
 
 def center_image(images, f):
     """phi_Z(f) for the table ``images`` read on the variables of f: the
-    variable at slot i goes to sign * the variable at its slot j."""
-    R = f.ring.coeffs
-    out = {}
+    variable at slot i goes to the sum of a * the variable at slot j over
+    the entries j: a of images[i]."""
+    ring = f.ring
+    variables = ring.gens()
+    gens = [
+        sum((variables[j].scale(ring.coeffs.from_int(a)) for j, a in image.items()), ring.zero())
+        for image in images
+    ]
+    out = ring.zero()
     for e, c in f.terms.items():
-        key = [0] * len(e)
-        for (j, sign), k in zip(images, e):
-            key[j] = k
-            if sign < 0 and k % 2:
-                c = R.neg(c)
-        out[tuple(key)] = c
-    return MPoly(f.ring, out)
+        term = ring.one().scale(c)
+        for g, k in zip(gens, e):
+            term = term * g**k
+        out = out + term
+    return out

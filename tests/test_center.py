@@ -30,13 +30,14 @@ from pweyl.errors import BadPrime, NoPointsFound, RingMismatch
 from pweyl.mpoly import CompiledRows, MPoly, PolyRing
 from pweyl.orders import monomial_divides
 from pweyl.poisson import coisotropy_check
-from pweyl.psupport import generic_rank, specialize_mod_p
+from pweyl.psupport import generic_rank, is_conical, specialize_mod_p
 from pweyl.rings import QQ, Zmod, extension_field
 
 from helpers import (
     berkowitz_det,
     center_image,
     dense_kernel,
+    elementary_images,
     ideal_equal,
     inverse_images,
     minimal_leads,
@@ -815,11 +816,45 @@ def external_product(F, rng):
     return first * second
 
 
+def kept_by_the_ladder(ideal, want, R):
+    """The reference ladder's generators ``want`` less those the ladder
+    skips as decided by J_(d-1): a generator of degree d whose lead a lead
+    of the reduced basis of the ideal of the generators of lower degree
+    divides.  The ladder keeps all of them when every block of ``_blocks``
+    (the whole ideal, if none) has a one-element reduced basis."""
+    blocks = _blocks(ideal) or [(None, ideal)]
+    if all(len(sub.groebner_basis()) == 1 for _, sub in blocks):
+        return tuple(want)
+    kept = []
+    for z in want:
+        lower = CIdeal.of([w for w in want if w.total_degree() < z.total_degree()], ring=R)
+        leads = [g.leading()[0] for g in lower.groebner_basis()]
+        if not any(monomial_divides(m, z.leading()[0]) for m in leads):
+            kept.append(z)
+    return tuple(kept)
+
+
+# n = 2 inputs with a two-element or longer reduced left basis, where a lead
+# of J_(d-1)'s reduced basis that is no kernel lead skips a column at a rung
+# d at or below the one the ladder stops at, so that the ladder returns
+# fewer generators than the reference; the first three report a coisotropy
+# witness
+DECIDED_BY_THE_KERNEL_IDEAL = [
+    (3, ("x1*x2^2*d1 + x2*d1*d2", "x1^2*x2*d2^2 + x2^2*d1")),
+    (2, ("x2^2*d1*d2^2 + x1*d1^2*d2^2", "x1*x2*d2 + x2*d1")),
+    (2, ("x1^2*x2*d1^2 + x1*x2^2*d1^2 + x1*x2^2*d2^2", "x2*d2^2 + d1*d2")),
+    (3, ("-x1^2*x2^2*d2 + d1", "x1*x2*d1*d2")),
+    (2, ("x2^2*d1^2*d2", "x1^2*d1^2 + x2*d2")),
+]
+
+
 def test_pruned_ladder_matches_the_reference_ladder():
-    # the ladder that never normalises a multiple of a kernel lead, and stops
-    # an external product at its blocks' generators, picks the status and
-    # generators of a ladder that eliminates the whole dense kernel at every
-    # degree and stops on a plateau, on random inputs and external products
+    # the ladder that never normalises a multiple of a kernel lead or of a
+    # lead of J_(d-1)'s reduced basis, and stops an external product at its
+    # blocks' generators, picks the status of a ladder that eliminates the
+    # whole dense kernel at every degree and stops on a plateau, and its
+    # generators less those J_(d-1) decides, with the same reduced basis and
+    # the same coisotropy witness, on random inputs and external products
     rng = random.Random(31)
     cases = []
     for _ in range(12):
@@ -862,12 +897,25 @@ def test_pruned_ladder_matches_the_reference_ladder():
     tw = FrobeniusTwist(3, 2)
     top = ("d2", "x1^3*d1^3 - x1*d1^3 - d1^2 - x1")
     cases.append((tw, [parse_weyl(text, 2, tw.weyl_ring) for text in top]))
-    for tw, gens in cases:
+    decided = []
+    for p, texts in DECIDED_BY_THE_KERNEL_IDEAL:
+        tw = FrobeniusTwist(p, 2)
+        decided.append(len(cases))
+        cases.append((tw, [parse_weyl(text, 2, tw.weyl_ring) for text in texts]))
+    witnesses = 0
+    for index, (tw, gens) in enumerate(cases):
+        R = tw.twisted_ring
         res = central_annihilator_truncated(LeftIdeal.of(gens))
         status, want = reference_ladder(LeftIdeal.of(gens), tw)
         label = ([str(g) for g in gens], tw.p)
-        assert (res.status, res.ideal.gens) == (status, want), label
-        assert res.ideal.groebner_basis() == CIdeal.of(want, ring=tw.twisted_ring).groebner_basis()
+        kept = kept_by_the_ladder(LeftIdeal.of(gens), want, R)
+        assert (res.status, res.ideal.gens) == (status, kept), label
+        assert (index in decided) == (len(kept) < len(want)), label
+        assert res.ideal.groebner_basis() == CIdeal.of(want, ring=R).groebner_basis()
+        verdict = coisotropy_check(cgb.frobenius_root(res.ideal))
+        assert verdict == coisotropy_check(cgb.frobenius_root(CIdeal.of(want, ring=R))), label
+        witnesses += index in decided and not verdict.ok
+    assert witnesses == 3
 
 
 @pytest.mark.parametrize(
@@ -938,6 +986,48 @@ def test_routes_commute_with_symplectic_automorphisms(n, p, max_exp, max_terms):
 
 
 @pytest.mark.parametrize(
+    "p, max_exp, max_terms",
+    # bounded so that every draw and its image run the exact route in well
+    # under a second: at p = 3, the image of a draw of degree 6 kept the
+    # exact route busy past 75 s
+    [(2, 2, 3), (3, 1, 3), (5, 1, 2)],
+)
+def test_exact_route_commutes_with_elementary_linear_maps(p, max_exp, max_terms):
+    # phi: x -> A x, d -> A^(-T) d for the elementary matrices A = 1 + c*E_ij
+    # of GL_2(Z), c = +-1, maps I cap Z to phi_Z(I cap Z), phi_Z: X -> A X,
+    # Xi -> A^(-T) Xi: the exact route on phi(I), mapped back by phi_Z^-1,
+    # is the exact route on I, with the same dimension, coisotropy,
+    # Lagrangian and conical verdicts
+    n = 2
+    rng = random.Random(2000 + p)
+    tw = FrobeniusTwist(p, n)
+    R = tw.twisted_ring
+    maps = [(i, j, c) for i, j in ((0, 1), (1, 0)) for c in (1, -1)]
+    for i, j, c in maps:
+        # phi(z)^p read on the centre: phi_Z is the same table
+        images = elementary_images(n, i, j, c)
+        for v in R.gens():
+            assert weyl_image(images, tw.embed(v)) == tw.embed(center_image(images, v))
+    for _ in range(12):
+        gens = [
+            random_weylop(tw.weyl_ring, n, rng, max_exp=max_exp, max_terms=max_terms, nonzero=True)
+            for _ in range(rng.randrange(1, 4))
+        ]
+        i, j, c = rng.choice(maps)
+        images, back = elementary_images(n, i, j, c), elementary_images(n, i, j, -c)
+        moved = LeftIdeal.of([weyl_image(images, g) for g in gens])
+        label = ([str(g) for g in gens], (i, j, c))
+        want = central_annihilator_exact(LeftIdeal.of(gens)).ideal
+        got = central_annihilator_exact(moved).ideal
+        got = CIdeal.of([center_image(back, g) for g in got.gens], ring=R)
+        assert got.groebner_basis() == want.groebner_basis(), label
+        verdicts = [
+            support_verdicts(J, n) + (J.is_unit_ideal() or is_conical(J),) for J in (got, want)
+        ]
+        assert verdicts[0] == verdicts[1], label
+
+
+@pytest.mark.parametrize(
     "texts, status, columns, groebner_calls",
     [
         (("d1^2 - x1", "d2 - x2"), "stabilized(2)", 15, 0),
@@ -988,6 +1078,53 @@ def test_ladder_never_normalises_a_multiple_of_a_kernel_lead():
         e for e in normalised for m in leads if m != e and monomial_divides(m, e)
     ]
     assert len(normalised) < len(_monomials_up_to(4, top))
+
+
+@pytest.mark.parametrize(
+    "n, p, texts, status, columns, calls",
+    [
+        # J_2 has the basis Xi1*Xi2 - 1, X1*Xi1 - X2*Xi2, X2*Xi2^2 - X1, and
+        # its last lead is no kernel lead
+        (2, 11, ("d1*d2 - 1", "x1*d1 - x2*d2"), "stabilized(2)", [(0, 1, 0, 2)], 4),
+        # J_3, the annihilator of golden_report_truncated_torus_n3_p5.json,
+        # has the leads X3*Xi2*Xi3^2 and X3*Xi1*Xi3^2, no kernel leads
+        (
+            3,
+            5,
+            ("x1*d1 - x2*d2", "x2*d2 - x3*d3", "d1*d2*d3 - 1"),
+            "stabilized(3)",
+            [(0, 0, 1, 0, 1, 2), (0, 0, 1, 1, 0, 2)],
+            9,
+        ),
+    ],
+    ids=["torus-n2-p11", "torus-n3-p5"],
+)
+def test_ladder_skips_the_columns_the_last_kernel_ideal_decides(
+    monkeypatch, n, p, texts, status, columns, calls
+):
+    # the rung past the plateau never normalises a column that a lead of
+    # J_(d-1)'s reduced basis divides: its stored normal form is None though
+    # no kernel lead divides it, and its embedded monomial, the one-term
+    # shift that a ladder without this skip reduces (with 5 and 11 normal
+    # forms in all), never reaches left_nf
+    reduced = []
+    normal_form = LeftIdeal.normal_form
+
+    def recorded(self, f):
+        reduced.append(f)
+        return normal_form(self, f)
+
+    monkeypatch.setattr(LeftIdeal, "normal_form", recorded)
+    tw = FrobeniusTwist(p, n)
+    I = LeftIdeal.of([parse_weyl(text, n, tw.weyl_ring) for text in texts])
+    assert central_annihilator_truncated(I).status == status
+    nfs, _, kernel, _, decided = I._cache["ladder"]
+    for column in columns:
+        assert nfs[column] is None
+        assert not any(monomial_divides(lead, column) for lead, _ in kernel)
+        assert any(monomial_divides(lead, column) for lead in decided)
+        assert tw.embed(MPoly(tw.twisted_ring, {column: 1})) not in reduced
+    assert len(reduced) == calls
 
 
 def test_truncated_route_passes_a_zero_plateau():

@@ -6,7 +6,17 @@ import random
 
 import pytest
 
-from pweyl import CIdeal, WeylOp, buchberger, frobenius_root, krull_dim, parse_weyl, radical_member
+from pweyl import (
+    CIdeal,
+    FrobeniusTwist,
+    WeylOp,
+    buchberger,
+    frobenius_root,
+    krull_dim,
+    parse_weyl,
+    radical_member,
+)
+from pweyl import cgb
 from pweyl.cgb import _checked_basis, _eliminate_onto, _groebner, _reduce, _to_vec
 from pweyl.errors import NonGlobalOrder, NotAField, RingMismatch
 from pweyl.mpoly import MPoly, PolyRing, _shift_submul
@@ -22,6 +32,7 @@ from helpers import (
     ideal_equal,
     position_lists,
     radical_member_bruteforce,
+    radical_member_rabinowitsch,
     random_monomial,
     random_mpoly,
     random_weylop,
@@ -122,6 +133,46 @@ def test_radical_vs_bruteforce_random():
             f = random_mpoly(R, rng, max_degree=2)
             bound = 2 * len(gens) * max(2, max(g.total_degree() for g in gens))
             assert radical_member(f, I) == radical_member_bruteforce(f, I, bound)
+
+
+@pytest.mark.parametrize("n, p", list(itertools.product((1, 2), (2, 3, 5))))
+def test_lead_certificate_matches_the_rabinowitsch_reference(monkeypatch, n, p):
+    # on the twisted rings, over ideals with h^k among their generators:
+    # members h * q and random draws, decided as the reference decides them;
+    # a False with no engine run is the certificate's, and the members whose
+    # normal form is not 0 go to the engine, as no certificate refutes them
+    calls = []
+    groebner = cgb._groebner
+
+    def counted(*args):
+        calls.append(args)
+        return groebner(*args)
+
+    monkeypatch.setattr(cgb, "_groebner", counted)
+    R = FrobeniusTwist(p, n).twisted_ring
+    rng = random.Random(10 * n + p)
+    branches = {"certificate": 0, "engine": 0}
+    for _ in range(30):
+        h = random_mpoly(R, rng, max_degree=2, max_terms=3, nonzero=True)
+        gens = [h ** rng.randrange(2, 4)]
+        gens += [random_mpoly(R, rng, max_degree=2, nonzero=True) for _ in range(rng.randrange(2))]
+        I = CIdeal.of(gens)
+        I.groebner_basis()
+        member = rng.random() < 0.5
+        if member:
+            f = h * random_mpoly(R, rng, max_degree=1, max_terms=3, nonzero=True)
+        else:
+            f = random_mpoly(R, rng, max_degree=2)
+        before = len(calls)
+        got = radical_member(f, I)
+        engine = len(calls) > before
+        assert got == radical_member_rabinowitsch(f, I), (str(f), [str(g) for g in gens])
+        assert got or not member
+        if engine:
+            branches["engine"] += 1
+        elif not got:
+            branches["certificate"] += 1
+    assert all(branches.values()), branches
 
 
 def test_krull_dim_examples():

@@ -35,6 +35,9 @@ GOLDEN_TRUNCATED_PRINCIPAL = (
 )
 GOLDEN_TRUNCATED_TORUS = Path(__file__).parent / "data" / "golden_report_truncated_torus_p5.json"
 GOLDEN_TRUNCATED_TOP = Path(__file__).parent / "data" / "golden_report_truncated_top_p3.json"
+GOLDEN_TRUNCATED_TORUS_N3 = (
+    Path(__file__).parent / "data" / "golden_report_truncated_torus_n3_p5.json"
+)
 GOLDEN_TRUNCATED_LEGENDRE = (
     Path(__file__).parent / "data" / "golden_report_truncated_legendre_exp_p11.json"
 )
@@ -213,6 +216,20 @@ def test_truncated_route_report_matches_frozen_golden(prime, generators, golden)
         )
     assert code == 0
     assert buf.getvalue() == golden.read_text()
+
+
+def test_truncated_n3_report_matches_frozen_golden():
+    # the default route at n = 3, p = 5, rank off: stabilized(3) with six
+    # generators, where the rung past the plateau skips the columns that the
+    # leads of J_3's reduced basis decide
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(
+            ["psupport", "--no-rank", "--json", "--seed", "0", "-n", "3", "-p", "5"]
+            + ["x1*d1 - x2*d2", "x2*d2 - x3*d3", "d1*d2*d3 - 1"]
+        )
+    assert code == 0
+    assert buf.getvalue() == GOLDEN_TRUNCATED_TORUS_N3.read_text()
 
 
 @pytest.mark.parametrize("seed", ["0", "7"])
