@@ -32,26 +32,31 @@ Each route reads its twist off the ideal's own algebra A_n(F_p)
   polynomials of degree <= d that the ideal's normal form kills, by linear
   algebra, up to a plateau certified in dimension.
 
-Two facts let the exact route and the fibres do less elimination:
+External products.  Each element of the reduced left basis touches the
+variable pairs (x_i, d_i) at which one of its exponents is nonzero, and
+elements that touch a common pair join one block (``_blocks``).  Leads of
+other blocks divide no term of a block, so a block's elements are the
+reduced basis of I_k, the left ideal that they generate in A_(n_k)(F_p) on
+the n_k pairs that they touch.  D/I is the external product of the D_k/I_k
+times D_free on the pairs no block touches.  Then
+I cap Z = sum_k (I_k cap Z_k) * Z, and the fibre dimensions multiply: over
+a field, Z_1/Ann(M_1) tensor Z_2/Ann(M_2) embeds in End(M_1) tensor
+End(M_2), which embeds in End(M_1 tensor M_2), and the fibre of
+M_1 tensor M_2 at (P_1, P_2) is the tensor product of the fibres, each free
+pair giving D_1 over its centre, of rank p^2.  So each block is eliminated
+at its own n_k, over sum_k p^(n_k) positions rather than p^n, and its fibre
+read on its own simple module of rank p^(n_k) (``_fiber_reader``).  No
+block gives 1, as the unit ideal does not split and I_k lies in I, so the
+union of the blocks' reduced bases, in disjoint variables, sorted by lead,
+is the reduced basis of I cap Z.  An ideal that does not split, one block
+on all n pairs, the zero ideal or the unit ideal, is its own one block,
+for which all of this holds as it stands.
 
-* External products.  When the reduced left basis splits into blocks on
-  disjoint sets of variable pairs (x_i, d_i) (``_blocks``), D/I is the
-  external product of the D_k/I_k, I_k generated by block k in its own
-  n_k pairs, times D_free on the pairs no block touches.  Then
-  I cap Z = sum_k (I_k cap Z_k) * Z, and the fibre dimensions multiply:
-  over a field, Z_1/Ann(M_1) tensor Z_2/Ann(M_2) embeds in
-  End(M_1) tensor End(M_2), which embeds in End(M_1 tensor M_2), and the
-  fibre of M_1 tensor M_2 at (P_1, P_2) is the tensor product of the
-  fibres, each free pair giving D_1 over its centre, of rank p^2.  So each
-  block is eliminated at its own n_k, over sum_k p^(n_k) positions rather
-  than p^n, and its fibre read on its own simple module of rank p^(n_k)
-  (``_fiber_reader``).  The union of the blocks' reduced bases, in
-  disjoint variables, sorted by lead, is the reduced basis of I cap Z.
-* Central contraction steps.  When every slot-i exponent of the basis f
-  of the step before is divisible by p, each f lies in the ring B with x_i
-  replaced by X_i; as A = sum_s x_i^s * B is direct, the span of the
-  x_i^s * f is the direct sum of the x_i^s * (f), whose part on residue 0
-  is (f).  So that step eliminates the basis alone, not its p copies.
+Central contraction steps.  When every slot-i exponent of the basis f of
+the step before is divisible by p, each f lies in the ring B with x_i
+replaced by X_i; as A = sum_s x_i^s * B is direct, the span of the
+x_i^s * f is the direct sum of the x_i^s * (f), whose part on residue 0 is
+(f).  So that step eliminates the basis alone, not its p copies.
 
 J_d lies in I cap Z, so krull_dim(J_d) >= s, the dimension of V(I cap Z).
 D/I has GK dimension d(gr_B(D/I)) for the Bernstein filtration (McConnell-
@@ -65,11 +70,13 @@ map G of D, free of rank p^(2n) over the UFD Z.  A central z kills it iff
 z * adj(G) / det(G) is integral, so I cap Z = (h) is principal, and every
 element of it of degree <= deg h is a scalar multiple of h.  The first rung
 with a nonzero kernel has exactly h, and the ladder stops there with
-J_d = I cap Z: at rung 1 for the unit ideal, and by the top degree always,
-since the reduced norm of g lies in I cap Z.
+J_d = I cap Z: at rung 1 for the unit ideal, and by the top degree
+D = max(2p, m * p^(n-1)) always, m the least total degree of the reduced
+left basis.  D bounds the twisted degree of the reduced norm of a basis
+element of degree m, a nonzero central element of I.
 
 The same stop holds block by block.  When every block of an external
-product (``_blocks``) has a one-element basis, each I_k cap Z_k = (h_k), so
+product has a one-element basis, each I_k cap Z_k = (h_k), so
 I cap Z = sum_k (h_k) * Z.  The h_k lie in disjoint variables, so they are
 the reduced basis of I cap Z, and every element of I cap Z has a lead that
 some lead(h_k) of no greater degree divides.  The kernel vectors kept at
@@ -83,8 +90,6 @@ reduced basis.  No rung before it can stop on a plateau: an ideal missing
 some h_k has dimension above s.  At the top degree D with more than one
 block the stop gives way, and the ladder ends as it always has, with
 J_D = I cap Z reported "truncated(D)".
-The plateau test reduces only the kernel vectors new at rung d modulo
-J_(d-1), which lies in J_d; only a rung that grows the ideal runs Buchberger.
 
 The truncated ladder does each reduction once, and keeps one state on the
 ideal for every later degree: the normal form of each column's monomial,
@@ -124,25 +129,31 @@ is normalised directly.
 The ladder never normalises a monomial X^e that the lead X^m of an element
 u of an ideal generated by earlier kernel vectors divides: the lead of an
 earlier kernel vector, and, at rung d >= 2 of an ideal that the principal
-stop does not end, a lead of the reduced basis of J_(d-1), which the
-plateau test of rung d reads anyway (FGLM's rule: a monomial of the leading
-ideal is never a new independent column; Faugere, Gianni, Lazard and Mora,
-J. Symb. Comp. 16, 1993).  X^(e - m) * u lies in I cap Z with lead X^e and
-every other term on an earlier column (grevlex refines degree), so X^e is a
-free column, never a pivot, and skipping it changes no later column's
-reduction.  Its kernel vector is not kept either: it is X^(e - m) * u plus
-kernel vectors with smaller leads, all in the ideal of the kernel vectors
-kept before it, so the ideal and its reduced basis are unchanged.  By the
-Leibniz rule so is the coisotropy witness, the first generator pair whose
-bracket leaves the radical: when v = sum a_i * g_i over earlier
-generators, {v, w} = sum a_i * {g_i, w} + sum g_i * {a_i, w}, so a pair
-with v fails only if a pair with some g_i fails, and that pair comes first.
-The predecessor of a kept monomial divides it, so it is kept too and its
+stop does not end, a lead of the reduced basis of J_(d-1) (FGLM's rule: a
+monomial of the leading ideal is never a new independent column; Faugere,
+Gianni, Lazard and Mora, J. Symb. Comp. 16, 1993).  X^(e - m) * u lies in
+I cap Z with lead X^e and every other term on an earlier column (grevlex
+refines degree), so X^e is a free column, never a pivot, and skipping it
+changes no later column's reduction.  Its kernel vector is not kept
+either: it is X^(e - m) * u plus kernel vectors with smaller leads, all in
+the ideal of the kernel vectors kept before it, so the ideal and its
+reduced basis are unchanged.  By the Leibniz rule so is the coisotropy
+witness, the first generator pair whose bracket leaves the radical: when
+v = sum a_i * g_i over earlier generators,
+{v, w} = sum a_i * {g_i, w} + sum g_i * {a_i, w}, so a pair with v fails
+only if a pair with some g_i fails, and that pair comes first.  The
+predecessor of a kept monomial divides it, so it is kept too and its
 normal form is cached.  The kernel vectors the ladder returns are thus
 those whose lead neither an earlier kernel vector's lead nor a lead of the
-last J_(d-1) it read divides.  Such a vector is no element of J_(d-1), so
-at rung d a plateau is a rung with no new kernel vector; the plateau test
-still reduces each new vector, and the first fails at once.
+last J_(d-1) it read divides.
+
+The plateau rule.  A new kernel vector at rung d >= 2 of an ideal that the
+principal stop does not end has a lead that no lead of J_(d-1) divides, so
+it is no element of J_(d-1): J_d = J_(d-1) exactly when rung d keeps no new
+vector, and the ladder counts its kernel instead of reducing it.  The
+principal stop reads no J_(d-1), and there a count may pass a plateau, but
+no plateau before that stop has dimension s.  Only a rung that grows the
+ideal runs Buchberger.
 """
 
 from dataclasses import dataclass
@@ -260,40 +271,37 @@ def _eliminate_residues(elements, p, slots, F):
 
 
 def _blocks(ideal):
-    """The reduced left basis of an external product split into its
-    factors, as (at, sub-ideal) pairs; None for an ideal that is not one.
+    """The reduced left basis split into the blocks of an external product
+    (module docstring), as a non-empty tuple of (at, sub-ideal) pairs, in
+    the order of their smallest variable pair.
 
-    Each basis element touches the variable pairs (x_i, d_i) at which one of
-    its exponents is nonzero, and elements that touch a common pair join one
-    block.  A block's n_k pairs are those its elements touch, ascending, and
-    ``at`` lists their exponent slots in the whole ideal, the x slots then
-    the d slots, which are also their coordinates in the twisted ring.  Its
-    sub-ideal is the left ideal of A_(n_k)(F_p) that its elements generate,
-    read at those slots.  Leads of other blocks divide no term of a block,
-    so a block's elements are the sub-ideal's reduced basis, cached as they
-    are.  The blocks come in the order of their smallest pair; a pair that
-    no element touches is in none.  None when one block covers all n pairs,
-    and for the zero and the unit ideal, which go to the whole-ideal code as
-    they are.  Computed once per ideal, and cached on it.
+    A block's n_k pairs are those its elements touch, ascending, and ``at``
+    lists their exponent slots in the whole ideal, the x slots then the d
+    slots, which are also their coordinates in the twisted ring; its
+    sub-ideal is I_k, with the block's elements as its cached reduced basis.
+    A pair that no element touches is in no block.  An ideal that does not
+    split is its own one block, ((0, .., 2n - 1), ideal).  Computed once
+    per ideal, and cached on it.
     """
     cache = ideal._cache
     if "blocks" not in cache:
-        cache["blocks"] = None
         n, basis = ideal.n, ideal.groebner_basis()
-        if n > 1 and basis and basis[0].total_degree() > 0:
-            groups = []  # (slots touched, basis indices), on disjoint slots
-            for index, g in enumerate(basis):
-                touched = {i for e in g.terms for i in range(n) if e[i] or e[n + i]}
-                joined = [grp for grp in groups if grp[0] & touched]
-                for grp in joined:
-                    groups.remove(grp)
-                    touched |= grp[0]
-                groups.append((touched, sorted(sum((grp[1] for grp in joined), [index]))))
-            if len(groups) > 1 or len(groups[0][0]) < n:
-                cache["blocks"] = tuple(
-                    _block(ideal, tuple(sorted(touched)), [basis[j] for j in members])
-                    for touched, members in sorted(groups, key=lambda grp: min(grp[0]))
-                )
+        groups = []  # (slots touched, basis indices), on disjoint slots
+        for index, g in enumerate(basis if n > 1 else ()):  # one pair is one block
+            touched = {i for e in g.terms for i in range(n) if e[i] or e[n + i]}
+            joined = [grp for grp in groups if grp[0] & touched]
+            for grp in joined:
+                groups.remove(grp)
+                touched |= grp[0]
+            groups.append((touched, sorted(sum((grp[1] for grp in joined), [index]))))
+        # the unit ideal's one element touches no pair
+        if len(groups) > 1 or 0 < sum(len(grp[0]) for grp in groups) < n:
+            cache["blocks"] = tuple(
+                _block(ideal, tuple(sorted(touched)), [basis[j] for j in members])
+                for touched, members in sorted(groups, key=lambda grp: min(grp[0]))
+            )
+        else:
+            cache["blocks"] = ((tuple(range(2 * n)), ideal),)
     return cache["blocks"]
 
 
@@ -312,8 +320,16 @@ def _block(ideal, slots, members):
 
 def _exact_basis(ideal):
     """The reduced grevlex basis of I cap Z for the left ideal I, as term
-    dicts in the twisted coordinates, lead first: the elimination of
-    ``central_annihilator_exact`` on the ideal as a whole."""
+    dicts in the twisted coordinates, lead first, by the elimination of the
+    exact route (module docstring) on the ideal as a whole.
+
+    Each d^r * g, for the residues r and the reduced left basis g, is built
+    as a term dict by the Weyl product in the engine's form
+    (``weyl._weyl_submul``) from g's engine pairs (``_Ideal._pairs``), with
+    no operator built, and eliminated onto d^0 (``_eliminate_residues``);
+    then each slot i in turn, on the x_i^s * f over the basis f of the step
+    before, or on the basis alone at a central step.
+    """
     twist = _twist_of(ideal.ring, ideal.n)
     p, n, F = twist.p, twist.n, twist.weyl_ring
     # submul subtracts factor * d^r * g; from an empty dict with factor -1
@@ -340,46 +356,23 @@ def _exact_basis(ideal):
 
 
 def central_annihilator_exact(ideal):
-    """I intersect Z by elimination over A = F_p[x, Xi]; certified generators.
-
-    The x_i and Xi_i = d_i^p commute, and D is the free A-module on the
-    d^r, 0 <= r_i < p; x^a d^b is x^a Xi^(b // p) at position b mod p.  The
-    left ideal I is the A-submodule spanned by d^r * g over the residues r
-    and the reduced left basis g, so I cap A is its intersection with the
-    coordinate of d^0: one residue elimination (``_eliminate_residues``) at
-    the d slots.  Each d^r * g is built as a term dict by the Weyl product
-    in the engine's form (``weyl._weyl_submul``) from g's engine pairs
-    (``_Ideal._pairs``), with no operator built.  A is in turn free of rank
-    p over F_p[X_1, x_2, .., x_n, Xi] on the x_1^s, 0 <= s < p, and so on,
-    so the contraction to Z = F_p[X, Xi] is one residue elimination per
-    variable, at slot i, of the x_i^s * f over the basis f of the step
-    before; a basis with every slot-i exponent divisible by p is eliminated
-    alone (module docstring).  Each elimination finishes only the elements
-    on residue 0, and the last one gives the reduced grevlex basis of
-    I cap Z, which is also ``gens``.
-
-    An external product (``_blocks``) is eliminated block by block, each at
-    its own number of variables, and the union of the blocks' bases, mapped
-    into the twisted ring and sorted by lead, is the reduced basis of
-    I cap Z (module docstring).  No block gives 1: the unit ideal is never
-    split, and a block's ideal lies in I.
-    """
+    """I cap Z, status "exact": each block of ``_blocks`` eliminated at its
+    own n_k (``_exact_basis``), and the blocks' bases, mapped into the
+    twisted ring and sorted by lead, as its reduced basis (module
+    docstring)."""
     twist = _twist_of(ideal.ring, ideal.n)
-    ring, blocks = twist.twisted_ring, _blocks(ideal)
-    if blocks is None:
-        basis = _exact_basis(ideal)
-    else:
-        basis = []
-        for at, sub in blocks:
-            for f in _exact_basis(sub):
-                g = {}
-                for e, c in f.items():
-                    full = [0] * (2 * twist.n)
-                    for j, v in zip(at, e):
-                        full[j] = v
-                    g[tuple(full)] = c
-                basis.append(g)
-        basis.sort(key=lambda f: GREVLEX.key(next(iter(f))))
+    basis = []
+    for at, sub in _blocks(ideal):
+        for f in _exact_basis(sub):
+            g = {}
+            for e, c in f.items():
+                full = [0] * (2 * twist.n)
+                for j, v in zip(at, e):
+                    full[j] = v
+                g[tuple(full)] = c
+            basis.append(g)
+    basis.sort(key=lambda f: GREVLEX.key(next(iter(f))))
+    ring = twist.twisted_ring
     return AnnihilatorResult(_reduced_ideal([MPoly(ring, f) for f in basis], ring), "exact")
 
 
@@ -455,17 +448,15 @@ def _fiber_dim(module_rows, twist, K, pt):
 
 def _fiber_reader(ideal):
     """The fibre dimension of D/I as a function of (K, pt), pt a point of
-    the centre over the finite field K, for ``psupport.generic_rank``.
-
-    Each block of ``_blocks`` (or the whole ideal, if it is no external
-    product) has its module rows (``_simple_module_rows``) compiled once,
-    as ``mpoly.CompiledRows``, and is read at its own coordinates by
-    ``_fiber_dim``; the fibre of an external product is the product of its
-    blocks' fibres, times p^2 for each variable pair that no block touches
-    (module docstring).
+    the centre over the finite field K, for ``psupport.generic_rank``: the
+    product of the fibres of the blocks of ``_blocks``, each read at its own
+    coordinates by ``_fiber_dim`` from its module rows
+    (``_simple_module_rows``), compiled once as ``mpoly.CompiledRows``,
+    times p^2 for each variable pair that no block touches (module
+    docstring).
     """
     twist = _twist_of(ideal.ring, ideal.n)
-    blocks = _blocks(ideal) or [(tuple(range(2 * twist.n)), ideal)]  # whole point
+    blocks = _blocks(ideal)
     free = twist.p ** (2 * twist.n - sum(len(at) for at, _ in blocks))
     # at has 2 * n_k >= 2 slots, so itemgetter(*at) returns a tuple
     factors = [
@@ -496,11 +487,14 @@ def _monomials_up_to(nvars, degree):
 
 
 def _ladder(ideal):
-    """The ladder's one state on the ideal (``truncated_kernel``), made on
-    first use: (nfs, echelon, kernel, lowered, decided), lowered[k] holding
-    each basis lead positive at slot k with p taken off there, at least 0,
-    and decided the leads of the reduced basis of the last kernel ideal
-    J_(d-1) that ``central_annihilator_truncated`` read, empty until then."""
+    """The ladder's one state on the ideal, made on first use:
+    (nfs, echelon, kernel, lowered, decided).  nfs holds the normal form of
+    each column so far by its monomial, None for a skipped one; echelon the
+    ``linalg.Echelon`` of those normal forms; kernel the (lead, vector)
+    pairs of the kernel, in column order; lowered[k] each basis lead
+    positive at slot k with p taken off there, at least 0; and decided the
+    leads of the reduced basis of the last kernel ideal J_(d-1) that
+    ``central_annihilator_truncated`` read, empty until then."""
     cache = ideal._cache
     if "ladder" not in cache:
         p, leads = ideal.ring.characteristic, ideal._leads()
@@ -514,20 +508,16 @@ def _ladder(ideal):
 
 
 def _central_normal_form(ideal, e):
-    """nf(embed(X^e)) for the ideal, a left ideal of A_n(F_p), by the
-    Frobenius shift of a predecessor X^(e - u_k) (module docstring) whose
-    normal form the ladder holds already.
+    """nf(embed(X^e)) for the ideal, from the normal form of a predecessor
+    X^(e - u_k) that the ladder holds, by a Frobenius shift or a product
+    with nf(X_k) (module docstring).
 
-    The candidate slots k with e_k > 0 are scanned from the last down, and
-    the one whose shift leaves the fewest terms on a basis lead is kept; the
-    scan stops at the first shift with none, and a tie keeps the later slot.
-    No lead divides a term before the shift, so only the leads positive at
-    slot k can divide one after it, and a lead divides key + p * u_k iff its
-    lowered form (``_ladder``) divides key: the terms are counted without
-    building a shift, and only the kept one is built.  A shift with no term
-    on a lead is already the normal form.  Any other is reduced, unless
-    nf(X_k) is not z_k itself: then nf(X^(e - u_k)) * nf(X_k) is reduced,
-    which is congruent to X^e because z_k is central and I a left ideal.
+    The slots k with e_k > 0 are scanned from the last down, and the first
+    whose shift leaves no term on a basis lead is kept, else the one that
+    leaves the fewest, the later slot on a tie.  A lead divides
+    key + p * u_k iff its lowered form (``_ladder``) divides key, so the
+    terms are counted without building a shift, and only the kept one is
+    built.
     """
     if not any(e):
         return ideal.normal_form(WeylOp.one(ideal.ring, ideal.n))
@@ -556,25 +546,17 @@ def _central_normal_form(ideal, e):
 
 def truncated_kernel(ideal, degree):
     """The kernel vectors with minimal leads of {z central, deg <= degree :
-    z acts as 0 on D/I}; they generate the ideal the whole kernel generates.
+    z acts as 0 on D/I}, in column order; they generate the ideal the whole
+    kernel generates.
 
-    left_nf is linear over F_p, so the kernel is the space of relations
-    among the normal forms of the embedded monomials.  The columns are the
-    monomials in (degree, grevlex) order, and the ones of degree <= d are a
-    prefix of the ones of degree <= d + 1.  The ladder's one state, cached
-    on the ideal (``_ladder``), holds the normal form of each column so far
-    by its monomial, None for a skipped one; the ``linalg.Echelon`` of the
-    normal forms, each added once with the combination {X^e: 1}; the
-    (lead, vector) pairs of the kernel, in column order; and the basis
-    leads the Frobenius shifts read.  A column left nonzero is a pivot, and
-    a vanishing one's combination is the terms of its kernel vector, with
-    lead X^e and every other term on an earlier column: the canonical
-    nullspace vector of that free column.  Any sequence of degrees asked
-    for reduces each column once.  A monomial that an earlier kernel lead
-    divides, or a lead of the last J_(d-1) that
-    ``central_annihilator_truncated`` read (``_ladder``), is a column never
-    normalised, with no vector kept (module docstring), so no returned lead
-    divides a later one.
+    The columns are the monomials X^e in (degree, grevlex) order.  Each
+    column's normal form (``_central_normal_form``) goes into the ladder's
+    state (``_ladder``) once, with the combination {X^e: 1}, so any sequence
+    of degrees asked for reduces each column once; a vanishing column's
+    combination is its kernel vector, with lead X^e and every other term on
+    an earlier column.  A column that an earlier kernel lead or a lead in
+    ``decided`` divides is never normalised and keeps no vector (module
+    docstring), so no returned lead divides a later one.
     """
     ring = _twist_of(ideal.ring, ideal.n).twisted_ring
     nfs, echelon, kernel, _, decided = _ladder(ideal)
@@ -600,23 +582,20 @@ def _support_dimension(ideal):
 
 
 def central_annihilator_truncated(ideal, twist=None):
-    """Degree-truncated central annihilator, certified in dimension.
+    """The degree-truncated central annihilator, certified in dimension:
+    the kernel ideals J_d of ``truncated_kernel(ideal, d)`` for d rising to
+    the top degree D (module docstring).
 
-    The kernel ideal J_d of ``truncated_kernel(ideal, d)`` at the first
-    plateau J_(d+1) = J_d of dimension at most s (``_support_dimension``),
-    status "stabilized(d)", else at the top degree D, status "truncated(D)"
-    (module docstring).  When every block of ``_blocks`` (the whole ideal,
-    for one that is no external product) has a one-element reduced basis,
-    J_d at the first rung whose kernel has one vector per block is I cap Z
-    itself, its reduced basis that kernel, status "stabilized(d)"; at d = D
-    with more than one block the status stays "truncated(D)".  For any
-    other ideal, the leads of J_(d-1)'s reduced basis, which the plateau
-    test of rung d >= 2 reads, go on the ladder's state before that rung's
-    kernel, which skips the columns they divide; an ideal that the
-    principal stop may end reads no basis before its stop.
-    D = max(2p, m * p^(n-1)), m the least total degree of the reduced left
-    basis, bounds the twisted degree of the reduced norm of a basis element
-    of degree m, a nonzero central element of I.
+    When every block of ``_blocks`` has a one-element reduced basis, the
+    result is I cap Z at the first rung d whose kernel has one vector per
+    block, status "stabilized(d)", save at d = D with more than one block.
+    Otherwise the leads of J_(d-1)'s reduced basis go on the ladder's state
+    before each rung d >= 2, and the result is J_(d-1), status
+    "stabilized(d - 1)", at the first rung d that keeps no new kernel vector
+    while J_(d-1) has dimension at most s (``_support_dimension``).  Else it
+    is J_D, status "truncated(D)".  The count holds on a ladder that this
+    function builds from rung 1: one that ``truncated_kernel`` extended
+    first may keep new vectors inside J_(d-1), and report a later plateau.
 
     The route reads the twist off the ideal; ``twist``, kept for callers
     that still pass it, must be that twist or None.
@@ -626,25 +605,22 @@ def central_annihilator_truncated(ideal, twist=None):
         raise RingMismatch(f"{given} is not the twist of {ideal}")
     norm_degree = min((g.total_degree() for g in ideal.groebner_basis()), default=0)
     top = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
-    blocks = _blocks(ideal) or [(None, ideal)]
+    blocks = _blocks(ideal)
     principal = all(len(sub.groebner_basis()) == 1 for _, sub in blocks)
     support, prev, decided = _support_dimension(ideal), None, _ladder(ideal)[4]
     for d in range(1, top + 1):
         if prev is not None and not principal:
-            # J_(d-1)'s leads decide more columns (module docstring); the
-            # plateau test below reads its basis at this rung anyway
-            decided[:] = prev._leads()
+            decided[:] = prev._leads()  # J_(d-1)'s leads decide more columns
         kernel = truncated_kernel(ideal, d)
         # the kernel is the blocks' generators: J = I cap Z (module docstring)
         if principal and len(kernel) == len(blocks) and (d < top or len(blocks) == 1):
             return AnnihilatorResult(_reduced_ideal(kernel, twist.twisted_ring), f"stabilized({d})")
-        J = CIdeal.of(kernel, ring=twist.twisted_ring)
-        # the kernel at d - 1 is a prefix of the kernel at d
-        if prev is not None and all(prev.contains(z) for z in kernel[len(prev.gens) :]):
-            if krull_dim(prev) <= support:
-                return AnnihilatorResult(prev, f"stabilized({d - 1})")
-            J._cache.update(prev._cache)  # the same ideal: its basis carries over
-        prev = J
+        # the kernel at d - 1 is a prefix of the kernel at d, and a plateau
+        # is a rung with no new kernel vector (module docstring)
+        if prev is None or len(kernel) > len(prev.gens):
+            prev = CIdeal.of(kernel, ring=twist.twisted_ring)
+        elif krull_dim(prev) <= support:
+            return AnnihilatorResult(prev, f"stabilized({d - 1})")
     return AnnihilatorResult(prev, f"truncated({top})")
 
 

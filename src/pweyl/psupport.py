@@ -325,10 +325,10 @@ def generic_rank(ideal, annihilator, attempts=5, seed=0):
     common kernel W of the reduced left basis on V, so the fiber of D/I has
     dimension p^n * dim W = p^n * (p^n - rank), the rank of the basis's
     matrices on V with their rows stacked.  The samples are chosen on the
-    whole annihilator, but an external product is read one block at a time
-    (``center._fiber_reader``): its fibre is the product of the blocks'
-    fibres, each on its own simple module at its own coordinates, times p^2
-    for each variable pair that no block touches.  The rows are built once
+    whole annihilator, and each fibre is read one block of the ideal at a
+    time (``center._fiber_reader``): the product of the blocks' fibres, each
+    on its own simple module at its own coordinates, times p^2 for each
+    variable pair that no block touches.  The rows are built once
     per call, from the products g * x^s, each one right multiplication by an
     x_i of an earlier one, and compiled once (``mpoly.CompiledRows``), as
     are the Jacobian entries.  At each point beta is one square-and-multiply

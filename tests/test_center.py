@@ -274,7 +274,7 @@ def test_exact_route_eliminates_the_products_d_r_times_g(monkeypatch, n, p):
         seen.clear()
         with pytest.raises(_Captured):
             central_annihilator_exact(I)
-        J = I if _blocks(I) is None else _blocks(I)[0][1]
+        J = _blocks(I)[0][1]
         d_powers = [WeylOp.monomial(F, J.n, (0,) * J.n + r) for r in product(range(p), repeat=J.n)]
         assert seen == [[(dr * g).terms for g in J.groebner_basis() for dr in d_powers]]
 
@@ -372,7 +372,7 @@ def test_external_products_split_into_their_factors(n, p):
         )
     for I in ideals:
         label = str(I)
-        assert (_blocks(I) is None) == I.is_unit_ideal(), label
+        assert (_blocks(I)[0][1] is I) == I.is_unit_ideal(), label
         ann = central_annihilator_exact(I).ideal
         whole = [MPoly(tw.twisted_ring, f) for f in center._exact_basis(I)]
         assert [g.terms for g in ann.groebner_basis()] == [g.terms for g in whole], label
@@ -394,6 +394,57 @@ def test_external_products_split_into_their_factors(n, p):
             want = center._fiber_dim(rows, tw, K, pt)
             assert fiber(K, pt) == want, (label, pt)
             assert sampled in (None, want), (label, pt)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_ideal_is_a_product_of_blocks(n):
+    # _blocks always gives a non-empty tuple of blocks on disjoint, ascending
+    # slots, x slots then their d slots; an ideal that does not split (one
+    # block on all n pairs, the zero ideal, the unit ideal) is its own one
+    # block, with no sub-ideal built
+    p = 3
+    F, rng = Zmod(p), random.Random(40 + n)
+    ideals = [LeftIdeal.of([], ring=F, n=n), LeftIdeal.of([WeylOp.one(F, n)])]
+    for _ in range(6):
+        gens = [
+            random_weylop(F, n, rng, max_exp=2, max_terms=3, nonzero=True)
+            for _ in range(rng.randrange(1, 3))
+        ]
+        ideals.append(LeftIdeal.of(gens))
+    for _ in range(6):
+        pairs = rng.sample(range(n), rng.randrange(1, n + 1))
+        gens = [
+            in_pair(random_weylop(F, 1, rng, max_exp=2, max_terms=3, nonzero=True), n, i)
+            for i in pairs
+        ]
+        ideals.append(LeftIdeal.of(gens))
+    splits = 0
+    for I in ideals:
+        label, basis, blocks = str(I), I.groebner_basis(), _blocks(I)
+        assert isinstance(blocks, tuple) and blocks, label
+        slots = [j for at, _ in blocks for j in at]
+        assert len(set(slots)) == len(slots), label
+        for at, sub in blocks:
+            k = len(at) // 2
+            assert list(at) == sorted(at) and at[k:] == tuple(n + i for i in at[:k]), label
+            assert sub.n == k, label
+        # the pairs each basis element touches, joined where they meet
+        groups = []
+        for g in basis:
+            touched = {i for e in g.terms for i in range(n) if e[i] or e[n + i]}
+            for grp in [grp for grp in groups if grp & touched]:
+                groups.remove(grp)
+                touched |= grp
+            groups.append(touched)
+        pairs = set().union(*groups)
+        if I.is_unit_ideal() or not basis or (len(groups) == 1 and len(pairs) == n):
+            assert blocks == ((tuple(range(2 * n)), I),), label
+            assert blocks[0][1] is I, label
+        else:
+            splits += 1
+            assert [set(at[: len(at) // 2]) for at, _ in blocks] == sorted(groups, key=min)
+            assert sum(len(sub.groebner_basis()) for _, sub in blocks) == len(basis), label
+    assert splits >= (0 if n == 1 else 3)
 
 
 def reference_module_rows(ideal):
@@ -821,9 +872,8 @@ def kept_by_the_ladder(ideal, want, R):
     skips as decided by J_(d-1): a generator of degree d whose lead a lead
     of the reduced basis of the ideal of the generators of lower degree
     divides.  The ladder keeps all of them when every block of ``_blocks``
-    (the whole ideal, if none) has a one-element reduced basis."""
-    blocks = _blocks(ideal) or [(None, ideal)]
-    if all(len(sub.groebner_basis()) == 1 for _, sub in blocks):
+    has a one-element reduced basis."""
+    if all(len(sub.groebner_basis()) == 1 for _, sub in _blocks(ideal)):
         return tuple(want)
     kept = []
     for z in want:
@@ -884,7 +934,7 @@ def test_pruned_ladder_matches_the_reference_ladder():
             while len(LeftIdeal.of(first).groebner_basis()) < per_pair:
                 first = [draw() for _ in range(per_pair)]
             gens = [on_pair(L, 0) for L in first] + [on_pair(draw(), 1)]
-            blocks = _blocks(LeftIdeal.of(gens)) or ()
+            blocks = _blocks(LeftIdeal.of(gens))
             wide += any(len(sub.groebner_basis()) > 1 for _, sub in blocks)
             cases.append((tw, gens))
     assert wide >= 6
@@ -916,6 +966,45 @@ def test_pruned_ladder_matches_the_reference_ladder():
         assert verdict == coisotropy_check(cgb.frobenius_root(CIdeal.of(want, ring=R))), label
         witnesses += index in decided and not verdict.ok
     assert witnesses == 3
+
+
+def test_plateau_is_a_rung_with_no_new_kernel_vector(monkeypatch):
+    # the ladder tells a plateau by counting its kernel, with no membership
+    # test, and keeps the status, the reduced basis and the coisotropy
+    # witness of a ladder that eliminates the whole dense kernel
+    cases = DECIDED_BY_THE_KERNEL_IDEAL + [(5, ("d1*d2 - 1", "x1*d1 - x2*d2"))]
+    statuses = [
+        "stabilized(4)",
+        "stabilized(5)",
+        "truncated(6)",
+        "stabilized(4)",
+        "stabilized(4)",
+        "stabilized(2)",
+    ]
+
+    def no_membership(self, f):
+        raise AssertionError("the ladder tested ideal membership")
+
+    results = []
+    with monkeypatch.context() as patch:
+        patch.setattr(CIdeal, "contains", no_membership)
+        for p, texts in cases:
+            tw = FrobeniusTwist(p, 2)
+            I = LeftIdeal.of([parse_weyl(text, 2, tw.weyl_ring) for text in texts])
+            results.append(central_annihilator_truncated(I))
+    assert [res.status for res in results] == statuses
+    for (p, texts), res in zip(cases, results):
+        tw = FrobeniusTwist(p, 2)
+        R = tw.twisted_ring
+        status, want = reference_ladder(
+            LeftIdeal.of([parse_weyl(text, 2, tw.weyl_ring) for text in texts]), tw
+        )
+        assert res.status == status, texts
+        assert res.ideal.groebner_basis() == CIdeal.of(want, ring=R).groebner_basis(), texts
+        verdict = coisotropy_check(cgb.frobenius_root(res.ideal))
+        assert verdict == coisotropy_check(cgb.frobenius_root(CIdeal.of(want, ring=R))), texts
+    torus = results[-1].ideal.groebner_basis()
+    assert [str(g) for g in torus] == ["Xi1*Xi2 - 1", "X1*Xi1 - X2*Xi2", "X2*Xi2^2 - X1"]
 
 
 @pytest.mark.parametrize(
@@ -1042,11 +1131,11 @@ def test_ladder_stops_where_its_answer_is_certified(
 ):
     # at p = 5 an external product of one-element blocks stops at the rung
     # where the kernel is the blocks' generators, degree d for
-    # stabilized(d), where the plateau test reached d + 1 (35, 70 and 126
-    # columns, two Buchberger calls each); the torus pair is no product and
-    # still reaches d + 1.  Buchberger runs once per distinct kernel ideal
-    # the plateau test reads: a rung that adds nothing, as (X2 - Xi2) and
-    # (Xi2 - 1) stay from degree 1 to 2 and to 3, reuses the basis before it
+    # stabilized(d), where a plateau would be seen at d + 1 only (35, 70 and
+    # 126 columns, two Buchberger calls each); the torus pair is no product
+    # and still reaches d + 1.  Buchberger runs once per distinct kernel
+    # ideal the ladder reads: a rung that adds nothing, as (X2 - Xi2) and
+    # (Xi2 - 1) stay from degree 1 to 2 and to 3, keeps the ideal before it
     calls = []
     buchberger = cgb.buchberger
 

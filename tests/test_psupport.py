@@ -139,6 +139,25 @@ def test_report_unit_ideal():
     assert any("empty support" in note for note in r.notes)
 
 
+@pytest.mark.parametrize(
+    "n, p, kw, status, rank",
+    [
+        (1, 3, {}, "exact", 9),
+        (2, 3, {"method": "exact"}, "exact", 81),
+        (2, 2, {}, "exact", 16),
+        (2, 3, {"method": "truncated", "compute_rank": False}, "stabilized(1)", None),
+    ],
+)
+def test_generators_that_vanish_mod_p_give_the_zero_ideal(n, p, kw, status, rank):
+    # p*d1 + p*x1 reduces to the zero ideal, its own one block: no central
+    # element kills D, the support is the whole centre, and every fibre is D
+    # over its point, of rank p^(2n)
+    (x, *_), (d, *_), one = qq_gens(n)
+    r = report_for([const(p, n) * d + const(p, n) * x], p, n=n, **kw)
+    assert list(r.annihilator) == []
+    assert (r.annihilator_status, r.dimension, r.generic_rank) == (status, 2 * n, rank)
+
+
 def test_report_deterministic():
     (x,), (d,), one = qq_gens()
     a = report_for([d - x], 5, seed=0)

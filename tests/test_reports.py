@@ -8,15 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from pweyl import buchberger
+from pweyl import DModuleSpec, buchberger, p_support, parse_weyl
 from pweyl.cli import run
 from pweyl.mpoly import PolyRing
 from pweyl.orders import monomial_divides
 from pweyl.psupport import REPORT_SCHEMA
-from pweyl.rings import Zmod
+from pweyl.rings import QQ, Zmod
 
 from helpers import random_mpoly
 
+SCHEMAS_DOC = Path(__file__).parent.parent / "docs" / "schemas.md"
 GOLDEN = Path(__file__).parent / "data" / "golden_report_exponential_p3.json"
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus_seed0.json"
 GOLDEN_LEGENDRE = Path(__file__).parent / "data" / "golden_report_legendre_exp_p3.json"
@@ -263,6 +264,17 @@ def test_report_field_order_frozen():
         "rank_samples",
         "notes",
     ]
+
+
+def test_schema_doc_lists_the_report_keys_in_order():
+    # the support-report table of docs/schemas.md names exactly the keys of
+    # SupportReport.to_dict(), in their order
+    text = SCHEMAS_DOC.read_text()
+    section = text.split("## Support report (`pweyl-report-v1`)")[1].split("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    documented = [line.split("`")[1] for line in rows]
+    report = p_support(DModuleSpec(1, (parse_weyl("d1 - 1", 1, QQ),)), 3)
+    assert documented == list(report.to_dict())
 
 
 def test_bases_are_reduced():
