@@ -91,15 +91,18 @@ some h_k has dimension above s.  At the top degree D with more than one
 block the stop gives way, and the ladder ends as it always has, with
 J_D = I cap Z reported "truncated(D)".
 
-The truncated ladder does each reduction once, and keeps one state on the
-ideal for every later degree: the normal form of each column's monomial,
-one ``linalg.Echelon`` (the sparse elimination behind ``linalg.rank`` too)
-and the kernel found so far (``truncated_kernel``).  It normalises a
-central monomial X^e at most once, and adds each normal form once, as a
-column carrying the combination {X^e: 1}, so that a vanishing column's
-combination is its kernel vector.  The monomials of degree <= d come first
-in (degree, grevlex) order, so the kernel at degree d + 1 extends the one
-at d and no degree is eliminated from scratch.  The normal form of X^e
+The truncated ladder climbs one rung, one degree, at a time, does each
+reduction once, and keeps one state on the ideal for every later degree:
+the normal form of each column's monomial, one ``linalg.Echelon`` (the
+sparse elimination behind ``linalg.rank`` too), the kernel found so far and
+the kernel ideal J_d of each finished rung (``truncated_kernel``).  Only
+the ladder writes that state, so what it returns at a degree depends on
+the ideal and the degree alone.  It normalises a central monomial X^e at
+most once, and adds each normal form once, as a column carrying the
+combination {X^e: 1}, so that a vanishing column's combination is its
+kernel vector.  The monomials of degree <= d come first in
+(degree, grevlex) order, so the kernel at degree d + 1 extends the one at
+d and no degree is eliminated from scratch.  The normal form of X^e
 comes from that of a predecessor X^(e - u_k), for any slot k with e_k > 0,
 by a Frobenius shift (``_central_normal_form``):
 
@@ -129,31 +132,32 @@ is normalised directly.
 The ladder never normalises a monomial X^e that the lead X^m of an element
 u of an ideal generated by earlier kernel vectors divides: the lead of an
 earlier kernel vector, and, at rung d >= 2 of an ideal that the principal
-stop does not end, a lead of the reduced basis of J_(d-1) (FGLM's rule: a
-monomial of the leading ideal is never a new independent column; Faugere,
-Gianni, Lazard and Mora, J. Symb. Comp. 16, 1993).  X^(e - m) * u lies in
-I cap Z with lead X^e and every other term on an earlier column (grevlex
-refines degree), so X^e is a free column, never a pivot, and skipping it
-changes no later column's reduction.  Its kernel vector is not kept
-either: it is X^(e - m) * u plus kernel vectors with smaller leads, all in
-the ideal of the kernel vectors kept before it, so the ideal and its
-reduced basis are unchanged.  By the Leibniz rule so is the coisotropy
+stop does not end, a lead of the reduced basis of J_(d-1), which the ladder
+kept when it finished rung d - 1 (FGLM's rule: a monomial of the leading
+ideal is never a new independent column; Faugere, Gianni, Lazard and Mora,
+J. Symb. Comp. 16, 1993).  X^(e - m) * u lies in I cap Z with lead X^e
+and every other term on an earlier column (grevlex refines degree), so X^e
+is a free column, never a pivot, and skipping it changes no later column's
+reduction.  Its kernel vector is not kept either: it is X^(e - m) * u
+plus kernel vectors with smaller leads, all in the ideal of the kernel
+vectors kept before it, so the ideal and its reduced basis are unchanged.  By the Leibniz rule so is the coisotropy
 witness, the first generator pair whose bracket leaves the radical: when
 v = sum a_i * g_i over earlier generators,
 {v, w} = sum a_i * {g_i, w} + sum g_i * {a_i, w}, so a pair with v fails
 only if a pair with some g_i fails, and that pair comes first.  The
 predecessor of a kept monomial divides it, so it is kept too and its
 normal form is cached.  The kernel vectors the ladder returns are thus
-those whose lead neither an earlier kernel vector's lead nor a lead of the
-last J_(d-1) it read divides.
+those whose lead neither an earlier kernel vector's lead nor, past rung 1,
+a lead of J_(d-1) for their rung d divides.
 
 The plateau rule.  A new kernel vector at rung d >= 2 of an ideal that the
 principal stop does not end has a lead that no lead of J_(d-1) divides, so
 it is no element of J_(d-1): J_d = J_(d-1) exactly when rung d keeps no new
-vector, and the ladder counts its kernel instead of reducing it.  The
-principal stop reads no J_(d-1), and there a count may pass a plateau, but
-no plateau before that stop has dimension s.  Only a rung that grows the
-ideal runs Buchberger.
+vector.  The ladder then keeps J_(d-1) itself as J_d, and the annihilator
+counts its kernel instead of reducing it.  The principal stop reads no
+J_(d-1), and there a count may pass a plateau, but no plateau before that
+stop has dimension s.  Only a rung that grows the ideal makes a new J_d, so
+Buchberger runs once per distinct kernel ideal read.
 """
 
 from dataclasses import dataclass
@@ -423,25 +427,12 @@ def _simple_module_rows(ideal):
     return rows
 
 
-def _pth_root(K, a):
-    """The p-th root of a in the finite field K, a^(|K| / p), Frobenius
-    being bijective on K; by square-and-multiply."""
-    e, out = K.size // K.characteristic, None
-    while True:
-        if e & 1:
-            out = a if out is None else K.mul(out, a)
-        e >>= 1
-        if not e:
-            return out
-        a = K.mul(a, a)
-
-
 def _fiber_dim(module_rows, twist, K, pt):
     """p^n * (p^n - rank) of the module rows, compiled as
-    ``mpoly.CompiledRows``, at the point pt over K, with beta the p-th root
-    of Xi (``_pth_root``; see ``psupport.generic_rank``)."""
+    ``mpoly.CompiledRows``, at the point pt over K, with beta = Xi^(|K| / p)
+    the p-th root of Xi (``K.pow``; see ``psupport.generic_rank``)."""
     n, dim_v = twist.n, twist.p**twist.n
-    beta = tuple(_pth_root(K, xi) for xi in pt[n:])
+    beta = tuple(K.pow(xi, K.size // K.characteristic) for xi in pt[n:])
     rows = module_rows.at(pt[:n] + beta, K)
     return dim_v * (dim_v - matrix_rank(rows, K, dim_v))
 
@@ -488,13 +479,16 @@ def _monomials_up_to(nvars, degree):
 
 def _ladder(ideal):
     """The ladder's one state on the ideal, made on first use:
-    (nfs, echelon, kernel, lowered, decided).  nfs holds the normal form of
-    each column so far by its monomial, None for a skipped one; echelon the
-    ``linalg.Echelon`` of those normal forms; kernel the (lead, vector)
-    pairs of the kernel, in column order; lowered[k] each basis lead
-    positive at slot k with p taken off there, at least 0; and decided the
-    leads of the reduced basis of the last kernel ideal J_(d-1) that
-    ``central_annihilator_truncated`` read, empty until then."""
+    (nfs, echelon, kernel, lowered, ideals, principal).  nfs holds the
+    normal form of each column so far by its monomial, None for a skipped
+    one; echelon the ``linalg.Echelon`` of those normal forms; kernel the
+    (lead, vector) pairs of the kernel, in column order; lowered[k] each
+    basis lead positive at slot k with p taken off there, at least 0;
+    ideals[d] the kernel ideal J_d of each finished rung d, the one of rung
+    d - 1 itself when rung d keeps no new vector; and principal whether
+    every block of ``_blocks`` has a one-element reduced basis, so that the
+    principal stop can end the ladder.  Only ``truncated_kernel`` writes
+    it."""
     cache = ideal._cache
     if "ladder" not in cache:
         p, leads = ideal.ring.characteristic, ideal._leads()
@@ -503,7 +497,8 @@ def _ladder(ideal):
             for k in range(2 * ideal.n)
         ]
         ring = _twist_of(ideal.ring, ideal.n).twisted_ring
-        cache["ladder"] = ({}, Echelon(ring.coeffs), [], lowered, [])
+        principal = all(len(sub.groebner_basis()) == 1 for _, sub in _blocks(ideal))
+        cache["ladder"] = ({}, Echelon(ring.coeffs), [], lowered, [], principal)
     return cache["ladder"]
 
 
@@ -521,7 +516,7 @@ def _central_normal_form(ideal, e):
     """
     if not any(e):
         return ideal.normal_form(WeylOp.one(ideal.ring, ideal.n))
-    nfs, _, _, lowered, _ = _ladder(ideal)
+    nfs, _, _, lowered, _, _ = _ladder(ideal)
     best = None  # (hits, slot, predecessor's normal form)
     for k in reversed(range(len(e))):
         if not e[k]:
@@ -545,32 +540,43 @@ def _central_normal_form(ideal, e):
 
 
 def truncated_kernel(ideal, degree):
-    """The kernel vectors with minimal leads of {z central, deg <= degree :
-    z acts as 0 on D/I}, in column order; they generate the ideal the whole
-    kernel generates.
+    """The ladder's kernel at ``degree``: the vectors of degree <= degree
+    that it keeps, in column order, whose leads are minimal, and which
+    generate J_degree, the ideal of {z central, deg <= degree : z acts as 0
+    on D/I} (module docstring).  It depends on the ideal and the degree
+    alone, whatever was asked before.
 
-    The columns are the monomials X^e in (degree, grevlex) order.  Each
-    column's normal form (``_central_normal_form``) goes into the ladder's
-    state (``_ladder``) once, with the combination {X^e: 1}, so any sequence
-    of degrees asked for reduces each column once; a vanishing column's
-    combination is its kernel vector, with lead X^e and every other term on
-    an earlier column.  A column that an earlier kernel lead or a lead in
-    ``decided`` divides is never normalised and keeps no vector (module
-    docstring), so no returned lead divides a later one.
+    The ladder climbs one rung at a time.  The columns are the monomials
+    X^e in (degree, grevlex) order.  Each column's normal form
+    (``_central_normal_form``) goes into the ladder's state (``_ladder``)
+    once, with the combination {X^e: 1}, so any sequence of degrees asked
+    for reduces each column once; a vanishing column's combination is its
+    kernel vector, with lead X^e and every other term on an earlier column.
+    A column that an earlier kernel lead divides, or, at rung d >= 2 of an
+    ideal that the principal stop cannot end, a lead of J_(d-1)'s reduced
+    basis, is never normalised and keeps no vector, so no returned lead
+    divides a later one.  Each finished rung leaves its kernel ideal J_d on
+    the state.
     """
     ring = _twist_of(ideal.ring, ideal.n).twisted_ring
-    nfs, echelon, kernel, _, decided = _ladder(ideal)
+    nfs, echelon, kernel, _, ideals, principal = _ladder(ideal)
     one = ring.coeffs.one()
-    for e in _monomials_up_to(2 * ideal.n, degree)[len(nfs) :]:
-        if any(monomial_divides(m, e) for m in decided) or any(
-            monomial_divides(lead, e) for lead, _ in kernel
-        ):
-            nfs[e] = None
-            continue
-        nf = nfs[e] = _central_normal_form(ideal, e)
-        comb = echelon.add(nf.terms, {e: one})
-        if comb is not None:
-            kernel.append((e, MPoly(ring, comb)))
+    for d in range(len(ideals), degree + 1):
+        decided = ideals[d - 1]._leads() if d >= 2 and not principal else ()
+        for e in _monomials_up_to(2 * ideal.n, d)[len(nfs) :]:
+            if any(monomial_divides(m, e) for m in decided) or any(
+                monomial_divides(lead, e) for lead, _ in kernel
+            ):
+                nfs[e] = None
+                continue
+            nf = nfs[e] = _central_normal_form(ideal, e)
+            comb = echelon.add(nf.terms, {e: one})
+            if comb is not None:
+                kernel.append((e, MPoly(ring, comb)))
+        if ideals and len(kernel) == len(ideals[-1].gens):
+            ideals.append(ideals[-1])
+        else:
+            ideals.append(CIdeal.of([z for _, z in kernel], ring=ring))
     return [z for lead, z in kernel if sum(lead) <= degree]
 
 
@@ -583,19 +589,16 @@ def _support_dimension(ideal):
 
 def central_annihilator_truncated(ideal, twist=None):
     """The degree-truncated central annihilator, certified in dimension:
-    the kernel ideals J_d of ``truncated_kernel(ideal, d)`` for d rising to
-    the top degree D (module docstring).
+    the kernel ideals J_d that ``truncated_kernel(ideal, d)`` leaves on the
+    ladder's state, for d rising to the top degree D (module docstring).
 
     When every block of ``_blocks`` has a one-element reduced basis, the
     result is I cap Z at the first rung d whose kernel has one vector per
     block, status "stabilized(d)", save at d = D with more than one block.
-    Otherwise the leads of J_(d-1)'s reduced basis go on the ladder's state
-    before each rung d >= 2, and the result is J_(d-1), status
-    "stabilized(d - 1)", at the first rung d that keeps no new kernel vector
-    while J_(d-1) has dimension at most s (``_support_dimension``).  Else it
-    is J_D, status "truncated(D)".  The count holds on a ladder that this
-    function builds from rung 1: one that ``truncated_kernel`` extended
-    first may keep new vectors inside J_(d-1), and report a later plateau.
+    Otherwise it is J_(d-1), status "stabilized(d - 1)", at the first rung
+    d >= 2 that keeps no new kernel vector while J_(d-1) has dimension at
+    most s (``_support_dimension``).  Else it is J_D, status
+    "truncated(D)".
 
     The route reads the twist off the ideal; ``twist``, kept for callers
     that still pass it, must be that twist or None.
@@ -605,23 +608,17 @@ def central_annihilator_truncated(ideal, twist=None):
         raise RingMismatch(f"{given} is not the twist of {ideal}")
     norm_degree = min((g.total_degree() for g in ideal.groebner_basis()), default=0)
     top = max(2 * twist.p, norm_degree * twist.p ** (twist.n - 1))
-    blocks = _blocks(ideal)
-    principal = all(len(sub.groebner_basis()) == 1 for _, sub in blocks)
-    support, prev, decided = _support_dimension(ideal), None, _ladder(ideal)[4]
+    blocks, support = _blocks(ideal), _support_dimension(ideal)
+    _, _, _, _, ideals, principal = _ladder(ideal)
     for d in range(1, top + 1):
-        if prev is not None and not principal:
-            decided[:] = prev._leads()  # J_(d-1)'s leads decide more columns
         kernel = truncated_kernel(ideal, d)
         # the kernel is the blocks' generators: J = I cap Z (module docstring)
         if principal and len(kernel) == len(blocks) and (d < top or len(blocks) == 1):
             return AnnihilatorResult(_reduced_ideal(kernel, twist.twisted_ring), f"stabilized({d})")
-        # the kernel at d - 1 is a prefix of the kernel at d, and a plateau
-        # is a rung with no new kernel vector (module docstring)
-        if prev is None or len(kernel) > len(prev.gens):
-            prev = CIdeal.of(kernel, ring=twist.twisted_ring)
-        elif krull_dim(prev) <= support:
-            return AnnihilatorResult(prev, f"stabilized({d - 1})")
-    return AnnihilatorResult(prev, f"truncated({top})")
+        # a plateau is a rung with no new kernel vector (module docstring)
+        if d >= 2 and ideals[d] is ideals[d - 1] and krull_dim(ideals[d]) <= support:
+            return AnnihilatorResult(ideals[d], f"stabilized({d - 1})")
+    return AnnihilatorResult(ideals[top], f"truncated({top})")
 
 
 def central_annihilator(ideal, guard=EXACT_GUARD, method="auto"):

@@ -358,8 +358,6 @@ def radical_member(f, ideal):
     r lies in rad(I) iff 1 lies in I + (1 - t*r), decided by the engine under
     grevlex with t in one extra exponent slot (no ring is built), fed the
     ideal's cached basis and 1 - t*r, and finishing only a constant lead."""
-    if f.is_zero():
-        return True
     r = ideal.normal_form(f)
     if r.is_zero():
         return True

@@ -68,19 +68,9 @@ def _cmd_psupport(args):
         _emit_json(report.to_dict())
         return 0
     d = report.to_dict()
-    for key in (
-        "name",
-        "prime",
-        "n",
-        "annihilator",
-        "annihilator_status",
-        "dimension",
-        "coisotropic",
-        "lagrangian",
-        "conical",
-        "generic_rank",
-    ):
-        val = d[key]
+    for key, val in d.items():
+        if key in ("schema", "coisotropy_witness", "rank_samples", "notes"):
+            continue
         if key == "annihilator":
             val = ", ".join(val) if val else "(0)"
         print(f"{key}: {val}")

@@ -166,24 +166,14 @@ def run_corpus(path=None, primes=None, seed=0, attempts=5):
         for p in primes if primes is not None else entry.primes:
             expected = entry.expected.get(p, {})
             try:
-                report = p_support(spec, p, attempts=attempts, seed=seed)
+                got = p_support(spec, p, attempts=attempts, seed=seed).to_dict()
             except BadPrime:
-                ok = bool(expected.get("bad_prime"))
-                mism = () if ok else ("unexpected bad prime",)
-                results.append(CorpusRun(entry.name, p, ok, {"bad_prime": True}, mism))
-                continue
-            if expected.get("bad_prime"):
-                results.append(
-                    CorpusRun(
-                        entry.name,
-                        p,
-                        False,
-                        report.to_dict(),
-                        ("expected a bad prime, reduction succeeded",),
-                    )
-                )
-                continue
-            got = report.to_dict()
-            mism = tuple(_compare(expected, got))
+                got = {"bad_prime": True}
+                mism = () if expected.get("bad_prime") else ("unexpected bad prime",)
+            else:
+                if expected.get("bad_prime"):
+                    mism = ("expected a bad prime, reduction succeeded",)
+                else:
+                    mism = tuple(_compare(expected, got))
             results.append(CorpusRun(entry.name, p, not mism, got, mism))
     return results

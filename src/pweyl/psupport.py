@@ -84,7 +84,7 @@ def specialize_mod_p(spec, p):
         raise ValueError(f"{p} is not prime")
     F = Zmod(p)
     if spec.ring == F:
-        gens = list(spec.generators)
+        gens = spec.generators
     elif spec.ring == QQ:
         gens = []
         for g in spec.generators:
@@ -99,7 +99,6 @@ def specialize_mod_p(spec, p):
             gens.append(WeylOp(F, spec.n, terms))
     else:
         raise RingMismatch(f"cannot specialize coefficients in {spec.ring} to F_{p}")
-    gens = [g for g in gens if not g.is_zero()]
     return LeftIdeal.of(gens, ring=F, n=spec.n)
 
 
@@ -288,7 +287,7 @@ def _choose_samples(basis, nvars, p, attempts, rng):
         K, points = _points_on_variety(basis, nvars, p, k, rng)
         for pt in points:
             rows = jac.at(pt, K)
-            jr = matrix_rank(rows, K, nvars) if rows else 0
+            jr = matrix_rank(rows, K, nvars)
             ranked.append((jr, k, K, pt))
             if jr == ceiling:
                 at_ceiling += 1
@@ -331,12 +330,12 @@ def generic_rank(ideal, annihilator, attempts=5, seed=0):
     variable pair that no block touches.  The rows are built once
     per call, from the products g * x^s, each one right multiplication by an
     x_i of an earlier one, and compiled once (``mpoly.CompiledRows``), as
-    are the Jacobian entries.  At each point beta is one square-and-multiply
-    per coordinate (``center._pth_root``), every distinct monomial is one
-    product of per-coordinate powers, the entries are summed in one loop,
-    and the nonzero ones, as sparse rows, go to the incremental
-    ``linalg.rank``.  Each field's label is built once, and each distinct
-    coordinate is formatted once per field, for the report's sample dicts.
+    are the Jacobian entries.  At each point beta is one ``K.pow`` per
+    coordinate, every distinct monomial is one product of per-coordinate
+    powers, the entries are summed in one loop, and the nonzero ones, as
+    sparse rows, go to the incremental ``linalg.rank``.  Each field's label
+    is built once, and each distinct coordinate is formatted once per field,
+    for the report's sample dicts.
     """
     _check_attempts(attempts)
     twist = _twist_of(ideal.ring, ideal.n)

@@ -107,6 +107,9 @@ class Zmod:
     def mul(self, a, b):
         return (a * b) % self.modulus
 
+    def pow(self, a, k):
+        return pow(a, k, self.modulus)
+
     def inv(self, a):
         a %= self.modulus
         if a == 0:
@@ -219,6 +222,10 @@ class GaloisField:
 
     def mul(self, a, b):
         return (a + b - 2) % self._order + 1 if a and b else 0
+
+    def pow(self, a, k):
+        """a^k, k >= 0, by one product on the logarithm; 0^0 is 1."""
+        return (a - 1) * k % self._order + 1 if a or not k else 0
 
     def inv(self, a):
         if not a:

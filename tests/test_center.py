@@ -716,8 +716,10 @@ def test_ladder_normal_forms_by_frobenius_shift(monkeypatch):
     # the cached normal forms of the embedded monomials, reached by Frobenius
     # shifts of their predecessors, equal the direct normal forms, and the
     # kernels equal the minimal leads of a per-degree reference built from
-    # the direct ones; besides random inputs, two fixed ones at p = 7: basis
-    # leads that cover every slot, and one lead that leaves three slots free
+    # the direct ones, less those a lead of J_(d-1) decides
+    # (``kept_by_the_ladder``); besides random inputs, two fixed ones at
+    # p = 7: basis leads that cover every slot, and one lead that leaves
+    # three slots free
     reduced = []
     normal_form = LeftIdeal.normal_form
 
@@ -748,14 +750,15 @@ def test_ladder_normal_forms_by_frobenius_shift(monkeypatch):
         monos = _monomials_up_to(2 * n, 3)
         direct = [I.normal_form(tw.embed(MPoly(R, {e: 1}))) for e in monos]
         # every column is kept, in order, with its normal form unless a
-        # kernel lead divides it
+        # kernel lead or a lead of J_(d-1) divides it
         nfs = I._cache["ladder"][0]
         assert list(nfs) == list(monos), (gens, p)
         assert all(nf is None or nf == want for nf, want in zip(nfs.values(), direct)), (gens, p)
         for d in range(4):
             size = len(_monomials_up_to(2 * n, d))
             reference = dense_kernel(monos[:size], direct[:size], R)
-            assert kernels[d] == minimal_leads(reference), (gens, p, d)
+            kept = kept_by_the_ladder(I, minimal_leads(reference), R)
+            assert tuple(kernels[d]) == kept, (gens, p, d)
             # the minimal leads generate the same ideal as the whole kernel
             # and give the same coisotropy verdict and witness
             whole = CIdeal.of(reference, ring=R)
@@ -1008,6 +1011,43 @@ def test_plateau_is_a_rung_with_no_new_kernel_vector(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "n, texts, status, sizes",
+    [
+        (2, ("d1*d2 - 1", "x1*d1 - x2*d2"), "stabilized(2)", [0, 0, 2, 2, 2]),
+        (
+            3,
+            ("x1*d1 - x2*d2", "x2*d2 - x3*d3", "d1*d2*d3 - 1"),
+            "stabilized(3)",
+            [0, 0, 2, 3, 3],
+        ),
+    ],
+    ids=["torus-n2", "torus-n3"],
+)
+def test_ladder_answers_do_not_depend_on_call_order(n, texts, status, sizes):
+    # at p = 5 the annihilator's status and reduced basis, and the ladder's
+    # kernel at every degree up to 4, are the same on a fresh ideal, after
+    # the ladder was taken to degree 6, and after the annihilator ran: the
+    # ladder alone decides which columns J_(d-1) skips
+    tw = FrobeniusTwist(5, n)
+
+    def answers(before):
+        def ideal():
+            I = LeftIdeal.of([parse_weyl(text, n, tw.weyl_ring) for text in texts])
+            before(I)
+            return I
+
+        res = central_annihilator_truncated(ideal())
+        kernels = [truncated_kernel(ideal(), d) for d in range(5)]
+        return res.status, res.ideal.groebner_basis(), kernels
+
+    fresh = answers(lambda I: None)
+    assert fresh[0] == status
+    assert [len(kernel) for kernel in fresh[2]] == sizes
+    assert answers(lambda I: truncated_kernel(I, 6)) == fresh
+    assert answers(central_annihilator_truncated) == fresh
+
+
+@pytest.mark.parametrize(
     "n, p, max_exp, max_terms",
     # sizes bounded so that every draw runs both routes in well under a
     # second: at n = 2 and p = 5, operators of degree 3 or 4 with three terms
@@ -1207,8 +1247,10 @@ def test_ladder_skips_the_columns_the_last_kernel_ideal_decides(
     tw = FrobeniusTwist(p, n)
     I = LeftIdeal.of([parse_weyl(text, n, tw.weyl_ring) for text in texts])
     assert central_annihilator_truncated(I).status == status
-    nfs, _, kernel, _, decided = I._cache["ladder"]
+    nfs, _, kernel, _, ideals, _ = I._cache["ladder"]
     for column in columns:
+        # J_(d-1) for the column's rung d, as the ladder keeps it
+        decided = ideals[sum(column) - 1]._leads()
         assert nfs[column] is None
         assert not any(monomial_divides(lead, column) for lead, _ in kernel)
         assert any(monomial_divides(lead, column) for lead in decided)

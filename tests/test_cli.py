@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import json
+from pathlib import Path
 import random
 import sys
 import time
@@ -16,6 +17,8 @@ from pweyl.errors import IndexOutOfRange, MixedAlphabets, ParseError, PweylError
 from pweyl.rings import QQ, Zmod
 
 from helpers import random_mpoly, random_weylop
+
+GOLDEN_TEXT_WITNESS = Path(__file__).parent / "data" / "golden_text_witness_p3.txt"
 
 
 def test_parse_examples():
@@ -197,6 +200,15 @@ def test_cli_psupport_human(capsys):
     assert "lagrangian: True" in out
 
 
+def test_cli_psupport_text_report_is_the_reports_key_order(capsys, monkeypatch):
+    # the whole text report of x1, d1^3 at p = 3, which has a coisotropy
+    # witness and a note: the report's fields in its own key order, then
+    # the witness and the notes
+    monkeypatch.delenv("PWEYL_SEED", raising=False)
+    assert run(["psupport", "-p", "3", "-n", "1", "x1", "d1^3"]) == 0
+    assert capsys.readouterr().out == GOLDEN_TEXT_WITNESS.read_text()
+
+
 def test_cli_bracket_values(capsys):
     assert run(["bracket", "--prime", "3", "--vars", "1", "Xi1", "X1"]) == 0
     assert capsys.readouterr().out.strip() == "2"
@@ -211,6 +223,15 @@ def test_cli_charvar(capsys):
     assert doc["symbol_ideal"] == ["xi1"]
     assert doc["dimension"] == 1
     assert doc["holonomic"] is True
+
+
+def test_cli_charvar_human(capsys):
+    assert run(["charvar", "-n", "2", "d1*d2 - 1", "x1*d1 - x2*d2"]) == 0
+    assert capsys.readouterr().out == (
+        "symbol ideal: xi1*xi2, x1*xi1 - x2*xi2, x2*xi2^2\n"
+        "dimension: 2\n"
+        "holonomic: True\n"
+    )
 
 
 def test_cli_center_check(capsys):
@@ -397,6 +418,33 @@ def test_cli_corpus_mismatch_is_exit_one(tmp_path, capsys):
     assert run(["corpus", "--run", str(path)]) == 1
     out = capsys.readouterr().out
     assert "FAIL probe p=3" in out and "dimension" in out
+
+
+def test_corpus_entry_expecting_a_bad_prime_that_reduces_fails(tmp_path, capsys):
+    # d1 - 1 reduces at p = 3, so an entry that expects a bad prime there
+    # fails with its report and one mismatch
+    doc = {
+        "schema": "pweyl-corpus-v1",
+        "entries": [
+            {
+                "name": "probe",
+                "n": 1,
+                "generators": ["d1 - 1"],
+                "primes": [3],
+                "expected": {"3": {"bad_prime": True}},
+            }
+        ],
+    }
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(doc))
+    [result] = pweyl.corpus.run_corpus(path)
+    assert (result.name, result.prime, result.ok) == ("probe", 3, False)
+    assert result.mismatches == ("expected a bad prime, reduction succeeded",)
+    assert result.report["annihilator"] == ["Xi1 - 1"]
+    assert run(["corpus", "--run", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL probe p=3\n     expected a bad prime, reduction succeeded\n0/1 passed\n"
+    )
 
 
 def test_cli_env_seed(capsys, monkeypatch):

@@ -239,6 +239,25 @@ def test_every_operation_matches_coefficient_tuples(p, k):
             assert K.mul(a, b) == of[tuple_mul(K, c, d)], (c, d)
 
 
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 3), (3, 2), (5, 2)])
+def test_pow_is_repeated_multiplication(p, k):
+    # every element of F_7, GF(2^3), GF(3^2) and GF(5^2) to the powers 0, 1,
+    # 2, p, q - 1 and q, against a product of that many factors; and
+    # beta = Xi^(q / p) is the p-th root that the fibres read, beta^p = Xi
+    K = extension_field(p, k)
+    q = K.size
+    for a in K.elements():
+        power = K.one()
+        for e in range(q + 1):
+            if e in (0, 1, 2, p, q - 1, q):
+                assert K.pow(a, e) == power, (a, e)
+            power = K.mul(power, a)
+        beta, root = K.pow(a, q // p), K.one()
+        for _ in range(p):
+            root = K.mul(root, beta)
+        assert root == a, a
+
+
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
