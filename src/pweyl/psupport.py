@@ -280,28 +280,21 @@ def _choose_samples(basis, nvars, p, attempts, rng):
     """
     jac = CompiledRows([[(v, g.partial(v).terms) for v in range(nvars)] for g in basis], Zmod(p))
     ceiling = min(len(basis), nvars)
-    ranked = []
-    at_ceiling = 0
+    by_rank = {}  # Jacobian rank -> its points, in search order
     degrees = [k for k in (1, 2, 3) if k == 1 or p**k <= EXHAUSTIVE_POINT_LIMIT]
     for k in degrees:
         K, points = _points_on_variety(basis, nvars, p, k, rng)
         for pt in points:
-            rows = jac.at(pt, K)
-            jr = matrix_rank(rows, K, nvars)
-            ranked.append((jr, k, K, pt))
-            if jr == ceiling:
-                at_ceiling += 1
-                if at_ceiling == attempts:
-                    return [item for item in ranked if item[0] == ceiling]
-        if ranked:
-            top = max(r for r, _, _, _ in ranked)
-            if sum(1 for r, _, _, _ in ranked if r == top) >= attempts:
-                break
-    if not ranked:
+            jr = matrix_rank(jac.at(pt, K), K, nvars)
+            same = by_rank.setdefault(jr, [])
+            same.append((jr, k, K, pt))
+            if jr == ceiling and len(same) == attempts:
+                return same
+        if by_rank and len(by_rank[max(by_rank)]) >= attempts:
+            break
+    if not by_rank:
         raise NoPointsFound(f"no points found over F_(p^k), k <= {degrees[-1]}")
-
-    top = max(r for r, _, _, _ in ranked)
-    return [item for item in ranked if item[0] == top][:attempts]
+    return by_rank[max(by_rank)][:attempts]
 
 
 def generic_rank(ideal, annihilator, attempts=5, seed=0):

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 import json
-from pathlib import Path
 import random
 import sys
 import time
@@ -17,9 +16,6 @@ from pweyl.errors import IndexOutOfRange, MixedAlphabets, ParseError, PweylError
 from pweyl.rings import QQ, Zmod
 
 from helpers import random_mpoly, random_weylop
-
-GOLDEN_TEXT_WITNESS = Path(__file__).parent / "data" / "golden_text_witness_p3.txt"
-
 
 def test_parse_examples():
     op = parse_operator("d1^2 - x1", 1)
@@ -198,15 +194,6 @@ def test_cli_psupport_human(capsys):
     assert code == 0
     assert "annihilator: Xi1" in out
     assert "lagrangian: True" in out
-
-
-def test_cli_psupport_text_report_is_the_reports_key_order(capsys, monkeypatch):
-    # the whole text report of x1, d1^3 at p = 3, which has a coisotropy
-    # witness and a note: the report's fields in its own key order, then
-    # the witness and the notes
-    monkeypatch.delenv("PWEYL_SEED", raising=False)
-    assert run(["psupport", "-p", "3", "-n", "1", "x1", "d1^3"]) == 0
-    assert capsys.readouterr().out == GOLDEN_TEXT_WITNESS.read_text()
 
 
 def test_cli_bracket_values(capsys):

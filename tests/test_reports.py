@@ -1,9 +1,8 @@
-"""Frozen report schema and reduced-basis invariants."""
+"""Report goldens, route agreement, the frozen report schema and reduced-basis
+invariants."""
 
-import io
 import json
 import random
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -18,235 +17,183 @@ from pweyl.rings import QQ, Zmod
 from helpers import random_mpoly
 
 SCHEMAS_DOC = Path(__file__).parent.parent / "docs" / "schemas.md"
-GOLDEN = Path(__file__).parent / "data" / "golden_report_exponential_p3.json"
-GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus_seed0.json"
-GOLDEN_LEGENDRE = Path(__file__).parent / "data" / "golden_report_legendre_exp_p3.json"
-GOLDEN_TORUS_N3 = Path(__file__).parent / "data" / "golden_report_torus_n3_p3.json"
-GOLDEN_CHARVAR_TORUS_N3 = Path(__file__).parent / "data" / "golden_charvar_torus_n3.json"
-GOLDEN_RANK_GF121 = Path(__file__).parent / "data" / "golden_report_rank_gf121_p11.json"
-GOLDEN_RANK_GF8 = Path(__file__).parent / "data" / "golden_report_rank_gf8_p2.json"
-GOLDEN_RANK_GF27 = Path(__file__).parent / "data" / "golden_report_rank_gf27_p3.json"
-GOLDEN_TRUNCATED_PLATEAU = (
-    Path(__file__).parent / "data" / "golden_report_truncated_plateau_p5.json"
-)
-GOLDEN_PRODUCT_LEGENDRE = Path(__file__).parent / "data" / "golden_report_legendre_exp_p7.json"
-GOLDEN_PRODUCT_UNTOUCHED = Path(__file__).parent / "data" / "golden_report_untouched_x2_p5.json"
-GOLDEN_TRUNCATED_PRINCIPAL = (
-    Path(__file__).parent / "data" / "golden_report_truncated_principal_p7.json"
-)
-GOLDEN_TRUNCATED_TORUS = Path(__file__).parent / "data" / "golden_report_truncated_torus_p5.json"
-GOLDEN_TRUNCATED_TOP = Path(__file__).parent / "data" / "golden_report_truncated_top_p3.json"
-GOLDEN_TRUNCATED_TORUS_N3 = (
-    Path(__file__).parent / "data" / "golden_report_truncated_torus_n3_p5.json"
-)
-GOLDEN_TRUNCATED_LEGENDRE = (
-    Path(__file__).parent / "data" / "golden_report_truncated_legendre_exp_p11.json"
-)
+DATA = Path(__file__).parent / "data"
 
+PSUPPORT = ["psupport", "--json", "--seed", "0"]
+EXACT = PSUPPORT + ["--method", "exact"]
+NO_RANK = PSUPPORT + ["--no-rank"]
+LEGENDRE_EXP = ["x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4", "d2 - 1"]
+TORUS_N3 = ["x1*d1 - x2*d2", "x2*d2 - x3*d3", "d1*d2*d3 - 1"]
 
-def test_json_report_matches_frozen_golden():
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = run(
-            [
-                "psupport",
-                "--prime",
-                "3",
-                "--vars",
-                "1",
-                "--json",
-                "--seed",
-                "0",
-                "--name",
-                "exponential",
-                "d1 - 1",
-            ]
-        )
-    assert code == 0
-    assert buf.getvalue() == GOLDEN.read_text()
-
-
-LEGENDRE_EXP_ARGS = [
-    "--no-rank",
-    "--json",
-    "--seed",
-    "0",
-    "-n",
-    "2",
-    "-p",
-    "3",
-    "x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4",
-    "d2 - 1",
-]
-
-
-def test_exact_n2_report_matches_frozen_golden():
-    # Legendre times e^(x2) at p = 3 on the exact route, rank off
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = run(["psupport", "--method", "exact"] + LEGENDRE_EXP_ARGS)
-    assert code == 0
-    assert buf.getvalue() == GOLDEN_LEGENDRE.read_text()
-
-
-def test_default_route_agrees_with_the_exact_n2_golden():
-    # the same input on the default, truncated route: the ladder refuses
-    # the plateau (Xi2 - 1) of dimension 3 and climbs to the exact answer
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = run(["psupport"] + LEGENDRE_EXP_ARGS)
-    assert code == 0
-    got, want = json.loads(buf.getvalue()), json.loads(GOLDEN_LEGENDRE.read_text())
-    assert got["annihilator_status"] == "stabilized(4)"
-    for key in ("annihilator", "dimension", "lagrangian"):
-        assert got[key] == want[key], key
-
-
-def test_exact_n3_report_matches_frozen_golden():
-    # x1*d1 - x2*d2, x2*d2 - x3*d3, d1*d2*d3 - 1 at p = 3 on the exact route,
-    # rank on: the 729 points of F_3^6 are searched exhaustively, so the
-    # rank samples do not depend on the seed
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = run(
-            ["psupport", "--method", "exact", "--json", "--seed", "0", "--name", "torus-n3"]
-            + ["-n", "3", "-p", "3", "x1*d1 - x2*d2", "x2*d2 - x3*d3", "d1*d2*d3 - 1"]
-        )
-    assert code == 0
-    assert buf.getvalue() == GOLDEN_TORUS_N3.read_text()
-
-
-def test_charvar_n3_matches_frozen_golden():
-    # the same system over Q: its symbol ideal has six elements, computed
-    # under the (0 on x, 1 on d) weight order, whose grevlex tie-break
-    # decides which basis is printed
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = run(
-            ["charvar", "--json", "-n", "3"]
-            + ["x1*d1 - x2*d2", "x2*d2 - x3*d3", "d1*d2*d3 - 1"]
-        )
-    assert code == 0
-    assert buf.getvalue() == GOLDEN_CHARVAR_TORUS_N3.read_text()
-
-
-def test_rank_over_gf121_matches_frozen_golden():
-    # d1^2 + 1 at p = 11: F_11 has no square root of -1, so the rank samples
-    # come from GF(11^2), each fibre read from 11 x 11 module rows, past
-    # every field and prime the corpus reaches
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = run(
-            ["psupport", "--method", "exact", "--json", "--seed", "0", "-n", "1", "-p", "11"]
-            + ["d1^2 + 1"]
-        )
-    assert code == 0
-    assert buf.getvalue() == GOLDEN_RANK_GF121.read_text()
-
-
-@pytest.mark.parametrize(
-    "prime, generator, golden",
-    [
-        # t^3 + t + 1 is the Conway polynomial of GF(2^3): every sample lies
-        # there, where -1 = 1, and one has the coordinate (t^2)
-        ("2", "d1^3 + d1 + 1", GOLDEN_RANK_GF8),
-        # t^3 - t - 1 has no root in F_3, so every sample lies in GF(3^3)
-        ("3", "d1^3 - d1 - 1", GOLDEN_RANK_GF27),
-    ],
-    ids=["gf8", "gf27"],
-)
-def test_rank_over_cubic_extensions_matches_frozen_golden(prime, generator, golden):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = run(
-            ["psupport", "--method", "exact", "--json", "--seed", "0", "-n", "1", "-p", prime]
-            + [generator]
-        )
-    assert code == 0
-    assert buf.getvalue() == golden.read_text()
-
-
-@pytest.mark.parametrize(
-    "prime, generators, golden",
-    [
-        # Legendre times e^(x2) at p = 7, rank on: two blocks, each eliminated
-        # and read on its own simple module at n = 1
-        ("7", ["x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4", "d2 - 1"], GOLDEN_PRODUCT_LEGENDRE),
-        # d1 - x1 at n = 2: one block at n = 1, and the untouched pair
-        # (x2, d2) multiplies each fibre by p^2, to 125
-        ("5", ["d1 - x1"], GOLDEN_PRODUCT_UNTOUCHED),
-    ],
-    ids=["legendre-exp", "untouched"],
-)
-def test_external_product_report_matches_frozen_golden(prime, generators, golden):
-    # whole reports of the exact route on external products, rank on
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = run(
-            ["psupport", "--method", "exact", "--json", "--seed", "0", "-n", "2", "-p", prime]
-            + generators
-        )
-    assert code == 0
-    assert buf.getvalue() == golden.read_text()
-
-
-@pytest.mark.parametrize(
-    "prime, generators, golden",
-    [
-        # stabilized(2) on the plateau, with monomials skipped
-        ("5", ["d1^2 - x1", "d2 - x2"], GOLDEN_TRUNCATED_PLATEAU),
-        # stabilized(21): one generator, so the first nonzero kernel ends the ladder
-        ("7", ["x2*d1*d2 + d1 - 3"], GOLDEN_TRUNCATED_PRINCIPAL),
-        # stabilized(2) on the plateau: no external product
-        ("5", ["d1*d2 - 1", "x1*d1 - x2*d2"], GOLDEN_TRUNCATED_TORUS),
-        # truncated(6): two one-element blocks, both generators first in the
-        # kernel at the top degree, where the ladder ends
-        ("3", ["d2", "x1^3*d1^3 - x1*d1^3 - d1^2 - x1"], GOLDEN_TRUNCATED_TOP),
-        # stabilized(4): Legendre times e^(x2), two one-element blocks whose
-        # generators end the ladder
-        ("11", ["x1*(1-x1)*d1^2 + (1-2*x1)*d1 - 1/4", "d2 - 1"], GOLDEN_TRUNCATED_LEGENDRE),
-    ],
-    ids=["plateau", "principal", "torus", "top-degree", "legendre-exp"],
-)
-def test_truncated_route_report_matches_frozen_golden(prime, generators, golden):
-    # whole reports of the default, truncated route at n = 2, notes included
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = run(
-            ["psupport", "--no-rank", "--json", "--seed", "0", "-n", "2", "-p", prime] + generators
-        )
-    assert code == 0
-    assert buf.getvalue() == golden.read_text()
-
-
-def test_truncated_n3_report_matches_frozen_golden():
-    # the default route at n = 3, p = 5, rank off: stabilized(3) with six
-    # generators, where the rung past the plateau skips the columns that the
-    # leads of J_3's reduced basis decide
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = run(
-            ["psupport", "--no-rank", "--json", "--seed", "0", "-n", "3", "-p", "5"]
-            + ["x1*d1 - x2*d2", "x2*d2 - x3*d3", "d1*d2*d3 - 1"]
-        )
-    assert code == 0
-    assert buf.getvalue() == GOLDEN_TRUNCATED_TORUS_N3.read_text()
-
-
-@pytest.mark.parametrize("seed", ["0", "7"])
-def test_corpus_json_matches_frozen_golden(seed):
+# Every report golden, one row each: (id, CLI argv, file under tests/data).
+# NO_RANK rows run the default, truncated route.
+GOLDENS = [
     # every field of every report, including the rank samples over GF(2^2)
     # and GF(3^2), the notes and the coisotropy witnesses; every support in
     # the corpus is searched exhaustively, so the seed draws no point
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = run(["corpus", "--json", "--seed", seed])
-    assert code == 0
-    assert buf.getvalue() == GOLDEN_CORPUS.read_text()
+    ("corpus-seed0", ["corpus", "--json", "--seed", "0"], "golden_corpus_seed0.json"),
+    ("corpus-seed7", ["corpus", "--json", "--seed", "7"], "golden_corpus_seed0.json"),
+    # e^(x1) at p = 3; its key order is frozen below
+    (
+        "exponential-p3",
+        PSUPPORT + ["--prime", "3", "--vars", "1", "--name", "exponential", "d1 - 1"],
+        "golden_report_exponential_p3.json",
+    ),
+    # the whole text report of x1, d1^3 at p = 3, which has a coisotropy
+    # witness and a note: the report's fields in its own key order, then
+    # the witness and the notes
+    (
+        "text-witness-p3",
+        ["psupport", "-p", "3", "-n", "1", "x1", "d1^3"],
+        "golden_text_witness_p3.txt",
+    ),
+    # Legendre times e^(x2) at p = 3 on the exact route, rank off
+    (
+        "exact-legendre-exp-p3",
+        EXACT + ["--no-rank", "-n", "2", "-p", "3", *LEGENDRE_EXP],
+        "golden_report_legendre_exp_p3.json",
+    ),
+    # the n = 3 system on the exact route, rank on: the 729 points of F_3^6
+    # are searched exhaustively, so the rank samples do not depend on the seed
+    (
+        "exact-torus-n3-p3",
+        EXACT + ["--name", "torus-n3", "-n", "3", "-p", "3", *TORUS_N3],
+        "golden_report_torus_n3_p3.json",
+    ),
+    # the same system over Q: its symbol ideal has six elements, computed
+    # under the (0 on x, 1 on d) weight order, whose grevlex tie-break
+    # decides which basis is printed
+    (
+        "charvar-torus-n3",
+        ["charvar", "--json", "-n", "3", *TORUS_N3],
+        "golden_charvar_torus_n3.json",
+    ),
+    # d1^2 + 1 at p = 11: F_11 has no square root of -1, so the rank samples
+    # come from GF(11^2), each fibre read from 11 x 11 module rows, past
+    # every field and prime the corpus reaches
+    (
+        "rank-gf121",
+        EXACT + ["-n", "1", "-p", "11", "d1^2 + 1"],
+        "golden_report_rank_gf121_p11.json",
+    ),
+    # t^3 + t + 1 is the Conway polynomial of GF(2^3): every sample lies
+    # there, where -1 = 1, and one has the coordinate (t^2)
+    (
+        "rank-gf8",
+        EXACT + ["-n", "1", "-p", "2", "d1^3 + d1 + 1"],
+        "golden_report_rank_gf8_p2.json",
+    ),
+    # t^3 - t - 1 has no root in F_3, so every sample lies in GF(3^3)
+    (
+        "rank-gf27",
+        EXACT + ["-n", "1", "-p", "3", "d1^3 - d1 - 1"],
+        "golden_report_rank_gf27_p3.json",
+    ),
+    # Legendre times e^(x2) at p = 7 on the exact route, rank on: two
+    # blocks, each eliminated and read on its own simple module at n = 1
+    (
+        "product-legendre-exp-p7",
+        EXACT + ["-n", "2", "-p", "7", *LEGENDRE_EXP],
+        "golden_report_legendre_exp_p7.json",
+    ),
+    # d1 - x1 at n = 2 on the exact route, rank on: one block at n = 1, and
+    # the untouched pair (x2, d2) multiplies each fibre by p^2, to 125
+    (
+        "product-untouched-p5",
+        EXACT + ["-n", "2", "-p", "5", "d1 - x1"],
+        "golden_report_untouched_x2_p5.json",
+    ),
+    # stabilized(2) on the plateau, with monomials skipped
+    (
+        "truncated-plateau-p5",
+        NO_RANK + ["-n", "2", "-p", "5", "d1^2 - x1", "d2 - x2"],
+        "golden_report_truncated_plateau_p5.json",
+    ),
+    # stabilized(21): one generator, so the first nonzero kernel ends the ladder
+    (
+        "truncated-principal-p7",
+        NO_RANK + ["-n", "2", "-p", "7", "x2*d1*d2 + d1 - 3"],
+        "golden_report_truncated_principal_p7.json",
+    ),
+    # stabilized(2) on the plateau: no external product
+    (
+        "truncated-torus-p5",
+        NO_RANK + ["-n", "2", "-p", "5", "d1*d2 - 1", "x1*d1 - x2*d2"],
+        "golden_report_truncated_torus_p5.json",
+    ),
+    # truncated(6): two one-element blocks, both generators first in the
+    # kernel at the top degree, where the ladder ends
+    (
+        "truncated-top-p3",
+        NO_RANK + ["-n", "2", "-p", "3", "d2", "x1^3*d1^3 - x1*d1^3 - d1^2 - x1"],
+        "golden_report_truncated_top_p3.json",
+    ),
+    # stabilized(4): Legendre times e^(x2), two one-element blocks whose
+    # generators end the ladder
+    (
+        "truncated-legendre-exp-p11",
+        NO_RANK + ["-n", "2", "-p", "11", *LEGENDRE_EXP],
+        "golden_report_truncated_legendre_exp_p11.json",
+    ),
+    # stabilized(3) at n = 3 with six generators, where the rung past the
+    # plateau skips the columns that the leads of J_3's reduced basis decide
+    (
+        "truncated-torus-n3-p5",
+        NO_RANK + ["-n", "3", "-p", "5", *TORUS_N3],
+        "golden_report_truncated_torus_n3_p5.json",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, golden", [row[1:] for row in GOLDENS], ids=[row[0] for row in GOLDENS]
+)
+def test_report_matches_golden(argv, golden, capsys, monkeypatch):
+    monkeypatch.delenv("PWEYL_SEED", raising=False)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_bytes().decode()
+
+
+def test_every_golden_file_is_a_row():
+    assert sorted({row[2] for row in GOLDENS}) == sorted(path.name for path in DATA.iterdir())
+
+
+# The default route against the exact one on the same argv: (id, the
+# default route's argv, its annihilator status).
+AGREEMENTS = [
+    # the ladder refuses the plateau (Xi2 - 1) of dimension 3 and climbs to
+    # the exact answer
+    ("legendre-exp-p3", NO_RANK + ["-n", "2", "-p", "3", *LEGENDRE_EXP], "stabilized(4)"),
+    # the n = 3 system, no external product, rank on
+    (
+        "torus-n3-p3",
+        PSUPPORT + ["--name", "torus-n3", "-n", "3", "-p", "3", *TORUS_N3],
+        "stabilized(3)",
+    ),
+    # the same at p = 5, rank off: the exact route eliminates in a module of
+    # 125 positions
+    ("torus-n3-p5", NO_RANK + ["-n", "3", "-p", "5", *TORUS_N3], "stabilized(3)"),
+    # one operator: its reduced left basis has one element, so the ladder
+    # stops at the generator of I cap Z, which only the top degree 9 reaches
+    ("principal-p3", NO_RANK + ["-n", "2", "-p", "3", "d1^2*d2 - x1"], "stabilized(9)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, status", [row[1:] for row in AGREEMENTS], ids=[row[0] for row in AGREEMENTS]
+)
+def test_default_route_agrees_with_the_exact_route(argv, status, capsys):
+    assert run(argv) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert run(argv[:1] + ["--method", "exact"] + argv[1:]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert default["annihilator_status"] == status
+    for key in ("annihilator", "dimension", "lagrangian"):
+        assert default[key] == exact[key], key
 
 
 def test_report_field_order_frozen():
-    doc = json.loads(GOLDEN.read_text())
+    doc = json.loads((DATA / "golden_report_exponential_p3.json").read_text())
     assert doc["schema"] == REPORT_SCHEMA
     assert list(doc.keys()) == [
         "schema",
