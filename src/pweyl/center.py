@@ -131,33 +131,31 @@ is normalised directly.
 
 The ladder never normalises a monomial X^e that the lead X^m of an element
 u of an ideal generated by earlier kernel vectors divides: the lead of an
-earlier kernel vector, and, at rung d >= 2 of an ideal that the principal
-stop does not end, a lead of the reduced basis of J_(d-1), which the ladder
-kept when it finished rung d - 1 (FGLM's rule: a monomial of the leading
-ideal is never a new independent column; Faugere, Gianni, Lazard and Mora,
-J. Symb. Comp. 16, 1993).  X^(e - m) * u lies in I cap Z with lead X^e
-and every other term on an earlier column (grevlex refines degree), so X^e
-is a free column, never a pivot, and skipping it changes no later column's
-reduction.  Its kernel vector is not kept either: it is X^(e - m) * u
-plus kernel vectors with smaller leads, all in the ideal of the kernel
-vectors kept before it, so the ideal and its reduced basis are unchanged.  By the Leibniz rule so is the coisotropy
-witness, the first generator pair whose bracket leaves the radical: when
-v = sum a_i * g_i over earlier generators,
+earlier kernel vector, and, at every rung d >= 1, a lead of the reduced
+basis of J_(d-1), which the ladder kept when it finished rung d - 1
+(FGLM's rule: a monomial of the leading ideal is never a new independent
+column; Faugere, Gianni, Lazard and Mora, J. Symb. Comp. 16, 1993).
+X^(e - m) * u lies in I cap Z with lead X^e and every other term on an
+earlier column (grevlex refines degree), so X^e is a free column, never a
+pivot, and skipping it changes no later column's reduction.  Its kernel
+vector is not kept either: it is X^(e - m) * u plus kernel vectors with
+smaller leads, all in the ideal of the kernel vectors kept before it, so
+the ideal and its reduced basis are unchanged.  By the Leibniz rule so is
+the coisotropy witness, the first generator pair whose bracket leaves the
+radical: when v = sum a_i * g_i over earlier generators,
 {v, w} = sum a_i * {g_i, w} + sum g_i * {a_i, w}, so a pair with v fails
 only if a pair with some g_i fails, and that pair comes first.  The
 predecessor of a kept monomial divides it, so it is kept too and its
 normal form is cached.  The kernel vectors the ladder returns are thus
-those whose lead neither an earlier kernel vector's lead nor, past rung 1,
-a lead of J_(d-1) for their rung d divides.
+those whose lead neither an earlier kernel vector's lead nor a lead of
+J_(d-1) for their rung d divides.
 
-The plateau rule.  A new kernel vector at rung d >= 2 of an ideal that the
-principal stop does not end has a lead that no lead of J_(d-1) divides, so
-it is no element of J_(d-1): J_d = J_(d-1) exactly when rung d keeps no new
-vector.  The ladder then keeps J_(d-1) itself as J_d, and the annihilator
-counts its kernel instead of reducing it.  The principal stop reads no
-J_(d-1), and there a count may pass a plateau, but no plateau before that
-stop has dimension s.  Only a rung that grows the ideal makes a new J_d, so
-Buchberger runs once per distinct kernel ideal read.
+The plateau rule.  A new kernel vector at rung d has a lead that no lead
+of J_(d-1) divides, so it is no element of J_(d-1): J_d = J_(d-1) exactly
+when rung d keeps no new vector.  The ladder then keeps J_(d-1) itself as
+J_d, and the annihilator counts its kernel instead of reducing it.  Only a
+rung that grows the ideal makes a new J_d, so Buchberger runs once per
+distinct kernel ideal read.
 """
 
 from dataclasses import dataclass
@@ -552,27 +550,26 @@ def truncated_kernel(ideal, degree):
     once, with the combination {X^e: 1}, so any sequence of degrees asked
     for reduces each column once; a vanishing column's combination is its
     kernel vector, with lead X^e and every other term on an earlier column.
-    A column that an earlier kernel lead divides, or, at rung d >= 2 of an
-    ideal that the principal stop cannot end, a lead of J_(d-1)'s reduced
-    basis, is never normalised and keeps no vector, so no returned lead
-    divides a later one.  Each finished rung leaves its kernel ideal J_d on
-    the state.
+    A column at rung d that a lead of J_(d-1)'s reduced basis or a kernel
+    lead of rung d divides is never normalised and keeps no vector, so no
+    returned lead divides a later one: a kernel vector of an earlier rung
+    lies in J_(d-1), so a lead of J_(d-1) divides its lead.  Each finished
+    rung leaves its kernel ideal J_d on the state.
     """
     ring = _twist_of(ideal.ring, ideal.n).twisted_ring
-    nfs, echelon, kernel, _, ideals, principal = _ladder(ideal)
+    nfs, echelon, kernel, _, ideals, _ = _ladder(ideal)
     one = ring.coeffs.one()
     for d in range(len(ideals), degree + 1):
-        decided = ideals[d - 1]._leads() if d >= 2 and not principal else ()
+        decided = list(ideals[d - 1]._leads()) if d else []
         for e in _monomials_up_to(2 * ideal.n, d)[len(nfs) :]:
-            if any(monomial_divides(m, e) for m in decided) or any(
-                monomial_divides(lead, e) for lead, _ in kernel
-            ):
+            if any(monomial_divides(m, e) for m in decided):
                 nfs[e] = None
                 continue
             nf = nfs[e] = _central_normal_form(ideal, e)
             comb = echelon.add(nf.terms, {e: one})
             if comb is not None:
                 kernel.append((e, MPoly(ring, comb)))
+                decided.append(e)
         if ideals and len(kernel) == len(ideals[-1].gens):
             ideals.append(ideals[-1])
         else:

@@ -5,12 +5,13 @@ payloads.  Instances are immutable by convention: no method mutates ``terms``
 after construction, so values are safe to share and to use as dict keys.
 
 ``TermArithmetic`` holds the arithmetic of such a term dict (sums,
-negation, scaling, products, powers, leading terms, degrees) once, for
-polynomials and for the Weyl operators of ``weyl``.  Each element type
-names its algebra's product once, as ``_submul`` in the form of the
-Groebner engine (``cgb._reduce``), and ``TermArithmetic.__mul__`` and the
-engine both read it there: ``_shift_submul`` here for polynomials,
-``weyl._weyl_submul`` for operators.
+negation, scaling, products, powers, leading terms, degrees), its equality,
+hash and printing once, for polynomials and for the Weyl operators of
+``weyl``.  Each element type names its algebra's product once, as
+``_submul`` in the form of the Groebner engine (``cgb._reduce``), and
+``TermArithmetic.__mul__`` and the engine both read it there:
+``_shift_submul`` here for polynomials, ``weyl._weyl_submul`` for
+operators.
 
 ``CompiledRows`` evaluates sparse rows of polynomials at many points, the
 work that does not depend on the point done once.
@@ -92,11 +93,14 @@ class TermArithmetic:
 
     A subclass supplies ``terms``, the coefficient ring as ``_coeffs``, the
     constructor ``_new(terms)`` of a value like itself, its ``_one()``,
-    ``_check(other)`` and the ``_noun`` its errors name, plus its equality
-    and hash.  It names its algebra for ``__mul__`` and the Groebner engine:
-    ``_submul``, the product in the engine's ``submul`` form, and
-    ``_product_criterion``, whether Buchberger's product criterion holds.
-    Operands that are not term arithmetic give ``NotImplemented``.
+    ``_check(other)`` and the ``_noun`` its errors name.  Equality, hashing
+    and printing are defined here once, on two more hooks: ``_space``, what
+    two equal elements share besides their terms, and ``_names``, the
+    variable names they print with.  It names its algebra for ``__mul__``
+    and the Groebner engine: ``_submul``, the product in the engine's
+    ``submul`` form, and ``_product_criterion``, whether Buchberger's
+    product criterion holds.  Operands that are not term arithmetic give
+    ``NotImplemented``.
     """
 
     __slots__ = ()
@@ -179,6 +183,25 @@ class TermArithmetic:
                 base = base * base
         return result
 
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._space == other._space
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self._space, frozenset(self.terms.items())))
+
+    def format(self, symmetric=True):
+        return format_terms(self._coeffs, self._names, self.sorted_terms(), symmetric)
+
+    def __str__(self):
+        return self.format(symmetric=True)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
 
 class MPoly(TermArithmetic):
     """A sparse polynomial; ``terms`` maps exponent tuples to nonzero coefficients."""
@@ -195,6 +218,14 @@ class MPoly(TermArithmetic):
     @property
     def _coeffs(self):
         return self.ring.coeffs
+
+    @property
+    def _space(self):
+        return self.ring
+
+    @property
+    def _names(self):
+        return self.ring.names
 
     def _new(self, terms):
         return MPoly(self.ring, terms)
@@ -222,27 +253,6 @@ class MPoly(TermArithmetic):
             ne[i] -= 1
             out[tuple(ne)] = nc
         return MPoly(self.ring, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MPoly)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
-    def format(self, symmetric=True):
-        return format_terms(
-            self.ring.coeffs, self.ring.names, self.sorted_terms(), symmetric
-        )
-
-    def __str__(self):
-        return self.format(symmetric=True)
-
-    def __repr__(self):
-        return f"MPoly({self})"
 
 
 class CompiledRows:
@@ -280,7 +290,7 @@ class CompiledRows:
         """The rows at ``point``, whose coordinates lie in the field K, as
         dicts {column: nonzero value}.
 
-        The coefficients are embedded by ``K.from_base`` once per field
+        The coefficients are embedded by ``K.from_int`` once per field
         other than ``ring``.  Per point, each coordinate's powers are tabled
         up to its top exponent, each distinct monomial is one product of
         those, and each entry is summed in one loop over its terms; an entry
@@ -290,7 +300,7 @@ class CompiledRows:
         if state is None:
             entries = self.entries
             if K != self.ring:
-                embed = K.from_base
+                embed = K.from_int
                 entries = [(i, col, [(m, embed(c)) for m, c in terms]) for i, col, terms in entries]
             state = self._fields[K] = (entries, K.one(), K.add, K.mul, K.is_zero)
         entries, one, add, mul, is_zero = state

@@ -142,15 +142,16 @@ def is_conical(ideal):
 class RankSample:
     point: tuple
     degree: int  # extension degree k of the residue field F_(p^k)
+    field: object  # that field, whose elements are the point's coordinates
     jacobian_rank: int
     fiber_dim: int
 
-    def to_dict(self, field, formatted):
-        """The report entry: ``field`` is the label of the sample's field and
-        ``formatted`` maps each coordinate to its string."""
+    def to_dict(self):
+        """The report entry, its field printed GF(p) or GF(p^k)."""
+        p, k = self.field.characteristic, self.degree
         return {
-            "point": [formatted[c] for c in self.point],
-            "field": field,
+            "point": [self.field.format_value(c) for c in self.point],
+            "field": f"GF({p}^{k})" if k > 1 else f"GF({p})",
             "jacobian_rank": self.jacobian_rank,
             "fiber_dim": self.fiber_dim,
         }
@@ -160,7 +161,6 @@ class RankSample:
 class RankResult:
     value: int
     samples: tuple
-    sample_dicts: tuple
     agreement: bool
 
 
@@ -174,7 +174,7 @@ def _points_on_variety(basis, nvars, p, k, rng):
     enumerating all of F_(p^k)^nvars with the first coordinate varying
     fastest; the elements come as the one sequence the field keeps
     (``K.elements()``).  Fixing a coordinate substitutes its value into every
-    remaining element (coefficients embedded once by ``from_base``, powers
+    remaining element (coefficients embedded once by ``from_int``, powers
     cached per field element): an element that vanishes identically is
     dropped, a branch ends at the first element that becomes a nonzero
     constant, and once no element is left every completion of the branch
@@ -191,7 +191,7 @@ def _points_on_variety(basis, nvars, p, k, rng):
     """
     K = extension_field(p, k)
     elements = K.elements()
-    one, add, mul, embed, is_zero = K.one(), K.add, K.mul, K.from_base, K.is_zero
+    one, add, mul, embed, is_zero = K.one(), K.add, K.mul, K.from_int, K.is_zero
     powers = {}
 
     def fix(polys, x):
@@ -326,9 +326,7 @@ def generic_rank(ideal, annihilator, attempts=5, seed=0):
     are the Jacobian entries.  At each point beta is one ``K.pow`` per
     coordinate, every distinct monomial is one product of per-coordinate
     powers, the entries are summed in one loop, and the nonzero ones, as
-    sparse rows, go to the incremental ``linalg.rank``.  Each field's label
-    is built once, and each distinct coordinate is formatted once per field,
-    for the report's sample dicts.
+    sparse rows, go to the incremental ``linalg.rank``.
     """
     _check_attempts(attempts)
     twist = _twist_of(ideal.ring, ideal.n)
@@ -340,23 +338,11 @@ def generic_rank(ideal, annihilator, attempts=5, seed=0):
     fiber = _fiber_reader(ideal)
     chosen = _choose_samples(basis, 2 * twist.n, twist.p, attempts, random.Random(seed))
 
-    samples = []
-    dicts = []
-    fields = {}  # k -> the label of F_(p^k) and {coordinate: its string}
-    for jr, k, K, pt in chosen:
-        s = RankSample(pt, k, jr, fiber(K, pt))
-        if k not in fields:
-            fields[k] = (f"GF({twist.p}^{k})" if k > 1 else f"GF({twist.p})", {})
-        label, formatted = fields[k]
-        for c in pt:
-            if c not in formatted:
-                formatted[c] = K.format_value(c)
-        samples.append(s)
-        dicts.append(s.to_dict(label, formatted))
+    samples = tuple(RankSample(pt, k, K, jr, fiber(K, pt)) for jr, k, K, pt in chosen)
     counts = Counter(s.fiber_dim for s in samples)
     best = max(counts.values())
     modal = min(v for v, c in counts.items() if c == best)
-    return RankResult(modal, tuple(samples), tuple(dicts), len(counts) == 1)
+    return RankResult(modal, samples, len(counts) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +477,7 @@ def p_support(
             try:
                 rr = generic_rank(ideal, ann, attempts=attempts, seed=seed)
                 rank_value = rr.value
-                rank_samples = rr.sample_dicts
+                rank_samples = tuple(s.to_dict() for s in rr.samples)
                 if not rr.agreement:
                     notes.append("sampled fiber dimensions disagree; modal value reported")
             except NoPointsFound as exc:

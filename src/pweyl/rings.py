@@ -125,10 +125,6 @@ class Zmod:
     def element_from_index(self, i):
         return i % self.modulus
 
-    def from_base(self, a):
-        """Identity embedding; the prime field is its own degree-1 extension."""
-        return a % self.modulus
-
     def format_value(self, a, symmetric=False):
         a %= self.modulus
         if symmetric and a > self.modulus // 2:
@@ -198,9 +194,6 @@ class GaloisField:
             raise NotUnit(f"denominator {q.denominator} vanishes in GF({self.p}^{self.k})")
         num = (q.numerator * pow(den, -1, self.p)) % self.p
         return self.from_int(num)
-
-    def from_base(self, a):
-        return self.from_int(a)
 
     def is_zero(self, a):
         return not a

@@ -17,8 +17,9 @@ The product is written once, as ``_weyl_submul``, in the ``submul`` form of
 the Groebner engine (``cgb``), and ``WeylOp`` names it as its ``_submul``:
 ``WeylOp.__mul__``, which is ``mpoly.TermArithmetic.__mul__``, sums its left
 factor's terms through it, and the engine reads it off the operators it
-reduces.  The rest of the arithmetic (sums, scaling, powers, leading terms)
-is ``mpoly.TermArithmetic`` too, shared with polynomials.
+reduces.  The rest of the arithmetic (sums, scaling, powers, leading terms),
+equality and printing are ``mpoly.TermArithmetic`` too, shared with
+polynomials.
 """
 
 from collections import namedtuple
@@ -27,7 +28,7 @@ from math import comb, factorial
 from operator import add, sub
 
 from .errors import DimensionMismatch, RingMismatch
-from .mpoly import TermArithmetic, format_terms
+from .mpoly import TermArithmetic
 
 
 def _reorder_weights(b, c):
@@ -154,6 +155,16 @@ class WeylOp(TermArithmetic):
     def _coeffs(self):
         return self.ring
 
+    @property
+    def _space(self):
+        return self.ring, self.n
+
+    @property
+    def _names(self):
+        return tuple(f"x{i + 1}" for i in range(self.n)) + tuple(
+            f"d{i + 1}" for i in range(self.n)
+        )
+
     def _new(self, terms):
         return WeylOp(self.ring, self.n, terms)
 
@@ -174,31 +185,6 @@ class WeylOp(TermArithmetic):
 
     def commutator(self, other):
         return self * other - other * self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylOp)
-            and self.ring == other.ring
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.n, frozenset(self.terms.items())))
-
-    # -- display -----------------------------------------------------------
-
-    def format(self, symmetric=True):
-        names = tuple(f"x{i + 1}" for i in range(self.n)) + tuple(
-            f"d{i + 1}" for i in range(self.n)
-        )
-        return format_terms(self.ring, names, self.sorted_terms(), symmetric)
-
-    def __str__(self):
-        return self.format(symmetric=True)
-
-    def __repr__(self):
-        return f"WeylOp({self})"
 
 
 def is_central(f):

@@ -52,19 +52,29 @@ def from_coefficients(K, coeffs):
     return K.element_from_index(sum(c * K.p**j for j, c in enumerate(coeffs)))
 
 
-def schoolbook_mul(K, a, b):
-    """The product in GF(p^k) = F_p[t]/(modulus) of the coefficients of a
-    and b by the schoolbook rule, then reduction by the monic modulus from
-    the top degree down."""
+def tuple_mul(K, a, b):
+    """The product of two coefficient tuples modulo the modulus of K, by
+    reducing the schoolbook product from the top degree down."""
     prod = [0] * (2 * K.k - 1)
-    for i, x in enumerate(coefficients(K, a)):
-        for j, y in enumerate(coefficients(K, b)):
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
             prod[i + j] = (prod[i + j] + x * y) % K.p
     for d in range(len(prod) - 1, K.k - 1, -1):
         c, prod[d] = prod[d], 0
         for j in range(K.k):
             prod[d - K.k + j] = (prod[d - K.k + j] - c * K.modulus[j]) % K.p
-    return from_coefficients(K, prod[: K.k])
+    return tuple(prod[: K.k])
+
+
+def schoolbook_mul(K, a, b):
+    """The product in GF(p^k) = F_p[t]/(modulus) of a and b, by
+    ``tuple_mul`` on their coefficients."""
+    return from_coefficients(K, tuple_mul(K, coefficients(K, a), coefficients(K, b)))
+
+
+def gens_1var(ring):
+    """x, d and 1 of A_1 over ``ring``."""
+    return WeylOp.x(ring, 1, 0), WeylOp.d(ring, 1, 0), WeylOp.one(ring, 1)
 
 
 def fermat_inv(K, a):
@@ -129,11 +139,11 @@ def random_weylop(ring, n, rng, max_exp=3, max_terms=4, nonzero=False):
 def evaluate(terms, point, K):
     """The value at ``point`` over the field K of the polynomial with the term
     dict ``terms`` over F_p, term by term: each coefficient embedded by
-    ``K.from_base`` and multiplied by every coordinate as often as its
+    ``K.from_int`` and multiplied by every coordinate as often as its
     exponent says.  The oracle for ``mpoly.CompiledRows``."""
     acc = K.zero()
     for e, c in terms.items():
-        term = K.from_base(c)
+        term = K.from_int(c)
         for x, k in zip(point, e):
             for _ in range(k):
                 term = K.mul(term, x)

@@ -9,7 +9,9 @@ module-level function, class or constant (a name a module-level assignment
 binds) of the package must be read outside its own definition: a public
 name anywhere in the package, a private one (a leading underscore) in its
 own module or through a from-import of it by another module.  An export
-by ``__init__`` is no reader.
+by ``__init__`` is no reader.  A method or class attribute of a package
+class with one leading underscore must be read as an attribute, ``.name``,
+somewhere in the package outside its own definition.
 """
 
 import ast
@@ -170,3 +172,47 @@ def test_every_package_definition_is_read():
         if path.name != "__init__.py"
     }
     assert unread_definitions(sources) == []
+
+
+def attribute_reads(node):
+    """How often each name is read as an attribute, ``.name``, under an ast
+    node."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def unread_members(sources):
+    """(class, name) of every method or class attribute with one leading
+    underscore, of a class in ``sources`` (module name -> source), that no
+    ``.name`` outside its own definition reads."""
+    trees = [ast.parse(source) for source in sources.values()]
+    total = sum((attribute_reads(tree) for tree in trees), Counter())
+    unread = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    for name in defined_names(node):
+                        private = name.startswith("_") and not name.startswith("__")
+                        if private and total[name] == attribute_reads(node)[name]:
+                            unread.append((cls.name, name))
+    return unread
+
+
+def test_the_checker_sees_an_unread_member():
+    # _hook is read as an attribute in b, _loop only by itself; a module
+    # function _free of the same spelling as no member, a dunder and a
+    # public method are not this rule's
+    sources = {
+        "a": "class A:\n    _noun = 'a'\n    def _hook(self):\n        pass\n"
+        "    def _loop(self):\n        return self._loop()\n"
+        "    def __eq__(self, other):\n        pass\n    def public(self):\n        pass\n"
+        "    def _unread(self):\n        pass\n",
+        "b": "def _free():\n    pass\n\nprint(A()._hook(), A._noun, _free, _unread)\n",
+    }
+    assert unread_members(sources) == [("A", "_loop"), ("A", "_unread")]
+
+
+def test_every_private_package_member_is_read():
+    package = ROOT / "src/pweyl"
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in package.rglob("*.py")}
+    assert unread_members(sources) == []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pweyl import PolyRing
+from pweyl import PolyRing, WeylOp
 from pweyl.errors import RingMismatch
 from pweyl.orders import GrevLex, Weighted
 from pweyl.mpoly import CompiledRows, MPoly
@@ -210,6 +210,20 @@ def test_format_round_numbers():
     assert str(f) == "X1*Xi1 - 1"
     assert f.format(symmetric=False) == "X1*Xi1 + 6"
     assert str(R.zero()) == "0"
+
+
+def test_equality_hash_and_printing_are_shared_by_both_element_types():
+    F5, R = Zmod(5), twisted(5)
+    X, Xi = R.gens()
+    x, d = WeylOp.x(F5, 1, 0), WeylOp.d(F5, 1, 0)
+    for a, b in ((Xi - X, -X + Xi), (d * x, x * d + WeylOp.one(F5, 1))):
+        assert a == b and hash(a) == hash(b)
+    assert {Xi - X: 1}[-X + Xi] == 1
+    # equal elements share their space too: the ring, and for operators n
+    assert WeylOp.zero(F5, 1) != WeylOp.zero(F5, 2)
+    assert MPoly(R, dict(x.terms)) != x and x != MPoly(R, dict(x.terms))
+    assert repr(d * x) == "WeylOp(x1*d1 + 1)"
+    assert repr(Xi - X) == "MPoly(-X1 + Xi1)"
 
 
 def values_at(polys, point, K):

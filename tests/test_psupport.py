@@ -87,6 +87,21 @@ def test_specialization_context():
     )
 
 
+def test_presentation_over_f_p_reports_as_over_q():
+    q_spec = DModuleSpec(1, (parse_weyl("x1*d1 - 1/3", 1, QQ),))
+    f_spec = DModuleSpec(1, (parse_weyl("x1*d1 - 1/3", 1, Zmod(5)),))
+    assert specialize_mod_p(f_spec, 5).gens == specialize_mod_p(q_spec, 5).gens
+    assert p_support(f_spec, 5).to_dict() == p_support(q_spec, 5).to_dict()
+
+
+def test_specialize_refuses_a_composite_or_a_foreign_ring():
+    with pytest.raises(ValueError, match="not prime"):
+        specialize_mod_p(DModuleSpec(1, (parse_weyl("d1", 1, QQ),)), 4)
+    for ring, p in ((Zmod(5), 7), (extension_field(5, 2), 5)):
+        with pytest.raises(RingMismatch):
+            specialize_mod_p(DModuleSpec(1, (WeylOp.d(ring, 1, 0),)), p)
+
+
 def test_spec_validation():
     (x,), (d,), one = qq_gens()
     with pytest.raises(ValueError):
@@ -581,8 +596,7 @@ def test_fiber_dim_matches_the_rank_p2n_presentation():
                     fibre_is_nonzero.add(fibre > 0)
             if not ann.is_unit_ideal():
                 for s in generic_rank(I, ann).samples:
-                    K = extension_field(p, s.degree)
-                    assert s.fiber_dim == reference(K, s.point)
+                    assert s.fiber_dim == reference(s.field, s.point)
     assert fibre_is_nonzero == {False, True}
 
 

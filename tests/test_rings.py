@@ -8,7 +8,7 @@ import pytest
 from pweyl.errors import DivisionByZero, NotUnit
 from pweyl.rings import QQ, GaloisField, Zmod, extension_field, is_prime
 
-from helpers import coefficients, fermat_inv, random_coeff, schoolbook_mul
+from helpers import coefficients, fermat_inv, random_coeff, schoolbook_mul, tuple_mul
 
 ALL_RINGS = [Zmod(5), Zmod(9), Zmod(49), extension_field(3, 2), extension_field(2, 3), QQ]
 
@@ -37,6 +37,14 @@ def test_a_fraction_needs_a_unit_denominator():
         with pytest.raises(NotUnit):
             ring.from_fraction(Fraction(5, 6))
     assert Zmod(9).from_fraction(Fraction(5, 2)) == 7
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (5, 2), (3, 3)])
+def test_galois_fraction_is_the_prime_field_fraction(p, k):
+    K, F = extension_field(p, k), Zmod(p)
+    for q in (Fraction(0), Fraction(-1), Fraction(1, 7), Fraction(-22, 9), Fraction(5, 11)):
+        if q.denominator % p:
+            assert K.from_fraction(q) == K.from_int(F.from_fraction(q)), q
 
 
 def test_zero_inverse_rejected():
@@ -179,22 +187,8 @@ def test_power_table_shared_by_every_instance():
 
 def test_extension_field_embeds_prime_field():
     K = extension_field(3, 2)
-    assert coefficients(K, K.from_base(2)) == (2, 0)
-    assert K.add(K.from_base(2), K.from_base(2)) == K.from_base(1)
-
-
-def tuple_mul(K, a, b):
-    """The product of two coefficient tuples modulo the modulus of K, by
-    reducing the schoolbook product from the top degree down."""
-    prod = [0] * (2 * K.k - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] = (prod[i + j] + x * y) % K.p
-    for d in range(len(prod) - 1, K.k - 1, -1):
-        c, prod[d] = prod[d], 0
-        for j in range(K.k):
-            prod[d - K.k + j] = (prod[d - K.k + j] - c * K.modulus[j]) % K.p
-    return tuple(prod[: K.k])
+    assert coefficients(K, K.from_int(2)) == (2, 0)
+    assert K.add(K.from_int(2), K.from_int(2)) == K.from_int(1)
 
 
 def printed(c):

@@ -10,11 +10,7 @@ from pweyl import PolyRing, WeylOp, is_central
 from pweyl.errors import DimensionMismatch, RingMismatch
 from pweyl.rings import QQ, Zmod
 
-from helpers import naive_d_pow_x_pow, random_weylop
-
-
-def gens_1var(ring):
-    return WeylOp.x(ring, 1, 0), WeylOp.d(ring, 1, 0), WeylOp.one(ring, 1)
+from helpers import gens_1var, naive_d_pow_x_pow, random_weylop
 
 
 def test_defining_relation():

@@ -11,7 +11,7 @@ from pweyl.mpoly import MPoly, PolyRing
 from pweyl.orders import GREVLEX, GrevLex, Weighted, monomial_divides, monomial_lcm
 from pweyl.rings import QQ, Zmod
 
-from helpers import assert_engine_pairs, engine_nf, random_coeff, random_weylop
+from helpers import assert_engine_pairs, engine_nf, gens_1var, random_coeff, random_weylop
 
 F5 = Zmod(5)
 
@@ -20,10 +20,6 @@ def leading(f, order):
     """(exponent, coefficient) of the largest term of f under ``order``."""
     e = max(f.terms, key=order.key)
     return e, f.terms[e]
-
-
-def gens_1var(ring):
-    return WeylOp.x(ring, 1, 0), WeylOp.d(ring, 1, 0), WeylOp.one(ring, 1)
 
 
 def test_principal_generators_stay():
