@@ -85,11 +85,25 @@ every other term on a pivot column, which no kernel lead divides, and
 h_k's other terms are not divisible by any lead(h_j), so v - h_k, an
 element of I cap Z, would have a lead that no lead(h_j) divides.  The first
 rung whose kernel has one vector per block, d = max deg h_k, has
-J_d = I cap Z, and the ladder stops there, the h_k in column order its
-reduced basis.  No rung before it can stop on a plateau: an ideal missing
-some h_k has dimension above s.  At the top degree D with more than one
-block the stop gives way, and the ladder ends as it always has, with
-J_D = I cap Z reported "truncated(D)".
+J_d = I cap Z, and the ladder stops there.  No rung before it can stop on a
+plateau: an ideal missing some h_k has dimension above s.  At the top degree
+D with more than one block the stop gives way, and the ladder ends as it
+always has, with J_D = I cap Z reported "truncated(D)".
+
+A principal ladder is finished at its last generator.  A kernel vector's
+lead is the lead of an element of I cap Z, so some lead(h_k) divides it,
+and once every h_k is kept the ladder skips each column that a kept lead
+divides (below): no later column can keep a vector, and the kernel at every
+higher degree is the same list.  So the ladder leaves its rung at the
+column of the last h_k, normalises no later column, and keeps that J_d at
+every later rung.  Its kernel ideals need no Buchberger either.  The
+vectors kept at any rung are h_k in disjoint variables: monic, as a
+vanishing column's combination has 1 at its monomial, with pairwise coprime
+leads and no tail term that a lead divides, and appended in column order,
+which is lead order.  So at every rung they are the reduced basis of the
+ideal they generate, and the ladder caches them as it
+(``cgb._reduced_ideal``); so too for the zero ideal, the J_d of a rung with
+no kernel vector yet, whatever the ideal.
 
 The truncated ladder climbs one rung, one degree, at a time, does each
 reduction once, and keeps one state on the ideal for every later degree:
@@ -154,8 +168,9 @@ The plateau rule.  A new kernel vector at rung d has a lead that no lead
 of J_(d-1) divides, so it is no element of J_(d-1): J_d = J_(d-1) exactly
 when rung d keeps no new vector.  The ladder then keeps J_(d-1) itself as
 J_d, and the annihilator counts its kernel instead of reducing it.  Only a
-rung that grows the ideal makes a new J_d, so Buchberger runs once per
-distinct kernel ideal read.
+rung that grows the ideal makes a new J_d, so for an ideal that is not
+principal Buchberger runs once per distinct nonzero kernel ideal read, and
+for a principal one never.
 """
 
 from dataclasses import dataclass
@@ -485,8 +500,8 @@ def _ladder(ideal):
     ideals[d] the kernel ideal J_d of each finished rung d, the one of rung
     d - 1 itself when rung d keeps no new vector; and principal whether
     every block of ``_blocks`` has a one-element reduced basis, so that the
-    principal stop can end the ladder.  Only ``truncated_kernel`` writes
-    it."""
+    ladder finishes at its last generator and its kernel vectors are each
+    J_d's reduced basis.  Only ``truncated_kernel`` writes it."""
     cache = ideal._cache
     if "ladder" not in cache:
         p, leads = ideal.ring.characteristic, ideal._leads()
@@ -555,13 +570,24 @@ def truncated_kernel(ideal, degree):
     returned lead divides a later one: a kernel vector of an earlier rung
     lies in J_(d-1), so a lead of J_(d-1) divides its lead.  Each finished
     rung leaves its kernel ideal J_d on the state.
+
+    A principal ladder (``_ladder``) is finished once its kernel holds one
+    vector per block of ``_blocks``: it leaves its rung at that column, no
+    later call normalises or adds a column, and every later rung keeps the
+    same J_d.  Its J_d, and the zero ideal of a rung with no kernel vector
+    yet, carry the kernel vectors as their reduced basis, and run no
+    Buchberger (module docstring).
     """
     ring = _twist_of(ideal.ring, ideal.n).twisted_ring
-    nfs, echelon, kernel, _, ideals, _ = _ladder(ideal)
+    nfs, echelon, kernel, _, ideals, principal = _ladder(ideal)
+    # a principal ladder is finished at its last generator, h_k of each block
+    last = len(_blocks(ideal)) if principal else None
     one = ring.coeffs.one()
     for d in range(len(ideals), degree + 1):
         decided = list(ideals[d - 1]._leads()) if d else []
         for e in _monomials_up_to(2 * ideal.n, d)[len(nfs) :]:
+            if len(kernel) == last:
+                break
             if any(monomial_divides(m, e) for m in decided):
                 nfs[e] = None
                 continue
@@ -570,10 +596,13 @@ def truncated_kernel(ideal, degree):
             if comb is not None:
                 kernel.append((e, MPoly(ring, comb)))
                 decided.append(e)
+        vectors = [z for _, z in kernel]
         if ideals and len(kernel) == len(ideals[-1].gens):
             ideals.append(ideals[-1])
+        elif principal or not kernel:  # the vectors are the reduced basis
+            ideals.append(_reduced_ideal(vectors, ring))
         else:
-            ideals.append(CIdeal.of([z for _, z in kernel], ring=ring))
+            ideals.append(CIdeal.of(vectors, ring=ring))
     return [z for lead, z in kernel if sum(lead) <= degree]
 
 
@@ -611,7 +640,7 @@ def central_annihilator_truncated(ideal, twist=None):
         kernel = truncated_kernel(ideal, d)
         # the kernel is the blocks' generators: J = I cap Z (module docstring)
         if principal and len(kernel) == len(blocks) and (d < top or len(blocks) == 1):
-            return AnnihilatorResult(_reduced_ideal(kernel, twist.twisted_ring), f"stabilized({d})")
+            return AnnihilatorResult(ideals[d], f"stabilized({d})")
         # a plateau is a rung with no new kernel vector (module docstring)
         if d >= 2 and ideals[d] is ideals[d - 1] and krull_dim(ideals[d]) <= support:
             return AnnihilatorResult(ideals[d], f"stabilized({d - 1})")

@@ -747,9 +747,13 @@ def test_ladder_normal_forms_by_frobenius_shift(monkeypatch):
         monos = _monomials_up_to(2 * n, 3)
         direct = [I.normal_form(tw.embed(MPoly(R, {e: 1}))) for e in monos]
         # every column is kept, in order, with its normal form unless a
-        # kernel lead or a lead of J_(d-1) divides it
-        nfs = I._cache["ladder"][0]
-        assert list(nfs) == list(monos), (gens, p)
+        # kernel lead or a lead of J_(d-1) divides it, up to the last one
+        # for a principal ladder that holds one generator per block
+        nfs, columns, blocks = I._cache["ladder"][0], monos, _blocks(I)
+        principal = all(len(sub.groebner_basis()) == 1 for _, sub in blocks)
+        if principal and len(kernels[3]) == len(blocks):
+            columns = monos[: monos.index(kernels[3][-1].leading()[0]) + 1]
+        assert list(nfs) == list(columns), (gens, p)
         assert all(nf is None or nf == want for nf, want in zip(nfs.values(), direct)), (gens, p)
         for d in range(4):
             size = len(_monomials_up_to(2 * n, d))
@@ -898,13 +902,9 @@ DECIDED_BY_THE_KERNEL_IDEAL = [
 ]
 
 
-def test_pruned_ladder_matches_the_reference_ladder():
-    # the ladder that never normalises a multiple of a kernel lead or of a
-    # lead of J_(d-1)'s reduced basis, and stops an external product at its
-    # blocks' generators, picks the status of a ladder that eliminates the
-    # whole dense kernel at every degree and stops on a plateau, and its
-    # generators less those J_(d-1) decides, with the same reduced basis and
-    # the same coisotropy witness, on random inputs and external products
+def pruned_ladder_cases():
+    """(twist, generators) pairs: random inputs at n = 1 and 2, external
+    products, and last the inputs of ``DECIDED_BY_THE_KERNEL_IDEAL``."""
     rng = random.Random(31)
     cases = []
     for _ in range(12):
@@ -947,11 +947,21 @@ def test_pruned_ladder_matches_the_reference_ladder():
     tw = FrobeniusTwist(3, 2)
     top = ("d2", "x1^3*d1^3 - x1*d1^3 - d1^2 - x1")
     cases.append((tw, [parse_weyl(text, 2, tw.weyl_ring) for text in top]))
-    decided = []
     for p, texts in DECIDED_BY_THE_KERNEL_IDEAL:
         tw = FrobeniusTwist(p, 2)
-        decided.append(len(cases))
         cases.append((tw, [parse_weyl(text, 2, tw.weyl_ring) for text in texts]))
+    return cases
+
+
+def test_pruned_ladder_matches_the_reference_ladder():
+    # the ladder that never normalises a multiple of a kernel lead or of a
+    # lead of J_(d-1)'s reduced basis, and stops an external product at its
+    # blocks' generators, picks the status of a ladder that eliminates the
+    # whole dense kernel at every degree and stops on a plateau, and its
+    # generators less those J_(d-1) decides, with the same reduced basis and
+    # the same coisotropy witness, on random inputs and external products
+    cases = pruned_ladder_cases()
+    decided = range(len(cases) - len(DECIDED_BY_THE_KERNEL_IDEAL), len(cases))
     witnesses = 0
     for index, (tw, gens) in enumerate(cases):
         R = tw.twisted_ring
@@ -966,6 +976,19 @@ def test_pruned_ladder_matches_the_reference_ladder():
         assert verdict == coisotropy_check(cgb.frobenius_root(CIdeal.of(want, ring=R))), label
         witnesses += index in decided and not verdict.ok
     assert witnesses == 3
+
+
+def test_every_kept_kernel_ideal_is_reduced():
+    # after the annihilator runs, each kernel ideal J_d on the ladder's state
+    # has the reduced basis Buchberger gives its generators, whether the
+    # ladder cached its kernel vectors as that basis (a principal ladder,
+    # and the zero ideal) or ran Buchberger on them
+    for tw, gens in pruned_ladder_cases():
+        I = LeftIdeal.of(gens)
+        central_annihilator_truncated(I)
+        for d, J in enumerate(I._cache["ladder"][4]):
+            label = ([str(g) for g in gens], tw.p, d)
+            assert list(J.groebner_basis()) == buchberger(list(J.gens)), label
 
 
 def test_plateau_is_a_rung_with_no_new_kernel_vector(monkeypatch):
@@ -1017,14 +1040,21 @@ def test_plateau_is_a_rung_with_no_new_kernel_vector(monkeypatch):
             "stabilized(3)",
             [0, 0, 2, 3, 3],
         ),
+        (2, ("d1^2 - x1", "d2 - x2"), "stabilized(2)", [0, 1, 2, 2, 2]),
+        (2, LEGENDRE_EXP, "stabilized(4)", [0, 1, 1, 1, 2]),
+        (2, ("d1*d2 - x1",), "stabilized(2)", [0, 0, 1, 1, 1]),
+        (1, ("x1*d1^2 + d1 - x1",), "stabilized(3)", [0, 0, 0, 1, 1]),
+        (2, ("d1^3 - x2", "d2^2 - x1"), "stabilized(1)", [1, 1, 1, 1, 1]),
     ],
-    ids=["torus-n2", "torus-n3"],
+    ids=["torus-n2", "torus-n3", "airy-pair", "legendre-exp", "one-generator", "n1", "unit"],
 )
 def test_ladder_answers_do_not_depend_on_call_order(n, texts, status, sizes):
     # at p = 5 the annihilator's status and reduced basis, and the ladder's
     # kernel at every degree up to 4, are the same on a fresh ideal, after
     # the ladder was taken to degree 6, and after the annihilator ran: the
-    # ladder alone decides which columns J_(d-1) skips
+    # ladder alone decides which columns J_(d-1) skips, and a principal
+    # ladder, finished at the column of its last generator (in rung 0 for
+    # the unit ideal), keeps its kernel and J_d at every later degree
     tw = FrobeniusTwist(5, n)
 
     def answers(before):
@@ -1156,24 +1186,23 @@ def test_exact_route_commutes_with_elementary_linear_maps(p, max_exp, max_terms)
 @pytest.mark.parametrize(
     "texts, status, columns, groebner_calls",
     [
-        (("d1^2 - x1", "d2 - x2"), "stabilized(2)", 15, 2),
-        (("d1^3 - x1", "d2 - x2"), "stabilized(3)", 35, 2),
-        (LEGENDRE_EXP, "stabilized(4)", 70, 2),
-        (("d1*d2 - 1", "x1*d1 - x2*d2"), "stabilized(2)", 35, 2),
+        (("d1^2 - x1", "d2 - x2"), "stabilized(2)", 10, 0),
+        (("d1^3 - x1", "d2 - x2"), "stabilized(3)", 26, 0),
+        (LEGENDRE_EXP, "stabilized(4)", 61, 0),
+        (("d1*d2 - 1", "x1*d1 - x2*d2"), "stabilized(2)", 35, 1),
     ],
     ids=["airy-pair", "cubic-pair", "legendre-exp", "torus"],
 )
 def test_ladder_stops_where_its_answer_is_certified(
     monkeypatch, texts, status, columns, groebner_calls
 ):
-    # at p = 5 an external product of one-element blocks stops at the rung
-    # where the kernel is the blocks' generators, degree d for
-    # stabilized(d), where a plateau would be seen at d + 1 only (35, 70 and
-    # 126 columns); the torus pair is no product and still reaches d + 1.
-    # Buchberger runs once per distinct kernel ideal the ladder reads, J_0
-    # (the zero ideal) to J_(d-1) at every rung d: a rung that adds nothing,
-    # as (X2 - Xi2) and (Xi2 - 1) stay from degree 1 to 2 and to 3, keeps
-    # the ideal before it
+    # at p = 5 an external product of one-element blocks stops at the
+    # column of its last generator, in rung d for stabilized(d), where
+    # finishing rung d takes 15, 35 and 70 columns and seeing a plateau at
+    # d + 1 takes 35, 70 and 126; the torus pair is no product and still
+    # reaches d + 1.  A product's kernel vectors are the reduced basis of
+    # each J_d, and J_0 and J_1 of the torus pair are zero, so Buchberger
+    # runs once, on the torus pair's J_2
     calls = []
     buchberger = cgb.buchberger
 
